@@ -22,19 +22,17 @@ from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      WeightDegenerate)
 from .estimates import EstimateWithError, combined_se
 from .model import (EqualDiagonal, IndependentEntries, IndependentOffDiagonal,
-                    Innovation, ProportionalToDiagonal, TriangularSRE,
-                    draw_innovation, draw_innovations, model_from_dict,
-                    model_to_dict, step)
+                    ProportionalToDiagonal, TriangularSRE, draw_innovations,
+                    model_from_dict, model_to_dict)
 from .regime import (CheckResult, RegimeReport, SignSummary, classify,
                      lyapunov_estimate, solve_tail_index)
 from .rng import RngStream, default_workers
 from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,
                         run_scenario, run_suite)
-from .stationary import (StationaryBatch, StationarySample, cross_sum_brute,
-                         cross_sum_scan, iterate_forward, sample_cross_sum,
-                         sample_cross_sum_batch, sample_pair_perpetuity_batch,
-                         sample_perpetuity_batch, sample_stationary,
+from .stationary import (StationaryBatch, cross_sum_brute, cross_sum_scan,
+                         iterate_forward, sample_cross_sum_batch,
+                         sample_pair_perpetuity_batch, sample_perpetuity_batch,
                          sample_stationary_batch, truncation_depth,
                          univariate_model)
 from .tails import (EmpiricalTail, ccdf, default_log_grid,
@@ -44,8 +42,7 @@ from .tails import (EmpiricalTail, ccdf, default_log_grid,
 from .tilting import (CouplingRate, PartialSumStudy, SnapshotMoments,
                       TiltedCoupling, clt_constant, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,
-                      expect_tilted, perpetuity_sample,
-                      perpetuity_sample_batch, tilted_coupling,
+                      expect_tilted, perpetuity_sample_batch, tilted_coupling,
                       tilted_offdiag_moments, tilted_ratio_log_drift)
 
 __version__ = "0.1.0"

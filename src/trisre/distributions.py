@@ -210,8 +210,7 @@ def signed_moment(spec: Dist, beta: float, sign: str) -> float:
     if isinstance(spec, Normal):
         mean = spec.mean if plus else -spec.mean
         if beta == 0.0:
-            from scipy.stats import norm
-            return float(norm.sf(0.0, loc=mean, scale=spec.sd))
+            return 0.5 * math.erfc(-mean / (spec.sd * math.sqrt(2.0)))
         return _normal_positive_part_moment(mean, spec.sd, beta)
     if isinstance(spec, Lognormal):
         return abs_moment(spec, beta) if plus else 0.0
@@ -350,14 +349,6 @@ def tilted(spec: Dist, alpha: float) -> Dist:
         "use weighted Monte Carlo instead")
 
 
-def is_tiltable(spec: Dist) -> bool:
-    try:
-        tilted(spec, 1.0)
-        return True
-    except TiltUnsupported:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Structural metadata used by the regime classifier
 # ---------------------------------------------------------------------------
@@ -388,8 +379,7 @@ def prob_negative(spec: Dist) -> float:
     if isinstance(spec, Constant):
         return 1.0 if spec.c < 0 else 0.0
     if isinstance(spec, Normal):
-        from scipy.stats import norm
-        return float(norm.cdf(0.0, loc=spec.mean, scale=spec.sd))
+        return 0.5 * math.erfc(spec.mean / (spec.sd * math.sqrt(2.0)))
     if isinstance(spec, Lognormal):
         return 0.0
     if isinstance(spec, (SignedLognormal, TwoSidedPareto)):

@@ -27,30 +27,48 @@ def combined_se(a: EstimateWithError, b: EstimateWithError) -> float:
 
 
 class RunningMoments:
-    """Mergeable (sum, sum of squares, count) accumulator."""
+    """Mergeable (count, mean, M2) accumulator.
 
-    __slots__ = ("s1", "s2", "n")
+    Merging uses Chan et al.'s pairwise update, so the variance does not
+    cancel catastrophically when the mean is large next to the spread."""
 
-    def __init__(self):
-        self.s1 = 0.0
-        self.s2 = 0.0
-        self.n = 0
+    __slots__ = ("n", "mean", "m2")
 
-    def add(self, values) -> None:
+    def __init__(self, values=()):
         v = np.asarray(values, dtype=float)
-        self.s1 += float(v.sum())
-        self.s2 += float((v * v).sum())
-        self.n += v.size
+        self.n = v.size
+        self.mean = float(v.mean()) if v.size else 0.0
+        self.m2 = float(np.sum((v - self.mean) ** 2))
 
     def merge(self, other: "RunningMoments") -> None:
-        self.s1 += other.s1
-        self.s2 += other.s2
-        self.n += other.n
+        if self.n == 0:
+            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
+            return
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        self.mean += delta * other.n / n
+        self.m2 += other.m2 + delta * delta * self.n * other.n / n
+        self.n = n
+
+    def ess(self) -> float:
+        """Effective sample size (sum w)^2 / sum w^2 of accumulated weights."""
+        sum_sq = self.m2 + self.n * self.mean ** 2
+        return (self.n * self.mean) ** 2 / sum_sq if sum_sq > 0 else 0.0
 
     def estimate(self, seed: str = "") -> EstimateWithError:
         if self.n == 0:
             raise ValueError("no samples accumulated")
-        mean = self.s1 / self.n
-        var = max(self.s2 / self.n - mean * mean, 0.0)
-        se = math.sqrt(var / self.n)
-        return EstimateWithError(mean, se, self.n, seed)
+        se = math.sqrt(self.m2 / self.n / self.n)
+        return EstimateWithError(self.mean, se, self.n, seed)
+
+
+def merge_chunks(parts) -> list[RunningMoments]:
+    """Merge per-chunk sequences of accumulators position by position, in
+    chunk order, so the result does not depend on the worker count."""
+    out = []
+    for column in zip(*parts):
+        acc = RunningMoments()
+        for other in column:
+            acc.merge(other)
+        out.append(acc)
+    return out

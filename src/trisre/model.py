@@ -57,15 +57,6 @@ class EqualDiagonal:
 TriangularSRE = IndependentEntries | EqualDiagonal
 
 
-@dataclass(frozen=True)
-class Innovation:
-    a11: float
-    a12: float
-    a22: float
-    b1: float
-    b2: float
-
-
 @dataclass
 class InnovationBatch:
     """Arrays of shape (m,) holding one joint step for m paths."""
@@ -174,21 +165,6 @@ def draw_innovations(model: TriangularSRE, m: int, rng: RngStream,
     return InnovationBatch(a11=d, a12=a12, a22=d,
                            b1=dist.sample(model.b1, rng, m),
                            b2=dist.sample(model.b2, rng, m))
-
-
-def draw_innovation(model: TriangularSRE, rng: RngStream) -> Innovation:
-    batch = draw_innovations(model, 1, rng)
-    return Innovation(float(batch.a11[0]), float(batch.a12[0]),
-                      float(batch.a22[0]), float(batch.b1[0]),
-                      float(batch.b2[0]))
-
-
-def step(model: TriangularSRE, w: tuple[float, float],
-         innov: Innovation) -> tuple[float, float]:
-    """One forward application of the affine map."""
-    w1, w2 = w
-    return (innov.a11 * w1 + innov.a12 * w2 + innov.b1,
-            innov.a22 * w2 + innov.b2)
 
 
 def step_batch(w1: np.ndarray, w2: np.ndarray, batch: InnovationBatch):

@@ -68,6 +68,8 @@ def default_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+CHUNK = 1 << 16  # paths per work chunk, for every chunked sampler and estimator
+
 _CHUNK_TAG = 0x43484B53  # namespaces internal chunk streams away from
                          # any small-index substream the caller derives
 

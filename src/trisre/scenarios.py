@@ -31,7 +31,8 @@ from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
 from .rng import RngStream
 from .stationary import sample_stationary_batch
 from .tails import (EmpiricalTail, ccdf, default_log_grid,
-                    goldie_constant_direct, hill, log_factor_regression)
+                    goldie_constant_direct, goldie_constant_direct_for_laws,
+                    hill, log_factor_regression)
 from .tilting import (clt_constant, estimate_coupling_rate,
                       estimate_coupling_weight, tilted_offdiag_moments)
 
@@ -150,23 +151,6 @@ def _scale_estimate(c, factor: float):
     return float(c) * factor
 
 
-def _w2_goldie(model: TriangularSRE, alpha2: float, rho2: float, N: int,
-               tol: float, rng: RngStream):
-    """Tail constants of the second coordinate's scalar recursion."""
-    d2 = mod.diag_laws(model)[1]
-
-    def pairs(m, r):
-        batch = mod.draw_innovations(model, m, r)
-        return batch.a22, batch.b2
-
-    def xs(m, r):
-        return sample_stationary_batch(model, tol, m, r, workers=1).w2
-
-    signed = dist.prob_negative(d2) > 0
-    return goldie_constant_direct(pairs, xs, alpha2, rho2, N, rng,
-                                  a_signed=signed)
-
-
 def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             constant_samples: int = 200_000, mn_horizon: int = 400,
             weight_horizon: int = 50, tol: float = 1e-8,
@@ -186,17 +170,15 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
     if case == CASE_COORD1_KG:
         alpha1, rho1 = report.alpha1, report.rho1
 
-        def pair_sampler(m, r):
-            batch = mod.draw_innovations(model, m, r.substream(0))
-            w2 = sample_stationary_batch(model, tol, m, r.substream(1),
-                                         workers=1).w2
-            return batch.a11, batch.b1 + batch.a12 * w2
-
-        def x_sampler(m, r):
-            return sample_stationary_batch(model, tol, m, r, workers=1).w1
+        def sampler(m, r):
+            # x = W1' and the W2' inside b come from one stationary draw
+            w = sample_stationary_batch(model, tol, m, r.substream(0),
+                                        workers=1)
+            batch = mod.draw_innovations(model, m, r.substream(1))
+            return batch.a11, batch.b1 + batch.a12 * w.w2, w.w1
 
         signed = report.sign_case.a11_negative_possible
-        cp, cm = goldie_constant_direct(pair_sampler, x_sampler, alpha1, rho1,
+        cp, cm = goldie_constant_direct(sampler, alpha1, rho1,
                                         constant_samples, rng.substream(1),
                                         a_signed=signed)
         formula = ("one_step_difference_absolute_halved" if signed
@@ -218,8 +200,8 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
 
     if case == CASE_COORD2_KG:
         alpha2, rho2 = report.alpha2, report.rho2
-        c2p, c2m = _w2_goldie(model, alpha2, rho2, constant_samples,
-                              tol, rng.substream(2))
+        c2p, c2m = goldie_constant_direct_for_laws(
+            d2, model.b2, alpha2, rho2, constant_samples, rng.substream(2), tol)
         study = estimate_coupling_weight(model, alpha2, weight_horizon,
                                          constant_samples, rng.substream(3))
         snap = study.final()
@@ -276,8 +258,9 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
 
     if case in (CASE_EQUAL_DIAG_ZERO_DRIFT, CASE_EQUAL_DIAG_NONZERO_DRIFT):
         alpha, rho1 = report.alpha1, report.rho1
-        c2p, c2m = _w2_goldie(model, report.alpha2, report.rho2,
-                              constant_samples, tol, rng.substream(5))
+        c2p, c2m = goldie_constant_direct_for_laws(
+            d2, model.b2, report.alpha2, report.rho2, constant_samples,
+            rng.substream(5), tol)
         if case == CASE_EQUAL_DIAG_ZERO_DRIFT:
             cc = clt_constant(model, alpha, rng=rng.substream(6))
             c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
@@ -296,8 +279,9 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
 
     if case == CASE_DISTINCT_DIAG_EQUAL_INDEX:
         alpha, rho1 = report.alpha1, report.rho1
-        c2p, c2m = _w2_goldie(model, report.alpha2, report.rho2,
-                              constant_samples, tol, rng.substream(7))
+        c2p, c2m = goldie_constant_direct_for_laws(
+            d2, model.b2, report.alpha2, report.rho2, constant_samples,
+            rng.substream(7), tol)
         rate = estimate_coupling_rate(model, alpha, mn_horizon,
                                       constant_samples, rng.substream(8))
         crp, crm = rate.rate_windowed.plus, rate.rate_windowed.minus

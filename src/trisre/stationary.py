@@ -1,12 +1,12 @@
 """Stationary solution sampling and the cross-coupling partial sums.
 
-The stationary law is reached through the truncated backward series; the
-truncation depth comes from an explicit epsilon-moment bound on the
-discarded remainder, so every sample carries a certified error bound.
+The stationary law is reached through the truncated backward series,
+evaluated as a forward recursion from zero; the truncation depth comes
+from an explicit epsilon-moment bound on the discarded remainder, so every
+sample carries a certified error bound.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +15,7 @@ from . import distributions as dist
 from . import model as mod
 from .errors import NotContractive
 from .model import TriangularSRE
-from .rng import RngStream, map_chunks
+from .rng import CHUNK, RngStream, map_chunks
 
 _EPS_GRID = np.linspace(0.05, 1.0, 20)
 
@@ -59,103 +59,71 @@ def _series_error_bound(model: TriangularSRE, n: int, eps: float, q: float) -> f
     return (tail + inner) / (1.0 - q)
 
 
+def _first_depth(bound, target: float) -> int:
+    """Smallest n >= 1 with bound(n) < target."""
+    n = 1
+    while bound(n) >= target:
+        n += 1
+        if n > 200_000:
+            raise NotContractive("truncation depth exceeds 200000; "
+                                 "contraction too weak for this tolerance")
+    return n
+
+
 def truncation_depth(model: TriangularSRE, tol: float) -> tuple[int, float]:
     """Smallest depth whose discarded-remainder bound is below tol^eps."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
     eps, q = contraction_exponent(model)
-    target = tol ** eps
-    n = 1
-    while _series_error_bound(model, n, eps, q) >= target:
-        n += 1
-        if n > 200_000:
-            raise NotContractive("truncation depth exceeds 200000; "
-                                 "contraction too weak for this tolerance")
+    n = _first_depth(lambda k: _series_error_bound(model, k, eps, q),
+                     tol ** eps)
     return n, eps
-
-
-@dataclass(frozen=True)
-class StationarySample:
-    w1: float
-    w2: float
-    w1_own: float     # part driven by b1 through the first diagonal
-    w1_cross: float   # part fed by the second coordinate via a12
-    truncation_depth: int
-    truncation_bound: float
 
 
 @dataclass
 class StationaryBatch:
     w1: np.ndarray
     w2: np.ndarray
-    w1_own: np.ndarray
-    w1_cross: np.ndarray
+    w1_own: np.ndarray    # part driven by b1 through the first diagonal
+    w1_cross: np.ndarray  # part fed by the second coordinate via a12
     truncation_depth: int
     truncation_bound: float
 
 
 def _stationary_chunk(model: TriangularSRE, depth: int, m: int,
                       rng: RngStream) -> tuple[np.ndarray, ...]:
-    """Backward series over one shared innovation path per sample.
+    """The depth-truncated backward series, run forward from zero.
 
-    Index i runs over lags; prefix products use draws 1..i-1. The second
-    coordinate seen by lag i is resolved from the tail of the same path,
-    which keeps w1 = w1_own + w1_cross an identity of partial sums.
+    Step s uses the draws of lag depth - s, so this is the same truncated
+    series with draws mapped to lags in reverse order, in O(m) memory. The
+    cross part takes the second coordinate from before the current step,
+    i.e. resolved from the deeper lags of the same path, which keeps
+    w1 = w1_own + w1_cross an identity of partial sums.
     """
-    a22 = np.empty((depth, m))
-    b2 = np.empty((depth, m))
-    a12_row = np.empty((depth, m))
-    pi1_rows = [np.ones(m)]
-    pi1 = np.ones(m)
-    pi2 = np.ones(m)
     w1_own = np.zeros(m)
-    w2 = np.zeros(m)
-    for i in range(depth):
-        batch = mod.draw_innovations(model, m, rng)
-        a22[i] = batch.a22
-        b2[i] = batch.b2
-        a12_row[i] = batch.a12
-        w1_own += pi1 * batch.b1
-        w2 += pi2 * batch.b2
-        pi1 = pi1 * batch.a11
-        pi2 = pi2 * batch.a22
-        if i < depth - 1:
-            pi1_rows.append(pi1.copy())
-    # w2 as seen i lags back, from the tail of the same path
-    w2_tail = np.zeros(m)
     w1_cross = np.zeros(m)
-    for i in range(depth - 1, -1, -1):
-        w1_cross += pi1_rows[i] * a12_row[i] * w2_tail
-        if i > 0:
-            w2_tail = b2[i] + a22[i] * w2_tail
+    w2 = np.zeros(m)
+    for _ in range(depth):
+        batch = mod.draw_innovations(model, m, rng)
+        w1_cross = batch.a11 * w1_cross + batch.a12 * w2
+        w1_own = batch.a11 * w1_own + batch.b1
+        w2 = batch.a22 * w2 + batch.b2
     return w1_own, w1_cross, w2
 
 
 def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
-                            rng: RngStream, workers: int | None = None,
-                            chunk: int | None = None) -> StationaryBatch:
+                            rng: RngStream,
+                            workers: int | None = None) -> StationaryBatch:
     depth, eps = truncation_depth(model, tol)
     bound = _series_error_bound(model, depth, eps,
                                 contraction_exponent(model)[1]) ** (1.0 / eps)
-    if chunk is None:
-        chunk = max(1000, min(100_000, int(2e6 / max(depth, 1))))
-    parts = map_chunks(m, chunk,
+    parts = map_chunks(m, CHUNK,
                        lambda sz, sub: _stationary_chunk(model, depth, sz, sub),
                        rng, workers)
-    w1_own = np.concatenate([p[0] for p in parts])
-    w1_cross = np.concatenate([p[1] for p in parts])
-    w2 = np.concatenate([p[2] for p in parts])
+    w1_own, w1_cross, w2 = (np.concatenate(col) for col in zip(*parts))
     return StationaryBatch(w1=w1_own + w1_cross, w2=w2, w1_own=w1_own,
                            w1_cross=w1_cross, truncation_depth=depth,
                            truncation_bound=bound)
-
-
-def sample_stationary(model: TriangularSRE, tol: float,
-                      rng: RngStream) -> StationarySample:
-    b = sample_stationary_batch(model, tol, 1, rng, workers=1)
-    return StationarySample(float(b.w1[0]), float(b.w2[0]), float(b.w1_own[0]),
-                            float(b.w1_cross[0]), b.truncation_depth,
-                            b.truncation_bound)
 
 
 def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],
@@ -201,10 +169,6 @@ def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
     return s
 
 
-def sample_cross_sum(model: TriangularSRE, n: int, rng: RngStream) -> float:
-    return float(sample_cross_sum_batch(model, n, 1, rng)[0])
-
-
 def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
     """Direct triple-product evaluation from given draws of shape (n, m);
     oracle for the scan recursion."""
@@ -242,45 +206,21 @@ def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,
     return batch.w1
 
 
-def pair_perpetuity_depth(a_law: dist.Dist, b_eps_moment: float,
-                          tol: float) -> tuple[int, float]:
-    """Truncation depth for a scalar recursion whose (A, B) pairs come
-    from a joint sampler; only A's law is known analytically."""
-    sup = dist.moment_sup(a_law)
-    best_eps, best_q = None, np.inf
-    for eps in _EPS_GRID:
-        if eps >= sup:
-            break
-        q = dist.abs_moment(a_law, eps)
-        if q < best_q:
-            best_eps, best_q = float(eps), float(q)
-    if best_eps is None or best_q >= 1.0:
-        raise NotContractive("scalar multiplier not contractive on the grid")
-    target = tol ** best_eps
-    n = 1
-    while best_q ** n / (1.0 - best_q) * b_eps_moment >= target:
-        n += 1
-        if n > 200_000:
-            raise NotContractive("depth exceeds 200000")
-    return n, best_eps
-
-
 def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
-                                 m: int, rng: RngStream,
-                                 eps_probe: int = 10_000) -> np.ndarray:
+                                 m: int, rng: RngStream) -> np.ndarray:
     """Stationary draws of X = A X' + B for jointly sampled (A, B) pairs.
 
     pair_sampler(k, rng) must return arrays (a, b) of shape (k,). The
     truncation analysis uses A's declared law plus a Monte Carlo probe of
-    E|B|^eps (safety factor 10).
+    E|B|^eps over one chunk of pairs (safety factor 10).
     """
-    eps, _ = contraction_exponent(univariate_model(a_law, dist.Constant(1.0)))
-    _, b_probe = pair_sampler(eps_probe, rng.substream(0x50524F42))
+    eps, q = contraction_exponent(univariate_model(a_law, dist.Constant(1.0)))
+    _, b_probe = pair_sampler(CHUNK, rng.substream(0))
     b_eps = float(np.mean(np.abs(b_probe) ** eps)) * 10.0
-    depth, _ = pair_perpetuity_depth(a_law, b_eps, tol)
+    depth = _first_depth(lambda k: q ** k / (1.0 - q) * b_eps, tol ** eps)
     x = np.zeros(m)
     p = np.ones(m)
-    sub = rng.substream(0x50455250)
+    sub = rng.substream(1)
     for _ in range(depth):
         a, b = pair_sampler(m, sub)
         x = x + p * b

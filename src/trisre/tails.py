@@ -16,8 +16,8 @@ from . import distributions as dist
 from .distributions import Dist
 from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      NonPositiveOrderStat, RegimeMismatch)
-from .estimates import EstimateWithError, RunningMoments
-from .rng import RngStream
+from .estimates import EstimateWithError, RunningMoments, merge_chunks
+from .rng import CHUNK, RngStream, map_chunks
 from .stationary import sample_perpetuity_batch
 from .tilting import SnapshotMoments, _study_from_pairs
 
@@ -82,8 +82,16 @@ def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
 def default_log_grid(tail: EmpiricalTail, points: int = 20,
                      lo_q: float = 0.90, hi_q: float = 0.9999) -> np.ndarray:
     """Geometric grid between the lo_q and hi_q empirical quantiles."""
-    lo = float(np.quantile(tail.values, lo_q))
-    hi = float(np.quantile(tail.values, hi_q))
+    ascending = tail.values[::-1]
+
+    def quantile(q: float) -> float:
+        # np.quantile's linear interpolation, read off the sorted values
+        pos = q * (ascending.size - 1)
+        i = min(int(pos), ascending.size - 2)
+        return float(ascending[i]
+                     + (pos - i) * (ascending[i + 1] - ascending[i]))
+
+    lo, hi = quantile(lo_q), quantile(hi_q)
     if not (lo > 0 and hi > lo):
         raise InsufficientSupport("tail quantiles do not span a positive range")
     return np.geomspace(lo, hi, points)
@@ -124,43 +132,37 @@ def log_factor_regression(tail: EmpiricalTail, alpha: float,
 # Scalar tail constants
 # ---------------------------------------------------------------------------
 
-def goldie_constant_direct(pair_sampler, x_sampler, alpha: float, rho: float,
-                           N: int, rng: RngStream, a_signed: bool,
-                           chunk: int = 200_000
+def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
+                           rng: RngStream, a_signed: bool
                            ) -> tuple[EstimateWithError, EstimateWithError]:
     """One-step difference formula for the tail constants of X = AX' + B.
 
-    pair_sampler(m, rng) -> (a, b) jointly drawn; x_sampler(m, rng) ->
-    stationary draws independent of the pairs. For a multiplier that can
-    be negative the two constants coincide and come from the absolute
+    sampler(m, rng) -> (a, b, x) arrays of shape (m,). The formula needs
+    a independent of x, and a*x + b with the law of x: x is a stationary
+    draw and (a, b) one fresh step, with b built from the same stationary
+    draw wherever the additive term depends on it. For a multiplier that
+    can be negative the two constants coincide and come from the absolute
     version (halved)."""
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
-    acc_p, acc_m = RunningMoments(), RunningMoments()
-    done, idx = 0, 0
-    base = rng.substream(0x474C4449)  # internal namespace
-    while done < N:
-        m = min(chunk, N - done)
-        sub = base.substream(idx)
-        a, b = pair_sampler(m, sub.substream(0))
-        x = x_sampler(m, sub.substream(1))
+
+    def chunk(m, sub):
+        a, b, x = sampler(m, sub)
         ax = a * x
         y = ax + b
         if a_signed:
-            z = (np.abs(y) ** alpha - np.abs(ax) ** alpha) / (2.0 * alpha * rho)
-            acc_p.add(z)
-            acc_m.add(z)
+            zp = zm = (np.abs(y) ** alpha
+                       - np.abs(ax) ** alpha) / (2.0 * alpha * rho)
         else:
             zp = (np.maximum(y, 0.0) ** alpha
                   - np.maximum(ax, 0.0) ** alpha) / (alpha * rho)
             zm = (np.maximum(-y, 0.0) ** alpha
                   - np.maximum(-ax, 0.0) ** alpha) / (alpha * rho)
-            acc_p.add(zp)
-            acc_m.add(zm)
-        done += m
-        idx += 1
+        return RunningMoments(zp), RunningMoments(zm)
+
     seed = rng.describe()
-    return acc_p.estimate(seed), acc_m.estimate(seed)
+    c_plus, c_minus = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
+    return c_plus.estimate(seed), c_minus.estimate(seed)
 
 
 def goldie_constant_direct_for_laws(a_law: Dist, b_law: Dist, alpha: float,
@@ -170,13 +172,13 @@ def goldie_constant_direct_for_laws(a_law: Dist, b_law: Dist, alpha: float,
     """Direct formula with independent (A, B) laws; the stationary input
     is sampled by the truncated backward series."""
 
-    def pairs(m, r):
-        return dist.sample(a_law, r, m), dist.sample(b_law, r, m)
+    def sampler(m, r):
+        x = sample_perpetuity_batch(a_law, b_law, tol, m, r.substream(0),
+                                    workers=1)
+        step = r.substream(1)
+        return dist.sample(a_law, step, m), dist.sample(b_law, step, m), x
 
-    def xs(m, r):
-        return sample_perpetuity_batch(a_law, b_law, tol, m, r, workers=1)
-
-    return goldie_constant_direct(pairs, xs, alpha, rho, N, rng,
+    return goldie_constant_direct(sampler, alpha, rho, N, rng,
                                   a_signed=dist.prob_negative(a_law) > 0)
 
 

@@ -14,7 +14,6 @@ polynomial variance; see the module tests for the cross-validation.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,9 @@ from . import model as mod
 from .distributions import Dist
 from .errors import (RegimeMismatch, RequiresEqualDiagonal, RequiresExactTilt,
                      RequiresMuZero, TiltUnsupported, WeightDegenerate)
-from .estimates import EstimateWithError, RunningMoments
-from .model import (EqualDiagonal, IndependentEntries, ProportionalToDiagonal,
-                    TriangularSRE)
-from .rng import RngStream
+from .estimates import EstimateWithError, RunningMoments, merge_chunks
+from .model import EqualDiagonal, ProportionalToDiagonal, TriangularSRE
+from .rng import CHUNK, RngStream, map_chunks
 
 _MIN_ESS = 100.0
 _CRITICAL_BAND = 1e-6
@@ -97,18 +95,20 @@ def _draw_tilted_path(tc: TiltedCoupling, n: int, m: int,
         u[k] = batch.a12 / batch.a22
         a = batch.a11 if tc.diag == "first" else batch.a22
         logw += tc.alpha * np.log(np.abs(a))
-    w = np.exp(logw)
-    ess = float(w.sum()) ** 2 / float((w * w).sum())
-    if ess < _MIN_ESS:
+    return TiltedPath(v, u, np.exp(logw))
+
+
+def _check_ess(weights: RunningMoments) -> None:
+    ess = weights.ess()
+    if not ess >= _MIN_ESS:
         raise WeightDegenerate(
             f"effective sample size {ess:.1f} < {_MIN_ESS:.0f}; shorten the "
             "horizon or use a tiltable diagonal law")
-    return TiltedPath(v, u, w)
 
 
 def expect_tilted(model: TriangularSRE, diag: str, alpha: float, f,
                   n: int, N: int, rng: RngStream,
-                  chunk: int = 50_000, mode: str = "auto") -> EstimateWithError:
+                  mode: str = "auto") -> EstimateWithError:
     """Estimate of the reweighted expectation of a path functional.
 
     The reweighted expectation carries the raw weight prod |a_diag|^alpha,
@@ -124,24 +124,20 @@ def expect_tilted(model: TriangularSRE, diag: str, alpha: float, f,
         raise RequiresExactTilt("diagonal law is not closed under the tilt")
     elif mode not in ("auto", "exact_tilt", "weighted_mc"):
         raise ValueError("mode must be auto|exact_tilt|weighted_mc")
-    lam = tc.step_moment
-    scale = lam ** n
-    acc = RunningMoments()
-    done = 0
-    idx = 0
-    base = rng.substream(0x45585054)  # internal namespace
-    while done < N:
-        m = min(chunk, N - done)
-        path = _draw_tilted_path(tc, n, m, base.substream(idx))
+    scale = tc.step_moment ** n
+
+    def chunk(m, sub):
+        path = _draw_tilted_path(tc, n, m, sub)
         vals = np.asarray(f(path), dtype=float)
-        if path.weights is not None:
-            # raw-weight estimator is already unnormalised: no extra scale
-            acc.add(path.weights * vals)
-        else:
-            acc.add(scale * vals)
-        done += m
-        idx += 1
-    return acc.estimate(rng.describe())
+        if path.weights is None:
+            return (RunningMoments(scale * vals),)
+        # raw-weight estimator is already unnormalised: no extra scale
+        return RunningMoments(path.weights * vals), RunningMoments(path.weights)
+
+    accs = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
+    if tc.mode == "weighted_mc":
+        _check_ess(accs[1])
+    return accs[0].estimate(rng.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +176,16 @@ def _signed_step_stats(v_law_m: float, gamma: float) -> tuple[float, float]:
     return mp, mm
 
 
+def _snapshot_list(ks: list[int], accs: list[RunningMoments],
+                   seed: str) -> list[SnapshotMoments]:
+    """SnapshotMoments from consecutive (absolute, plus, minus) triples."""
+    return [SnapshotMoments(k, *(a.estimate(seed) for a in accs[3 * j:3 * j + 3]))
+            for j, k in enumerate(ks)]
+
+
 def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
                       N: int, rng: RngStream, mode: str, step_moment: float,
-                      gamma: float, chunk: int = 100_000) -> PartialSumStudy:
+                      gamma: float) -> PartialSumStudy:
     """Core scan over X_{k+1} = U_{k+1} + V_{k+1} X_k.
 
     step_sampler(m, rng) -> (v, u) arrays for one step of m paths.
@@ -194,21 +197,12 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
     """
     n = snapshots[-1]
     snap_set = {int(s) for s in snapshots}
-    accs = {s: [RunningMoments(), RunningMoments(), RunningMoments()]
-            for s in snapshots}
-    waccs = {s: [RunningMoments(), RunningMoments(), RunningMoments()]
-             for s in snapshots[1:]} if len(snapshots) > 1 else {}
-    done = 0
-    idx = 0
-    base = rng.substream(0x53545544)  # internal namespace
-    while done < N:
-        m = min(chunk, N - done)
-        sub = base.substream(idx)
+
+    def chunk(m, sub):
         x = np.zeros(m)
-        if mode == "telescoped":
-            s_acc = np.zeros(m)
-            d_acc = np.zeros(m)
-        prev_vals: dict[str, np.ndarray] | None = None
+        s_acc = np.zeros(m)
+        d_acc = np.zeros(m)
+        snaps, wins, prev = [], [], None
         for k in range(1, n + 1):
             v, u = step_sampler(m, sub)
             vx = v * x
@@ -228,21 +222,19 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
                 else:
                     up = np.maximum(x, 0.0) ** alpha * scale
                     um = np.maximum(-x, 0.0) ** alpha * scale
-                vals = {"abs": up + um, "plus": up, "minus": um}
-                for j, key in enumerate(("abs", "plus", "minus")):
-                    accs[k][j].add(vals[key])
-                if prev_vals is not None and k in waccs:
-                    for j, key in enumerate(("abs", "plus", "minus")):
-                        waccs[k][j].add(vals[key] - prev_vals[key])
-                prev_vals = vals
-        done += m
-        idx += 1
+                vals = (up + um, up, um)
+                snaps += [RunningMoments(val) for val in vals]
+                if prev is not None:
+                    wins += [RunningMoments(b - a) for a, b in zip(prev, vals)]
+                prev = vals
+        return snaps + wins
+
+    accs = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
     seed = rng.describe()
-    snaps = [SnapshotMoments(s, *(accs[s][j].estimate(seed) for j in range(3)))
-             for s in snapshots]
-    wins = [SnapshotMoments(s, *(waccs[s][j].estimate(seed) for j in range(3)))
-            for s in snapshots[1:]]
-    return PartialSumStudy(snapshots=snaps, windows=wins, mode=mode)
+    split = 3 * len(snapshots)
+    return PartialSumStudy(
+        snapshots=_snapshot_list(snapshots, accs[:split], seed),
+        windows=_snapshot_list(snapshots[1:], accs[split:], seed), mode=mode)
 
 
 def _vu_sampler(tc: TiltedCoupling):
@@ -347,27 +339,19 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
 
 
 def _weighted_cross_moments(model: TriangularSRE, alpha: float,
-                            horizons: list[int], N: int, rng: RngStream,
-                            chunk: int = 100_000) -> PartialSumStudy:
+                            horizons: list[int], N: int,
+                            rng: RngStream) -> PartialSumStudy:
     """Raw-weight route: base innovations, per-path weight prod|a22|^alpha
     applied to functionals of the ratio partial sum (whose sign, not the
     cross sum's, defines the signed parts)."""
-    if dist.has_atom_at_zero(mod.diag_laws(model)[1]):
-        raise RegimeMismatch("ratio representation needs a second diagonal "
-                             "with no atom at zero")
     n = horizons[-1]
     snap_set = set(horizons)
-    accs = {s: [RunningMoments(), RunningMoments(), RunningMoments()]
-            for s in horizons}
-    done, idx = 0, 0
-    min_ess = np.inf
-    base = rng.substream(0x57435245)
-    while done < N:
-        m = min(chunk, N - done)
-        sub = base.substream(idx)
+
+    def chunk(m, sub):
         x = np.zeros(m)
         pv = np.ones(m)
         logw = np.zeros(m)
+        moments, weights = [], []
         for k in range(1, n + 1):
             batch = mod.draw_innovations(model, m, sub)
             x = x + pv * (batch.a12 / batch.a22)
@@ -375,21 +359,19 @@ def _weighted_cross_moments(model: TriangularSRE, alpha: float,
             logw += alpha * np.log(np.abs(batch.a22))
             if k in snap_set:
                 w = np.exp(logw)
-                ess = float(w.sum()) ** 2 / float((w * w).sum())
-                min_ess = min(min_ess, ess)
-                accs[k][0].add(w * np.abs(x) ** alpha)
-                accs[k][1].add(w * np.maximum(x, 0.0) ** alpha)
-                accs[k][2].add(w * np.maximum(-x, 0.0) ** alpha)
-        done += m
-        idx += 1
-    if min_ess < _MIN_ESS:
-        raise WeightDegenerate(
-            f"effective sample size {min_ess:.1f} < {_MIN_ESS:.0f} at the "
-            "deepest horizon; shorten it or use a tiltable diagonal law")
-    seed = rng.describe()
-    snaps = [SnapshotMoments(s, *(accs[s][j].estimate(seed) for j in range(3)))
-             for s in horizons]
-    return PartialSumStudy(snapshots=snaps, windows=[], mode="weighted_mc")
+                weights.append(RunningMoments(w))
+                moments += [RunningMoments(w * np.abs(x) ** alpha),
+                            RunningMoments(w * np.maximum(x, 0.0) ** alpha),
+                            RunningMoments(w * np.maximum(-x, 0.0) ** alpha)]
+        return moments + weights
+
+    accs = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
+    split = 3 * len(horizons)
+    for weights in accs[split:]:
+        _check_ess(weights)
+    return PartialSumStudy(
+        snapshots=_snapshot_list(horizons, accs[:split], rng.describe()),
+        windows=[], mode="weighted_mc")
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +468,14 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
         return dist.mean(xi) * lam, dist.abs_moment(xi, 2.0) * lam
     if rng is None:
         rng = RngStream(0x0FFD1A6)
-    d = dist.sample(model.d, rng, N)
-    a12 = dist.sample(model.a12_mode.a12, rng, N)
-    w = np.abs(d) ** alpha
-    r = a12 / d
-    m1 = RunningMoments()
-    m1.add(w * r)
-    m2 = RunningMoments()
-    m2.add(w * r * r)
+
+    def chunk(m, sub):
+        d = dist.sample(model.d, sub, m)
+        r = dist.sample(model.a12_mode.a12, sub, m) / d
+        w = np.abs(d) ** alpha
+        return RunningMoments(w * r), RunningMoments(w * r * r)
+
+    m1, m2 = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
     return m1.estimate(rng.describe()), m2.estimate(rng.describe())
 
 
@@ -518,18 +500,10 @@ def clt_constant(model: TriangularSRE, alpha: float,
         * dist.abs_normal_moment(alpha)
 
 
-def perpetuity_sample(tc: TiltedCoupling, n: int, rng: RngStream) -> float:
-    """One draw of the literal forward partial sum of the reweighted
-    ratio perpetuity (term i carries the first i-1 ratio factors)."""
-    if tc.mode != "exact_tilt":
-        raise RequiresExactTilt("sampling the reweighted path needs an "
-                                "exactly tiltable diagonal law")
-    x = perpetuity_sample_batch(tc, n, 1, rng)
-    return float(x[0])
-
-
 def perpetuity_sample_batch(tc: TiltedCoupling, n: int, m: int,
                             rng: RngStream) -> np.ndarray:
+    """m draws of the literal forward partial sum of the reweighted ratio
+    perpetuity (term i carries the first i-1 ratio factors)."""
     sampler = _vu_sampler(tc)
     x = np.zeros(m)
     pv = np.ones(m)

@@ -87,12 +87,15 @@ def test_c03_goldie_cross_validation():
     results.append(("signed-A", cp_d, perp.c_plus))
 
     # dependent (A, B) pair: B = 1 + A/2
-    def xs(m, rng):
-        return t.sample_pair_perpetuity_batch(_dependent_pair_sampler,
-                                              Lognormal(-1, 1), 1e-8, m, rng)
+    def sampler(m, rng):
+        a, b = _dependent_pair_sampler(m, rng.substream(0))
+        x = t.sample_pair_perpetuity_batch(_dependent_pair_sampler,
+                                           Lognormal(-1, 1), 1e-8, m,
+                                           rng.substream(1))
+        return a, b, x
 
-    cp_d, _ = t.goldie_constant_direct(_dependent_pair_sampler, xs, 2.0, 1.0,
-                                       N, t.RngStream(30_500), a_signed=False)
+    cp_d, _ = t.goldie_constant_direct(sampler, 2.0, 1.0, N,
+                                       t.RngStream(30_500), a_signed=False)
     perp = t.goldie_constant_perpetuity(Lognormal(-1, 1), None, 2.0, 1.0,
                                         n, N, t.RngStream(30_600),
                                         pair_sampler=_dependent_pair_sampler)
@@ -147,8 +150,8 @@ def test_c05_distinct_indices_second_dominant():
 
     # predicted inherited constant vs grid-averaged empirical tail weight
     c2p, c2m = [], []
-    from trisre.scenarios import _w2_goldie
-    c2p, c2m = _w2_goldie(model, 2.0, 1.0, 400_000, 1e-8, rng.substream(2))
+    c2p, c2m = t.goldie_constant_direct_for_laws(model.a22, model.b2, 2.0, 1.0,
+                                                 400_000, rng.substream(2))
     study = t.estimate_coupling_weight(model, 2.0, 60, 400_000,
                                        rng.substream(3))
     snap = study.final()

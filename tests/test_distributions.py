@@ -116,6 +116,23 @@ def test_signed_moments_scaled_flip():
     assert plus == pytest.approx(2.0 ** 1.3 * inner_minus, rel=1e-12)
 
 
+def test_normal_sign_probabilities_match_tabulated_phi():
+    from trisre.distributions import prob_negative
+    # standard normal CDF values Phi(z), tabulated to 16 digits
+    phi = {0.5: 0.6914624612740131, 1.0: 0.8413447460685429,
+           2.0: 0.9772498680518208}
+    for (mean, sd), z in [((1.0, 1.0), 1.0), ((-2.0, 1.0), -2.0),
+                          ((0.5, 1.0), 0.5), ((-1.5, 3.0), -0.5)]:
+        cdf_z = phi[z] if z > 0 else 1.0 - phi[-z]
+        spec = Normal(mean, sd)  # P(X < 0) = Phi(-z), P(X > 0) = Phi(z)
+        assert prob_negative(spec) == pytest.approx(1.0 - cdf_z, abs=1e-15)
+        assert t.signed_moment(spec, 0.0, "plus") == pytest.approx(
+            cdf_z, abs=1e-15)
+        assert t.signed_moment(spec, 0.0, "minus") == pytest.approx(
+            1.0 - cdf_z, abs=1e-15)
+    assert prob_negative(Normal(0.0, 3.0)) == 0.5
+
+
 def test_log_abs_moment():
     assert t.log_abs_moment(Lognormal(-1, 1)) == -1.0
     assert t.log_abs_moment(Constant(math.e)) == pytest.approx(1.0)

@@ -22,16 +22,16 @@ def test_draw_innovation_equal_diagonal_constants():
     m = EqualDiagonal(d=Constant(0.5),
                       a12_mode=IndependentOffDiagonal(Constant(1.0)),
                       b1=Constant(0.0), b2=Constant(0.0))
-    innov = t.draw_innovation(m, t.RngStream(1))
-    assert innov.a11 == innov.a22 == 0.5
-    assert innov.a12 == 1.0
+    innov = t.draw_innovations(m, 1, t.RngStream(1))
+    assert innov.a11[0] == innov.a22[0] == 0.5
+    assert innov.a12[0] == 1.0
 
 
 def test_draw_innovation_independent_constants():
     m = constant_model(0.1, 0.2, 0.3, 0.4, 0.5)
-    innov = t.draw_innovation(m, t.RngStream(1))
-    assert (innov.a11, innov.a12, innov.a22, innov.b1, innov.b2) == \
-        (0.1, 0.2, 0.3, 0.4, 0.5)
+    innov = t.draw_innovations(m, 1, t.RngStream(1))
+    assert (innov.a11[0], innov.a12[0], innov.a22[0], innov.b1[0],
+            innov.b2[0]) == (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def test_equal_diagonal_rejects_zero_atom():
@@ -54,12 +54,15 @@ def test_proportional_offdiagonal_ratio_law():
 
 
 def test_step_examples():
+    from trisre.model import step_batch
     m = constant_model(0.5, 1.0, 0.5, 0.7, -0.3)
-    innov = t.draw_innovation(m, t.RngStream(1))
-    assert t.step(m, (0.0, 0.0), innov) == (0.7, -0.3)
+    innov = t.draw_innovations(m, 1, t.RngStream(1))
+    w1, w2 = step_batch(np.zeros(1), np.zeros(1), innov)
+    assert (w1[0], w2[0]) == (0.7, -0.3)
     m2 = constant_model(0.5, 1.0, 0.5, 0.0, 0.0)
-    innov2 = t.draw_innovation(m2, t.RngStream(1))
-    assert t.step(m2, (1.0, 1.0), innov2) == (1.5, 0.5)
+    innov2 = t.draw_innovations(m2, 1, t.RngStream(1))
+    w1, w2 = step_batch(np.ones(1), np.ones(1), innov2)
+    assert (w1[0], w2[0]) == (1.5, 0.5)
 
 
 def test_iterated_steps_reach_fixed_point():
@@ -126,9 +129,9 @@ def test_stationary_zero_offdiagonal_kills_cross_part():
 
 def test_stationary_all_zero_matrix_one_step():
     m = constant_model(0.0, 1.0, 0.0, 0.7, 1.3)
-    s = t.sample_stationary(m, 1e-9, t.RngStream(3))
-    assert s.w2 == 0.7 * 0 + 1.3  # noise only
-    assert s.w1 == pytest.approx(0.7 + 1.0 * 1.3, abs=1e-15)
+    s = t.sample_stationary_batch(m, 1e-9, 1, t.RngStream(3))
+    assert s.w2[0] == 0.7 * 0 + 1.3  # noise only
+    assert s.w1[0] == pytest.approx(0.7 + 1.0 * 1.3, abs=1e-15)
 
 
 def test_stationary_deterministic_fixed_point():
@@ -136,9 +139,9 @@ def test_stationary_deterministic_fixed_point():
                       a12_mode=IndependentOffDiagonal(Constant(1.0)),
                       b1=Constant(0.0), b2=Constant(1.0))
     tol = 1e-6
-    s = t.sample_stationary(m, tol, t.RngStream(4))
-    assert s.w2 == pytest.approx(2.0, abs=100 * tol)
-    assert s.w1 == pytest.approx(4.0, abs=100 * tol)
+    s = t.sample_stationary_batch(m, tol, 1, t.RngStream(4))
+    assert s.w2[0] == pytest.approx(2.0, abs=100 * tol)
+    assert s.w1[0] == pytest.approx(4.0, abs=100 * tol)
     assert s.truncation_bound < tol
 
 
@@ -148,6 +151,27 @@ def test_stationary_decomposition_identity_is_exact():
                            b2=Constant(1.0))
     batch = t.sample_stationary_batch(m, 1e-8, 5000, t.RngStream(5))
     assert np.array_equal(batch.w1, batch.w1_own + batch.w1_cross)
+
+
+def test_builtin_truncation_depths_and_bounds_unchanged():
+    # the forward recursion evaluates the same truncated series as the
+    # backward one, so the certified depth and bound stay as they were
+    expected = {
+        "coord1_dominant_kg": (46, 9.043352773306806e-09),
+        "coord1_dominant_grey": (30, 5.939174155727832e-09),
+        "coord2_dominant_kg": (48, 8.985778997397912e-09),
+        "coord2_dominant_grey": (33, 9.439973210493451e-09),
+        "equal_diag_zero_drift": (47, 6.443007133563293e-09),
+        "equal_diag_nonzero_drift": (46, 6.721141321033828e-09),
+        "distinct_diag_equal_index": (46, 9.043352773306806e-09),
+    }
+    for config in t.builtin_scenarios(quick=True):
+        batch = t.sample_stationary_batch(config.model, config.tol, 100,
+                                          t.RngStream(1))
+        depth, bound = expected[config.name]
+        assert batch.truncation_depth == depth
+        assert batch.truncation_bound == pytest.approx(bound, rel=1e-12)
+        assert np.array_equal(batch.w1, batch.w1_own + batch.w1_cross)
 
 
 def test_forward_backward_agreement_ks():
@@ -183,13 +207,13 @@ def test_stationarity_in_law_under_one_step():
 
 def test_cross_sum_depth_one_is_offdiagonal_draw():
     m = constant_model(0.9, 0.37, 0.9, 0.0, 0.0)
-    assert t.sample_cross_sum(m, 1, t.RngStream(1)) == 0.37
+    assert t.sample_cross_sum_batch(m, 1, 1, t.RngStream(1))[0] == 0.37
 
 
 def test_cross_sum_zero_offdiagonal():
     m = constant_model(0.5, 0.0, 0.7, 1.0, 1.0)
     for n in (1, 3, 10):
-        assert t.sample_cross_sum(m, n, t.RngStream(2)) == 0.0
+        assert t.sample_cross_sum_batch(m, n, 1, t.RngStream(2))[0] == 0.0
 
 
 def test_cross_sum_constants_closed_form():
@@ -197,7 +221,7 @@ def test_cross_sum_constants_closed_form():
     m = constant_model(c, g, c, 0.0, 0.0)
     for n in (1, 2, 5, 17):
         expected = n * g * c ** (n - 1)
-        assert t.sample_cross_sum(m, n, t.RngStream(3)) == \
+        assert t.sample_cross_sum_batch(m, n, 1, t.RngStream(3))[0] == \
             pytest.approx(expected, rel=1e-13)
 
 

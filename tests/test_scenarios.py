@@ -13,6 +13,7 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries, Lognormal,
                     TwoSidedPareto)
 from trisre.cli import main as cli_main
 from trisre.errors import UnsupportedRegime
+from trisre.rng import CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
                               builtin_scenarios, emit_report, load_config,
                               predict, run_scenario)
@@ -89,11 +90,40 @@ def test_predict_sign_dispatch_consistency():
     # and each equals half of the absolute-route total within MC error
     study = t.estimate_coupling_weight(m, 2.0, 40, 100_000, rng.substream(50))
     w_abs = study.final().absolute
-    from trisre.scenarios import _w2_goldie
-    c2p, c2m = _w2_goldie(m, 2.0, 1.0, 100_000, 1e-8, rng.substream(51))
+    c2p, c2m = t.goldie_constant_direct_for_laws(m.a22, m.b2, 2.0, 1.0, 100_000,
+                                                 rng.substream(51))
     absolute_route = (c2p.value + c2m.value) * w_abs.value / 2.0
     assert abs(cp.value - absolute_route) <= \
         4 * math.hypot(cp.se, c2p.se * w_abs.value, w_abs.se * c2p.value)
+
+
+def test_predict_coord1_couples_x_with_second_coordinate():
+    # Goldie's formula needs x = W1' and the W2' inside B = b1 + a12 W2'
+    # from one stationary draw. At alpha = 2, rho = 1 and positive entries
+    # c+ = (2 E[a11] E[W1 B] + E[B^2]) / 2, with the moments of W solving
+    # the one-step stationarity equations. Drawing x and W2' independently
+    # drops the 2 E[a11] E[a12] Cov(W1, W2) / (alpha rho) term (about 10%).
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(1, 0.5),
+                           a22=Lognormal(-0.2, 0.2), b1=Constant(1.0),
+                           b2=Lognormal(0, 1))
+    e = t.mean
+
+    def e2(law):
+        return t.abs_moment(law, 2.0)
+
+    ew2 = e(m.b2) / (1 - e(m.a22))
+    ew2sq = (e2(m.b2) + 2 * e(m.a22) * e(m.b2) * ew2) / (1 - e2(m.a22))
+    ew1 = (e(m.a12) * ew2 + e(m.b1)) / (1 - e(m.a11))
+    ew1w2 = (e(m.a11) * e(m.b2) * ew1 + e(m.a12) * e(m.a22) * ew2sq
+             + e(m.a12) * e(m.b2) * ew2 + e(m.b1) * e(m.a22) * ew2
+             + e(m.b1) * e(m.b2)) / (1 - e(m.a11) * e(m.a22))
+    ew1b = e(m.b1) * ew1 + e(m.a12) * ew1w2
+    eb2 = e2(m.b1) + 2 * e(m.b1) * e(m.a12) * ew2 + e2(m.a12) * ew2sq
+    exact = (2 * e(m.a11) * ew1b + eb2) / 2
+    assert exact == pytest.approx(2638.1, abs=0.1)
+    pred = predict(m, constant_samples=200_000, rng=t.RngStream(5))
+    assert pred.constant_formula == "one_step_difference_signed_parts"
+    assert pred.c_plus.value == pytest.approx(exact, rel=0.05)
 
 
 def test_predict_sign_flip_switches_formula():
@@ -131,9 +161,15 @@ def test_run_scenario_smoke_completes_fast_with_all_sections():
     assert len(report.verdicts) >= 3
 
 
-def test_run_scenario_deterministic_given_seed():
-    r1 = run_scenario(quick_config(seed=77), workers=1)
-    r2 = run_scenario(quick_config(seed=77), workers=2)
+def test_run_scenario_deterministic_given_seed(monkeypatch):
+    # more constant samples than one chunk, so predict's estimators split
+    # their work into chunks that run in parallel under two workers
+    config = quick_config(seed=77)
+    config.constant_samples = CHUNK + 4_000
+    monkeypatch.setenv("TRISRE_WORKERS", "1")
+    r1 = run_scenario(config, workers=1)
+    monkeypatch.setenv("TRISRE_WORKERS", "2")
+    r2 = run_scenario(config, workers=2)
     j1 = json.dumps(r1.to_dict(), sort_keys=True, default=str)
     j2 = json.dumps(r2.to_dict(), sort_keys=True, default=str)
     # byte-identical numeric fields apart from wall-clock runtime

@@ -98,6 +98,14 @@ def test_log_factor_regression_constant_multiplier_shifts_intercept():
     assert i2 - i1 == pytest.approx(math.log(c), abs=0.1)
 
 
+def test_default_log_grid_quantiles_match_numpy():
+    x = t.RngStream(13).gen.lognormal(0.0, 2.0, size=100_003)
+    tail = EmpiricalTail(x, "absolute")
+    grid = t.default_log_grid(tail, points=7, lo_q=0.9, hi_q=0.9999)
+    ref = np.geomspace(np.quantile(x, 0.9), np.quantile(x, 0.9999), 7)
+    np.testing.assert_allclose(grid, ref, rtol=1e-12, atol=0.0)
+
+
 def test_log_factor_regression_insufficient_support():
     tail = EmpiricalTail(np.array([1.0, 2.0, 3.0, 4.0]), "positive")
     with pytest.raises(InsufficientSupport):

@@ -252,14 +252,14 @@ def test_perpetuity_sample_geometric_and_degenerate():
                            b2=Constant(0.0))
     tc = t.tilted_coupling(m, "second", 2.0)
     for n in (1, 3, 10):
-        x = t.perpetuity_sample(tc, n, t.RngStream(16))
+        x = t.perpetuity_sample_batch(tc, n, 1, t.RngStream(16))[0]
         assert x == pytest.approx(2.0 * (1 - 2.0 ** (-n)), rel=1e-12)
     # v = 0: the sum collapses to its first term
     m0 = IndependentEntries(a11=Constant(0.0), a12=Constant(0.7),
                             a22=Constant(1.0), b1=Constant(0.0),
                             b2=Constant(0.0))
     tc0 = t.tilted_coupling(m0, "second", 2.0)
-    assert t.perpetuity_sample(tc0, 5, t.RngStream(17)) == \
+    assert t.perpetuity_sample_batch(tc0, 5, 1, t.RngStream(17))[0] == \
         pytest.approx(0.7, rel=1e-15)
 
 
@@ -269,7 +269,7 @@ def test_perpetuity_sample_requires_exact_tilt():
                            b2=Constant(0.0))
     tc = t.tilted_coupling(m, "second", 2.0)
     with pytest.raises(RequiresExactTilt):
-        t.perpetuity_sample(tc, 3, t.RngStream(18))
+        t.perpetuity_sample_batch(tc, 3, 1, t.RngStream(18))
 
 
 def test_coupling_weight_weighted_fallback_for_untiltable_diagonal():
