@@ -68,7 +68,7 @@ def default_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-CHUNK = 1 << 16  # paths per work chunk, for every chunked sampler and estimator
+CHUNK = 1 << 14  # most paths per work chunk, for every chunked sampler and estimator
 
 _CHUNK_TAG = 0x43484B53  # namespaces internal chunk streams away from
                          # any small-index substream the caller derives
@@ -77,16 +77,16 @@ _CHUNK_TAG = 0x43484B53  # namespaces internal chunk streams away from
 def map_chunks(total: int, chunk: int, fn, rng: RngStream, workers: int | None = None):
     """Run fn(chunk_size, substream) over `total` items in chunks.
 
-    Chunk i always receives the same derived stream whatever the worker
-    count, so results are reproducible and order-independent. Returns the
-    per-chunk results in chunk order.
+    The plan is even: ceil(total / chunk) chunks of total // count items
+    or one more, the larger ones first, so no worker idles on a runt.
+    The plan depends only on total and chunk, and chunk i always receives
+    the same derived stream whatever the worker count, so results are
+    reproducible and order-independent. Returns the per-chunk results in
+    chunk order.
     """
-    sizes = []
-    left = total
-    while left > 0:
-        m = min(chunk, left)
-        sizes.append(m)
-        left -= m
+    count = -(-total // chunk)
+    q, r = divmod(total, max(count, 1))
+    sizes = [q + 1] * r + [q] * (count - r)
     base = rng.substream(_CHUNK_TAG)
     if workers is None:
         workers = default_workers()

@@ -18,6 +18,7 @@ from .model import TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
 
 _EPS_GRID = np.linspace(0.05, 1.0, 20)
+_EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
 
 
 def contraction_exponent(model: TriangularSRE) -> tuple[float, float]:
@@ -160,13 +161,18 @@ def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
     """m draws of the depth-n cross sum over fresh innovation paths."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = np.zeros(m)
-    p1 = np.ones(m)
-    for _ in range(n):
-        batch = mod.draw_innovations(model, m, rng)
-        s = s * batch.a22 + p1 * batch.a12
-        p1 = p1 * batch.a11
-    return s
+
+    def chunk(sz, sub):
+        s = np.zeros(sz)
+        p1 = np.ones(sz)
+        for _ in range(n):
+            batch = mod.draw_innovations(model, sz, sub)
+            s = s * batch.a22 + p1 * batch.a12
+            p1 = p1 * batch.a11
+        return s
+
+    parts = map_chunks(m, CHUNK, chunk, rng)
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
@@ -212,17 +218,21 @@ def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
 
     pair_sampler(k, rng) must return arrays (a, b) of shape (k,). The
     truncation analysis uses A's declared law plus a Monte Carlo probe of
-    E|B|^eps over one chunk of pairs (safety factor 10).
+    E|B|^eps over _EPS_PROBE pairs (safety factor 10).
     """
     eps, q = contraction_exponent(univariate_model(a_law, dist.Constant(1.0)))
-    _, b_probe = pair_sampler(CHUNK, rng.substream(0))
+    _, b_probe = pair_sampler(_EPS_PROBE, rng.substream(0))
     b_eps = float(np.mean(np.abs(b_probe) ** eps)) * 10.0
     depth = _first_depth(lambda k: q ** k / (1.0 - q) * b_eps, tol ** eps)
-    x = np.zeros(m)
-    p = np.ones(m)
-    sub = rng.substream(1)
-    for _ in range(depth):
-        a, b = pair_sampler(m, sub)
-        x = x + p * b
-        p = p * a
-    return x
+
+    def chunk(sz, sub):
+        x = np.zeros(sz)
+        p = np.ones(sz)
+        for _ in range(depth):
+            a, b = pair_sampler(sz, sub)
+            x = x + p * b
+            p = p * a
+        return x
+
+    parts = map_chunks(m, CHUNK, chunk, rng.substream(1))
+    return np.concatenate(parts) if parts else np.zeros(0)

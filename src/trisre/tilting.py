@@ -505,13 +505,18 @@ def perpetuity_sample_batch(tc: TiltedCoupling, n: int, m: int,
     """m draws of the literal forward partial sum of the reweighted ratio
     perpetuity (term i carries the first i-1 ratio factors)."""
     sampler = _vu_sampler(tc)
-    x = np.zeros(m)
-    pv = np.ones(m)
-    for _ in range(n):
-        v, u = sampler(m, rng)
-        x = x + pv * u
-        pv = pv * v
-    return x
+
+    def chunk(sz, sub):
+        x = np.zeros(sz)
+        pv = np.ones(sz)
+        for _ in range(n):
+            v, u = sampler(sz, sub)
+            x = x + pv * u
+            pv = pv * v
+        return x
+
+    parts = map_chunks(m, CHUNK, chunk, rng)
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def tilted_ratio_log_drift(model: TriangularSRE, alpha: float, N: int,
