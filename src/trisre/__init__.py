@@ -12,8 +12,8 @@ from .distributions import (Constant, Dist, Lognormal, Normal, Scaled,
                             SignedLognormal, TwoSidedPareto, Uniform,
                             abs_moment, abs_moment_derivative,
                             abs_normal_moment, dist_from_dict, dist_to_dict,
-                            log_abs_moment, log_moment_curvature, mean,
-                            sample, signed_moment, tilted)
+                            log_abs_moment, mean, sample, signed_moment,
+                            tilted)
 from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      LogMomentUndefined, MomentDiverges, NoRoot,
                      NonPositiveOrderStat, NotContractive, RegimeMismatch,
@@ -30,11 +30,10 @@ from .rng import RngStream, default_workers
 from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,
                         run_scenario, run_suite)
-from .stationary import (StationaryBatch, cross_sum_brute, cross_sum_scan,
-                         iterate_forward, sample_cross_sum_batch,
-                         sample_pair_perpetuity_batch, sample_perpetuity_batch,
-                         sample_stationary_batch, truncation_depth,
-                         univariate_model)
+from .stationary import (StationaryBatch, iterate_forward,
+                         sample_cross_sum_batch, sample_pair_perpetuity_batch,
+                         sample_perpetuity_batch, sample_stationary_batch,
+                         truncation_depth, univariate_model)
 from .tails import (EmpiricalTail, ccdf, default_log_grid,
                     goldie_constant_direct, goldie_constant_direct_for_laws,
                     goldie_constant_perpetuity, grey_constants, hill,

@@ -303,24 +303,6 @@ def abs_moment_derivative(spec: Dist, beta: float) -> float:
     return (abs_moment(spec, beta + h) - abs_moment(spec, lo)) / (beta + h - lo)
 
 
-def log_moment_curvature(spec: Dist, alpha: float, eps0: float,
-                         grid: int = 41) -> float:
-    """Half the sup of (log E|X|^beta)'' over [alpha-eps0, alpha+eps0].
-
-    With rho = derivative at alpha this gives the quadratic envelope
-    E|X|^{alpha +- eps} <= exp(+-eps rho + C eps^2) for 0 <= eps <= eps0,
-    valid when E|X|^alpha = 1.
-    """
-    h = 1e-4
-    betas = np.linspace(max(alpha - eps0, h), alpha + eps0, grid)
-    worst = 0.0
-    for b in betas:
-        g = lambda x: math.log(abs_moment(spec, x))
-        second = (g(b + h) - 2.0 * g(b) + g(b - h)) / (h * h)
-        worst = max(worst, second)
-    return worst / 2.0
-
-
 def mean(spec: Dist) -> float:
     """E[X] = E[(X^+)^1] - E[(X^-)^1]."""
     return signed_moment(spec, 1.0, "plus") - signed_moment(spec, 1.0, "minus")

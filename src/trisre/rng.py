@@ -1,8 +1,9 @@
 """Reproducible random streams.
 
-Built on numpy's counter-based Philox generator: the pair (seed, stream_id)
-is the full key, so a stream can be reconstructed anywhere and substreams
-can be assigned to work chunks independently of how many workers run them.
+Each stream is numpy's SFC64 generator seeded through a SeedSequence of
+the pair (seed, stream_id). That pair is the full key, so a stream can be
+reconstructed anywhere and substreams can be assigned to work chunks
+independently of how many workers run them.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ class RngStream:
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            seq = np.random.SeedSequence([self.seed, self.stream_id])
+            self._gen = np.random.Generator(np.random.SFC64(seq))
         return self._gen
 
     def substream(self, index: int) -> "RngStream":

@@ -142,23 +142,12 @@ def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],
 # Cross-coupling partial sum: the scalar chain linking the coordinates
 # ---------------------------------------------------------------------------
 
-def cross_sum_scan(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
-    """Cross sum from draws of shape (n, m): term i carries i-1 first-
-    diagonal factors, the off-diagonal entry, then n-i second-diagonal
-    factors. The scan keeps a running first-diagonal prefix and folds
-    each new step into the accumulator."""
-    n, m = a11.shape
-    s = np.zeros(m)
-    p1 = np.ones(m)
-    for k in range(n):
-        s = s * a22[k] + p1 * a12[k]
-        p1 = p1 * a11[k]
-    return s
-
-
 def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
                            rng: RngStream) -> np.ndarray:
-    """m draws of the depth-n cross sum over fresh innovation paths."""
+    """m draws of the depth-n cross sum over fresh innovation paths: term
+    i carries i-1 first-diagonal factors, the off-diagonal entry, then n-i
+    second-diagonal factors. The scan keeps a running first-diagonal
+    prefix and folds each new step into the accumulator."""
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -173,22 +162,6 @@ def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
 
     parts = map_chunks(m, CHUNK, chunk, rng)
     return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
-    """Direct triple-product evaluation from given draws of shape (n, m);
-    oracle for the scan recursion."""
-    n, m = a11.shape
-    total = np.zeros(m)
-    for i in range(1, n + 1):
-        term = np.ones(m)
-        for p in range(0, i - 1):
-            term = term * a11[p]
-        term = term * a12[i - 1]
-        for p in range(i, n):
-            term = term * a22[p]
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,11 @@ def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
 
     At the critical index the naive sample mean of the alpha-moment is
     dominated by unobservably rare paths, so the moments are accumulated
-    through per-step increments (exactly unbiased); the reported constants
-    use the late-window growth, which drops the O(1/n) transient of the
-    full average. Raw averages at n and n/2 are returned alongside."""
+    through per-step increments (exactly unbiased); below it they are
+    contracted by E|A|^alpha, because |X_n|^alpha itself can have infinite
+    variance. The reported constants use the late-window growth, which
+    drops the O(1/n) transient of the full average. Raw averages at n and
+    n/2 are returned alongside."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if rho <= 0:
@@ -230,9 +232,10 @@ def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
             raise ValueError("gamma required when only a sampler is given")
     if lam > 1.0 + _CRITICAL_BAND:
         raise RegimeMismatch(f"E|A|^alpha = {lam:.6g} > 1: moments explode")
-    mode = "telescoped" if lam > 1.0 - _CRITICAL_BAND else "plain"
+    if lam > 1.0 - _CRITICAL_BAND:
+        lam = 1.0
     half = n // 2
-    study = _study_from_pairs(pair_sampler, alpha, [half, n], N, rng, mode,
+    study = _study_from_pairs(pair_sampler, alpha, [half, n], N, rng, lam,
                               step_moment=1.0, gamma=gamma)
     at_half, at_n = study.snapshots
     window = study.windows[0]

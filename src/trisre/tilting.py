@@ -10,7 +10,9 @@ At the critical index the alpha-moment of the partial sum grows linearly
 but a naive sample mean misses the exponentially rare paths that carry
 it. The estimators here instead accumulate the per-step moment increments
 (a telescoping identity), which is unbiased for the same expectation with
-polynomial variance; see the module tests for the cross-validation.
+polynomial variance; contracted by E|V|^alpha, the same scan serves the
+strictly contracting case, where |X|^alpha itself can have infinite
+variance. See the module tests for the cross-validation.
 """
 from __future__ import annotations
 
@@ -170,12 +172,6 @@ class PartialSumStudy:
         return self.snapshots[-1]
 
 
-def _signed_step_stats(v_law_m: float, gamma: float) -> tuple[float, float]:
-    mp = 0.5 * (v_law_m + gamma)
-    mm = 0.5 * (v_law_m - gamma)
-    return mp, mm
-
-
 def _snapshot_list(ks: list[int], accs: list[RunningMoments],
                    seed: str) -> list[SnapshotMoments]:
     """SnapshotMoments from consecutive (absolute, plus, minus) triples."""
@@ -184,19 +180,26 @@ def _snapshot_list(ks: list[int], accs: list[RunningMoments],
 
 
 def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
-                      N: int, rng: RngStream, mode: str, step_moment: float,
-                      gamma: float) -> PartialSumStudy:
+                      N: int, rng: RngStream, contraction: float,
+                      step_moment: float, gamma: float) -> PartialSumStudy:
     """Core scan over X_{k+1} = U_{k+1} + V_{k+1} X_k.
 
     step_sampler(m, rng) -> (v, u) arrays for one step of m paths.
-    mode "plain": per-path |X_k|^alpha at each snapshot (valid when the
-    v-contraction is strict). mode "telescoped": per-path accumulated
-    moment increments, exactly unbiased at the critical index where the
-    plain mean is rare-event dominated. step_moment rescales snapshot k
-    by step_moment^k (raw-weight convention).
+    Per path it accumulates the moment increments
+    z_k = |X_k|^alpha - |V_k X_{k-1}|^alpha as s_k = c s_{k-1} + z_k and,
+    split by sign, d_k = gamma d_{k-1} + (z_k^+ - z_k^-), with
+    c = contraction = E|V|^alpha and gamma = E[sgn(V)|V|^alpha]. Since
+    E|V_k X_{k-1}|^alpha = c E|X_{k-1}|^alpha, induction from X_0 = 0
+    makes s_k unbiased for E|X_k|^alpha, and d_k for the difference of
+    the signed parts. Their variance needs only E|X|^{2 alpha - 2} < inf,
+    while the per-path |X_k|^alpha has infinite variance once
+    E|V|^{2 alpha} > 1 and, at the critical index (c = 1, mode
+    "telescoped"), a mean carried by rare paths. step_moment rescales
+    snapshot k by step_moment^k (raw-weight convention).
     """
     n = snapshots[-1]
     snap_set = {int(s) for s in snapshots}
+    mode = "telescoped" if contraction == 1.0 else "plain"
 
     def chunk(m, sub):
         x = np.zeros(m)
@@ -207,21 +210,14 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
             v, u = step_sampler(m, sub)
             vx = v * x
             x = vx + u
-            if mode == "telescoped":
-                zp = (np.maximum(x, 0.0) ** alpha
-                      - np.maximum(vx, 0.0) ** alpha)
-                zm = (np.maximum(-x, 0.0) ** alpha
-                      - np.maximum(-vx, 0.0) ** alpha)
-                s_acc = s_acc + (zp + zm)
-                d_acc = gamma * d_acc + (zp - zm)
+            zp = np.maximum(x, 0.0) ** alpha - np.maximum(vx, 0.0) ** alpha
+            zm = np.maximum(-x, 0.0) ** alpha - np.maximum(-vx, 0.0) ** alpha
+            s_acc = contraction * s_acc + (zp + zm)
+            d_acc = gamma * d_acc + (zp - zm)
             if k in snap_set:
                 scale = step_moment ** k
-                if mode == "telescoped":
-                    up = 0.5 * (s_acc + d_acc) * scale
-                    um = 0.5 * (s_acc - d_acc) * scale
-                else:
-                    up = np.maximum(x, 0.0) ** alpha * scale
-                    um = np.maximum(-x, 0.0) ** alpha * scale
+                up = 0.5 * (s_acc + d_acc) * scale
+                um = 0.5 * (s_acc - d_acc) * scale
                 vals = (up + um, up, um)
                 snaps += [RunningMoments(val) for val in vals]
                 if prev is not None:
@@ -308,9 +304,11 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
     """E|M_k|^alpha and E[(M_k^+-)^alpha] at the given horizons, where M_k
     is the cross sum, via the reweighted ratio representation.
 
-    Chooses the plain estimator when the ratio contraction is strict and
-    the telescoped one at the critical index; refuses exponent ranges
-    where the moment grows exponentially (no estimator concentrates).
+    Accumulates the per-step moment increments contracted by the ratio
+    moment E|V|^alpha (mode "plain" when the contraction is strict,
+    "telescoped" at the critical index, where it is taken as 1); refuses
+    exponent ranges where the moment grows exponentially (no estimator
+    concentrates).
     A non-tiltable diagonal falls back to raw product weights in the
     contractive case (short horizons only; WeightDegenerate guards)."""
     horizons = sorted(set(int(h) for h in horizons))
@@ -326,16 +324,16 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
         raise RegimeMismatch(
             f"reweighted ratio moment {m_ratio:.6g} exceeds 1: the cross-sum "
             "moment grows exponentially and has no Monte Carlo estimator here")
-    mode = "telescoped" if m_ratio > 1.0 - _CRITICAL_BAND else "plain"
+    critical = m_ratio > 1.0 - _CRITICAL_BAND
     if tc.mode != "exact_tilt":
-        if mode == "telescoped":
+        if critical:
             raise RequiresExactTilt(
                 "critical-index moment studies need an exactly tiltable "
                 "diagonal law")
         return _weighted_cross_moments(model, alpha, horizons, N, rng)
-    gamma = _ratio_sign_moment(model, alpha) if mode == "telescoped" else 0.0
-    sampler = _vu_sampler(tc)
-    return _study_from_pairs(sampler, alpha, horizons, N, rng, mode, lam, gamma)
+    return _study_from_pairs(_vu_sampler(tc), alpha, horizons, N, rng,
+                             1.0 if critical else m_ratio, lam,
+                             _ratio_sign_moment(model, alpha))
 
 
 def _weighted_cross_moments(model: TriangularSRE, alpha: float,

@@ -10,6 +10,9 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal)
 from trisre.errors import NotContractive
+from trisre.rng import CHUNK, map_chunks
+
+from oracles import cross_sum_brute, cross_sum_scan
 
 
 def constant_model(a11, a12, a22, b1, b2):
@@ -233,9 +236,25 @@ def test_cross_sum_scan_matches_brute_force():
         a11 = g.lognormal(-1, 1, size=(n, 7))
         a12 = g.normal(0, 1, size=(n, 7))
         a22 = g.lognormal(-0.5, 0.5, size=(n, 7))
-        fast = t.cross_sum_scan(a11, a12, a22)
-        slow = t.cross_sum_brute(a11, a12, a22)
+        fast = cross_sum_scan(a11, a12, a22)
+        slow = cross_sum_brute(a11, a12, a22)
         assert np.allclose(fast, slow, rtol=1e-12, atol=1e-300)
+
+
+def test_cross_sum_batch_matches_brute_force_on_its_own_draws():
+    # replay the draws of sample_cross_sum_batch through its chunk plan
+    model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                               a22=Lognormal(-0.5, 0.5), b1=Constant(0.0),
+                               b2=Constant(0.0))
+    for n in (1, 3, 25):
+        got = t.sample_cross_sum_batch(model, n, 7, t.RngStream(12, n))
+        (steps,) = map_chunks(7, CHUNK, lambda m, sub: [
+            t.draw_innovations(model, m, sub) for _ in range(n)],
+            t.RngStream(12, n))
+        a11, a12, a22 = (np.array([getattr(b, k) for b in steps])
+                         for k in ("a11", "a12", "a22"))
+        assert np.allclose(got, cross_sum_brute(a11, a12, a22),
+                           rtol=1e-12, atol=1e-300)
 
 
 def test_model_serialization_round_trip():

@@ -13,6 +13,8 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     ProportionalToDiagonal, Scaled, SignedLognormal,
                     TwoSidedPareto, Uniform)
 
+from oracles import cross_sum_brute, cross_sum_scan, log_moment_curvature
+
 settings.register_profile("suite", derandomize=True, max_examples=200,
                           deadline=None)
 settings.load_profile("suite")
@@ -100,11 +102,11 @@ def test_cross_sum_scan_equals_brute_force(n, seed, signed):
         a12 = g.normal(0.0, 1.0, size=(n, 3))
     else:
         a12 = g.lognormal(-1.0, 0.5, size=(n, 3))
-    fast = t.cross_sum_scan(a11, a12, a22)
-    slow = t.cross_sum_brute(a11, a12, a22)
+    fast = cross_sum_scan(a11, a12, a22)
+    slow = cross_sum_brute(a11, a12, a22)
     # both sum the same n products; allow rounding relative to the
     # cancellation-free magnitude of the terms
-    scale = t.cross_sum_brute(a11, np.abs(a12), a22)
+    scale = cross_sum_brute(a11, np.abs(a12), a22)
     assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(scale, 1e-300))
 
 
@@ -150,7 +152,7 @@ def test_moment_bound_envelope_on_eps_grid(alpha, sigma, eps0, p_pos):
     mu = -alpha * sigma ** 2 / 2.0
     spec = SignedLognormal(mu, sigma, p_pos)
     rho = t.abs_moment_derivative(spec, alpha)
-    c0 = t.log_moment_curvature(spec, alpha, eps0)
+    c0 = log_moment_curvature(spec, alpha, eps0)
     for eps in np.linspace(0.0, eps0, 9):
         up = t.abs_moment(spec, alpha + eps)
         down = t.abs_moment(spec, alpha - eps)

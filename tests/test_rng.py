@@ -1,4 +1,5 @@
-"""The chunk plan of map_chunks and its worker-count invariance."""
+"""Stream keying, the chunk plan of map_chunks and its worker-count
+invariance."""
 import math
 
 import numpy as np
@@ -9,6 +10,47 @@ from trisre import model as mod
 from trisre.estimates import RunningMoments, merge_chunks
 from trisre.regime import _eta_margin, _mixed_moment_mc
 from trisre.rng import CHUNK, RngStream, map_chunks
+
+
+TOP = 2 ** 64 - 1
+
+
+def reference_gen(seed, stream_id):
+    ss = np.random.SeedSequence([seed, stream_id])
+    return np.random.Generator(np.random.SFC64(ss))
+
+
+def same_first_draws(stream, ref):
+    gen = stream.gen
+    return (np.array_equal(gen.integers(0, TOP, size=4, dtype=np.uint64,
+                                        endpoint=True),
+                           ref.integers(0, TOP, size=4, dtype=np.uint64,
+                                        endpoint=True))
+            and np.array_equal(gen.standard_normal(16),
+                               ref.standard_normal(16)))
+
+
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, 1), (13, 12345),
+                                             (TOP, 0), (1, TOP), (TOP, TOP)])
+def test_stream_is_sfc64_keyed_by_seed_sequence(seed, stream_id):
+    assert same_first_draws(RngStream(seed, stream_id),
+                            reference_gen(seed, stream_id))
+
+
+def test_stream_key_wraps_to_64_bits():
+    assert RngStream(5, -1).stream_id == TOP
+    assert same_first_draws(RngStream(5, -1), reference_gen(5, TOP))
+
+
+def test_substreams_of_the_top_stream_id_are_keyed_the_same_way():
+    parent = RngStream(3, TOP)
+    children = [parent.substream(i) for i in (0, 1, 2, TOP)]
+    ids = [c.stream_id for c in children]
+    assert len(set(ids)) == len(ids) and TOP not in ids
+    assert all(0 <= i <= TOP for i in ids)
+    for child in children + [children[0].substream(TOP)]:
+        assert child.seed == 3
+        assert same_first_draws(child, reference_gen(3, child.stream_id))
 
 
 def plan(total):

@@ -333,3 +333,57 @@ def test_coupling_rate_matches_tail_of_ratio_perpetuity():
     cross = drift.value * p_tail * q ** alpha
     ratio = cross / rate.rate_windowed.absolute.value
     assert 0.5 <= ratio <= 2.0
+
+
+def lognormal_moment(law, k: float) -> float:
+    """E X^k for X = Lognormal(mu, sigma), any real k."""
+    return math.exp(k * law.mu + 0.5 * (k * law.sigma) ** 2)
+
+
+def scan_second_moment(ev, ev2, eu, eu2, evu, n: int) -> float:
+    """E X_n^2 for X_k = V_k X_{k-1} + U_k from X_0 = 0, with (V_k, U_k)
+    i.i.d.: E X_k = E V E X_{k-1} + E U and
+    E X_k^2 = E V^2 E X_{k-1}^2 + 2 E[VU] E X_{k-1} + E U^2."""
+    m1 = m2 = 0.0
+    for _ in range(n):
+        m1, m2 = ev * m1 + eu, ev2 * m2 + 2.0 * evu * m1 + eu2
+    return m2
+
+
+def test_strict_coupling_scan_matches_closed_form_at_alpha_two():
+    # coord2_dominant_kg: the tilted ratio V = LN(-3, sqrt 2) has
+    # E V^3 = 1, so |X|^2 has tail index 1.5 and a per-path mean of
+    # |X_n|^2 would have infinite variance; the contracted scan does not
+    model = next(c.model for c in t.builtin_scenarios(quick=True)
+                 if c.name == "coord2_dominant_kg")
+    alpha, n = 2.0, 30
+    a22 = t.tilted(model.a22, alpha)
+    assert t.abs_moment(model.a22, alpha) == pytest.approx(1.0, rel=1e-12)
+
+    def e(law, k):
+        return lognormal_moment(law, k)
+
+    exact = scan_second_moment(
+        ev=e(model.a11, 1) * e(a22, -1), ev2=e(model.a11, 2) * e(a22, -2),
+        eu=e(model.a12, 1) * e(a22, -1), eu2=e(model.a12, 2) * e(a22, -2),
+        evu=e(model.a11, 1) * e(model.a12, 1) * e(a22, -2), n=n)
+    study = t.coupling_sum_moments(model, alpha, [n], 200_000, t.RngStream(32))
+    assert study.mode == "plain"
+    snap = study.final().absolute
+    assert abs(snap.value - exact) <= 4 * snap.se
+    assert study.final().minus.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_strict_perpetuity_scan_matches_closed_form_at_alpha_two():
+    # E A^2 = e^-1 < 1 but E A^4 = e^2 > 1: strictly contracting at
+    # alpha = 2, with infinite-variance |X_n|^2
+    a_law, b_law = Lognormal(-1.5, 1.0), Lognormal(0.0, 0.5)
+    alpha, n = 2.0, 30
+    ea, ea2 = lognormal_moment(a_law, 1), lognormal_moment(a_law, 2)
+    eb, eb2 = lognormal_moment(b_law, 1), lognormal_moment(b_law, 2)
+    exact = scan_second_moment(ea, ea2, eb, eb2, ea * eb, n)
+    res = t.goldie_constant_perpetuity(a_law, b_law, alpha, 1.0, n, 200_000,
+                                       t.RngStream(33))
+    snap = res.at_n.absolute
+    assert abs(snap.value - exact) <= 4 * snap.se
+    assert res.at_n.minus.value == pytest.approx(0.0, abs=1e-12)
