@@ -12,6 +12,7 @@ of a built-in scenario. TRISRE_WORKERS is the fallback for --workers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -93,10 +94,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         config = _resolve_config(args.config)
-        if args.samples is not None:
-            config.n_samples = args.samples
-        if args.seed is not None:
-            config.seed = args.seed
+        overrides = {"n_samples": args.samples, "seed": args.seed}
+        try:
+            # replace re-runs ScenarioConfig's validation
+            config = dataclasses.replace(config, **{
+                k: v for k, v in overrides.items() if v is not None})
+        except ValueError as exc:
+            p_run.error(str(exc))
         report = run_scenario(config, workers=workers)
         out_dir = args.out or config.out_dir or "trisre_out"
         formats = tuple(args.format) if args.format else ("json", "csv")

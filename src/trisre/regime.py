@@ -77,32 +77,35 @@ def lyapunov_estimate(model: TriangularSRE, n: int, reps: int,
     occur whatever the horizon."""
     if n < 1 or reps < 2:
         raise ValueError("need n >= 1 and reps >= 2")
-    p11 = np.ones(reps)
-    p12 = np.zeros(reps)
-    p22 = np.ones(reps)
-    logacc = np.zeros(reps)
-    for _ in range(n):
-        batch = mod.draw_innovations(model, reps, rng)
-        # left-multiply the running product by the new triangular matrix
-        p11_new = batch.a11 * p11
-        p12_new = batch.a11 * p12 + batch.a12 * p22
-        p22_new = batch.a22 * p22
-        scale = np.maximum(np.maximum(np.abs(p11_new), np.abs(p12_new)),
-                           np.abs(p22_new))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        p11, p12, p22 = p11_new / scale, p12_new / scale, p22_new / scale
-        logacc += np.log(scale)
-    # spectral norm of [[p11, p12], [0, p22]] via the 2x2 Gram matrix
-    g11 = p11 * p11
-    g12 = p11 * p12
-    g22 = p12 * p12 + p22 * p22
-    tr = g11 + g22
-    det = g11 * g22 - g12 * g12
-    lam = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-    vals = (logacc + 0.5 * np.log(np.maximum(lam, 1e-300))) / n
-    return EstimateWithError(float(np.mean(vals)),
-                             float(np.std(vals) / math.sqrt(reps)),
-                             reps, rng.describe())
+
+    def chunk(m, sub):
+        p11 = np.ones(m)
+        p12 = np.zeros(m)
+        p22 = np.ones(m)
+        logacc = np.zeros(m)
+        for _ in range(n):
+            batch = mod.draw_innovations(model, m, sub)
+            # left-multiply the running product by the new triangular matrix
+            p11_new = batch.a11 * p11
+            p12_new = batch.a11 * p12 + batch.a12 * p22
+            p22_new = batch.a22 * p22
+            scale = np.maximum(np.maximum(np.abs(p11_new), np.abs(p12_new)),
+                               np.abs(p22_new))
+            scale = np.where(scale == 0.0, 1.0, scale)
+            p11, p12, p22 = p11_new / scale, p12_new / scale, p22_new / scale
+            logacc += np.log(scale)
+        # spectral norm of [[p11, p12], [0, p22]] via the 2x2 Gram matrix
+        g11 = p11 * p11
+        g12 = p11 * p12
+        g22 = p12 * p12 + p22 * p22
+        tr = g11 + g22
+        det = g11 * g22 - g12 * g12
+        lam = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+        vals = (logacc + 0.5 * np.log(np.maximum(lam, 1e-300))) / n
+        return (RunningMoments(vals),)
+
+    (acc,) = merge_chunks(map_chunks(reps, CHUNK, chunk, rng))
+    return acc.estimate(rng.describe())
 
 
 @dataclass(frozen=True)

@@ -176,13 +176,39 @@ def univariate_model(a_law: dist.Dist, b_law: dist.Dist) -> TriangularSRE:
                                   b2=dist.Constant(0.0))
 
 
+def _law_pair_sampler(a_law: dist.Dist, b_law: dist.Dist):
+    """Per-step sampler of independent (A, B), A drawn first."""
+    return lambda k, rng: (dist.sample(a_law, rng, k), dist.sample(b_law, rng, k))
+
+
+def _perpetuity_sums(pair_sampler, depth: int, m: int, rng: RngStream,
+                     workers: int | None = None) -> np.ndarray:
+    """m draws of the depth-step recursion x = a x + b, run from zero.
+
+    pair_sampler(k, rng) returns one step's arrays (a, b) of shape (k,).
+    The steps are i.i.d., so this has the law of the backward partial sum
+    B_1 + A_1 B_2 + ... + A_1...A_{depth-1} B_depth, with step s using the
+    draws of lag depth - s.
+    """
+    def chunk(sz, sub):
+        x = np.zeros(sz)
+        for _ in range(depth):
+            a, b = pair_sampler(sz, sub)
+            x = a * x + b
+        return x
+
+    parts = map_chunks(m, CHUNK, chunk, rng, workers)
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
 def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,
                             m: int, rng: RngStream,
                             workers: int | None = None) -> np.ndarray:
-    """m stationary draws of the scalar recursion X = A X' + B."""
-    batch = sample_stationary_batch(univariate_model(a_law, b_law), tol, m,
-                                    rng, workers)
-    return batch.w1
+    """m stationary draws of the scalar recursion X = A X' + B, truncated
+    at the depth certified for the embedded bivariate model."""
+    depth, _ = truncation_depth(univariate_model(a_law, b_law), tol)
+    return _perpetuity_sums(_law_pair_sampler(a_law, b_law), depth, m, rng,
+                            workers)
 
 
 def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
@@ -197,15 +223,4 @@ def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
     _, b_probe = pair_sampler(_EPS_PROBE, rng.substream(0))
     b_eps = float(np.mean(np.abs(b_probe) ** eps)) * 10.0
     depth = _first_depth(lambda k: q ** k / (1.0 - q) * b_eps, tol ** eps)
-
-    def chunk(sz, sub):
-        x = np.zeros(sz)
-        p = np.ones(sz)
-        for _ in range(depth):
-            a, b = pair_sampler(sz, sub)
-            x = x + p * b
-            p = p * a
-        return x
-
-    parts = map_chunks(m, CHUNK, chunk, rng.substream(1))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return _perpetuity_sums(pair_sampler, depth, m, rng.substream(1))

@@ -18,10 +18,9 @@ from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      NonPositiveOrderStat, RegimeMismatch)
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .rng import CHUNK, RngStream, map_chunks
-from .stationary import sample_perpetuity_batch
-from .tilting import SnapshotMoments, _study_from_pairs
-
-_CRITICAL_BAND = 1e-6
+from .stationary import _law_pair_sampler, sample_perpetuity_batch
+from .tilting import (_CRITICAL_BAND, SnapshotMoments, _scaled_snapshot,
+                      _study_from_pairs)
 
 
 @dataclass
@@ -217,9 +216,7 @@ def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
     if pair_sampler is None:
         if a_law is None or b_law is None:
             raise ValueError("give laws or a pair_sampler")
-
-        def pair_sampler(m, r):
-            return dist.sample(a_law, r, m), dist.sample(b_law, r, m)
+        pair_sampler = _law_pair_sampler(a_law, b_law)
 
     if a_law is not None:
         lam = dist.abs_moment(a_law, alpha)
@@ -238,24 +235,12 @@ def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
     study = _study_from_pairs(pair_sampler, alpha, [half, n], N, rng, lam,
                               step_moment=1.0, gamma=gamma)
     at_half, at_n = study.snapshots
-    window = study.windows[0]
-    norm_win = 1.0 / (alpha * rho * (n - half))
-
-    def scale(e: EstimateWithError, f: float) -> EstimateWithError:
-        return EstimateWithError(e.value * f, e.se * f, e.n_samples, e.seed)
-
+    window = _scaled_snapshot(study.window, 1.0 / (alpha * rho * (n - half)))
     return PerpetuityConstants(
-        c_plus=scale(window.plus, norm_win),
-        c_minus=scale(window.minus, norm_win),
+        c_plus=window.plus, c_minus=window.minus,
         at_n=at_n, at_half=at_half,
-        rate_at_n=SnapshotMoments(
-            n, scale(at_n.absolute, 1.0 / (alpha * rho * n)),
-            scale(at_n.plus, 1.0 / (alpha * rho * n)),
-            scale(at_n.minus, 1.0 / (alpha * rho * n))),
-        rate_at_half=SnapshotMoments(
-            half, scale(at_half.absolute, 1.0 / (alpha * rho * half)),
-            scale(at_half.plus, 1.0 / (alpha * rho * half)),
-            scale(at_half.minus, 1.0 / (alpha * rho * half))),
+        rate_at_n=_scaled_snapshot(at_n, 1.0 / (alpha * rho * n)),
+        rate_at_half=_scaled_snapshot(at_half, 1.0 / (alpha * rho * half)),
     )
 
 

@@ -28,6 +28,7 @@ from .errors import (RegimeMismatch, RequiresEqualDiagonal, RequiresExactTilt,
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .model import EqualDiagonal, ProportionalToDiagonal, TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
+from .stationary import _perpetuity_sums
 
 _MIN_ESS = 100.0
 _CRITICAL_BAND = 1e-6
@@ -81,23 +82,19 @@ def _draw_tilted_path(tc: TiltedCoupling, n: int, m: int,
     if dist.has_atom_at_zero(mod.diag_laws(tc.model)[1]):
         raise RegimeMismatch("ratio representation needs a second diagonal "
                              "with no atom at zero")
+    exact = tc.mode == "exact_tilt"
+    tilt = (tc.diag, tc.tilted_diag) if exact else None
     v = np.empty((n, m))
     u = np.empty((n, m))
-    if tc.mode == "exact_tilt":
-        tilt = (tc.diag, tc.tilted_diag)
-        for k in range(n):
-            batch = mod.draw_innovations(tc.model, m, rng, tilt=tilt)
-            v[k] = batch.a11 / batch.a22
-            u[k] = batch.a12 / batch.a22
-        return TiltedPath(v, u, None)
     logw = np.zeros(m)
     for k in range(n):
-        batch = mod.draw_innovations(tc.model, m, rng)
+        batch = mod.draw_innovations(tc.model, m, rng, tilt=tilt)
         v[k] = batch.a11 / batch.a22
         u[k] = batch.a12 / batch.a22
-        a = batch.a11 if tc.diag == "first" else batch.a22
-        logw += tc.alpha * np.log(np.abs(a))
-    return TiltedPath(v, u, np.exp(logw))
+        if not exact:
+            a = batch.a11 if tc.diag == "first" else batch.a22
+            logw += tc.alpha * np.log(np.abs(a))
+    return TiltedPath(v, u, None if exact else np.exp(logw))
 
 
 def _check_ess(weights: RunningMoments) -> None:
@@ -161,11 +158,12 @@ class SnapshotMoments:
 @dataclass
 class PartialSumStudy:
     """Moment estimates of the partial sums at requested horizons, plus
-    the growth over each consecutive window (used for limit extraction
-    at the critical index, where the per-step growth converges)."""
+    the growth between the last two of them (used for limit extraction
+    at the critical index, where the per-step growth converges); None
+    when there is one horizon or no telescoped scan."""
 
     snapshots: list[SnapshotMoments]
-    windows: list[SnapshotMoments]
+    window: SnapshotMoments | None
     mode: str
 
     def final(self) -> SnapshotMoments:
@@ -205,7 +203,7 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
         x = np.zeros(m)
         s_acc = np.zeros(m)
         d_acc = np.zeros(m)
-        snaps, wins, prev = [], [], None
+        snaps, prev, vals = [], None, None
         for k in range(1, n + 1):
             v, u = step_sampler(m, sub)
             vx = v * x
@@ -218,19 +216,20 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
                 scale = step_moment ** k
                 up = 0.5 * (s_acc + d_acc) * scale
                 um = 0.5 * (s_acc - d_acc) * scale
-                vals = (up + um, up, um)
+                prev, vals = vals, (up + um, up, um)
                 snaps += [RunningMoments(val) for val in vals]
-                if prev is not None:
-                    wins += [RunningMoments(b - a) for a, b in zip(prev, vals)]
-                prev = vals
-        return snaps + wins
+        if prev is not None:
+            snaps += [RunningMoments(b - a) for a, b in zip(prev, vals)]
+        return snaps
 
     accs = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
     seed = rng.describe()
     split = 3 * len(snapshots)
+    window = (_snapshot_list([n], accs[split:], seed)[0]
+              if len(snapshots) > 1 else None)
     return PartialSumStudy(
         snapshots=_snapshot_list(snapshots, accs[:split], seed),
-        windows=_snapshot_list(snapshots[1:], accs[split:], seed), mode=mode)
+        window=window, mode=mode)
 
 
 def _vu_sampler(tc: TiltedCoupling):
@@ -341,19 +340,19 @@ def _weighted_cross_moments(model: TriangularSRE, alpha: float,
                             rng: RngStream) -> PartialSumStudy:
     """Raw-weight route: base innovations, per-path weight prod|a22|^alpha
     applied to functionals of the ratio partial sum (whose sign, not the
-    cross sum's, defines the signed parts)."""
+    cross sum's, defines the signed parts). The sum runs forward as
+    x = v x + u; the weight is symmetric in the steps, so each (w_k, X_k)
+    keeps the law it has with the draws in lag order."""
     n = horizons[-1]
     snap_set = set(horizons)
 
     def chunk(m, sub):
         x = np.zeros(m)
-        pv = np.ones(m)
         logw = np.zeros(m)
         moments, weights = [], []
         for k in range(1, n + 1):
             batch = mod.draw_innovations(model, m, sub)
-            x = x + pv * (batch.a12 / batch.a22)
-            pv = pv * (batch.a11 / batch.a22)
+            x = (batch.a11 / batch.a22) * x + batch.a12 / batch.a22
             logw += alpha * np.log(np.abs(batch.a22))
             if k in snap_set:
                 w = np.exp(logw)
@@ -369,7 +368,7 @@ def _weighted_cross_moments(model: TriangularSRE, alpha: float,
         _check_ess(weights)
     return PartialSumStudy(
         snapshots=_snapshot_list(horizons, accs[:split], rng.describe()),
-        windows=[], mode="weighted_mc")
+        window=None, mode="weighted_mc")
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +439,12 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
     half = n // 2
     study = coupling_sum_moments(model, alpha, [half, n], N, rng)
     at_half, at_n = study.snapshots
-    window = study.windows[0]
     return CouplingRate(
         at_n=at_n, at_half=at_half,
         rate_at_n=_scaled_snapshot(at_n, 1.0 / (alpha * n)),
         rate_at_half=_scaled_snapshot(at_half, 1.0 / (alpha * half)),
-        rate_windowed=_scaled_snapshot(window, 1.0 / (alpha * (n - half))),
+        rate_windowed=_scaled_snapshot(study.window,
+                                       1.0 / (alpha * (n - half))),
     )
 
 
@@ -500,21 +499,10 @@ def clt_constant(model: TriangularSRE, alpha: float,
 
 def perpetuity_sample_batch(tc: TiltedCoupling, n: int, m: int,
                             rng: RngStream) -> np.ndarray:
-    """m draws of the literal forward partial sum of the reweighted ratio
-    perpetuity (term i carries the first i-1 ratio factors)."""
-    sampler = _vu_sampler(tc)
-
-    def chunk(sz, sub):
-        x = np.zeros(sz)
-        pv = np.ones(sz)
-        for _ in range(n):
-            v, u = sampler(sz, sub)
-            x = x + pv * u
-            pv = pv * v
-        return x
-
-    parts = map_chunks(m, CHUNK, chunk, rng)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """m draws of the depth-n partial sum of the reweighted ratio
+    perpetuity (term i carries i-1 ratio factors), run as the forward
+    recursion x = v x + u from zero."""
+    return _perpetuity_sums(_vu_sampler(tc), n, m, rng)
 
 
 def tilted_ratio_log_drift(model: TriangularSRE, alpha: float, N: int,

@@ -8,7 +8,7 @@ from scipy import stats
 import trisre as t
 from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
-                    ProportionalToDiagonal)
+                    ProportionalToDiagonal, SignedLognormal, TwoSidedPareto)
 from trisre.errors import NotContractive
 from trisre.rng import CHUNK, map_chunks
 
@@ -154,6 +154,44 @@ def test_stationary_decomposition_identity_is_exact():
                            b2=Constant(1.0))
     batch = t.sample_stationary_batch(m, 1e-8, 5000, t.RngStream(5))
     assert np.array_equal(batch.w1, batch.w1_own + batch.w1_cross)
+
+
+@pytest.mark.parametrize("m", [1, CHUNK + 1])
+@pytest.mark.parametrize("a_law,b_law", [
+    (Lognormal(-1, 1), Lognormal(-1, 1)),
+    (SignedLognormal(-1, 1, 0.7), SignedLognormal(-1, 1, 0.7)),
+    (Lognormal(-1, 1), TwoSidedPareto(1.5, 1.0, 0.6)),
+])
+def test_perpetuity_batch_equals_embedded_stationary_first_coordinate(
+        a_law, b_law, m):
+    # the scalar sampler skips the bivariate one, but the embedded model's
+    # zero entries draw nothing, so the draws and the output are the same
+    x = t.sample_perpetuity_batch(a_law, b_law, 1e-8, m, t.RngStream(6))
+    batch = t.sample_stationary_batch(t.univariate_model(a_law, b_law), 1e-8,
+                                      m, t.RngStream(6))
+    np.testing.assert_array_equal(x, batch.w1)
+
+
+def test_pair_perpetuity_batch_matches_closed_form_moments():
+    # dependent pair B = 1 + A/2 with E A^4 = e^-4 < 1, so X^2 has a
+    # finite variance; X = A X' + B gives E X = E B / (1 - E A) and
+    # E X^2 = (E B^2 + 2 E[AB] E X) / (1 - E A^2)
+    a_law = Lognormal(-1.5, 0.5)
+
+    def pairs(k, rng):
+        a = t.sample(a_law, rng, k)
+        return a, 1.0 + 0.5 * a
+
+    ea = math.exp(-1.5 + 0.125)
+    ea2 = math.exp(-3.0 + 0.5)
+    eb, eb2, eab = 1.0 + 0.5 * ea, 1.0 + ea + 0.25 * ea2, ea + 0.5 * ea2
+    ex = eb / (1.0 - ea)
+    ex2 = (eb2 + 2.0 * eab * ex) / (1.0 - ea2)
+    x = t.sample_pair_perpetuity_batch(pairs, a_law, 1e-8, 200_000,
+                                       t.RngStream(7))
+    for vals, exact in ((x, ex), (x * x, ex2)):
+        se = vals.std() / math.sqrt(vals.size)
+        assert abs(vals.mean() - exact) <= 4 * se
 
 
 def test_builtin_truncation_depths_and_bounds_unchanged():

@@ -12,6 +12,7 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
 from trisre.errors import NoRoot, NotContractive
 from trisre.regime import (CASE_COORD1_KG, CASE_EQUAL_DIAG_ZERO_DRIFT,
                            CASE_UNSUPPORTED)
+from trisre.rng import CHUNK
 
 
 def test_solve_tail_index_lognormal_closed_form():
@@ -122,6 +123,18 @@ def test_lyapunov_negative_for_stable_model():
                            b2=Constant(1.0))
     est = t.lyapunov_estimate(m, 10_000, 100, t.RngStream(3))
     assert est.value + 3 * est.se < 0
+
+
+def test_lyapunov_same_at_any_worker_count(monkeypatch):
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                           a22=Lognormal(-2, 1), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    ests = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TRISRE_WORKERS", workers)
+        ests.append(t.lyapunov_estimate(m, 5, CHUNK + 17, t.RngStream(4)))
+    assert ests[0] == ests[1]
+    assert ests[0].n_samples == CHUNK + 17
 
 
 def test_classify_distinct_indices():

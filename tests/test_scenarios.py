@@ -228,6 +228,17 @@ def test_cli_run_and_classify(tmp_path, capsys):
     assert (tmp_path / "out" / "smoke.csv").exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_run_rejects_nonpositive_samples_as_usage_error(tmp_path, capsys,
+                                                            samples):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "coord1_dominant_grey", "--samples", samples,
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "sample counts must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_predict_builtin(capsys):
     rc = cli_main(["predict", "coord1_dominant_grey"])
     assert rc == 0

@@ -374,6 +374,22 @@ def test_strict_coupling_scan_matches_closed_form_at_alpha_two():
     assert study.final().minus.value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_perpetuity_sample_mean_matches_closed_form():
+    # coord2_dominant_kg's tilted ratio pair: E X_k = E V E X_{k-1} + E U
+    model = next(c.model for c in t.builtin_scenarios(quick=True)
+                 if c.name == "coord2_dominant_kg")
+    alpha, n = 2.0, 30
+    a22 = t.tilted(model.a22, alpha)
+    ev = lognormal_moment(model.a11, 1) * lognormal_moment(a22, -1)
+    eu = lognormal_moment(model.a12, 1) * lognormal_moment(a22, -1)
+    exact = 0.0
+    for _ in range(n):
+        exact = ev * exact + eu
+    tc = t.tilted_coupling(model, "second", alpha)
+    x = t.perpetuity_sample_batch(tc, n, 200_000, t.RngStream(34))
+    assert abs(x.mean() - exact) <= 4 * x.std() / math.sqrt(x.size)
+
+
 def test_strict_perpetuity_scan_matches_closed_form_at_alpha_two():
     # E A^2 = e^-1 < 1 but E A^4 = e^2 > 1: strictly contracting at
     # alpha = 2, with infinite-variance |X_n|^2
