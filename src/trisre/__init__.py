@@ -20,7 +20,7 @@ from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      RequiresEqualDiagonal, RequiresExactTilt, RequiresMuZero,
                      TiltUnsupported, TrisreError, UnsupportedRegime,
                      WeightDegenerate)
-from .estimates import EstimateWithError, combined_se
+from .estimates import EstimateWithError
 from .model import (EqualDiagonal, IndependentEntries, IndependentOffDiagonal,
                     ProportionalToDiagonal, TriangularSRE, draw_innovations,
                     model_from_dict, model_to_dict)
@@ -31,7 +31,6 @@ from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,
                         run_scenario, run_suite)
 from .stationary import (StationaryBatch, iterate_forward,
-                         sample_cross_sum_batch, sample_pair_perpetuity_batch,
                          sample_perpetuity_batch, sample_stationary_batch,
                          truncation_depth, univariate_model)
 from .tails import (EmpiricalTail, ccdf, default_log_grid,

@@ -24,15 +24,22 @@ from .scenarios import (ScenarioConfig, builtin_scenarios, emit_report,
                         load_config, predict, run_scenario, run_suite)
 
 
-def _resolve_config(name_or_path: str) -> ScenarioConfig:
+def _resolve_config(name_or_path: str,
+                    parser: argparse.ArgumentParser) -> ScenarioConfig:
+    """The config at the path, else the built-in scenario of that name; a
+    missing, unreadable or invalid config is a usage error (exit 2)."""
     path = Path(name_or_path)
     if path.exists():
-        return load_config(path)
+        try:
+            return load_config(path)
+        except (ValueError, KeyError, TypeError) as exc:
+            parser.error(f"invalid config {name_or_path}: "
+                         f"{type(exc).__name__}: {exc}")
     for config in builtin_scenarios(quick=True):
         if config.name == name_or_path:
             return config
-    raise SystemExit(f"config file not found and no built-in scenario is "
-                     f"named {name_or_path!r}")
+    parser.error(f"config file not found and no built-in scenario is "
+                 f"named {name_or_path!r}")
 
 
 def _dump(obj) -> None:
@@ -70,13 +77,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "classify":
-        config = _resolve_config(args.config)
+        config = _resolve_config(args.config, p_classify)
         report = classify(config.model)
         _dump(report.to_dict())
         return 0
 
     if args.command == "predict":
-        config = _resolve_config(args.config)
+        config = _resolve_config(args.config, p_predict)
         try:
             pred = predict(config.model,
                            constant_samples=config.constant_samples,
@@ -93,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     workers = args.workers if args.workers is not None else default_workers()
 
     if args.command == "run":
-        config = _resolve_config(args.config)
+        config = _resolve_config(args.config, p_run)
         overrides = {"n_samples": args.samples, "seed": args.seed}
         try:
             # replace re-runs ScenarioConfig's validation

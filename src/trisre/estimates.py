@@ -22,10 +22,6 @@ class EstimateWithError:
                 "n_samples": self.n_samples, "seed": self.seed}
 
 
-def combined_se(a: EstimateWithError, b: EstimateWithError) -> float:
-    return math.hypot(a.se, b.se)
-
-
 class RunningMoments:
     """Mergeable (count, mean, M2) accumulator.
 

@@ -1,4 +1,4 @@
-"""Stationary solution sampling and the cross-coupling partial sums.
+"""Stationary solution sampling and the scalar perpetuity.
 
 The stationary law is reached through the truncated backward series,
 evaluated as a forward recursion from zero; the truncation depth comes
@@ -18,7 +18,6 @@ from .model import TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
 
 _EPS_GRID = np.linspace(0.05, 1.0, 20)
-_EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
 
 
 def contraction_exponent(model: TriangularSRE) -> tuple[float, float]:
@@ -121,7 +120,8 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
     parts = map_chunks(m, CHUNK,
                        lambda sz, sub: _stationary_chunk(model, depth, sz, sub),
                        rng, workers)
-    w1_own, w1_cross, w2 = (np.concatenate(col) for col in zip(*parts))
+    w1_own, w1_cross, w2 = ([np.concatenate(col) for col in zip(*parts)]
+                            or [np.zeros(0) for _ in range(3)])
     return StationaryBatch(w1=w1_own + w1_cross, w2=w2, w1_own=w1_own,
                            w1_cross=w1_cross, truncation_depth=depth,
                            truncation_bound=bound)
@@ -136,32 +136,6 @@ def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],
         batch = mod.draw_innovations(model, m, rng)
         w1, w2 = mod.step_batch(w1, w2, batch)
     return w1, w2
-
-
-# ---------------------------------------------------------------------------
-# Cross-coupling partial sum: the scalar chain linking the coordinates
-# ---------------------------------------------------------------------------
-
-def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
-                           rng: RngStream) -> np.ndarray:
-    """m draws of the depth-n cross sum over fresh innovation paths: term
-    i carries i-1 first-diagonal factors, the off-diagonal entry, then n-i
-    second-diagonal factors. The scan keeps a running first-diagonal
-    prefix and folds each new step into the accumulator."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    def chunk(sz, sub):
-        s = np.zeros(sz)
-        p1 = np.ones(sz)
-        for _ in range(n):
-            batch = mod.draw_innovations(model, sz, sub)
-            s = s * batch.a22 + p1 * batch.a12
-            p1 = p1 * batch.a11
-        return s
-
-    parts = map_chunks(m, CHUNK, chunk, rng)
-    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +183,3 @@ def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,
     depth, _ = truncation_depth(univariate_model(a_law, b_law), tol)
     return _perpetuity_sums(_law_pair_sampler(a_law, b_law), depth, m, rng,
                             workers)
-
-
-def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
-                                 m: int, rng: RngStream) -> np.ndarray:
-    """Stationary draws of X = A X' + B for jointly sampled (A, B) pairs.
-
-    pair_sampler(k, rng) must return arrays (a, b) of shape (k,). The
-    truncation analysis uses A's declared law plus a Monte Carlo probe of
-    E|B|^eps over _EPS_PROBE pairs (safety factor 10).
-    """
-    eps, q = contraction_exponent(univariate_model(a_law, dist.Constant(1.0)))
-    _, b_probe = pair_sampler(_EPS_PROBE, rng.substream(0))
-    b_eps = float(np.mean(np.abs(b_probe) ** eps)) * 10.0
-    depth = _first_depth(lambda k: q ** k / (1.0 - q) * b_eps, tol ** eps)
-    return _perpetuity_sums(pair_sampler, depth, m, rng.substream(1))

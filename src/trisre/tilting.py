@@ -16,6 +16,7 @@ variance. See the module tests for the cross-validation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +238,8 @@ def _vu_sampler(tc: TiltedCoupling):
 
     Only the matrix entries are drawn; under the proportional equal-
     diagonal coupling the tilted diagonal cancels from both ratios, so a
-    single factor draw per step suffices."""
+    single factor draw per step suffices; with all three entries
+    lognormal the pair comes from two correlated normals."""
     if tc.mode != "exact_tilt":
         raise RequiresExactTilt(
             "partial-sum moment studies sample the reweighted path "
@@ -267,12 +269,43 @@ def _vu_sampler(tc: TiltedCoupling):
     else:
         a22_law = tc.tilted_diag
     a12_law = model.a12
+    if all(isinstance(d, dist.Lognormal) for d in (a11_law, a12_law, a22_law)):
+        return _lognormal_vu_sampler(a11_law, a12_law, a22_law)
 
     def sampler(m: int, rng: RngStream):
         a11 = dist.sample(a11_law, rng, m)
         a12 = dist.sample(a12_law, rng, m)
         a22 = dist.sample(a22_law, rng, m)
         return a11 / a22, a12 / a22
+
+    return sampler
+
+
+def _lognormal_vu_sampler(a11: dist.Lognormal, a12: dist.Lognormal,
+                          a22: dist.Lognormal):
+    """(V, U) = (a11/a22, a12/a22) for lognormal entries, from two normals.
+
+    With a_ij = exp(mu_ij + s_ij N_ij) for independent standard normals
+    N_ij, log V = mu11 - mu22 + s11 N11 - s22 N22 and log U = mu12 - mu22
+    + s12 N12 - s22 N22 are jointly normal: variances s11^2 + s22^2 and
+    s12^2 + s22^2, covariance s22^2. One standard_normal((2, m)) call per
+    step goes through the Cholesky factor of that covariance, taken in the
+    order (log U, log V): the same law as the three-draw ratio, at two
+    normals and two exps per path-step."""
+    shift = np.array([[a12.mu - a22.mu], [a11.mu - a22.mu]])
+    c22 = a22.sigma ** 2
+    l11 = math.sqrt(a12.sigma ** 2 + c22)
+    l21 = c22 / l11
+    l22 = math.sqrt(a11.sigma ** 2 + c22 - l21 ** 2)
+
+    def sampler(m: int, rng: RngStream):
+        z = rng.gen.standard_normal((2, m))
+        z[1] *= l22
+        z[1] += l21 * z[0]
+        z[0] *= l11
+        z += shift
+        np.exp(z, out=z)
+        return z[1], z[0]
 
     return sampler
 

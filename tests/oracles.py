@@ -1,9 +1,22 @@
-"""Test oracles: slow or brute-force references the library does not use."""
+"""Test oracles: slow or brute-force references and test-only samplers
+that the library does not use."""
 import math
 
 import numpy as np
 
+from trisre import distributions as dist
 from trisre.distributions import abs_moment
+from trisre.estimates import EstimateWithError
+from trisre.model import TriangularSRE, draw_innovations
+from trisre.rng import CHUNK, RngStream, map_chunks
+from trisre.stationary import (_first_depth, _perpetuity_sums,
+                               contraction_exponent, univariate_model)
+
+_EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
+
+
+def combined_se(a: EstimateWithError, b: EstimateWithError) -> float:
+    return math.hypot(a.se, b.se)
 
 
 def cross_sum_scan(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
@@ -18,6 +31,37 @@ def cross_sum_scan(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndar
         s = s * a22[k] + p1 * a12[k]
         p1 = p1 * a11[k]
     return s
+
+
+def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
+                           rng: RngStream) -> np.ndarray:
+    """m draws of the depth-n cross sum over fresh innovation paths,
+    through cross_sum_scan on each chunk's n steps of draws."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+    def chunk(sz, sub):
+        steps = [draw_innovations(model, sz, sub) for _ in range(n)]
+        return cross_sum_scan(*(np.array([getattr(b, k) for b in steps])
+                                for k in ("a11", "a12", "a22")))
+
+    parts = map_chunks(m, CHUNK, chunk, rng)
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
+                                 m: int, rng: RngStream) -> np.ndarray:
+    """Stationary draws of X = A X' + B for jointly sampled (A, B) pairs.
+
+    pair_sampler(k, rng) must return arrays (a, b) of shape (k,). The
+    truncation analysis uses A's declared law plus a Monte Carlo probe of
+    E|B|^eps over _EPS_PROBE pairs (safety factor 10).
+    """
+    eps, q = contraction_exponent(univariate_model(a_law, dist.Constant(1.0)))
+    _, b_probe = pair_sampler(_EPS_PROBE, rng.substream(0))
+    b_eps = float(np.mean(np.abs(b_probe) ** eps)) * 10.0
+    depth = _first_depth(lambda k: q ** k / (1.0 - q) * b_eps, tol ** eps)
+    return _perpetuity_sums(pair_sampler, depth, m, rng.substream(1))
 
 
 def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:

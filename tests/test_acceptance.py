@@ -15,8 +15,9 @@ import trisre as t
 from trisre import (Constant, EqualDiagonal, IndependentEntries, Lognormal,
                     Normal, ProportionalToDiagonal, SignedLognormal)
 from trisre.cli import main as cli_main
-from trisre.estimates import combined_se
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
+
+from oracles import combined_se, sample_pair_perpetuity_batch
 
 
 def _report(line: str) -> None:
@@ -89,9 +90,9 @@ def test_c03_goldie_cross_validation():
     # dependent (A, B) pair: B = 1 + A/2
     def sampler(m, rng):
         a, b = _dependent_pair_sampler(m, rng.substream(0))
-        x = t.sample_pair_perpetuity_batch(_dependent_pair_sampler,
-                                           Lognormal(-1, 1), 1e-8, m,
-                                           rng.substream(1))
+        x = sample_pair_perpetuity_batch(_dependent_pair_sampler,
+                                         Lognormal(-1, 1), 1e-8, m,
+                                         rng.substream(1))
         return a, b, x
 
     cp_d, _ = t.goldie_constant_direct(sampler, 2.0, 1.0, N,

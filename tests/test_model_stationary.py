@@ -12,7 +12,8 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
 from trisre.errors import NotContractive
 from trisre.rng import CHUNK, map_chunks
 
-from oracles import cross_sum_brute, cross_sum_scan
+from oracles import (cross_sum_brute, cross_sum_scan, sample_cross_sum_batch,
+                     sample_pair_perpetuity_batch)
 
 
 def constant_model(a11, a12, a22, b1, b2):
@@ -172,6 +173,21 @@ def test_perpetuity_batch_equals_embedded_stationary_first_coordinate(
     np.testing.assert_array_equal(x, batch.w1)
 
 
+def test_zero_path_batches_are_empty_with_depth_and_bound_set():
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
+                           a22=Lognormal(-2, 1), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    batch = t.sample_stationary_batch(m, 1e-8, 0, t.RngStream(1))
+    for arr in (batch.w1, batch.w2, batch.w1_own, batch.w1_cross):
+        assert arr.shape == (0,)
+    full = t.sample_stationary_batch(m, 1e-8, 10, t.RngStream(1))
+    assert batch.truncation_depth == full.truncation_depth
+    assert batch.truncation_bound == full.truncation_bound
+    x = t.sample_perpetuity_batch(Lognormal(-1, 1), Constant(1.0), 1e-8, 0,
+                                  t.RngStream(1))
+    assert x.shape == (0,)
+
+
 def test_pair_perpetuity_batch_matches_closed_form_moments():
     # dependent pair B = 1 + A/2 with E A^4 = e^-4 < 1, so X^2 has a
     # finite variance; X = A X' + B gives E X = E B / (1 - E A) and
@@ -187,8 +203,8 @@ def test_pair_perpetuity_batch_matches_closed_form_moments():
     eb, eb2, eab = 1.0 + 0.5 * ea, 1.0 + ea + 0.25 * ea2, ea + 0.5 * ea2
     ex = eb / (1.0 - ea)
     ex2 = (eb2 + 2.0 * eab * ex) / (1.0 - ea2)
-    x = t.sample_pair_perpetuity_batch(pairs, a_law, 1e-8, 200_000,
-                                       t.RngStream(7))
+    x = sample_pair_perpetuity_batch(pairs, a_law, 1e-8, 200_000,
+                                     t.RngStream(7))
     for vals, exact in ((x, ex), (x * x, ex2)):
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - exact) <= 4 * se
@@ -248,13 +264,13 @@ def test_stationarity_in_law_under_one_step():
 
 def test_cross_sum_depth_one_is_offdiagonal_draw():
     m = constant_model(0.9, 0.37, 0.9, 0.0, 0.0)
-    assert t.sample_cross_sum_batch(m, 1, 1, t.RngStream(1))[0] == 0.37
+    assert sample_cross_sum_batch(m, 1, 1, t.RngStream(1))[0] == 0.37
 
 
 def test_cross_sum_zero_offdiagonal():
     m = constant_model(0.5, 0.0, 0.7, 1.0, 1.0)
     for n in (1, 3, 10):
-        assert t.sample_cross_sum_batch(m, n, 1, t.RngStream(2))[0] == 0.0
+        assert sample_cross_sum_batch(m, n, 1, t.RngStream(2))[0] == 0.0
 
 
 def test_cross_sum_constants_closed_form():
@@ -262,7 +278,7 @@ def test_cross_sum_constants_closed_form():
     m = constant_model(c, g, c, 0.0, 0.0)
     for n in (1, 2, 5, 17):
         expected = n * g * c ** (n - 1)
-        assert t.sample_cross_sum_batch(m, n, 1, t.RngStream(3))[0] == \
+        assert sample_cross_sum_batch(m, n, 1, t.RngStream(3))[0] == \
             pytest.approx(expected, rel=1e-13)
 
 
@@ -285,7 +301,7 @@ def test_cross_sum_batch_matches_brute_force_on_its_own_draws():
                                a22=Lognormal(-0.5, 0.5), b1=Constant(0.0),
                                b2=Constant(0.0))
     for n in (1, 3, 25):
-        got = t.sample_cross_sum_batch(model, n, 7, t.RngStream(12, n))
+        got = sample_cross_sum_batch(model, n, 7, t.RngStream(12, n))
         (steps,) = map_chunks(7, CHUNK, lambda m, sub: [
             t.draw_innovations(model, m, sub) for _ in range(n)],
             t.RngStream(12, n))

@@ -239,6 +239,23 @@ def test_cli_run_rejects_nonpositive_samples_as_usage_error(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "predict", "classify"])
+def test_cli_bad_config_is_usage_error(tmp_path, capsys, command):
+    d = quick_config().to_dict()
+    d["n_samples"] = 0
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    for arg, message in ((str(p), "sample counts must be positive"),
+                         (str(tmp_path / "missing.json"),
+                          "config file not found")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, arg])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 def test_cli_predict_builtin(capsys):
     rc = cli_main(["predict", "coord1_dominant_grey"])
     assert rc == 0

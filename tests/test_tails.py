@@ -8,8 +8,9 @@ import trisre as t
 from trisre import Constant, Lognormal, SignedLognormal
 from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
-from trisre.estimates import combined_se
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
+
+from oracles import combined_se
 
 
 def test_ccdf_examples():

@@ -1,5 +1,6 @@
 """Reweighted-measure estimators: tilt identities, cross-sum moments,
 equal-diagonal drift constants, and the critical per-step rate."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 import trisre as t
 from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
-                    ProportionalToDiagonal, SignedLognormal, Uniform)
+                    ProportionalToDiagonal, Scaled, SignedLognormal, Uniform)
 from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
                            RequiresExactTilt, RequiresMuZero, WeightDegenerate)
-from trisre.estimates import EstimateWithError, combined_se
+from trisre.estimates import EstimateWithError
+from trisre.tilting import _vu_sampler
+
+from oracles import combined_se, sample_cross_sum_batch
 
 
 def tilt_benchmark():
@@ -158,7 +162,7 @@ def test_tilted_moments_match_direct_cross_sum_mc():
     exact = exact_cross_sum_second_moment(m, n)
     study = t.estimate_coupling_weight(m, alpha2, n, 400_000, t.RngStream(12))
     tilted_est = study.final().absolute
-    direct = t.sample_cross_sum_batch(m, n, 1_000_000, t.RngStream(13))
+    direct = sample_cross_sum_batch(m, n, 1_000_000, t.RngStream(13))
     vals = np.abs(direct) ** alpha2
     direct_est = EstimateWithError(float(vals.mean()),
                                    float(vals.std() / math.sqrt(vals.size)),
@@ -403,3 +407,59 @@ def test_strict_perpetuity_scan_matches_closed_form_at_alpha_two():
     snap = res.at_n.absolute
     assert abs(snap.value - exact) <= 4 * snap.se
     assert res.at_n.minus.value == pytest.approx(0.0, abs=1e-12)
+
+
+def builtin_model(name: str):
+    return next(c.model for c in t.builtin_scenarios(quick=True)
+                if c.name == name)
+
+
+def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
+    # coord2_dominant_kg under the alpha = 2 tilt of a22: log V = N11 - N22'
+    # and log U = N12 - N22' share the tilted a22's log-variance
+    model = builtin_model("coord2_dominant_kg")
+    a22 = t.tilted(model.a22, 2.0)
+    sampler = _vu_sampler(t.tilted_coupling(model, "second", 2.0))
+    v, u = sampler(400_000, t.RngStream(40))
+    lv, lu = np.log(v), np.log(u)
+    c22 = a22.sigma ** 2
+    cases = (
+        (lv, model.a11.mu - a22.mu),
+        (lu, model.a12.mu - a22.mu),
+        ((lv - lv.mean()) ** 2, model.a11.sigma ** 2 + c22),
+        ((lu - lu.mean()) ** 2, model.a12.sigma ** 2 + c22),
+        ((lv - lv.mean()) * (lu - lu.mean()), c22),
+    )
+    for vals, exact in cases:
+        se = vals.std() / math.sqrt(vals.size)
+        assert abs(vals.mean() - exact) <= 4 * se, (vals.mean(), exact)
+
+
+def test_lognormal_ratio_pair_draws_two_normals_per_path_step():
+    model = builtin_model("distinct_diag_equal_index")
+    sampler = _vu_sampler(t.tilted_coupling(model, "second", 2.0))
+    used, ref = t.RngStream(41), t.RngStream(41)
+    sampler(1000, used)
+    ref.gen.standard_normal((2, 1000))
+    np.testing.assert_array_equal(used.gen.random(8), ref.gen.random(8))
+
+
+def test_lognormal_fast_path_matches_generic_ratio_draws(monkeypatch):
+    # Scaled(., 1.0) keeps the law of a22 but routes the study through the
+    # three-draw sampler
+    model = builtin_model("distinct_diag_equal_index")
+    generic = dataclasses.replace(model, a22=Scaled(model.a22, 1.0))
+    fast = t.coupling_sum_moments(model, 2.0, [30], 100_000, t.RngStream(42))
+    slow = t.coupling_sum_moments(generic, 2.0, [30], 100_000, t.RngStream(42))
+    assert fast.mode == slow.mode == "telescoped"
+    for key in ("absolute", "plus"):
+        a, b = getattr(fast.final(), key), getattr(slow.final(), key)
+        assert a.value != b.value
+        assert abs(a.value - b.value) <= 4 * combined_se(a, b)
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TRISRE_WORKERS", workers)
+        study = t.coupling_sum_moments(model, 2.0, [30], 100_000,
+                                       t.RngStream(42))
+        runs.append(study.final().to_dict())
+    assert runs[0] == runs[1] == fast.final().to_dict()
