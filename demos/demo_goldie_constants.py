@@ -8,6 +8,8 @@ partial sums X_n of the perpetuity series.
 The naive sample mean of the alpha-moment in route 2 misses the
 exponentially rare paths that carry it, so the estimator accumulates
 per-step moment increments instead; this demo shows all three numbers.
+At alpha = 2 the variance of route 1 diverges (logarithmically), which is
+why predict uses route 2 for the second coordinate's constant.
 """
 import numpy as np
 
@@ -18,8 +20,17 @@ a_law, b_law = Lognormal(-1, 1), Constant(1.0)
 alpha, rho = 2.0, 1.0
 rng = t.RngStream(99)
 
-cp, cm = t.goldie_constant_direct_for_laws(a_law, b_law, alpha, rho,
-                                           300_000, rng.substream(1))
+
+def sampler(m, r):
+    # x stationary (truncated series), (a, b) one fresh independent step
+    x = t.sample_perpetuity_batch(a_law, b_law, 1e-8, m, r.substream(0),
+                                  workers=1)
+    step = r.substream(1)
+    return t.sample(a_law, step, m), t.sample(b_law, step, m), x
+
+
+cp, cm = t.goldie_constant_direct(sampler, alpha, rho, 300_000,
+                                  rng.substream(1), a_signed=False)
 print(f"direct formula:      c+ = {cp.value:.4f} +- {cp.se:.4f}")
 
 res = t.goldie_constant_perpetuity(a_law, b_law, alpha, rho, 400,

@@ -34,9 +34,8 @@ from .stationary import (StationaryBatch, iterate_forward,
                          sample_perpetuity_batch, sample_stationary_batch,
                          truncation_depth, univariate_model)
 from .tails import (EmpiricalTail, ccdf, default_log_grid,
-                    goldie_constant_direct, goldie_constant_direct_for_laws,
-                    goldie_constant_perpetuity, grey_constants, hill,
-                    log_factor_regression)
+                    goldie_constant_direct, goldie_constant_perpetuity,
+                    grey_constants, hill, log_factor_regression)
 from .tilting import (CouplingRate, PartialSumStudy, SnapshotMoments,
                       TiltedCoupling, clt_constant, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,

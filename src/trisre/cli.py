@@ -32,7 +32,7 @@ def _resolve_config(name_or_path: str,
     if path.exists():
         try:
             return load_config(path)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             parser.error(f"invalid config {name_or_path}: "
                          f"{type(exc).__name__}: {exc}")
     for config in builtin_scenarios(quick=True):

@@ -31,12 +31,20 @@ from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
 from .rng import RngStream
 from .stationary import sample_stationary_batch
 from .tails import (EmpiricalTail, ccdf, default_log_grid,
-                    goldie_constant_direct, goldie_constant_direct_for_laws,
-                    hill, log_factor_regression)
+                    goldie_constant_direct, goldie_constant_perpetuity, hill,
+                    log_factor_regression)
 from .tilting import (clt_constant, estimate_coupling_rate,
                       estimate_coupling_weight, tilted_offdiag_moments)
 
 SCHEMA_VERSION = 1
+
+# Horizon n of the perpetuity scan behind the second coordinate's Goldie
+# constant. Its late-window growth over (n/2, n] approaches the limit
+# geometrically: by the exact alpha = 2 moment recursion for A = LN(-1, 1),
+# B = 1, the bias is -0.13% at n = 20, -0.04% at n = 24 and -0.007% at
+# n = 30, against a Monte Carlo SE of about 0.3% at 200k samples; the
+# scan's cost grows linearly in n.
+_GOLDIE_HORIZON = 24
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +64,9 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.n_samples <= 0 or self.constant_samples <= 0:
-            raise ValueError("sample counts must be positive")
+        if self.n_samples < 3 or self.constant_samples <= 0:
+            raise ValueError("sample counts must be positive, with n_samples "
+                             ">= 3 for the Hill fit (k = 2 < n)")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
         if self.mn_horizon <= 0 or self.weight_horizon <= 0:
@@ -74,6 +83,9 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, not "
+                             f"{type(d).__name__}")
         schema = d.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {schema!r}")
@@ -151,6 +163,16 @@ def _scale_estimate(c, factor: float):
     return float(c) * factor
 
 
+def _coord2_goldie(model: TriangularSRE, report: RegimeReport, N: int,
+                   rng: RngStream) -> tuple[EstimateWithError, EstimateWithError]:
+    """Kesten-Goldie constants (c+, c-) of the second coordinate's scalar
+    recursion W2 = a22 W2' + b2, from the perpetuity scan."""
+    c = goldie_constant_perpetuity(mod.diag_laws(model)[1], model.b2,
+                                   report.alpha2, report.rho2,
+                                   _GOLDIE_HORIZON, N, rng)
+    return c.c_plus, c.c_minus
+
+
 def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             constant_samples: int = 200_000, mn_horizon: int = 400,
             weight_horizon: int = 50, tol: float = 1e-8,
@@ -199,9 +221,9 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                                     ell_scale=b1.scale ** alpha1)
 
     if case == CASE_COORD2_KG:
-        alpha2, rho2 = report.alpha2, report.rho2
-        c2p, c2m = goldie_constant_direct_for_laws(
-            d2, model.b2, alpha2, rho2, constant_samples, rng.substream(2), tol)
+        alpha2 = report.alpha2
+        c2p, c2m = _coord2_goldie(model, report, constant_samples,
+                                  rng.substream(2))
         study = estimate_coupling_weight(model, alpha2, weight_horizon,
                                          constant_samples, rng.substream(3))
         snap = study.final()
@@ -258,9 +280,8 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
 
     if case in (CASE_EQUAL_DIAG_ZERO_DRIFT, CASE_EQUAL_DIAG_NONZERO_DRIFT):
         alpha, rho1 = report.alpha1, report.rho1
-        c2p, c2m = goldie_constant_direct_for_laws(
-            d2, model.b2, report.alpha2, report.rho2, constant_samples,
-            rng.substream(5), tol)
+        c2p, c2m = _coord2_goldie(model, report, constant_samples,
+                                  rng.substream(5))
         if case == CASE_EQUAL_DIAG_ZERO_DRIFT:
             cc = clt_constant(model, alpha, rng=rng.substream(6))
             c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
@@ -279,9 +300,8 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
 
     if case == CASE_DISTINCT_DIAG_EQUAL_INDEX:
         alpha, rho1 = report.alpha1, report.rho1
-        c2p, c2m = goldie_constant_direct_for_laws(
-            d2, model.b2, report.alpha2, report.rho2, constant_samples,
-            rng.substream(7), tol)
+        c2p, c2m = _coord2_goldie(model, report, constant_samples,
+                                  rng.substream(7))
         rate = estimate_coupling_rate(model, alpha, mn_horizon,
                                       constant_samples, rng.substream(8))
         crp, crm = rate.rate_windowed.plus, rate.rate_windowed.minus

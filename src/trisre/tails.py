@@ -3,7 +3,9 @@
 Covers the survival function, the Hill estimator, the regression that
 extracts a log-power slowly varying factor, and two independent routes to
 the tail constant of a scalar recursion X = A X' + B: the implicit-renewal
-(one-step difference) formula and the perpetuity partial-sum limit.
+(one-step difference) formula, which takes a stationary sampler and whose
+variance is finite only for alpha < 2, and the perpetuity partial-sum
+limit, which needs only the step law and has finite variance.
 """
 from __future__ import annotations
 
@@ -15,12 +17,12 @@ import numpy as np
 from . import distributions as dist
 from .distributions import Dist
 from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
-                     NonPositiveOrderStat, RegimeMismatch)
+                     NonPositiveOrderStat)
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .rng import CHUNK, RngStream, map_chunks
-from .stationary import _law_pair_sampler, sample_perpetuity_batch
-from .tilting import (_CRITICAL_BAND, SnapshotMoments, _scaled_snapshot,
-                      _study_from_pairs)
+from .stationary import _law_pair_sampler
+from .tilting import (SnapshotMoments, _critical_contraction,
+                      _scaled_snapshot, _study_from_pairs)
 
 
 @dataclass
@@ -141,7 +143,14 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     draw and (a, b) one fresh step, with b built from the same stationary
     draw wherever the additive term depends on it. For a multiplier that
     can be negative the two constants coincide and come from the absolute
-    version (halved)."""
+    version (halved).
+
+    Since |ax + b|^alpha - |ax|^alpha ~ alpha |ax|^{alpha-1} b for large x,
+    the summand has finite variance only if E|x|^{2 alpha - 2} < inf, that
+    is alpha < 2; at alpha = 2 the divergence is logarithmic and the SE is
+    not reliable. Where (a, b) do not depend on the path,
+    goldie_constant_perpetuity estimates the same constants with finite
+    variance."""
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
 
@@ -162,23 +171,6 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     seed = rng.describe()
     c_plus, c_minus = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
     return c_plus.estimate(seed), c_minus.estimate(seed)
-
-
-def goldie_constant_direct_for_laws(a_law: Dist, b_law: Dist, alpha: float,
-                                    rho: float, N: int, rng: RngStream,
-                                    tol: float = 1e-8
-                                    ) -> tuple[EstimateWithError, EstimateWithError]:
-    """Direct formula with independent (A, B) laws; the stationary input
-    is sampled by the truncated backward series."""
-
-    def sampler(m, r):
-        x = sample_perpetuity_batch(a_law, b_law, tol, m, r.substream(0),
-                                    workers=1)
-        step = r.substream(1)
-        return dist.sample(a_law, step, m), dist.sample(b_law, step, m), x
-
-    return goldie_constant_direct(sampler, alpha, rho, N, rng,
-                                  a_signed=dist.prob_negative(a_law) > 0)
 
 
 @dataclass(frozen=True)
@@ -218,19 +210,16 @@ def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
             raise ValueError("give laws or a pair_sampler")
         pair_sampler = _law_pair_sampler(a_law, b_law)
 
-    if a_law is not None:
-        lam = dist.abs_moment(a_law, alpha)
-        if gamma is None:
-            gamma = (dist.signed_moment(a_law, alpha, "plus")
-                     - dist.signed_moment(a_law, alpha, "minus"))
-    else:
-        lam = 1.0
-        if gamma is None:
-            raise ValueError("gamma required when only a sampler is given")
-    if lam > 1.0 + _CRITICAL_BAND:
-        raise RegimeMismatch(f"E|A|^alpha = {lam:.6g} > 1: moments explode")
-    if lam > 1.0 - _CRITICAL_BAND:
-        lam = 1.0
+    if a_law is None and gamma is None:
+        raise ValueError("gamma required when only a sampler is given")
+    lam = _critical_contraction(
+        1.0 if a_law is None else dist.abs_moment(a_law, alpha), "E|A|^alpha")
+    if gamma is None:
+        # E[sgn(A)|A|^alpha] = E|A|^alpha for A >= 0: the snapped moment
+        # keeps c_minus exactly 0 when B >= 0 as well
+        gamma = (lam if dist.prob_negative(a_law) == 0 else
+                 dist.signed_moment(a_law, alpha, "plus")
+                 - dist.signed_moment(a_law, alpha, "minus"))
     half = n // 2
     study = _study_from_pairs(pair_sampler, alpha, [half, n], N, rng, lam,
                               step_moment=1.0, gamma=gamma)

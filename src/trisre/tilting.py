@@ -330,6 +330,18 @@ def _ratio_sign_moment(model: TriangularSRE, alpha: float) -> float:
     return s11 * sgn22 / dist.abs_moment(d2, alpha)
 
 
+def _critical_contraction(moment: float, what: str) -> float:
+    """Contraction of a moment scan whose step moment is E|V|^alpha: the
+    moment itself below the critical band, exactly 1 within it (the
+    telescoped scan). Above the band the alpha-moment of the partial sums
+    grows exponentially and no Monte Carlo estimator concentrates."""
+    if moment > 1.0 + _CRITICAL_BAND:
+        raise RegimeMismatch(
+            f"{what} {moment:.6g} exceeds 1: the partial-sum moment grows "
+            "exponentially and has no Monte Carlo estimator here")
+    return 1.0 if moment > 1.0 - _CRITICAL_BAND else moment
+
+
 def coupling_sum_moments(model: TriangularSRE, alpha: float,
                          horizons: list[int], N: int,
                          rng: RngStream) -> PartialSumStudy:
@@ -350,21 +362,16 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
         raise RegimeMismatch("ratio representation needs a second diagonal "
                              "with no atom at zero")
     tc = tilted_coupling(model, "second", alpha)
-    lam = tc.step_moment
-    m_ratio = _ratio_moment(model, alpha)
-    if m_ratio > 1.0 + _CRITICAL_BAND:
-        raise RegimeMismatch(
-            f"reweighted ratio moment {m_ratio:.6g} exceeds 1: the cross-sum "
-            "moment grows exponentially and has no Monte Carlo estimator here")
-    critical = m_ratio > 1.0 - _CRITICAL_BAND
+    contraction = _critical_contraction(_ratio_moment(model, alpha),
+                                        "reweighted ratio moment")
     if tc.mode != "exact_tilt":
-        if critical:
+        if contraction == 1.0:
             raise RequiresExactTilt(
                 "critical-index moment studies need an exactly tiltable "
                 "diagonal law")
         return _weighted_cross_moments(model, alpha, horizons, N, rng)
     return _study_from_pairs(_vu_sampler(tc), alpha, horizons, N, rng,
-                             1.0 if critical else m_ratio, lam,
+                             contraction, tc.step_moment,
                              _ratio_sign_moment(model, alpha))
 
 
@@ -462,7 +469,7 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
     if n < 2:
         raise ValueError("n must be >= 2")
     m_ratio = _ratio_moment(model, alpha)
-    if abs(m_ratio - 1.0) > _CRITICAL_BAND:
+    if _critical_contraction(m_ratio, "reweighted ratio moment") != 1.0:
         raise RegimeMismatch(
             "per-step rate is defined at the critical index "
             f"(reweighted ratio moment {m_ratio:.6g} != 1)")

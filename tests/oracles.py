@@ -10,7 +10,9 @@ from trisre.estimates import EstimateWithError
 from trisre.model import TriangularSRE, draw_innovations
 from trisre.rng import CHUNK, RngStream, map_chunks
 from trisre.stationary import (_first_depth, _perpetuity_sums,
-                               contraction_exponent, univariate_model)
+                               contraction_exponent, sample_perpetuity_batch,
+                               univariate_model)
+from trisre.tails import goldie_constant_direct
 
 _EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
 
@@ -62,6 +64,24 @@ def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
     b_eps = float(np.mean(np.abs(b_probe) ** eps)) * 10.0
     depth = _first_depth(lambda k: q ** k / (1.0 - q) * b_eps, tol ** eps)
     return _perpetuity_sums(pair_sampler, depth, m, rng.substream(1))
+
+
+def goldie_constant_direct_for_laws(a_law: dist.Dist, b_law: dist.Dist,
+                                    alpha: float, rho: float, N: int,
+                                    rng: RngStream, tol: float = 1e-8
+                                    ) -> tuple[EstimateWithError, EstimateWithError]:
+    """Direct formula with independent (A, B) laws; the stationary input
+    is sampled by the truncated backward series. Reference for the
+    perpetuity scan: at alpha = 2 its variance diverges logarithmically."""
+
+    def sampler(m, r):
+        x = sample_perpetuity_batch(a_law, b_law, tol, m, r.substream(0),
+                                    workers=1)
+        step = r.substream(1)
+        return dist.sample(a_law, step, m), dist.sample(b_law, step, m), x
+
+    return goldie_constant_direct(sampler, alpha, rho, N, rng,
+                                  a_signed=dist.prob_negative(a_law) > 0)
 
 
 def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:

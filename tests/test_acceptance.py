@@ -17,7 +17,8 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries, Lognormal,
 from trisre.cli import main as cli_main
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
 
-from oracles import combined_se, sample_pair_perpetuity_batch
+from oracles import (combined_se, goldie_constant_direct_for_laws,
+                     sample_pair_perpetuity_batch)
 
 
 def _report(line: str) -> None:
@@ -72,7 +73,7 @@ def test_c03_goldie_cross_validation():
     results = []
 
     # positive multiplier
-    cp_d, _ = t.goldie_constant_direct_for_laws(
+    cp_d, _ = goldie_constant_direct_for_laws(
         Lognormal(-1, 1), Constant(1.0), 2.0, 1.0, N, t.RngStream(30_100))
     perp = t.goldie_constant_perpetuity(Lognormal(-1, 1), Constant(1.0),
                                         2.0, 1.0, n, N, t.RngStream(30_200))
@@ -80,7 +81,7 @@ def test_c03_goldie_cross_validation():
 
     # signed multiplier: constants coincide; compare the shared value
     a_law = SignedLognormal(-1, 1, 0.7)
-    cp_d, cm_d = t.goldie_constant_direct_for_laws(
+    cp_d, cm_d = goldie_constant_direct_for_laws(
         a_law, Constant(1.0), 2.0, 1.0, N, t.RngStream(30_300))
     assert cp_d.value == cm_d.value
     perp = t.goldie_constant_perpetuity(a_law, Constant(1.0), 2.0, 1.0,
@@ -151,8 +152,8 @@ def test_c05_distinct_indices_second_dominant():
 
     # predicted inherited constant vs grid-averaged empirical tail weight
     c2p, c2m = [], []
-    c2p, c2m = t.goldie_constant_direct_for_laws(model.a22, model.b2, 2.0, 1.0,
-                                                 400_000, rng.substream(2))
+    c2p, c2m = goldie_constant_direct_for_laws(model.a22, model.b2, 2.0, 1.0,
+                                               400_000, rng.substream(2))
     study = t.estimate_coupling_weight(model, 2.0, 60, 400_000,
                                        rng.substream(3))
     snap = study.final()

@@ -18,6 +18,8 @@ from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
                               builtin_scenarios, emit_report, load_config,
                               predict, run_scenario)
 
+from oracles import goldie_constant_direct_for_laws
+
 
 def test_predict_rejects_degenerate_offdiagonal():
     m = IndependentEntries(a11=Lognormal(-1, 1), a12=Constant(0.0),
@@ -90,11 +92,22 @@ def test_predict_sign_dispatch_consistency():
     # and each equals half of the absolute-route total within MC error
     study = t.estimate_coupling_weight(m, 2.0, 40, 100_000, rng.substream(50))
     w_abs = study.final().absolute
-    c2p, c2m = t.goldie_constant_direct_for_laws(m.a22, m.b2, 2.0, 1.0, 100_000,
-                                                 rng.substream(51))
+    c2p, c2m = goldie_constant_direct_for_laws(m.a22, m.b2, 2.0, 1.0, 100_000,
+                                               rng.substream(51))
     absolute_route = (c2p.value + c2m.value) * w_abs.value / 2.0
     assert abs(cp.value - absolute_route) <= \
         4 * math.hypot(cp.se, c2p.se * w_abs.value, w_abs.se * c2p.value)
+
+
+def test_predict_equal_diag_drift_constant_matches_closed_form():
+    # c+ = |mu|^alpha rho1^{-alpha} c2+ with mu = 0.5, rho1 = 1 and the
+    # alpha = 2 Goldie constant of W2 = a22 W2' + 1, a22 = LN(-1, 1):
+    # 2.041494 * 0.5^2
+    config, = [c for c in builtin_scenarios(quick=True)
+               if c.name == "equal_diag_nonzero_drift"]
+    pred = predict(config.model, rng=t.RngStream(14))
+    assert abs(pred.c_plus.value - 0.510374) <= 4 * pred.c_plus.se
+    assert pred.c_minus.value == 0.0
 
 
 def test_predict_coord1_couples_x_with_second_coordinate():
@@ -228,7 +241,7 @@ def test_cli_run_and_classify(tmp_path, capsys):
     assert (tmp_path / "out" / "smoke.csv").exists()
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("samples", ["0", "-5", "1", "2"])
 def test_cli_run_rejects_nonpositive_samples_as_usage_error(tmp_path, capsys,
                                                             samples):
     with pytest.raises(SystemExit) as exc:
@@ -245,9 +258,13 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, command):
     d["n_samples"] = 0
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(d))
-    for arg, message in ((str(p), "sample counts must be positive"),
-                         (str(tmp_path / "missing.json"),
-                          "config file not found")):
+    cases = [(str(p), "sample counts must be positive"),
+             (str(tmp_path / "missing.json"), "config file not found"),
+             (str(tmp_path), "invalid config")]
+    for name, text in (("list.json", "[1, 2]"), ("null.json", "null")):
+        (tmp_path / name).write_text(text)
+        cases.append((str(tmp_path / name), "config must be a JSON object"))
+    for arg, message in cases:
         with pytest.raises(SystemExit) as exc:
             cli_main([command, arg])
         assert exc.value.code == 2

@@ -8,9 +8,10 @@ import trisre as t
 from trisre import Constant, Lognormal, SignedLognormal
 from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
+from trisre.scenarios import _GOLDIE_HORIZON
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
 
-from oracles import combined_se
+from oracles import combined_se, goldie_constant_direct_for_laws
 
 
 def test_ccdf_examples():
@@ -114,14 +115,14 @@ def test_log_factor_regression_insufficient_support():
 
 
 def test_goldie_direct_zero_noise_gives_zero():
-    cp, cm = t.goldie_constant_direct_for_laws(
+    cp, cm = goldie_constant_direct_for_laws(
         Lognormal(-1, 1), Constant(0.0), 2.0, 1.0, 10_000, t.RngStream(4))
     assert cp.value == 0.0
     assert cm.value == 0.0
 
 
 def test_goldie_direct_signed_case_returns_equal_constants():
-    cp, cm = t.goldie_constant_direct_for_laws(
+    cp, cm = goldie_constant_direct_for_laws(
         SignedLognormal(-1, 1, 0.5), Constant(1.0), 2.0, 1.0, 50_000,
         t.RngStream(5))
     assert cp.value == cm.value
@@ -134,7 +135,7 @@ def test_goldie_direct_matches_exact_constant_alpha_two():
     # E X = E B/(1 - E A); closed form.
     ea = math.exp(-0.5)
     exact = ea / (1 - ea) + 0.5
-    cp, cm = t.goldie_constant_direct_for_laws(
+    cp, cm = goldie_constant_direct_for_laws(
         Lognormal(-1, 1), Constant(1.0), 2.0, 1.0, 400_000, t.RngStream(6))
     assert abs(cp.value - exact) <= 4 * cp.se
     assert cm.value == 0.0
@@ -159,6 +160,23 @@ def test_goldie_perpetuity_zero_multiplier_sanity():
     assert res.rate_at_n.minus.value == 0.0
 
 
+@pytest.mark.parametrize("a_law", [Lognormal(-1, 1),
+                                   Lognormal(-2, math.sqrt(2.0))])
+def test_goldie_perpetuity_at_predict_horizon_matches_exact_constant(a_law):
+    # the route predict takes for the second coordinate's constant; with
+    # B = 1 and alpha = 2, c+ = (E[A] E[X] + 1/2) / rho as in the direct
+    # test above: 2.041494 for LN(-1, 1) (rho = 1) and 0.540988 for
+    # LN(-2, sqrt 2) (rho = 2)
+    rho = t.abs_moment_derivative(a_law, 2.0)
+    ea = t.mean(a_law)
+    exact = (ea / (1 - ea) + 0.5) / rho
+    res = t.goldie_constant_perpetuity(a_law, Constant(1.0), 2.0, rho,
+                                       _GOLDIE_HORIZON, 400_000,
+                                       t.RngStream(13))
+    assert abs(res.c_plus.value - exact) <= 4 * res.c_plus.se
+    assert res.c_minus.value == 0.0
+
+
 def test_goldie_perpetuity_symmetric_noise_balances_signs():
     res = t.goldie_constant_perpetuity(
         Lognormal(-1, 1), SignedLognormal(0, 0.5, 0.5), 2.0, 1.0, 100,
@@ -170,8 +188,8 @@ def test_goldie_perpetuity_symmetric_noise_balances_signs():
 def test_goldie_cross_estimator_consistency():
     # the two independent routes to the same constant must agree
     a_law, b_law = Lognormal(-1, 1), Constant(1.0)
-    cp_d, _ = t.goldie_constant_direct_for_laws(a_law, b_law, 2.0, 1.0,
-                                                200_000, t.RngStream(10))
+    cp_d, _ = goldie_constant_direct_for_laws(a_law, b_law, 2.0, 1.0,
+                                              200_000, t.RngStream(10))
     res = t.goldie_constant_perpetuity(a_law, b_law, 2.0, 1.0, 400,
                                        200_000, t.RngStream(11))
     assert abs(cp_d.value - res.c_plus.value) <= \
@@ -179,7 +197,7 @@ def test_goldie_cross_estimator_consistency():
 
 
 def test_goldie_positivity_of_summed_constants():
-    cp, cm = t.goldie_constant_direct_for_laws(
+    cp, cm = goldie_constant_direct_for_laws(
         SignedLognormal(-1, 1, 0.7), Constant(1.0), 2.0, 1.0, 200_000,
         t.RngStream(12))
     total = cp.value + cm.value
