@@ -19,7 +19,8 @@ import numpy as np
 
 from . import distributions as dist
 from . import model as mod
-from .errors import InsufficientSupport, TrisreError, UnsupportedRegime
+from .errors import (InsufficientSupport, RegimeMismatch, TrisreError,
+                     UnsupportedRegime)
 from .estimates import EstimateWithError
 from .model import (EqualDiagonal, IndependentEntries, IndependentOffDiagonal,
                     ProportionalToDiagonal, TriangularSRE, model_from_dict,
@@ -39,12 +40,15 @@ from .tilting import (clt_constant, estimate_coupling_rate,
 SCHEMA_VERSION = 1
 
 # Horizon n of the perpetuity scan behind the second coordinate's Goldie
-# constant. Its late-window growth over (n/2, n] approaches the limit
-# geometrically: by the exact alpha = 2 moment recursion for A = LN(-1, 1),
-# B = 1, the bias is -0.13% at n = 20, -0.04% at n = 24 and -0.007% at
-# n = 30, against a Monte Carlo SE of about 0.3% at 200k samples; the
-# scan's cost grows linearly in n.
+# constant: the smallest even n >= _GOLDIE_HORIZON whose late-window bias
+# bound is below _GOLDIE_BIAS (see _goldie_horizon), at most
+# _GOLDIE_MAX_HORIZON; the scan's cost grows linearly in n. The floor is
+# the horizon for both built-in a22 laws: for A = LN(-1, 1), B = 1 the
+# bias is -0.13% at n = 20, -0.04% at n = 24 and -0.007% at n = 30,
+# against a Monte Carlo SE of about 0.3% at 200k samples.
 _GOLDIE_HORIZON = 24
+_GOLDIE_BIAS = 1e-3
+_GOLDIE_MAX_HORIZON = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +167,47 @@ def _scale_estimate(c, factor: float):
     return float(c) * factor
 
 
+def _window_bias(r: float, n: int) -> float:
+    """Relative bias of the late-window growth over (n/2, n] when the
+    per-step growth d_k approaches its limit d as r^k. At alpha = 2 the
+    exact moment recursion gives d_k - d = -2 E[B]^2 E[A]^k / (1 - E[A]),
+    so with r = E[A] this is the bias for constant B and a bound for any
+    other B."""
+    h = n // 2
+    return (2.0 * r ** (h + 1) * (1.0 - r ** (n - h))
+            / ((1.0 - r * r) * (n - h)))
+
+
+def _goldie_horizon(a_law, alpha: float) -> int:
+    """Horizon of the perpetuity scan for X = A X' + B at the critical
+    index alpha of A.
+
+    The growth d_k = E[g(X_{k-1})], g(x) = E|Ax + B|^alpha - |Ax|^alpha,
+    reaches its limit as fast as X_{k-1} couples with X: at the rate
+    E|A|^s when g is s-Hoelder. For alpha <= 2 any s in [alpha - 1, 1]
+    will do and s = alpha / 2 lies there (s = 1, the exact rate E[A], at
+    alpha = 2); for alpha > 2 the bound mixes the exponents 1 and
+    alpha - 1. Both rates are below 1 strictly inside (0, alpha)."""
+    exps = (alpha / 2.0,) if alpha <= 2.0 else (1.0, alpha - 1.0)
+    r = max(dist.abs_moment(a_law, s) for s in exps)
+    n = _GOLDIE_HORIZON
+    while r >= 1.0 or _window_bias(r, n) > _GOLDIE_BIAS:
+        if r >= 1.0 or n >= _GOLDIE_MAX_HORIZON:
+            raise RegimeMismatch(
+                f"the perpetuity scan contracts at {r:.6g} per step: a "
+                f"late-window bias below {_GOLDIE_BIAS:g} needs a horizon "
+                f"beyond {_GOLDIE_MAX_HORIZON}")
+        n += 2
+    return n
+
+
 def _coord2_goldie(model: TriangularSRE, report: RegimeReport, N: int,
                    rng: RngStream) -> tuple[EstimateWithError, EstimateWithError]:
     """Kesten-Goldie constants (c+, c-) of the second coordinate's scalar
     recursion W2 = a22 W2' + b2, from the perpetuity scan."""
-    c = goldie_constant_perpetuity(mod.diag_laws(model)[1], model.b2,
-                                   report.alpha2, report.rho2,
-                                   _GOLDIE_HORIZON, N, rng)
+    a22 = mod.diag_laws(model)[1]
+    c = goldie_constant_perpetuity(a22, model.b2, report.alpha2, report.rho2,
+                                   _goldie_horizon(a22, report.alpha2), N, rng)
     return c.c_plus, c.c_minus
 
 

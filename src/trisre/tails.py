@@ -21,8 +21,8 @@ from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .rng import CHUNK, RngStream, map_chunks
 from .stationary import _law_pair_sampler
-from .tilting import (SnapshotMoments, _critical_contraction,
-                      _scaled_snapshot, _study_from_pairs)
+from .tilting import (SnapshotMoments, _scaled_snapshot, _scan_factors,
+                      _study_from_pairs)
 
 
 @dataclass
@@ -210,16 +210,18 @@ def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
             raise ValueError("give laws or a pair_sampler")
         pair_sampler = _law_pair_sampler(a_law, b_law)
 
-    if a_law is None and gamma is None:
-        raise ValueError("gamma required when only a sampler is given")
-    lam = _critical_contraction(
-        1.0 if a_law is None else dist.abs_moment(a_law, alpha), "E|A|^alpha")
-    if gamma is None:
-        # E[sgn(A)|A|^alpha] = E|A|^alpha for A >= 0: the snapped moment
-        # keeps c_minus exactly 0 when B >= 0 as well
-        gamma = (lam if dist.prob_negative(a_law) == 0 else
-                 dist.signed_moment(a_law, alpha, "plus")
-                 - dist.signed_moment(a_law, alpha, "minus"))
+    if a_law is None:
+        if gamma is None:
+            raise ValueError("gamma required when only a sampler is given")
+        moment = 1.0
+    else:
+        moment = dist.abs_moment(a_law, alpha)
+        if gamma is None:
+            # E[sgn(A)|A|^alpha] is exactly E|A|^alpha for A >= 0
+            gamma = (moment if dist.prob_negative(a_law) == 0 else
+                     dist.signed_moment(a_law, alpha, "plus")
+                     - dist.signed_moment(a_law, alpha, "minus"))
+    lam, gamma = _scan_factors(moment, gamma, "E|A|^alpha")
     half = n // 2
     study = _study_from_pairs(pair_sampler, alpha, [half, n], N, rng, lam,
                               step_moment=1.0, gamma=gamma)

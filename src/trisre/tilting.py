@@ -320,10 +320,13 @@ def _ratio_moment(model: TriangularSRE, alpha: float) -> float:
 
 
 def _ratio_sign_moment(model: TriangularSRE, alpha: float) -> float:
-    """Reweighted E[sgn(V)|V|^alpha]; closed form from the menu."""
+    """Reweighted E[sgn(V)|V|^alpha]; closed form from the menu, and
+    exactly the ratio moment when V >= 0."""
     if isinstance(model, EqualDiagonal):
         return 1.0
     d1, d2 = mod.diag_laws(model)
+    if dist.prob_negative(d1) == 0 and dist.prob_negative(d2) == 0:
+        return _ratio_moment(model, alpha)
     s11 = (dist.signed_moment(d1, alpha, "plus")
            - dist.signed_moment(d1, alpha, "minus"))
     sgn22 = dist.prob_positive(d2) - dist.prob_negative(d2)
@@ -340,6 +343,19 @@ def _critical_contraction(moment: float, what: str) -> float:
             f"{what} {moment:.6g} exceeds 1: the partial-sum moment grows "
             "exponentially and has no Monte Carlo estimator here")
     return 1.0 if moment > 1.0 - _CRITICAL_BAND else moment
+
+
+def _scan_factors(moment: float, sign_moment: float,
+                  what: str) -> tuple[float, float]:
+    """(contraction, gamma) of a moment scan from its step moments
+    E|V|^alpha and E[sgn(V)|V|^alpha]. Within the critical band both are
+    divided by the moment, so the scan telescopes and a sign moment equal
+    to the moment (V >= 0) stays equal to the contraction: the negative
+    part of a positive scan is then exactly 0."""
+    contraction = _critical_contraction(moment, what)
+    if contraction == moment:
+        return contraction, sign_moment
+    return contraction, sign_moment / moment
 
 
 def coupling_sum_moments(model: TriangularSRE, alpha: float,
@@ -362,8 +378,9 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
         raise RegimeMismatch("ratio representation needs a second diagonal "
                              "with no atom at zero")
     tc = tilted_coupling(model, "second", alpha)
-    contraction = _critical_contraction(_ratio_moment(model, alpha),
-                                        "reweighted ratio moment")
+    contraction, gamma = _scan_factors(_ratio_moment(model, alpha),
+                                       _ratio_sign_moment(model, alpha),
+                                       "reweighted ratio moment")
     if tc.mode != "exact_tilt":
         if contraction == 1.0:
             raise RequiresExactTilt(
@@ -371,8 +388,7 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
                 "diagonal law")
         return _weighted_cross_moments(model, alpha, horizons, N, rng)
     return _study_from_pairs(_vu_sampler(tc), alpha, horizons, N, rng,
-                             contraction, tc.step_moment,
-                             _ratio_sign_moment(model, alpha))
+                             contraction, tc.step_moment, gamma)
 
 
 def _weighted_cross_moments(model: TriangularSRE, alpha: float,

@@ -110,6 +110,19 @@ def test_predict_equal_diag_drift_constant_matches_closed_form():
     assert pred.c_minus.value == 0.0
 
 
+def test_predict_goldie_constant_follows_slow_a22_contraction():
+    # as above with d = LN(-0.25, 0.5): rho1 = 1/4, so c+ = 0.5^2 * 16 *
+    # 32.0420 = 128.168. E[d] = 0.8825 makes the perpetuity scan converge
+    # slowly; at the floor horizon 24 it would read 11.5% low
+    m = EqualDiagonal(d=Lognormal(-0.25, 0.5),
+                      a12_mode=ProportionalToDiagonal(Constant(0.5)),
+                      b1=Constant(1.0), b2=Constant(1.0))
+    pred = predict(m, rng=t.RngStream(15))
+    assert pred.source == "equal_diag_nonzero_drift"
+    assert abs(pred.c_plus.value - 128.168) <= 4 * pred.c_plus.se
+    assert pred.c_minus.value == 0.0
+
+
 def test_predict_coord1_couples_x_with_second_coordinate():
     # Goldie's formula needs x = W1' and the W2' inside B = b1 + a12 W2'
     # from one stationary draw. At alpha = 2, rho = 1 and positive entries

@@ -8,7 +8,8 @@ import trisre as t
 from trisre import Constant, Lognormal, SignedLognormal
 from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
-from trisre.scenarios import _GOLDIE_HORIZON
+from trisre.errors import RegimeMismatch
+from trisre.scenarios import _GOLDIE_HORIZON, _goldie_horizon, _window_bias
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
 
 from oracles import combined_se, goldie_constant_direct_for_laws
@@ -161,20 +162,39 @@ def test_goldie_perpetuity_zero_multiplier_sanity():
 
 
 @pytest.mark.parametrize("a_law", [Lognormal(-1, 1),
-                                   Lognormal(-2, math.sqrt(2.0))])
+                                   Lognormal(-2, math.sqrt(2.0)),
+                                   Lognormal(-0.25, 0.5)])
 def test_goldie_perpetuity_at_predict_horizon_matches_exact_constant(a_law):
     # the route predict takes for the second coordinate's constant; with
     # B = 1 and alpha = 2, c+ = (E[A] E[X] + 1/2) / rho as in the direct
-    # test above: 2.041494 for LN(-1, 1) (rho = 1) and 0.540988 for
-    # LN(-2, sqrt 2) (rho = 2)
+    # test above: 2.041494 for LN(-1, 1) (rho = 1), 0.540988 for
+    # LN(-2, sqrt 2) (rho = 2) and 32.0420 for LN(-0.25, 0.5) (rho = 1/4),
+    # whose E[A] = 0.8825 would leave the scan 11.5% low at n = 24
     rho = t.abs_moment_derivative(a_law, 2.0)
     ea = t.mean(a_law)
     exact = (ea / (1 - ea) + 0.5) / rho
     res = t.goldie_constant_perpetuity(a_law, Constant(1.0), 2.0, rho,
-                                       _GOLDIE_HORIZON, 400_000,
+                                       _goldie_horizon(a_law, 2.0), 400_000,
                                        t.RngStream(13))
     assert abs(res.c_plus.value - exact) <= 4 * res.c_plus.se
     assert res.c_minus.value == 0.0
+
+
+def test_goldie_horizon_bounds_the_late_window_bias():
+    # alpha = 2, B = 1: the exact window bias is -2 E[A]^k / (1 + E[A])
+    # averaged over k in (n/2, n]; the built-in a22 laws keep the floor
+    assert _window_bias(math.exp(-0.5), 20) == pytest.approx(1.284e-3,
+                                                             rel=1e-3)
+    assert _window_bias(math.exp(-0.5), 24) == pytest.approx(3.954e-4,
+                                                             rel=1e-3)
+    assert _window_bias(math.exp(-0.125), 24) == pytest.approx(0.1153,
+                                                               rel=1e-3)
+    for a_law in (Lognormal(-1, 1), Lognormal(-2, math.sqrt(2.0))):
+        assert _goldie_horizon(a_law, 2.0) == _GOLDIE_HORIZON
+    assert _goldie_horizon(Lognormal(-0.49, 0.7), 2.0) == 44
+    assert _goldie_horizon(Lognormal(-0.25, 0.5), 2.0) == 84
+    with pytest.raises(RegimeMismatch):
+        _goldie_horizon(Lognormal(-0.005, 0.1), 1.0)
 
 
 def test_goldie_perpetuity_symmetric_noise_balances_signs():
