@@ -456,6 +456,8 @@ def test_lognormal_fast_path_matches_generic_ratio_draws(monkeypatch):
         a, b = getattr(fast.final(), key), getattr(slow.final(), key)
         assert a.value != b.value
         assert abs(a.value - b.value) <= 4 * combined_se(a, b)
+    # V, U > 0: the telescoped scan's negative part is exactly 0
+    assert fast.final().minus.value == slow.final().minus.value == 0.0
     runs = []
     for workers in ("1", "2"):
         monkeypatch.setenv("TRISRE_WORKERS", workers)
