@@ -8,6 +8,8 @@
 
 <config> is a JSON file matching the ScenarioConfig schema, or the name
 of a built-in scenario. TRISRE_WORKERS is the fallback for --workers.
+classify and predict print the regime and prediction blocks that run
+reports for the same config: they draw from the config's seed.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ import sys
 from pathlib import Path
 
 from .errors import TrisreError
-from .regime import classify
 from .rng import default_workers
 from .scenarios import (ScenarioConfig, builtin_scenarios, emit_report,
-                        load_config, predict, run_scenario, run_suite)
+                        load_config, run_scenario, run_suite,
+                        scenario_prediction, scenario_regime)
 
 
 def _resolve_config(name_or_path: str,
@@ -78,18 +80,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "classify":
         config = _resolve_config(args.config, p_classify)
-        report = classify(config.model)
-        _dump(report.to_dict())
+        _dump(scenario_regime(config).to_dict())
         return 0
 
     if args.command == "predict":
         config = _resolve_config(args.config, p_predict)
         try:
-            pred = predict(config.model,
-                           constant_samples=config.constant_samples,
-                           mn_horizon=config.mn_horizon,
-                           weight_horizon=config.weight_horizon,
-                           tol=config.tol)
+            pred = scenario_prediction(config)
         except TrisreError as exc:
             print(f"prediction unavailable: {type(exc).__name__}: {exc}",
                   file=sys.stderr)

@@ -12,13 +12,40 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import LogMomentUndefined, MomentDiverges, TiltUnsupported
 from .rng import RngStream
 
-_QUAD_TOL = 1e-11
 _FD_STEP = 1e-5
+
+
+# Double-exponential rules (Takahasi & Mori 1974) for the Normal
+# integrals: the step in t and where the tanh-sinh and exp-sinh grids end.
+# There the nodes come within ~1e-17 (relative) of 0 and 1 and reach 1e4
+# past 0, where the integrands have long underflowed.
+_DE_STEP = 1.0 / 32.0
+_DE_TANH_SINH_END = 3.2
+_DE_EXP_SINH_ENDS = (-4.0, 2.5)
+_DE_LEFT_SPAN = 40.0  # sd; exp(-s^2 / 2) underflows 38.6 sd from the mode
+
+
+def _double_exponential_nodes():
+    """Nodes and weights of tanh-sinh on (0, 1), x = 1 / (1 + exp(-pi
+    sinh t)), and of exp-sinh on (0, inf), x = exp(pi/2 sinh t)."""
+    step = _DE_STEP
+    k = round(_DE_TANH_SINH_END / step)
+    t = np.arange(-k, k + 1) * step
+    u = 0.5 * math.pi * np.sinh(t)
+    ts_x = 1.0 / (1.0 + np.exp(-2.0 * u))
+    ts_w = step * 0.25 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    lo, hi = (round(end / step) for end in _DE_EXP_SINH_ENDS)
+    t = np.arange(lo, hi + 1) * step
+    es_x = np.exp(0.5 * math.pi * np.sinh(t))
+    es_w = step * 0.5 * math.pi * np.cosh(t) * es_x
+    return ts_x, ts_w, es_x, es_w
+
+
+_TS_X, _TS_W, _ES_X, _ES_W = _double_exponential_nodes()
 
 
 @dataclass(frozen=True)
@@ -147,14 +174,33 @@ def abs_normal_moment(alpha: float) -> float:
     return _half_normal_moment(alpha)
 
 
-def _normal_positive_part_moment(mean: float, sd: float, beta: float) -> float:
-    # E[(X^+)^beta] for X ~ N(mean, sd^2), via quadrature on (0, inf).
-    def f(x):
-        return x ** beta * math.exp(-0.5 * ((x - mean) / sd) ** 2)
+def _normal_rule(m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights w with sum(w f(s)) ~ int_0^inf f(s) ds, for f
+    a standard normal density centred at m times a factor that may have
+    a log or power singularity at 0.
 
-    val, _ = integrate.quad(f, 0.0, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                            limit=200)
-    return val / (sd * math.sqrt(2.0 * math.pi))
+    The range splits at the mode c = max(m, 0): tanh-sinh on (a, c) with
+    a = max(c - _DE_LEFT_SPAN, 0), exp-sinh on (c, inf). Below a the
+    density has underflowed. Both rules cluster their nodes at 0 as
+    distances, so no cancellation spoils log s there.
+    """
+    c = max(m, 0.0)
+    a = max(c - _DE_LEFT_SPAN, 0.0)
+    if c * _TS_X[0] == 0.0:
+        # below c ~ 1e-307 the tanh-sinh nodes underflow to 0, where log s
+        # is -inf, and (0, c) carries nothing
+        return _ES_X, _ES_W
+    return (np.concatenate([a + (c - a) * _TS_X, c + _ES_X]),
+            np.concatenate([(c - a) * _TS_W, _ES_W]))
+
+
+def _normal_positive_part_moment(mean: float, sd: float, beta: float) -> float:
+    # E[(X^+)^beta] for X ~ N(mean, sd^2), in units of sd; the integrand
+    # exp(beta log(sd s) - (s - m)^2 / 2) is formed in log space
+    m = mean / sd
+    s, w = _normal_rule(m)
+    f = np.exp(beta * (math.log(sd) + np.log(s)) - 0.5 * (s - m) ** 2)
+    return float(np.dot(w, f)) / math.sqrt(2.0 * math.pi)
 
 
 def _uniform_abs_antideriv(x: float, beta: float) -> float:
@@ -250,15 +296,12 @@ def log_abs_moment(spec: Dist) -> float:
             raise LogMomentUndefined("log|X| undefined for the point mass at 0")
         return math.log(abs(spec.c))
     if isinstance(spec, Normal):
-        def f(x):
-            s = spec.sd
-            dens = (math.exp(-0.5 * ((x - spec.mean) / s) ** 2)
-                    + math.exp(-0.5 * ((x + spec.mean) / s) ** 2))
-            return math.log(x) * dens / (s * math.sqrt(2.0 * math.pi))
-
-        val, _ = integrate.quad(f, 0.0, np.inf, epsabs=_QUAD_TOL,
-                                epsrel=_QUAD_TOL, limit=200)
-        return val
+        # log sd + E log|S| with S ~ N(|mean| / sd, 1), folded onto (0, inf)
+        m = abs(spec.mean) / spec.sd
+        s, w = _normal_rule(m)
+        dens = np.exp(-0.5 * (s - m) ** 2) + np.exp(-0.5 * (s + m) ** 2)
+        return (math.log(spec.sd)
+                + float(np.dot(w, np.log(s) * dens)) / math.sqrt(2.0 * math.pi))
     if isinstance(spec, (Lognormal, SignedLognormal)):
         return spec.mu
     if isinstance(spec, TwoSidedPareto):

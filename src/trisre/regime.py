@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import distributions as dist
 from . import model as mod
@@ -22,6 +21,8 @@ from .model import EqualDiagonal, IndependentEntries, ProportionalToDiagonal, Tr
 from .rng import CHUNK, RngStream, map_chunks
 
 _INDEX_TOL = 1e-10
+_INDEX_RTOL = 8.9e-16  # 4 machine epsilons, the smallest relative tolerance
+_BRENT_MAXITER = 100
 _ALPHA_MATCH = 1e-7
 
 
@@ -64,8 +65,69 @@ def solve_tail_index(spec: Dist) -> float:
         lo = beta
     if hi is None:
         raise NoRoot("E|A|^beta stays below 1 on the searchable range")
-    root = optimize.brentq(g, lo, hi, xtol=_INDEX_TOL, rtol=8.9e-16)
-    return float(root)
+    return _brentq(g, lo, hi, _INDEX_TOL, _INDEX_RTOL)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method (Brent 1973,
+    ch. 4): inverse quadratic or secant steps, with bisection whenever a
+    step would not shrink the bracket fast enough.
+
+    A step-for-step port of the classic C routine `brentq.c`, so the
+    roots agree bit for bit, with its stopping rule: stop once half the
+    bracket is below (xtol + rtol |x|) / 2, and return an endpoint at
+    which f is exactly 0.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        stry = math.nan  # no trial step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass  # IEEE division gives +-inf or nan, and C bisects
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoRoot(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
 def lyapunov_estimate(model: TriangularSRE, n: int, reps: int,

@@ -11,6 +11,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; load it with trisre, not
+# inside the first draw of a run
+import numpy.random  # noqa: F401
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1

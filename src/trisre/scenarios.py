@@ -423,20 +423,35 @@ def _hill_block(samples: np.ndarray, name: str) -> dict:
     return out
 
 
+def scenario_regime(config: ScenarioConfig) -> RegimeReport:
+    """The regime report of run_scenario(config): substream 1 of the
+    config's seed."""
+    return classify(config.model, RngStream(config.seed).substream(1))
+
+
+def scenario_prediction(config: ScenarioConfig,
+                        regime: RegimeReport | None = None) -> AsymptoticPrediction:
+    """The prediction of run_scenario(config): substream 2 of the config's
+    seed, at the config's estimator sizes."""
+    if regime is None:
+        regime = scenario_regime(config)
+    return predict(config.model, report=regime,
+                   constant_samples=config.constant_samples,
+                   mn_horizon=config.mn_horizon,
+                   weight_horizon=config.weight_horizon,
+                   tol=config.tol, rng=RngStream(config.seed).substream(2))
+
+
 def run_scenario(config: ScenarioConfig, workers: int | None = None) -> ScenarioReport:
     t0 = time.time()
     rng = RngStream(config.seed)
     notes: list[str] = []
-    regime = classify(config.model, rng.substream(1))
+    regime = scenario_regime(config)
 
     prediction = None
     prediction_error = None
     try:
-        prediction = predict(config.model, report=regime,
-                             constant_samples=config.constant_samples,
-                             mn_horizon=config.mn_horizon,
-                             weight_horizon=config.weight_horizon,
-                             tol=config.tol, rng=rng.substream(2))
+        prediction = scenario_prediction(config, regime)
     except TrisreError as exc:
         prediction_error = f"{type(exc).__name__}: {exc}"
 

@@ -1,10 +1,13 @@
 """Test oracles: slow or brute-force references and test-only samplers
 that the library does not use."""
 import math
+from unittest import mock
 
 import numpy as np
+from scipy.optimize import brentq
 
 from trisre import distributions as dist
+from trisre import regime
 from trisre.distributions import abs_moment
 from trisre.estimates import EstimateWithError
 from trisre.model import TriangularSRE, draw_innovations
@@ -15,6 +18,16 @@ from trisre.stationary import (_first_depth, _perpetuity_sums,
 from trisre.tails import goldie_constant_direct
 
 _EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
+
+
+def scipy_tail_index(spec: dist.Dist) -> float:
+    """solve_tail_index with scipy's brentq in place of the library's
+    Brent port: the same function, bracket and tolerances."""
+    def scipy_brent(f, xa, xb, xtol, rtol):
+        return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+    with mock.patch.object(regime, "_brentq", scipy_brent):
+        return regime.solve_tail_index(spec)
 
 
 def combined_se(a: EstimateWithError, b: EstimateWithError) -> float:

@@ -1,7 +1,7 @@
 """Distribution layer: sampling, moments, tilting.
 
 Frozen reference values were computed with 40-digit mpmath quadrature,
-independent of the scipy routines under test.
+independent of the double-exponential rule under test.
 """
 import math
 
@@ -83,6 +83,139 @@ def test_abs_moment_normal():
         1.18358808659919719, rel=1e-9)
 
 
+# 40-digit mpmath values over mean/sd in [-8, 100], sd in {0.1, 1.3} and
+# beta in [0.05, 7.5]: (mean, sd, beta, E[(X^+)^beta]) for X ~ N(mean, sd^2)
+_POSITIVE_PART_GRID = [
+    (-0.8, 0.1, 0.05, 4.85900332911218876e-16),
+    (-0.8, 0.1, 1, 7.55026241194649891e-18),
+    (-0.8, 0.1, 2.5, 3.2695345378197451e-20),
+    (-0.8, 0.1, 7.5, 2.7199807798126341e-26),
+    (-10.4, 1.3, 0.05, 5.52388163792927111e-16),
+    (-10.4, 1.3, 1, 9.81534113553044859e-17),
+    (-10.4, 1.3, 2.5, 1.99225217748861339e-17),
+    (-10.4, 1.3, 7.5, 6.15376599334916989e-18),
+    (-0.3, 0.1, 0.05, 0.00110139089896932818),
+    (-0.3, 0.1, 1, 0.0000382154317047723596),
+    (-0.3, 0.1, 2.5, 5.4034785865491024e-7),
+    (-0.3, 0.1, 7.5, 1.37986836776034126e-11),
+    (-3.9, 1.3, 0.05, 0.00125209894929434273),
+    (-3.9, 1.3, 1, 0.000496800612162040674),
+    (-3.9, 1.3, 2.5, 0.000329254572953498547),
+    (-3.9, 1.3, 7.5, 0.00312185552921691725),
+    (-0.1, 0.1, 0.05, 0.133884239133968615),
+    (-0.1, 0.1, 1, 0.00833154705876862984),
+    (-0.1, 0.1, 2.5, 0.00025476047402656549),
+    (-0.1, 0.1, 7.5, 4.46463887072989703e-8),
+    (-1.3, 1.3, 0.05, 0.152204194989796265),
+    (-1.3, 1.3, 1, 0.108310111763992188),
+    (-1.3, 1.3, 2.5, 0.155235279898865639),
+    (-1.3, 1.3, 7.5, 10.1009327195227649),
+    (-0.03, 0.1, 0.05, 0.32777577093998341),
+    (-0.03, 0.1, 1, 0.0266761242117209877),
+    (-0.03, 0.1, 2.5, 0.00112738109400217379),
+    (-0.03, 0.1, 7.5, 4.15376057612982343e-7),
+    (-0.39, 1.3, 0.05, 0.372626738410633555),
+    (-0.39, 1.3, 1, 0.34678961475237284),
+    (-0.39, 1.3, 2.5, 0.686956327698885778),
+    (-0.39, 1.3, 7.5, 93.9759235345146502),
+    (0.02, 0.1, 0.05, 0.503677607813386281),
+    (0.02, 0.1, 1, 0.0506894635863276483),
+    (0.02, 0.1, 2.5, 0.00273434295891489419),
+    (0.02, 0.1, 7.5, 1.73396251996503945e-6),
+    (0.26, 1.3, 0.05, 0.572597979624118548),
+    (0.26, 1.3, 1, 0.658963026622259427),
+    (0.26, 1.3, 2.5, 1.66613952257909621),
+    (0.26, 1.3, 7.5, 392.29687460651547),
+    (0.1, 0.1, 0.05, 0.749323836147439053),
+    (0.1, 0.1, 1, 0.10833154705876863),
+    (0.1, 0.1, 2.5, 0.00871366199776621393),
+    (0.1, 0.1, 7.5, 0.000013229621860754611),
+    (1.3, 1.3, 0.05, 0.851857037133137478),
+    (1.3, 1.3, 1, 1.40831011176399219),
+    (1.3, 1.3, 2.5, 5.3095668169713631),
+    (1.3, 1.3, 7.5, 2993.10927914676508),
+    (0.25, 0.1, 0.05, 0.923125810175425838),
+    (0.25, 0.1, 1, 0.25020041371791282),
+    (0.25, 0.1, 2.5, 0.0405169216849476939),
+    (0.25, 0.1, 7.5, 0.000295276005677167187),
+    (3.25, 1.3, 0.05, 1.04944108224316082),
+    (3.25, 1.3, 1, 3.25260537833286666),
+    (3.25, 1.3, 2.5, 24.6885067333773753),
+    (3.25, 1.3, 7.5, 66804.1280245111152),
+    (1.0, 0.1, 0.05, 0.999758966944334181),
+    (1.0, 0.1, 1, 1.0),
+    (1.0, 0.1, 2.5, 1.01873820651135358),
+    (1.0, 0.1, 7.5, 1.25905218389450646),
+    (13.0, 1.3, 0.05, 1.13656028321100074),
+    (13.0, 1.3, 1, 13.0),
+    (13.0, 1.3, 2.5, 620.756069934803425),
+    (13.0, 1.3, 7.5, 284851737.578665327),
+    (3.0, 0.1, 0.05, 1.05643938484056573),
+    (3.0, 0.1, 1, 3.0),
+    (3.0, 0.1, 2.5, 15.6209309639177206),
+    (3.0, 0.1, 7.5, 3891.29311034142205),
+    (39.0, 1.3, 0.05, 1.20099652629222504),
+    (39.0, 1.3, 1, 39.0),
+    (39.0, 1.3, 2.5, 9518.42941779014992),
+    (39.0, 1.3, 7.5, 880377809663.143645),
+    (10.0, 0.1, 0.05, 1.12201578912477886),
+    (10.0, 0.1, 1, 10.0),
+    (10.0, 0.1, 2.5, 316.287058352363511),
+    (10.0, 0.1, 7.5, 31699904.820176267),
+    (130.0, 1.3, 0.05, 1.27554603181256334),
+    (130.0, 1.3, 1, 130.0),
+    (130.0, 1.3, 2.5, 192725.775924714852),
+    (130.0, 1.3, 7.5, 7171881423671082.15),
+]
+# (mean, sd, E log|X|) on the same (mean, sd) pairs
+_LOG_ABS_GRID = [
+    (-0.8, 0.1, -0.231149579245133508),
+    (-10.4, 1.3, 2.33379977821640323),
+    (-0.3, 0.1, -1.27516850026790889),
+    (-3.9, 1.3, 1.28978085719362785),
+    (-0.1, 0.1, -2.51108091142873996),
+    (-1.3, 1.3, 0.0538684460327967728),
+    (-0.03, 0.1, -2.89343349321130572),
+    (-0.39, 1.3, -0.328484135749768988),
+    (0.02, 0.1, -2.91789914098382281),
+    (0.26, 1.3, -0.352949783522286074),
+    (0.1, 0.1, -2.51108091142873996),
+    (1.3, 1.3, 0.0538684460327967728),
+    (0.25, 0.1, -1.49734185598166087),
+    (3.25, 1.3, 1.06760750147987587),
+    (1.0, 0.1, -0.00507764167776545423),
+    (13.0, 1.3, 2.55987171578377128),
+    (3.0, 0.1, 1.09805580373710667),
+    (39.0, 1.3, 3.66300516119864341),
+    (10.0, 0.1, 2.30253508549154437),
+    (130.0, 1.3, 4.86748444295308111),
+]
+
+
+@pytest.mark.parametrize("mean, sd, beta, value", _POSITIVE_PART_GRID)
+def test_normal_positive_part_moment_matches_mpmath_grid(mean, sd, beta, value):
+    assert t.signed_moment(Normal(mean, sd), beta, "plus") == pytest.approx(
+        value, rel=1e-10)
+    assert t.signed_moment(Normal(-mean, sd), beta, "minus") == pytest.approx(
+        value, rel=1e-10)
+
+
+@pytest.mark.parametrize("mean, sd, value", _LOG_ABS_GRID)
+def test_normal_log_abs_moment_matches_mpmath_grid(mean, sd, value):
+    assert t.log_abs_moment(Normal(mean, sd)) == pytest.approx(value, rel=1e-10)
+
+
+def test_narrow_normal_far_from_zero():
+    # the mass sits 100 sd from 0, where an adaptive rule on (0, inf)
+    # never samples: E|X|^4 = m^4 + 6 m^2 s^2 + 3 s^4
+    spec = Normal(10.0, 0.1)
+    assert t.abs_moment(spec, 4.0) == pytest.approx(10006.0003, rel=1e-12)
+    assert t.mean(spec) == pytest.approx(10.0, rel=1e-12)
+    # E log X = log m - s^2 / (2 m^2) - 3 s^4 / (4 m^4) - ... (delta method)
+    assert t.log_abs_moment(spec) == pytest.approx(
+        2.30253508549154437, rel=1e-12)
+
+
 def test_abs_moment_uniform_against_oracle():
     assert t.abs_moment(Uniform(-0.3, 1.1), 1.7) == pytest.approx(
         0.352441172002978043, rel=1e-12)
@@ -141,6 +274,9 @@ def test_log_abs_moment():
         -0.635181422730739085, abs=1e-10)
     assert t.log_abs_moment(Normal(0.7, 1.3)) == pytest.approx(
         -0.234589595668816423, abs=1e-9)
+    # a mode so close to 0 that nodes on (0, mode) would underflow
+    assert t.log_abs_moment(Normal(5e-324, 1)) == pytest.approx(
+        -0.635181422730739085, abs=1e-10)
     assert t.log_abs_moment(Uniform(-1, 1)) == pytest.approx(-1.0, abs=1e-12)
     assert t.log_abs_moment(TwoSidedPareto(2.0, 1.0, 0.5)) == pytest.approx(0.5)
     with pytest.raises(LogMomentUndefined):

@@ -9,10 +9,13 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, SignedLognormal, TwoSidedPareto,
                     Uniform)
+from trisre import model as mod
 from trisre.errors import NoRoot, NotContractive
-from trisre.regime import (CASE_COORD1_KG, CASE_EQUAL_DIAG_ZERO_DRIFT,
-                           CASE_UNSUPPORTED)
+from trisre.regime import (CASE_COORD1_KG, CASE_EQUAL_DIAG_NONZERO_DRIFT,
+                           CASE_EQUAL_DIAG_ZERO_DRIFT, CASE_UNSUPPORTED)
 from trisre.rng import CHUNK
+
+from oracles import scipy_tail_index
 
 
 def test_solve_tail_index_lognormal_closed_form():
@@ -35,6 +38,44 @@ def test_solve_tail_index_root_correctness_across_menu():
     for spec in specs:
         alpha = t.solve_tail_index(spec)
         assert abs(t.abs_moment(spec, alpha) - 1.0) <= 1e-9
+
+
+def _sweep_laws(n: int, seed: int):
+    """n random diagonal laws from the menu; some are not contractive or
+    have no index."""
+    g = np.random.default_rng(seed)
+    for i in range(n):
+        mu, sigma, p = g.uniform(-3.0, -0.05), g.uniform(0.1, 2.0), g.random()
+        kind = i % 5
+        if kind == 0:
+            yield Lognormal(mu, sigma)
+        elif kind == 1:
+            yield SignedLognormal(mu, sigma, p)
+        elif kind == 2:
+            yield t.Scaled(Lognormal(mu, sigma), g.uniform(-3.0, 3.0))
+        elif kind == 3:
+            a, b = sorted(g.uniform(-3.0, 3.0, size=2))
+            yield Uniform(a, b)
+        else:
+            yield TwoSidedPareto(g.uniform(0.5, 6.0), g.uniform(0.05, 1.5), p)
+
+
+def test_solve_tail_index_bit_identical_to_scipy_brentq():
+    builtin = {law for config in t.builtin_scenarios(quick=True)
+               for law in mod.diag_laws(config.model)}
+    solved = 0
+    for spec in [*builtin, *_sweep_laws(500, seed=29)]:
+        try:
+            ours = t.solve_tail_index(spec)
+        except (NoRoot, NotContractive) as exc:
+            with pytest.raises(type(exc)):
+                scipy_tail_index(spec)
+            continue
+        assert ours == scipy_tail_index(spec), spec
+        solved += 1
+    assert solved >= 350
+    # the root that the x ** 2 fast path and the critical band key on
+    assert t.solve_tail_index(Lognormal(-1, 1)) == 2.0
 
 
 def test_solve_tail_index_errors():
@@ -158,6 +199,17 @@ def test_classify_equal_diagonal_zero_drift():
     assert rep.theorem_case == CASE_EQUAL_DIAG_ZERO_DRIFT
     assert rep.diagonal_relation == "equal_as"
     assert rep.offdiag_drift == 0.0
+
+
+def test_classify_drift_of_narrow_normal_factor():
+    # a12 = xi * d with xi ~ N(10, 0.1^2): the tilted drift is
+    # E[xi] E|d|^2 = 10, though xi's mass sits 100 sd away from 0
+    m = EqualDiagonal(d=Lognormal(-1, 1),
+                      a12_mode=ProportionalToDiagonal(Normal(10.0, 0.1)),
+                      b1=Constant(1.0), b2=Constant(1.0))
+    rep = t.classify(m)
+    assert rep.theorem_case == CASE_EQUAL_DIAG_NONZERO_DRIFT
+    assert rep.offdiag_drift == pytest.approx(10.0, rel=1e-12)
 
 
 def test_classify_zero_offdiagonal_unsupported():

@@ -285,6 +285,28 @@ def test_cli_predict_builtin(capsys):
     assert out["tail_index"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("config", ["coord2_dominant_kg", "seed_123"])
+def test_cli_classify_and_predict_reproduce_run(tmp_path, capsys, config):
+    # classify and predict draw from the config's seed, as run does; the
+    # default streams give coord2_dominant_kg a c_plus of 4.7605, not
+    # run's 4.5759
+    if config == "seed_123":
+        config = str(tmp_path / "c.json")
+        Path(config).write_text(json.dumps(quick_config(seed=123).to_dict()))
+    blocks = {}
+    for command in ("classify", "predict"):
+        assert cli_main([command, config]) == 0
+        blocks[command] = json.loads(capsys.readouterr().out)
+    assert cli_main(["run", config, "--samples", "2000", "--workers", "1",
+                     "--format", "json", "--out", str(tmp_path / "out"),
+                     "--no-verdict-exit"]) == 0
+    report = json.loads(Path(capsys.readouterr().out.split()[0]).read_text())
+    assert json.dumps(blocks["classify"], sort_keys=True) == \
+        json.dumps(report["regime"], sort_keys=True)
+    assert json.dumps(blocks["predict"], sort_keys=True) == \
+        json.dumps(report["prediction"], sort_keys=True)
+
+
 def test_cli_predict_unsupported_model_exits_2(tmp_path, capsys):
     config = quick_config()
     d = config.to_dict()
