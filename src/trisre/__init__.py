@@ -37,9 +37,8 @@ from .tails import (EmpiricalTail, ccdf, default_log_grid,
                     goldie_constant_direct, goldie_constant_perpetuity,
                     grey_constants, hill, log_factor_regression)
 from .tilting import (CouplingRate, PartialSumStudy, SnapshotMoments,
-                      TiltedCoupling, clt_constant, coupling_sum_moments,
+                      clt_constant, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,
-                      expect_tilted, perpetuity_sample_batch, tilted_coupling,
-                      tilted_offdiag_moments, tilted_ratio_log_drift)
+                      perpetuity_sample_batch, tilted_offdiag_moments)
 
 __version__ = "0.1.0"

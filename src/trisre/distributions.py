@@ -31,21 +31,24 @@ _DE_LEFT_SPAN = 40.0  # sd; exp(-s^2 / 2) underflows 38.6 sd from the mode
 
 def _double_exponential_nodes():
     """Nodes and weights of tanh-sinh on (0, 1), x = 1 / (1 + exp(-pi
-    sinh t)), and of exp-sinh on (0, inf), x = exp(pi/2 sinh t)."""
+    sinh t)), with 1 - x formed directly, and of exp-sinh on (0, inf),
+    x = exp(pi/2 sinh t)."""
     step = _DE_STEP
     k = round(_DE_TANH_SINH_END / step)
     t = np.arange(-k, k + 1) * step
     u = 0.5 * math.pi * np.sinh(t)
-    ts_x = 1.0 / (1.0 + np.exp(-2.0 * u))
+    e = np.exp(-2.0 * u)
+    ts_x = 1.0 / (1.0 + e)
+    ts_1mx = e / (1.0 + e)
     ts_w = step * 0.25 * math.pi * np.cosh(t) / np.cosh(u) ** 2
     lo, hi = (round(end / step) for end in _DE_EXP_SINH_ENDS)
     t = np.arange(lo, hi + 1) * step
     es_x = np.exp(0.5 * math.pi * np.sinh(t))
     es_w = step * 0.5 * math.pi * np.cosh(t) * es_x
-    return ts_x, ts_w, es_x, es_w
+    return ts_x, ts_1mx, ts_w, es_x, es_w
 
 
-_TS_X, _TS_W, _ES_X, _ES_W = _double_exponential_nodes()
+_TS_X, _TS_1MX, _TS_W, _ES_X, _ES_W = _double_exponential_nodes()
 
 
 @dataclass(frozen=True)
@@ -174,32 +177,36 @@ def abs_normal_moment(alpha: float) -> float:
     return _half_normal_moment(alpha)
 
 
-def _normal_rule(m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s and weights w with sum(w f(s)) ~ int_0^inf f(s) ds, for f
-    a standard normal density centred at m times a factor that may have
-    a log or power singularity at 0.
+def _normal_rule(m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s, weights w and offsets s - m with sum(w f(s)) ~
+    int_0^inf f(s) ds, for f a standard normal density centred at m times
+    a factor that may have a log or power singularity at 0.
 
     The range splits at the mode c = max(m, 0): tanh-sinh on (a, c) with
     a = max(c - _DE_LEFT_SPAN, 0), exp-sinh on (c, inf). Below a the
     density has underflowed. Both rules cluster their nodes at 0 as
-    distances, so no cancellation spoils log s there.
+    distances, so no cancellation spoils log s there. The offsets come
+    from those distances too, not from s - m: far from zero the nodes
+    round at the scale of m, while the Gaussian factor needs s - m to
+    full precision.
     """
     c = max(m, 0.0)
     a = max(c - _DE_LEFT_SPAN, 0.0)
     if c * _TS_X[0] == 0.0:
         # below c ~ 1e-307 the tanh-sinh nodes underflow to 0, where log s
         # is -inf, and (0, c) carries nothing
-        return _ES_X, _ES_W
+        return _ES_X, _ES_W, _ES_X - m
+    # here c = m
     return (np.concatenate([a + (c - a) * _TS_X, c + _ES_X]),
-            np.concatenate([(c - a) * _TS_W, _ES_W]))
+            np.concatenate([(c - a) * _TS_W, _ES_W]),
+            np.concatenate([-(c - a) * _TS_1MX, _ES_X]))
 
 
 def _normal_positive_part_moment(mean: float, sd: float, beta: float) -> float:
     # E[(X^+)^beta] for X ~ N(mean, sd^2), in units of sd; the integrand
     # exp(beta log(sd s) - (s - m)^2 / 2) is formed in log space
-    m = mean / sd
-    s, w = _normal_rule(m)
-    f = np.exp(beta * (math.log(sd) + np.log(s)) - 0.5 * (s - m) ** 2)
+    s, w, e = _normal_rule(mean / sd)
+    f = np.exp(beta * (math.log(sd) + np.log(s)) - 0.5 * e ** 2)
     return float(np.dot(w, f)) / math.sqrt(2.0 * math.pi)
 
 
@@ -298,8 +305,8 @@ def log_abs_moment(spec: Dist) -> float:
     if isinstance(spec, Normal):
         # log sd + E log|S| with S ~ N(|mean| / sd, 1), folded onto (0, inf)
         m = abs(spec.mean) / spec.sd
-        s, w = _normal_rule(m)
-        dens = np.exp(-0.5 * (s - m) ** 2) + np.exp(-0.5 * (s + m) ** 2)
+        s, w, e = _normal_rule(m)
+        dens = np.exp(-0.5 * e ** 2) + np.exp(-0.5 * (s + m) ** 2)
         return (math.log(spec.sd)
                 + float(np.dot(w, np.log(s) * dens)) / math.sqrt(2.0 * math.pi))
     if isinstance(spec, (Lognormal, SignedLognormal)):

@@ -14,9 +14,6 @@ class EstimateWithError:
     n_samples: int
     seed: str = ""
 
-    def band(self, k: float = 4.0) -> tuple[float, float]:
-        return (self.value - k * self.se, self.value + k * self.se)
-
     def to_dict(self) -> dict:
         return {"value": self.value, "se": self.se,
                 "n_samples": self.n_samples, "seed": self.seed}

@@ -130,34 +130,18 @@ def offdiag_negative_possible(model: TriangularSRE) -> bool:
     return dist.prob_negative(law) > 0
 
 
-def draw_innovations(model: TriangularSRE, m: int, rng: RngStream,
-                     tilt: tuple[str, Dist] | None = None) -> InnovationBatch:
-    """One joint step for m paths, honouring the coupling.
-
-    tilt = ("first"|"second", law) swaps the named diagonal's marginal
-    for the given (tilted) law. The |.|^alpha weight is a function of the
-    diagonal alone, so the conditional law of the other entries given the
-    diagonal, and hence the coupling, is unchanged.
-    """
+def draw_innovations(model: TriangularSRE, m: int,
+                     rng: RngStream) -> InnovationBatch:
+    """One joint step for m paths, honouring the coupling."""
     if isinstance(model, IndependentEntries):
-        a11_law, a22_law = model.a11, model.a22
-        if tilt is not None:
-            which, law = tilt
-            if which == "first":
-                a11_law = law
-            elif which == "second":
-                a22_law = law
-            else:
-                raise ValueError("tilt target must be 'first' or 'second'")
         return InnovationBatch(
-            a11=dist.sample(a11_law, rng, m),
+            a11=dist.sample(model.a11, rng, m),
             a12=dist.sample(model.a12, rng, m),
-            a22=dist.sample(a22_law, rng, m),
+            a22=dist.sample(model.a22, rng, m),
             b1=dist.sample(model.b1, rng, m),
             b2=dist.sample(model.b2, rng, m),
         )
-    d_law = model.d if tilt is None else tilt[1]
-    d = dist.sample(d_law, rng, m)
+    d = dist.sample(model.d, rng, m)
     if isinstance(model.a12_mode, ProportionalToDiagonal):
         a12 = dist.sample(model.a12_mode.factor_law, rng, m) * d
     else:

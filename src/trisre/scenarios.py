@@ -22,9 +22,8 @@ from . import model as mod
 from .errors import (InsufficientSupport, RegimeMismatch, TrisreError,
                      UnsupportedRegime)
 from .estimates import EstimateWithError
-from .model import (EqualDiagonal, IndependentEntries, IndependentOffDiagonal,
-                    ProportionalToDiagonal, TriangularSRE, model_from_dict,
-                    model_to_dict)
+from .model import (EqualDiagonal, IndependentEntries, ProportionalToDiagonal,
+                    TriangularSRE, model_from_dict, model_to_dict)
 from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
                      CASE_COORD2_KG, CASE_DISTINCT_DIAG_EQUAL_INDEX,
                      CASE_EQUAL_DIAG_NONZERO_DRIFT, CASE_EQUAL_DIAG_ZERO_DRIFT,
@@ -35,7 +34,7 @@ from .tails import (EmpiricalTail, ccdf, default_log_grid,
                     goldie_constant_direct, goldie_constant_perpetuity, hill,
                     log_factor_regression)
 from .tilting import (clt_constant, estimate_coupling_rate,
-                      estimate_coupling_weight, tilted_offdiag_moments)
+                      estimate_coupling_weight)
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +48,9 @@ SCHEMA_VERSION = 1
 _GOLDIE_HORIZON = 24
 _GOLDIE_BIAS = 1e-3
 _GOLDIE_MAX_HORIZON = 1000
+# Most terms of the coord2_dominant_grey weight series; predict raises
+# when the geometric term bound has not yet fallen below its target there.
+_GREY_MAX_TERMS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +294,13 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             return c_geo * i * qgeo ** (i - 1)
 
         i_cap = 1
-        while bound(i_cap) > 1e-8 * c_geo and i_cap < 200:
+        while bound(i_cap) > 1e-8 * c_geo:
+            if i_cap == _GREY_MAX_TERMS:
+                raise RegimeMismatch(
+                    f"the weight series term bound {bound(i_cap):.6g} at "
+                    f"{i_cap} terms is above 1e-8 E|a12|^alpha2 = "
+                    f"{1e-8 * c_geo:.6g}: the diagonals contract at "
+                    f"{qgeo:.6g} per step")
             i_cap += 1
         study = coupling_sum_moments(model, alpha2, list(range(1, i_cap + 1)),
                                      constant_samples, rng.substream(4))
@@ -408,7 +416,7 @@ class ScenarioReport:
                 "notes": self.notes}
 
 
-def _hill_block(samples: np.ndarray, name: str) -> dict:
+def _hill_block(samples: np.ndarray) -> dict:
     out = {}
     n = samples.size
     k = max(2, min(int(n ** (2.0 / 3.0)), n - 1))
@@ -461,8 +469,8 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
     empirical: dict = {
         "truncation_depth": batch.truncation_depth,
         "truncation_bound": batch.truncation_bound,
-        "w2": _hill_block(batch.w2, "w2"),
-        "w1": _hill_block(batch.w1, "w1"),
+        "w2": _hill_block(batch.w2),
+        "w1": _hill_block(batch.w1),
     }
 
     verdicts: list[Verdict] = []

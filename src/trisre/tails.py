@@ -153,6 +153,8 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     variance."""
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
+    if N < 1:
+        raise ValueError("N must be >= 1")
 
     def chunk(m, sub):
         a, b, x = sampler(m, sub)

@@ -1,10 +1,12 @@
-"""Expectations under the size-biased (|a|^alpha-weighted) measure.
+"""Expectations under the size-biased (|a22|^alpha-weighted) measure.
 
-Reweighting each step by |a_diag|^alpha turns moments of the cross sum
+Reweighting each step by |a22|^alpha turns moments of the cross sum
 into moments of partial sums of a ratio perpetuity X = V X' + U with
-V = a11/a22 and U = a12/a22. When the diagonal law is closed under the
-tilt the reweighted path can be sampled exactly; otherwise raw product
-weights are used, with a degeneracy guard.
+V = a11/a22 and U = a12/a22. One scan, _study_from_pairs, estimates
+them. When the law of a22 is closed under the tilt its step sampler draws
+the reweighted ratio pair exactly; otherwise it draws untilted entries
+and returns the step weight |a22|^alpha, which the scan folds into its
+increments behind a degeneracy guard.
 
 At the critical index the alpha-moment of the partial sum grows linearly
 but a naive sample mean misses the exponentially rare paths that carry
@@ -35,109 +37,12 @@ _MIN_ESS = 100.0
 _CRITICAL_BAND = 1e-6
 
 
-@dataclass(frozen=True)
-class TiltedCoupling:
-    """A model together with the diagonal being reweighted at exponent
-    alpha; mode records whether the tilt is exact or weight-based."""
-
-    model: TriangularSRE
-    diag: str            # "first" | "second"
-    alpha: float
-    mode: str            # "exact_tilt" | "weighted_mc"
-    tilted_diag: Dist | None
-
-    @property
-    def diag_law(self) -> Dist:
-        d1, d2 = mod.diag_laws(self.model)
-        return d1 if self.diag == "first" else d2
-
-    @property
-    def step_moment(self) -> float:
-        """E|a_diag|^alpha: the per-step scale of the raw-weight measure."""
-        return dist.abs_moment(self.diag_law, self.alpha)
-
-
-def tilted_coupling(model: TriangularSRE, diag: str, alpha: float) -> TiltedCoupling:
-    if diag not in ("first", "second"):
-        raise ValueError("diag must be 'first' or 'second'")
-    d1, d2 = mod.diag_laws(model)
-    law = d1 if diag == "first" else d2
-    try:
-        tl = dist.tilted(law, alpha)
-        return TiltedCoupling(model, diag, alpha, "exact_tilt", tl)
-    except TiltUnsupported:
-        return TiltedCoupling(model, diag, alpha, "weighted_mc", None)
-
-
-@dataclass
-class TiltedPath:
-    """One chunk of reweighted paths: ratio arrays of shape (n, m)."""
-
-    v: np.ndarray
-    u: np.ndarray
-    weights: np.ndarray | None  # per-path raw weights (weighted_mc only)
-
-
-def _draw_tilted_path(tc: TiltedCoupling, n: int, m: int,
-                      rng: RngStream) -> TiltedPath:
-    if dist.has_atom_at_zero(mod.diag_laws(tc.model)[1]):
-        raise RegimeMismatch("ratio representation needs a second diagonal "
-                             "with no atom at zero")
-    exact = tc.mode == "exact_tilt"
-    tilt = (tc.diag, tc.tilted_diag) if exact else None
-    v = np.empty((n, m))
-    u = np.empty((n, m))
-    logw = np.zeros(m)
-    for k in range(n):
-        batch = mod.draw_innovations(tc.model, m, rng, tilt=tilt)
-        v[k] = batch.a11 / batch.a22
-        u[k] = batch.a12 / batch.a22
-        if not exact:
-            a = batch.a11 if tc.diag == "first" else batch.a22
-            logw += tc.alpha * np.log(np.abs(a))
-    return TiltedPath(v, u, None if exact else np.exp(logw))
-
-
 def _check_ess(weights: RunningMoments) -> None:
     ess = weights.ess()
     if not ess >= _MIN_ESS:
         raise WeightDegenerate(
             f"effective sample size {ess:.1f} < {_MIN_ESS:.0f}; shorten the "
             "horizon or use a tiltable diagonal law")
-
-
-def expect_tilted(model: TriangularSRE, diag: str, alpha: float, f,
-                  n: int, N: int, rng: RngStream,
-                  mode: str = "auto") -> EstimateWithError:
-    """Estimate of the reweighted expectation of a path functional.
-
-    The reweighted expectation carries the raw weight prod |a_diag|^alpha,
-    so when E|a_diag|^alpha != 1 the sampled tilted mean is rescaled by
-    that moment to the n-th power. f maps a TiltedPath to per-path values.
-    mode forces the exact-tilt or raw-weight estimator ("auto" prefers
-    the exact tilt whenever the diagonal law supports it).
-    """
-    tc = tilted_coupling(model, diag, alpha)
-    if mode == "weighted_mc":
-        tc = TiltedCoupling(model, diag, alpha, "weighted_mc", None)
-    elif mode == "exact_tilt" and tc.mode != "exact_tilt":
-        raise RequiresExactTilt("diagonal law is not closed under the tilt")
-    elif mode not in ("auto", "exact_tilt", "weighted_mc"):
-        raise ValueError("mode must be auto|exact_tilt|weighted_mc")
-    scale = tc.step_moment ** n
-
-    def chunk(m, sub):
-        path = _draw_tilted_path(tc, n, m, sub)
-        vals = np.asarray(f(path), dtype=float)
-        if path.weights is None:
-            return (RunningMoments(scale * vals),)
-        # raw-weight estimator is already unnormalised: no extra scale
-        return RunningMoments(path.weights * vals), RunningMoments(path.weights)
-
-    accs = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
-    if tc.mode == "weighted_mc":
-        _check_ess(accs[1])
-    return accs[0].estimate(rng.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +66,7 @@ class PartialSumStudy:
     """Moment estimates of the partial sums at requested horizons, plus
     the growth between the last two of them (used for limit extraction
     at the critical index, where the per-step growth converges); None
-    when there is one horizon or no telescoped scan."""
+    when there is one horizon."""
 
     snapshots: list[SnapshotMoments]
     window: SnapshotMoments | None
@@ -194,23 +99,37 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
     while the per-path |X_k|^alpha has infinite variance once
     E|V|^{2 alpha} > 1 and, at the critical index (c = 1, mode
     "telescoped"), a mean carried by rare paths. step_moment rescales
-    snapshot k by step_moment^k (raw-weight convention).
+    snapshot k by step_moment^k.
+
+    A sampler may return a third array, the step's raw weight w (mode
+    "weighted_mc"). Each increment is then scaled by the running product
+    W_k = w_1 ... w_k, and c and gamma are the weighted step moments
+    E[w |V|^alpha] and E[w sgn(V)|V|^alpha]: since
+    E[W_k |V_k X_{k-1}|^alpha] = E[w |V|^alpha] E[W_{k-1}|X_{k-1}|^alpha],
+    s_k is unbiased for E[W_k |X_k|^alpha]. The effective sample size of
+    W_k is checked at every snapshot.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     n = snapshots[-1]
     snap_set = {int(s) for s in snapshots}
-    mode = "telescoped" if contraction == 1.0 else "plain"
 
     def chunk(m, sub):
         x = np.zeros(m)
         s_acc = np.zeros(m)
         d_acc = np.zeros(m)
-        snaps, prev, vals = [], None, None
+        weight = np.ones(m)
+        snaps, weights, prev, vals = [], [], None, None
         for k in range(1, n + 1):
-            v, u = step_sampler(m, sub)
+            v, u, *w = step_sampler(m, sub)
             vx = v * x
             x = vx + u
             zp = np.maximum(x, 0.0) ** alpha - np.maximum(vx, 0.0) ** alpha
             zm = np.maximum(-x, 0.0) ** alpha - np.maximum(-vx, 0.0) ** alpha
+            if w:
+                weight *= w[0]
+                zp *= weight
+                zm *= weight
             s_acc = contraction * s_acc + (zp + zm)
             d_acc = gamma * d_acc + (zp - zm)
             if k in snap_set:
@@ -219,63 +138,75 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
                 um = 0.5 * (s_acc - d_acc) * scale
                 prev, vals = vals, (up + um, up, um)
                 snaps += [RunningMoments(val) for val in vals]
+                if w:
+                    weights.append(RunningMoments(weight))
         if prev is not None:
             snaps += [RunningMoments(b - a) for a, b in zip(prev, vals)]
-        return snaps
+        return snaps, weights
 
-    accs = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
+    parts = map_chunks(N, CHUNK, chunk, rng)
+    weights = merge_chunks([w for _, w in parts])
+    for acc in weights:
+        _check_ess(acc)
+    accs = merge_chunks([s for s, _ in parts])
     seed = rng.describe()
     split = 3 * len(snapshots)
     window = (_snapshot_list([n], accs[split:], seed)[0]
               if len(snapshots) > 1 else None)
+    mode = ("weighted_mc" if weights
+            else "telescoped" if contraction == 1.0 else "plain")
     return PartialSumStudy(
         snapshots=_snapshot_list(snapshots, accs[:split], seed),
         window=window, mode=mode)
 
 
-def _vu_sampler(tc: TiltedCoupling):
-    """Per-step sampler of the reweighted ratio pair (V, U).
+def _tilted_a22(model: TriangularSRE, alpha: float) -> Dist | None:
+    """The alpha-tilt of the second diagonal's law; None when its family
+    is not closed under the tilt."""
+    try:
+        return dist.tilted(mod.diag_laws(model)[1], alpha)
+    except TiltUnsupported:
+        return None
 
-    Only the matrix entries are drawn; under the proportional equal-
-    diagonal coupling the tilted diagonal cancels from both ratios, so a
-    single factor draw per step suffices; with all three entries
-    lognormal the pair comes from two correlated normals."""
-    if tc.mode != "exact_tilt":
-        raise RequiresExactTilt(
-            "partial-sum moment studies sample the reweighted path "
-            "exactly; raw product weights degenerate beyond short horizons")
-    model = tc.model
+
+def _vu_sampler(model: TriangularSRE, alpha: float):
+    """Per-step sampler of the ratio pair (V, U) = (a11/a22, a12/a22)
+    under the alpha-tilt of a22.
+
+    With an exact tilt only the matrix entries are drawn; under the
+    proportional equal-diagonal coupling the tilted diagonal cancels from
+    both ratios, so a single factor draw per step suffices; with all
+    three entries lognormal the pair comes from two correlated normals.
+    Without one the entries are drawn untilted and the sampler also
+    returns the step weight |a22|^alpha; callers refuse that route for
+    equal diagonals, whose ratio V = 1 sits at the critical index."""
+    a22_tilted = _tilted_a22(model, alpha)
     if isinstance(model, EqualDiagonal):
         if isinstance(model.a12_mode, ProportionalToDiagonal):
             factor = model.a12_mode.factor_law
 
             def sampler(m: int, rng: RngStream):
-                u = dist.sample(factor, rng, m)
-                return np.ones(m), u
+                return np.ones(m), dist.sample(factor, rng, m)
 
             return sampler
         a12_law = model.a12_mode.a12
-        d_tilted = tc.tilted_diag
 
         def sampler(m: int, rng: RngStream):
-            d = dist.sample(d_tilted, rng, m)
-            a12 = dist.sample(a12_law, rng, m)
-            return np.ones(m), a12 / d
+            d = dist.sample(a22_tilted, rng, m)
+            return np.ones(m), dist.sample(a12_law, rng, m) / d
 
         return sampler
-    a11_law, a22_law = model.a11, model.a22
-    if tc.diag == "first":
-        a11_law = tc.tilted_diag
-    else:
-        a22_law = tc.tilted_diag
-    a12_law = model.a12
-    if all(isinstance(d, dist.Lognormal) for d in (a11_law, a12_law, a22_law)):
-        return _lognormal_vu_sampler(a11_law, a12_law, a22_law)
+    a11_law, a12_law = model.a11, model.a12
+    a22_law = model.a22 if a22_tilted is None else a22_tilted
+    if all(isinstance(d, dist.Lognormal) for d in (a11_law, a12_law, a22_tilted)):
+        return _lognormal_vu_sampler(a11_law, a12_law, a22_tilted)
 
     def sampler(m: int, rng: RngStream):
         a11 = dist.sample(a11_law, rng, m)
         a12 = dist.sample(a12_law, rng, m)
         a22 = dist.sample(a22_law, rng, m)
+        if a22_tilted is None:
+            return a11 / a22, a12 / a22, np.abs(a22) ** alpha
         return a11 / a22, a12 / a22
 
     return sampler
@@ -369,62 +300,30 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
     "telescoped" at the critical index, where it is taken as 1); refuses
     exponent ranges where the moment grows exponentially (no estimator
     concentrates).
-    A non-tiltable diagonal falls back to raw product weights in the
-    contractive case (short horizons only; WeightDegenerate guards)."""
+    A second diagonal without an exact tilt takes raw step weights
+    |a22|^alpha in the contractive case (mode "weighted_mc"; short
+    horizons only, WeightDegenerate guards)."""
     horizons = sorted(set(int(h) for h in horizons))
     if horizons[0] < 1:
         raise ValueError("horizons must be >= 1")
-    if dist.has_atom_at_zero(mod.diag_laws(model)[1]):
+    a22 = mod.diag_laws(model)[1]
+    if dist.has_atom_at_zero(a22):
         raise RegimeMismatch("ratio representation needs a second diagonal "
                              "with no atom at zero")
-    tc = tilted_coupling(model, "second", alpha)
     contraction, gamma = _scan_factors(_ratio_moment(model, alpha),
                                        _ratio_sign_moment(model, alpha),
                                        "reweighted ratio moment")
-    if tc.mode != "exact_tilt":
+    lam22 = dist.abs_moment(a22, alpha)
+    if _tilted_a22(model, alpha) is None:
         if contraction == 1.0:
             raise RequiresExactTilt(
                 "critical-index moment studies need an exactly tiltable "
                 "diagonal law")
-        return _weighted_cross_moments(model, alpha, horizons, N, rng)
-    return _study_from_pairs(_vu_sampler(tc), alpha, horizons, N, rng,
-                             contraction, tc.step_moment, gamma)
-
-
-def _weighted_cross_moments(model: TriangularSRE, alpha: float,
-                            horizons: list[int], N: int,
-                            rng: RngStream) -> PartialSumStudy:
-    """Raw-weight route: base innovations, per-path weight prod|a22|^alpha
-    applied to functionals of the ratio partial sum (whose sign, not the
-    cross sum's, defines the signed parts). The sum runs forward as
-    x = v x + u; the weight is symmetric in the steps, so each (w_k, X_k)
-    keeps the law it has with the draws in lag order."""
-    n = horizons[-1]
-    snap_set = set(horizons)
-
-    def chunk(m, sub):
-        x = np.zeros(m)
-        logw = np.zeros(m)
-        moments, weights = [], []
-        for k in range(1, n + 1):
-            batch = mod.draw_innovations(model, m, sub)
-            x = (batch.a11 / batch.a22) * x + batch.a12 / batch.a22
-            logw += alpha * np.log(np.abs(batch.a22))
-            if k in snap_set:
-                w = np.exp(logw)
-                weights.append(RunningMoments(w))
-                moments += [RunningMoments(w * np.abs(x) ** alpha),
-                            RunningMoments(w * np.maximum(x, 0.0) ** alpha),
-                            RunningMoments(w * np.maximum(-x, 0.0) ** alpha)]
-        return moments + weights
-
-    accs = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
-    split = 3 * len(horizons)
-    for weights in accs[split:]:
-        _check_ess(weights)
-    return PartialSumStudy(
-        snapshots=_snapshot_list(horizons, accs[:split], rng.describe()),
-        window=None, mode="weighted_mc")
+        # the raw weights carry E|a22|^alpha per step: the scan factors
+        # are E|a11|^alpha and E[sgn(a11)|a11|^alpha] E[sgn(a22)]
+        contraction, gamma, lam22 = contraction * lam22, gamma * lam22, 1.0
+    return _study_from_pairs(_vu_sampler(model, alpha), alpha, horizons, N,
+                             rng, contraction, lam22, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +411,8 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
     independent factor; weighted Monte Carlo otherwise. These are the
     drift and dispersion of the random walk behind the equal-diagonal
     limit laws."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if not isinstance(model, EqualDiagonal):
         raise RequiresEqualDiagonal(
             "off-diagonal ratio moments need a11 = a22 almost surely")
@@ -553,21 +454,13 @@ def clt_constant(model: TriangularSRE, alpha: float,
         * dist.abs_normal_moment(alpha)
 
 
-def perpetuity_sample_batch(tc: TiltedCoupling, n: int, m: int,
-                            rng: RngStream) -> np.ndarray:
+def perpetuity_sample_batch(model: TriangularSRE, alpha: float, n: int,
+                            m: int, rng: RngStream) -> np.ndarray:
     """m draws of the depth-n partial sum of the reweighted ratio
     perpetuity (term i carries i-1 ratio factors), run as the forward
-    recursion x = v x + u from zero."""
-    return _perpetuity_sums(_vu_sampler(tc), n, m, rng)
-
-
-def tilted_ratio_log_drift(model: TriangularSRE, alpha: float, N: int,
-                           rng: RngStream) -> EstimateWithError:
-    """Reweighted E|V|^alpha log|V|: the drift normalising the tail of
-    the ratio perpetuity's stationary law."""
-    def f(path: TiltedPath):
-        v = path.v[0]
-        av = np.abs(v)
-        return av ** alpha * np.log(np.where(av > 0, av, 1.0))
-
-    return expect_tilted(model, "second", alpha, f, 1, N, rng)
+    recursion x = v x + u from zero. Raw step weights give no sample of
+    the reweighted law, so a22 must be exactly tiltable."""
+    if _tilted_a22(model, alpha) is None:
+        raise RequiresExactTilt("perpetuity samples need an exactly "
+                                "tiltable second diagonal law")
+    return _perpetuity_sums(_vu_sampler(model, alpha), n, m, rng)

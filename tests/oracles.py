@@ -48,6 +48,17 @@ def cross_sum_scan(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndar
     return s
 
 
+def lognormal_ratio_log_drift(model: TriangularSRE, alpha: float) -> float:
+    """Reweighted E|V|^alpha log|V|, the drift that normalises the tail of
+    the ratio perpetuity, for lognormal a11 and a22: under the alpha-tilt
+    of a22, V = a11/a22 is lognormal with log-mean mu11 - mu22' and
+    log-variance sigma11^2 + sigma22^2."""
+    a22 = dist.tilted(model.a22, alpha)
+    v = dist.Lognormal(model.a11.mu - a22.mu,
+                       math.hypot(model.a11.sigma, a22.sigma))
+    return dist.abs_moment_derivative(v, alpha)
+
+
 def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
                            rng: RngStream) -> np.ndarray:
     """m draws of the depth-n cross sum over fresh innovation paths,

@@ -216,6 +216,16 @@ def test_narrow_normal_far_from_zero():
         2.30253508549154437, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1e6, 1e8, 1e12])
+def test_unit_normal_millions_of_sd_from_zero(m):
+    # the quadrature nodes round at the scale of m, so the Gaussian factor
+    # must take s - m from the node offsets; E log X = log m - 1/(2 m^2)
+    spec = Normal(m, 1.0)
+    assert t.mean(spec) == pytest.approx(m, rel=1e-12)
+    assert t.abs_moment(spec, 2.0) == pytest.approx(m * m + 1.0, rel=1e-12)
+    assert abs(t.log_abs_moment(spec) - math.log(m)) <= 1e-12
+
+
 def test_abs_moment_uniform_against_oracle():
     assert t.abs_moment(Uniform(-0.3, 1.1), 1.7) == pytest.approx(
         0.352441172002978043, rel=1e-12)

@@ -12,7 +12,7 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries, Lognormal,
                     Normal, ProportionalToDiagonal, SignedLognormal,
                     TwoSidedPareto)
 from trisre.cli import main as cli_main
-from trisre.errors import UnsupportedRegime
+from trisre.errors import RegimeMismatch, UnsupportedRegime
 from trisre.rng import CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
                               builtin_scenarios, emit_report, load_config,
@@ -42,6 +42,19 @@ def test_predict_grey_first_coordinate_closed_form():
     assert pred.log_beta == 0.0
     assert pred.tail_index == pytest.approx(2.0)
     assert pred.ell_scale == pytest.approx(1.0)
+
+
+def test_predict_grey_second_coordinate_refuses_a_truncated_series():
+    # max E|a_ii|^2 = 0.980: the term bound C i q^{i-1} is still 3.7 C at
+    # the 200-term cap, where the weights are about 0.05 each, so summing
+    # 200 terms would drop a tail of the same order as the sum
+    m = IndependentEntries(a11=Lognormal(-2, 1), a12=Lognormal(0, 0.5),
+                           a22=Lognormal(-0.1, 0.3), b1=Constant(0.1),
+                           b2=TwoSidedPareto(2.0, 2.0, 0.7))
+    report = t.classify(m, t.RngStream(2))
+    assert report.theorem_case == "coord2_dominant_grey"
+    with pytest.raises(RegimeMismatch, match="term bound"):
+        predict(m, report=report, constant_samples=1000, rng=t.RngStream(3))
 
 
 def test_predict_log_beta_menu_and_positivity():

@@ -10,12 +10,15 @@ import trisre as t
 from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, Scaled, SignedLognormal, Uniform)
+from trisre import tilting
 from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
-                           RequiresExactTilt, RequiresMuZero, WeightDegenerate)
+                           RequiresExactTilt, RequiresMuZero, TiltUnsupported,
+                           WeightDegenerate)
 from trisre.estimates import EstimateWithError
 from trisre.tilting import _vu_sampler
 
-from oracles import combined_se, sample_cross_sum_batch
+from oracles import (combined_se, lognormal_ratio_log_drift,
+                     sample_cross_sum_batch)
 
 
 def tilt_benchmark():
@@ -23,24 +26,6 @@ def tilt_benchmark():
     return IndependentEntries(a11=Lognormal(-2, 1), a12=Lognormal(-1, 0.5),
                               a22=Lognormal(-1, 1), b1=Constant(1.0),
                               b2=Constant(1.0))
-
-
-def test_expect_tilted_unit_functional_is_exact_in_exact_mode():
-    est = t.expect_tilted(tilt_benchmark(), "second", 2.0,
-                          lambda path: np.ones(path.v.shape[1]),
-                          n=12, N=2000, rng=t.RngStream(1))
-    assert est.value == pytest.approx(1.0, rel=1e-12)
-    assert est.se == 0.0
-
-
-def test_expect_tilted_constant_diagonal_power():
-    c, alpha, n = 0.5, 1.3, 7
-    m = IndependentEntries(a11=Constant(0.9), a12=Constant(1.0),
-                           a22=Constant(c), b1=Constant(0.0), b2=Constant(0.0))
-    est = t.expect_tilted(m, "second", alpha,
-                          lambda path: np.ones(path.v.shape[1]),
-                          n=n, N=100, rng=t.RngStream(2))
-    assert est.value == pytest.approx(c ** (alpha * n), rel=1e-12)
 
 
 def mild_benchmark():
@@ -51,31 +36,61 @@ def mild_benchmark():
                               b1=Constant(1.0), b2=Constant(1.0))
 
 
-def test_raw_weights_average_to_moment_power():
-    # mean of prod |a22|^alpha over paths -> (E|A22|^alpha)^n
+def test_exact_tilt_agrees_with_weighted_mc(monkeypatch):
     m = mild_benchmark()
-    alpha, n = 1.0, 3
-    lam = t.abs_moment(Lognormal(-0.5, math.sqrt(0.5)), alpha)
-    est = t.expect_tilted(m, "second", alpha,
-                          lambda path: np.ones(path.v.shape[1]),
-                          n=n, N=400_000, rng=t.RngStream(3),
-                          mode="weighted_mc")
-    assert abs(est.value - lam ** n) <= 4 * est.se
+    alpha = 2.0
+    exact = t.coupling_sum_moments(m, alpha, [1, 3], 200_000, t.RngStream(4))
+    assert exact.mode == "plain"
+
+    def untiltable(spec, alpha):
+        raise TiltUnsupported("forced raw-weight route")
+
+    monkeypatch.setattr(tilting.dist, "tilted", untiltable)
+    weighted = t.coupling_sum_moments(m, alpha, [1, 3], 400_000,
+                                      t.RngStream(5))
+    assert weighted.mode == "weighted_mc"
+    for a, b in zip(exact.snapshots + [exact.window],
+                    weighted.snapshots + [weighted.window]):
+        assert a.k == b.k
+        for key in ("absolute", "plus"):
+            ea, eb = getattr(a, key), getattr(b, key)
+            assert abs(ea.value - eb.value) <= 4 * combined_se(ea, eb), key
+        assert b.minus.value == 0.0
 
 
-def test_exact_tilt_agrees_with_weighted_mc():
-    m = mild_benchmark()
-    alpha, n = 1.0, 3
+def test_raw_weight_route_matches_cross_sum_oracle():
+    # a11 takes both signs and a22 = Uniform has no exact tilt; a22 > 0,
+    # so the ratio sum and the cross sum share their sign
+    m = IndependentEntries(a11=Normal(0, 0.5), a12=Lognormal(-1, 0.5),
+                           a22=Uniform(0.2, 1.2), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    alpha, n = 1.5, 8
+    study = t.coupling_sum_moments(m, alpha, [n], 400_000, t.RngStream(35))
+    assert study.mode == "weighted_mc"
+    cross = sample_cross_sum_batch(m, n, 400_000, t.RngStream(36))
+    oracle = {"absolute": np.abs(cross) ** alpha,
+              "plus": np.maximum(cross, 0.0) ** alpha,
+              "minus": np.maximum(-cross, 0.0) ** alpha}
+    for key, vals in oracle.items():
+        est = getattr(study.final(), key)
+        brute = EstimateWithError(float(vals.mean()),
+                                  float(vals.std() / math.sqrt(vals.size)),
+                                  vals.size)
+        assert abs(est.value - brute.value) <= 4 * combined_se(est, brute), key
 
-    def f(path):
-        return np.abs(path.u).sum(axis=0)
 
-    exact = t.expect_tilted(m, "second", alpha, f, n, 200_000,
-                            t.RngStream(4), mode="exact_tilt")
-    weighted = t.expect_tilted(m, "second", alpha, f, n, 400_000,
-                               t.RngStream(5), mode="weighted_mc")
-    assert abs(exact.value - weighted.value) <= \
-        4 * combined_se(exact, weighted)
+def test_raw_weight_route_is_identical_across_worker_counts(monkeypatch):
+    m = IndependentEntries(a11=Constant(0.4), a12=Lognormal(-1, 0.5),
+                           a22=Uniform(0.2, 1.2), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TRISRE_WORKERS", workers)
+        study = t.coupling_sum_moments(m, 1.5, [2, 4], 40_000,
+                                       t.RngStream(37))
+        assert study.mode == "weighted_mc"
+        runs.append([s.to_dict() for s in study.snapshots + [study.window]])
+    assert runs[0] == runs[1]
 
 
 def test_weighted_mc_degenerates_on_long_horizons():
@@ -83,9 +98,27 @@ def test_weighted_mc_degenerates_on_long_horizons():
                            a22=Uniform(0.05, 1.5), b1=Constant(0.0),
                            b2=Constant(0.0))
     with pytest.raises(WeightDegenerate):
-        t.expect_tilted(m, "second", 3.0,
-                        lambda path: np.ones(path.v.shape[1]),
-                        n=120, N=5000, rng=t.RngStream(6))
+        t.coupling_sum_moments(m, 3.0, [120], 5000, t.RngStream(6))
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: t.coupling_sum_moments(mild_benchmark(), 2.0, [3], 0, rng),
+    lambda rng: t.estimate_coupling_weight(mild_benchmark(), 2.0, 4, 0, rng),
+    lambda rng: t.estimate_coupling_rate(rate_benchmark(), 2.0, 10, 0, rng),
+    lambda rng: t.goldie_constant_perpetuity(
+        Lognormal(-1, 1), Constant(1.0), 2.0, 1.0, 10, 0, rng),
+    lambda rng: t.goldie_constant_direct(
+        lambda m, r: (np.ones(m), np.ones(m), np.ones(m)), 2.0, 1.0, 0, rng,
+        a_signed=False),
+    lambda rng: t.tilted_offdiag_moments(
+        EqualDiagonal(d=Lognormal(-1, 1),
+                      a12_mode=IndependentOffDiagonal(Normal(0, 1)),
+                      b1=Constant(1.0), b2=Constant(1.0)), 2.0, N=0, rng=rng),
+], ids=["coupling_sum_moments", "coupling_weight", "coupling_rate",
+        "goldie_perpetuity", "goldie_direct", "offdiag_moments"])
+def test_estimators_reject_zero_samples(call):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        call(t.RngStream(38))
 
 
 def test_coupling_weight_zero_offdiagonal_is_zero():
@@ -254,16 +287,14 @@ def test_perpetuity_sample_geometric_and_degenerate():
     m = IndependentEntries(a11=Constant(0.5), a12=Constant(1.0),
                            a22=Constant(1.0), b1=Constant(0.0),
                            b2=Constant(0.0))
-    tc = t.tilted_coupling(m, "second", 2.0)
     for n in (1, 3, 10):
-        x = t.perpetuity_sample_batch(tc, n, 1, t.RngStream(16))[0]
+        x = t.perpetuity_sample_batch(m, 2.0, n, 1, t.RngStream(16))[0]
         assert x == pytest.approx(2.0 * (1 - 2.0 ** (-n)), rel=1e-12)
     # v = 0: the sum collapses to its first term
     m0 = IndependentEntries(a11=Constant(0.0), a12=Constant(0.7),
                             a22=Constant(1.0), b1=Constant(0.0),
                             b2=Constant(0.0))
-    tc0 = t.tilted_coupling(m0, "second", 2.0)
-    assert t.perpetuity_sample_batch(tc0, 5, 1, t.RngStream(17))[0] == \
+    assert t.perpetuity_sample_batch(m0, 2.0, 5, 1, t.RngStream(17))[0] == \
         pytest.approx(0.7, rel=1e-15)
 
 
@@ -271,9 +302,8 @@ def test_perpetuity_sample_requires_exact_tilt():
     m = IndependentEntries(a11=Constant(0.5), a12=Constant(1.0),
                            a22=Uniform(0.1, 1.0), b1=Constant(0.0),
                            b2=Constant(0.0))
-    tc = t.tilted_coupling(m, "second", 2.0)
     with pytest.raises(RequiresExactTilt):
-        t.perpetuity_sample_batch(tc, 3, 1, t.RngStream(18))
+        t.perpetuity_sample_batch(m, 2.0, 3, 1, t.RngStream(18))
 
 
 def test_coupling_weight_weighted_fallback_for_untiltable_diagonal():
@@ -329,12 +359,12 @@ def test_coupling_rate_matches_tail_of_ratio_perpetuity():
     alpha = 2.0
     rate = t.estimate_coupling_rate(model, alpha, 200, 100_000,
                                     t.RngStream(22))
-    drift = t.tilted_ratio_log_drift(model, alpha, 400_000, t.RngStream(23))
-    tc = t.tilted_coupling(model, "second", alpha)
-    x = t.perpetuity_sample_batch(tc, 60, 400_000, t.RngStream(24))
+    drift = lognormal_ratio_log_drift(model, alpha)
+    assert drift == pytest.approx(3.0, rel=1e-12)
+    x = t.perpetuity_sample_batch(model, alpha, 60, 400_000, t.RngStream(24))
     q = np.quantile(np.abs(x), 0.999)
     p_tail = float(np.mean(np.abs(x) > q))
-    cross = drift.value * p_tail * q ** alpha
+    cross = drift * p_tail * q ** alpha
     ratio = cross / rate.rate_windowed.absolute.value
     assert 0.5 <= ratio <= 2.0
 
@@ -389,8 +419,7 @@ def test_perpetuity_sample_mean_matches_closed_form():
     exact = 0.0
     for _ in range(n):
         exact = ev * exact + eu
-    tc = t.tilted_coupling(model, "second", alpha)
-    x = t.perpetuity_sample_batch(tc, n, 200_000, t.RngStream(34))
+    x = t.perpetuity_sample_batch(model, alpha, n, 200_000, t.RngStream(34))
     assert abs(x.mean() - exact) <= 4 * x.std() / math.sqrt(x.size)
 
 
@@ -419,7 +448,7 @@ def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
     # and log U = N12 - N22' share the tilted a22's log-variance
     model = builtin_model("coord2_dominant_kg")
     a22 = t.tilted(model.a22, 2.0)
-    sampler = _vu_sampler(t.tilted_coupling(model, "second", 2.0))
+    sampler = _vu_sampler(model, 2.0)
     v, u = sampler(400_000, t.RngStream(40))
     lv, lu = np.log(v), np.log(u)
     c22 = a22.sigma ** 2
@@ -437,7 +466,7 @@ def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
 
 def test_lognormal_ratio_pair_draws_two_normals_per_path_step():
     model = builtin_model("distinct_diag_equal_index")
-    sampler = _vu_sampler(t.tilted_coupling(model, "second", 2.0))
+    sampler = _vu_sampler(model, 2.0)
     used, ref = t.RngStream(41), t.RngStream(41)
     sampler(1000, used)
     ref.gen.standard_normal((2, 1000))
