@@ -402,10 +402,6 @@ def is_zero_pointmass(spec: Dist) -> bool:
     return False
 
 
-def has_atom_at_zero(spec: Dist) -> bool:
-    return is_zero_pointmass(spec)
-
-
 def prob_negative(spec: Dist) -> float:
     """P(X < 0), exact for every menu family."""
     if isinstance(spec, Constant):

@@ -49,7 +49,7 @@ class EqualDiagonal:
     b2: Dist
 
     def __post_init__(self):
-        if dist.has_atom_at_zero(self.d):
+        if dist.is_zero_pointmass(self.d):
             raise ValueError("EqualDiagonal requires a diagonal law with no "
                              "atom at zero")
 
@@ -112,6 +112,14 @@ def offdiag_moment_sup(model: TriangularSRE) -> float:
     if isinstance(law, _ProductLaw):
         return min(dist.moment_sup(law.x), dist.moment_sup(law.y))
     return dist.moment_sup(law)
+
+
+def entry_moment_sup(model: TriangularSRE) -> float:
+    """sup{beta : all five entries have a finite beta-moment}."""
+    d1, d2 = diag_laws(model)
+    return min(dist.moment_sup(d1), dist.moment_sup(d2),
+               offdiag_moment_sup(model),
+               dist.moment_sup(model.b1), dist.moment_sup(model.b2))
 
 
 def offdiag_is_zero(model: TriangularSRE) -> bool:

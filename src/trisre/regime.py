@@ -17,7 +17,7 @@ from . import model as mod
 from .distributions import Dist
 from .errors import NoRoot, NotContractive
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
-from .model import EqualDiagonal, IndependentEntries, ProportionalToDiagonal, TriangularSRE
+from .model import EqualDiagonal, TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
 
 _INDEX_TOL = 1e-10
@@ -266,54 +266,46 @@ def _coordinate_regime(a_law: Dist, b_law: Dist) -> tuple[str | None, float | No
     return None, None, kg_err or "no tail index available"
 
 
-def _nonlattice(a_law: Dist) -> bool:
-    return dist.is_continuous(a_law)
-
-
 def _eta_margin(model: TriangularSRE, alpha: float) -> float:
-    """Largest eta <= 0.1 keeping all alpha+eta entry moments finite."""
-    d1, d2 = mod.diag_laws(model)
-    sup = min(dist.moment_sup(d1), dist.moment_sup(d2),
-              mod.offdiag_moment_sup(model),
-              dist.moment_sup(model.b1), dist.moment_sup(model.b2))
+    """Largest eta <= 0.1 keeping all alpha+eta entry moments finite.
+
+    eta < 1 also keeps E|A22|^{-eta} finite whenever a22 has no atom at
+    zero (see _mixed_moment_check)."""
+    sup = mod.entry_moment_sup(model)
     if math.isinf(sup):
         return 0.1
     return min(0.1, max(0.0, (sup - alpha) / 2.0))
 
 
-def _mixed_moment_mc(model: TriangularSRE, alpha: float, eta: float,
-                     rng: RngStream, n: int = 1_000_000) -> tuple[CheckResult, bool]:
-    """[mixed negative-moment condition] E|A11|^{a+eta}|A22|^{-eta} and the
-    a12 analogue, by Monte Carlo; flagged unverifiable when unstable."""
-    def chunk(m, sub):
-        batch = mod.draw_innovations(model, m, sub)
-        with np.errstate(divide="ignore", over="ignore"):
-            w1 = np.abs(batch.a11) ** (alpha + eta) * np.abs(batch.a22) ** (-eta)
-            w2 = np.abs(batch.a12) ** (alpha + eta) * np.abs(batch.a22) ** (-eta)
-        return tuple(RunningMoments(w[np.isfinite(w)]) for w in (w1, w2))
+def _mixed_moment_check(model: TriangularSRE, alpha: float,
+                        eta: float) -> CheckResult:
+    """[mixed negative-moment condition] E|A1j|^{a+eta}|A22|^{-eta} < inf
+    for j = 1, 2, decided from the laws.
 
-    ok = True
-    details = []
-    accs = merge_chunks(map_chunks(n, CHUNK, chunk, rng))
-    for name, acc in zip(("diag", "offdiag"), accs):
-        # population std / sqrt(n) / mean, over the finite weights
-        rel_se = acc.estimate().se / acc.mean if acc.mean > 0 else 0.0
-        details.append(f"{name}: mean {acc.mean:.4g}, rel SE {rel_se:.2%}")
-        if rel_se > 0.10:
-            ok = False
-    status = "pass" if ok else "unverifiable"
-    return CheckResult("negative_moment_mix", status,
-                       f"eta={eta:.3g}; " + "; ".join(details)), ok
+    Only independent entries reach the distinct-diagonal case, so each
+    moment factors as E|A1j|^{a+eta} E|A22|^{-eta}. The first factor is
+    finite by the choice of eta. Every menu law with no atom at zero is
+    either bounded away from zero or has a density bounded near it, so
+    the second factor is finite for eta < 1, and _eta_margin keeps
+    eta <= 0.1."""
+    d1, _ = mod.diag_laws(model)
+    beta = alpha + eta
+    return CheckResult(
+        "negative_moment_mix", "pass",
+        f"eta={eta:.3g}; E|A11|^(a+eta) = {dist.abs_moment(d1, beta):.4g}, "
+        f"E|A12|^(a+eta) = {mod.offdiag_abs_moment(model, beta):.4g}; "
+        "E|A22|^(-eta) finite: no atom at zero and eta < 1")
 
 
 def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport:
     """Fill the full regime report for a model.
 
-    Analytic checks come from distribution metadata; the non-lattice
-    conditions are structural (continuous law => pass, point mass =>
-    fail); the only Monte Carlo ingredients are the mixed negative-moment
-    check and, when no closed form exists, the off-diagonal drift used to
-    split the equal-diagonal case.
+    Analytic checks come from distribution metadata, the mixed
+    negative-moment condition included; the non-lattice conditions are
+    structural (continuous law => pass, point mass => fail). Random draws
+    enter only where no closed form exists: the off-diagonal drift that
+    splits the equal-diagonal case, and the informational
+    component-distinctness probe of the signed coord1 Kesten-Goldie case.
     """
     if rng is None:
         rng = RngStream(0x7C1A55EED)
@@ -323,7 +315,7 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     sign = SignSummary(
         a11_negative_possible=dist.prob_negative(d1) > 0.0,
         a22_negative_possible=dist.prob_negative(d2) > 0.0,
-        a22_no_zero_atom=not dist.has_atom_at_zero(d2),
+        a22_no_zero_atom=not dist.is_zero_pointmass(d2),
     )
 
     # stationarity preconditions (negative log-drifts, log+ noise moment)
@@ -389,7 +381,7 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
         "a22_no_zero_atom", "pass" if sign.a22_no_zero_atom else "fail",
         "second diagonal has no atom at zero" if sign.a22_no_zero_atom
         else "second diagonal can vanish"))
-    a4_ok = _nonlattice(d1)
+    a4_ok = dist.is_continuous(d1)
     checks.append(CheckResult(
         "log_a11_nonlattice", "pass" if a4_ok else "fail",
         "continuous first diagonal" if a4_ok else "discrete first diagonal"))
@@ -404,11 +396,8 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     checks.append(CheckResult("ratio_nonlattice",
                               "pass" if a5_ok else "fail", a5_detail))
 
-    mixed_ok = False
     if relation == "distinct" and a1_ok and a2_ok and sign.a22_no_zero_atom:
-        mixed_check, mixed_ok = _mixed_moment_mc(model, alpha_common, eta,
-                                                 rng.substream(0xA6))
-        checks.append(mixed_check)
+        checks.append(_mixed_moment_check(model, alpha_common, eta))
     else:
         checks.append(CheckResult("negative_moment_mix", "unverifiable",
                                   "not needed outside the distinct-diagonal "
@@ -442,8 +431,7 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
                 theorem_case = (CASE_EQUAL_DIAG_ZERO_DRIFT if zero_drift
                                 else CASE_EQUAL_DIAG_NONZERO_DRIFT)
         elif same_alpha and relation == "distinct":
-            if a1_ok and a2_ok and sign.a22_no_zero_atom and a4_ok \
-                    and a5_ok and mixed_ok:
+            if a1_ok and a2_ok and sign.a22_no_zero_atom and a4_ok and a5_ok:
                 theorem_case = CASE_DISTINCT_DIAG_EQUAL_INDEX
 
     report = RegimeReport(alpha1=alpha1, alpha2=alpha2, rho1=rho1, rho2=rho2,

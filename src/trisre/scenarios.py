@@ -75,8 +75,12 @@ class ScenarioConfig:
                              ">= 3 for the Hill fit (k = 2 < n)")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.mn_horizon <= 0 or self.weight_horizon <= 0:
-            raise ValueError("horizons must be positive")
+        if self.mn_horizon < 2 or self.weight_horizon <= 0:
+            raise ValueError("horizons must be positive, with mn_horizon "
+                             ">= 2 for the late-window rate")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or null, not "
+                             f"{type(self.out_dir).__name__}")
 
     def to_dict(self) -> dict:
         return {"schema": SCHEMA_VERSION, "name": self.name,

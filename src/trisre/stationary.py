@@ -26,9 +26,7 @@ def contraction_exponent(model: TriangularSRE) -> tuple[float, float]:
     Raises NotContractive when no grid point gives q < 1.
     """
     d1, d2 = mod.diag_laws(model)
-    sup = min(dist.moment_sup(d1), dist.moment_sup(d2),
-              dist.moment_sup(model.b1), dist.moment_sup(model.b2),
-              mod.offdiag_moment_sup(model))
+    sup = mod.entry_moment_sup(model)
     best_eps, best_q = None, np.inf
     for eps in _EPS_GRID:
         if eps >= sup:

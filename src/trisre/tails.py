@@ -188,10 +188,9 @@ class PerpetuityConstants:
     rate_at_half: SnapshotMoments
 
 
-def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
+def goldie_constant_perpetuity(a_law: Dist, b_law: Dist | None,
                                alpha: float, rho: float, n: int, N: int,
-                               rng: RngStream, pair_sampler=None,
-                               gamma: float | None = None
+                               rng: RngStream, pair_sampler=None
                                ) -> PerpetuityConstants:
     """Perpetuity-limit formula: (alpha rho n)^{-1} E[(X_n^+-)^alpha] for
     the partial sums X_n of the perpetuity series.
@@ -208,21 +207,15 @@ def goldie_constant_perpetuity(a_law: Dist | None, b_law: Dist | None,
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
     if pair_sampler is None:
-        if a_law is None or b_law is None:
-            raise ValueError("give laws or a pair_sampler")
+        if b_law is None:
+            raise ValueError("give b_law or a pair_sampler")
         pair_sampler = _law_pair_sampler(a_law, b_law)
 
-    if a_law is None:
-        if gamma is None:
-            raise ValueError("gamma required when only a sampler is given")
-        moment = 1.0
-    else:
-        moment = dist.abs_moment(a_law, alpha)
-        if gamma is None:
-            # E[sgn(A)|A|^alpha] is exactly E|A|^alpha for A >= 0
-            gamma = (moment if dist.prob_negative(a_law) == 0 else
-                     dist.signed_moment(a_law, alpha, "plus")
-                     - dist.signed_moment(a_law, alpha, "minus"))
+    moment = dist.abs_moment(a_law, alpha)
+    # E[sgn(A)|A|^alpha] is exactly E|A|^alpha for A >= 0
+    gamma = (moment if dist.prob_negative(a_law) == 0 else
+             dist.signed_moment(a_law, alpha, "plus")
+             - dist.signed_moment(a_law, alpha, "minus"))
     lam, gamma = _scan_factors(moment, gamma, "E|A|^alpha")
     half = n // 2
     study = _study_from_pairs(pair_sampler, alpha, [half, n], N, rng, lam,

@@ -307,7 +307,7 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
     if horizons[0] < 1:
         raise ValueError("horizons must be >= 1")
     a22 = mod.diag_laws(model)[1]
-    if dist.has_atom_at_zero(a22):
+    if dist.is_zero_pointmass(a22):
         raise RegimeMismatch("ratio representation needs a second diagonal "
                              "with no atom at zero")
     contraction, gamma = _scan_factors(_ratio_moment(model, alpha),
@@ -358,11 +358,6 @@ class CouplingRate:
     rate_at_n: SnapshotMoments
     rate_at_half: SnapshotMoments
     rate_windowed: SnapshotMoments
-
-    def to_dict(self) -> dict:
-        return {"rate_at_n": self.rate_at_n.to_dict(),
-                "rate_at_half": self.rate_at_half.to_dict(),
-                "rate_windowed": self.rate_windowed.to_dict()}
 
 
 def _scaled_snapshot(s: SnapshotMoments, factor: float) -> SnapshotMoments:

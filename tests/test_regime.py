@@ -1,5 +1,6 @@
 """Tail-index solving, Lyapunov estimation, and regime classification."""
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, SignedLognormal, TwoSidedPareto,
                     Uniform)
+from trisre import distributions as dist
 from trisre import model as mod
 from trisre.errors import NoRoot, NotContractive
-from trisre.regime import (CASE_COORD1_KG, CASE_EQUAL_DIAG_NONZERO_DRIFT,
+from trisre.regime import (CASE_COORD1_KG, CASE_DISTINCT_DIAG_EQUAL_INDEX,
+                           CASE_EQUAL_DIAG_NONZERO_DRIFT,
                            CASE_EQUAL_DIAG_ZERO_DRIFT, CASE_UNSUPPORTED)
-from trisre.rng import CHUNK
+from trisre.rng import CHUNK, RngStream
+from trisre.scenarios import builtin_scenarios, scenario_regime
 
 from oracles import scipy_tail_index
 
@@ -251,3 +255,48 @@ def test_classify_signed_first_coordinate_reports_distinctness_probe():
     chk = rep.check("component_tail_distinctness")
     assert chk.status == "unverifiable"
     assert "vs" in chk.detail
+
+
+def test_mixed_moment_condition_does_not_depend_on_the_seed():
+    # both indices 1; E|A11|^{1.1}|A22|^{-0.1} is finite but its sample
+    # mean over 1M draws has a relative SE near 12%, so only a check
+    # decided from the laws gives the same verdict at every seed
+    m = IndependentEntries(a11=Lognormal(-6.125, 3.5), a12=Lognormal(-1, 0.5),
+                           a22=Lognormal(-0.5, 1), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    reps = [t.classify(m, RngStream(seed)) for seed in (1, 2, 3)]
+    for rep in reps:
+        assert rep.alpha1 == pytest.approx(1.0, abs=1e-9)
+        assert rep.alpha2 == pytest.approx(1.0, abs=1e-9)
+        assert rep.theorem_case == CASE_DISTINCT_DIAG_EQUAL_INDEX
+        assert rep.check("negative_moment_mix").status == "pass"
+    assert reps[0].to_dict() == reps[1].to_dict() == reps[2].to_dict()
+
+
+def test_mixed_moment_detail_carries_the_exact_moments():
+    (config,) = [c for c in builtin_scenarios()
+                 if c.name == CASE_DISTINCT_DIAG_EQUAL_INDEX]
+    detail = scenario_regime(config).check("negative_moment_mix").detail
+    # alpha = 2, eta = 0.1: E|LN(-1, s)|^{2.1} = exp(-2.1 + 2.205 s^2)
+    assert detail.startswith("eta=0.1; ")
+    assert f"E|A11|^(a+eta) = {math.exp(0.105):.4g}" in detail
+    assert f"E|A12|^(a+eta) = {math.exp(-1.54875):.4g}" in detail
+    assert "E|A22|^(-eta) finite" in detail
+
+
+def test_classify_draws_nothing_on_builtin_models(monkeypatch):
+    def no_draws(self):
+        raise AssertionError(f"classify drew from {self.describe()}")
+
+    monkeypatch.setattr(RngStream, "gen", property(no_draws))
+    cases = {scenario_regime(c).theorem_case for c in builtin_scenarios()}
+    assert len(cases) == 7 and CASE_UNSUPPORTED not in cases
+
+
+def test_menu_is_the_families_the_mixed_moment_argument_covers():
+    # _mixed_moment_check takes E|A22|^{-eta} < inf for eta < 1 from the
+    # menu: each family is bounded away from zero or has a density bounded
+    # near it. A new family must be checked against that argument.
+    assert set(typing.get_args(dist.Dist)) == {
+        dist.Constant, dist.Normal, dist.Lognormal, dist.SignedLognormal,
+        dist.TwoSidedPareto, dist.Uniform, dist.Scaled}

@@ -279,6 +279,12 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, command):
     cases = [(str(p), "sample counts must be positive"),
              (str(tmp_path / "missing.json"), "config file not found"),
              (str(tmp_path), "invalid config")]
+    for field, value, message in (("mn_horizon", 1, "mn_horizon >= 2"),
+                                  ("out_dir", 5, "out_dir must be a string")):
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(dict(quick_config().to_dict(),
+                                       **{field: value})))
+        cases.append((str(bad), message))
     for name, text in (("list.json", "[1, 2]"), ("null.json", "null")):
         (tmp_path / name).write_text(text)
         cases.append((str(tmp_path / name), "config must be a JSON object"))
