@@ -140,7 +140,8 @@ def lyapunov_estimate(model: TriangularSRE, n: int, reps: int,
     if n < 1 or reps < 2:
         raise ValueError("need n >= 1 and reps >= 2")
 
-    def chunk(m, sub):
+    def chunk(paths, sub):
+        m = paths.stop - paths.start
         p11 = np.ones(m)
         p12 = np.zeros(m)
         p22 = np.ones(m)
@@ -304,8 +305,9 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     negative-moment condition included; the non-lattice conditions are
     structural (continuous law => pass, point mass => fail). Random draws
     enter only where no closed form exists: the off-diagonal drift that
-    splits the equal-diagonal case, and the informational
-    component-distinctness probe of the signed coord1 Kesten-Goldie case.
+    splits the equal-diagonal case. The component-distinctness condition
+    of the signed coord1 Kesten-Goldie case has no computable criterion
+    and is stated as unverifiable.
     """
     if rng is None:
         rng = RngStream(0x7C1A55EED)
@@ -449,26 +451,9 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
                       or dist.prob_negative(model.b2) > 0.0
                       or mod.offdiag_negative_possible(model))
     if theorem_case == CASE_COORD1_KG and signed_entries:
-        detail = _component_distinctness_probe(model, alpha1,
-                                               rng.substream(0x38))
-        report.checks.append(CheckResult("component_tail_distinctness",
-                                         "unverifiable", detail))
+        report.checks.append(CheckResult(
+            "component_tail_distinctness", "unverifiable",
+            "c_plus + c_minus > 0 needs E[|U|^a - |A11 U|^a] to differ "
+            "between the own part of W1 (driven by b1) and its cross part "
+            "(fed via a12); no criterion computable from the laws decides it"))
     return report
-
-
-def _component_distinctness_probe(model: TriangularSRE, alpha: float,
-                                  rng: RngStream, m: int = 100_000) -> str:
-    """MC estimate of the two sides of the distinctness condition
-    E[|U|^a - |A11 U|^a] for U each decomposition part; informational."""
-    from .stationary import sample_stationary_batch
-    try:
-        batch = sample_stationary_batch(model, 1e-6, m, rng.substream(1))
-    except NotContractive as exc:
-        return f"probe skipped: {exc}"
-    innov = mod.draw_innovations(model, m, rng.substream(2))
-    lhs = np.mean(np.abs(batch.w1_own) ** alpha
-                  - np.abs(innov.a11 * batch.w1_own) ** alpha)
-    rhs = np.mean(np.abs(batch.w1_cross) ** alpha
-                  - np.abs(innov.a11 * batch.w1_cross) ** alpha)
-    return (f"own-part side {lhs:.4g} vs cross-part side {rhs:.4g} "
-            f"(m={m}); equality cannot be certified either way")

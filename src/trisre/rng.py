@@ -79,24 +79,28 @@ _CHUNK_TAG = 0x43484B53  # namespaces internal chunk streams away from
 
 
 def map_chunks(total: int, chunk: int, fn, rng: RngStream, workers: int | None = None):
-    """Run fn(chunk_size, substream) over `total` items in chunks.
+    """Run fn(paths, substream) over `total` items in chunks.
 
-    The plan is even: ceil(total / chunk) chunks of total // count items
-    or one more, the larger ones first, so no worker idles on a runt.
-    The plan depends only on total and chunk, and chunk i always receives
-    the same derived stream whatever the worker count, so results are
-    reproducible and order-independent. Returns the per-chunk results in
-    chunk order.
+    paths is the chunk's slice(start, stop) of range(total); its size is
+    paths.stop - paths.start, and a chunk may write its result into
+    out[paths] of an output the caller allocated once. The plan is even:
+    ceil(total / chunk) chunks of total // count items or one more, the
+    larger ones first, so no worker idles on a runt. The slices tile
+    range(total) in chunk order. The plan depends only on total and
+    chunk, and chunk i always receives the same derived stream whatever
+    the worker count, so results are reproducible and order-independent.
+    Returns the per-chunk results in chunk order.
     """
     count = -(-total // chunk)
     q, r = divmod(total, max(count, 1))
-    sizes = [q + 1] * r + [q] * (count - r)
+    plan = [slice(i * q + min(i, r), (i + 1) * q + min(i + 1, r))
+            for i in range(count)]
     base = rng.substream(_CHUNK_TAG)
     if workers is None:
         workers = default_workers()
-    if workers <= 1 or len(sizes) <= 1:
-        return [fn(m, base.substream(i)) for i, m in enumerate(sizes)]
+    if workers <= 1 or len(plan) <= 1:
+        return [fn(paths, base.substream(i)) for i, paths in enumerate(plan)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(fn, m, base.substream(i))
-                for i, m in enumerate(sizes)]
+        futs = [pool.submit(fn, paths, base.substream(i))
+                for i, paths in enumerate(plan)]
         return [f.result() for f in futs]

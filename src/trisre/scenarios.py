@@ -420,7 +420,13 @@ class ScenarioReport:
                 "notes": self.notes}
 
 
-def _hill_block(samples: np.ndarray) -> dict:
+def _hill_block(samples: np.ndarray, reads: dict | None = None) -> dict:
+    """Hill fits of the absolute, positive and negative tails.
+
+    Each tail is built once and dropped before the next one, so at most
+    one sorted copy of the samples is alive; reads[convention](tail), where
+    given, runs on that tail before it is dropped."""
+    reads = reads or {}
     out = {}
     n = samples.size
     k = max(2, min(int(n ** (2.0 / 3.0)), n - 1))
@@ -431,8 +437,47 @@ def _hill_block(samples: np.ndarray) -> dict:
             out[conv] = {"alpha_hat": est.value, "se": est.se, "k": k}
         except TrisreError as exc:
             out[conv] = {"error": str(exc), "k": k}
+        if conv in reads:
+            reads[conv](tail)
+        del tail
     out["n"] = n
     return out
+
+
+def _log_factor_fit(tail: EmpiricalTail, alpha: float) -> dict:
+    try:
+        grid = default_log_grid(tail)
+        beta_hat, intercept, r2 = log_factor_regression(tail, alpha, grid)
+    except InsufficientSupport as exc:
+        return {"error": str(exc)}
+    return {"beta_hat": beta_hat, "intercept": intercept, "r2": r2,
+            "grid_lo": float(grid[0]), "grid_hi": float(grid[-1])}
+
+
+def _tail_constant_fit(tail: EmpiricalTail,
+                       prediction: AsymptoticPrediction) -> dict:
+    """Mean over the log grid of x^a P(W1 > x) / ((log x)^beta ell): the
+    positive tail constant that the predicted tail form implies."""
+    try:
+        grid = default_log_grid(tail)
+    except InsufficientSupport as exc:
+        return {"error": str(exc)}
+    vals = []
+    for x in grid:
+        c = ccdf(tail, x)
+        if c * tail.count < 50 or x <= 1:
+            continue
+        denom = (math.log(x)) ** prediction.log_beta
+        if denom <= 0:
+            continue
+        vals.append(x ** prediction.tail_index * c / denom
+                    / prediction.ell_scale)
+    if len(vals) < 5:
+        return {"error": "insufficient grid support"}
+    return {"empirical": float(np.mean(vals)),
+            "predicted": _const_value(prediction.c_plus),
+            "predicted_se": _const_se(prediction.c_plus),
+            "grid_points": len(vals)}
 
 
 def scenario_regime(config: ScenarioConfig) -> RegimeReport:
@@ -467,6 +512,17 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
     except TrisreError as exc:
         prediction_error = f"{type(exc).__name__}: {exc}"
 
+    # the w1 tails also serve the log-factor regression (absolute) and
+    # the tail-constant grid (positive), read while each tail is alive
+    fits: dict = {}
+    reads = {}
+    if prediction is not None:
+        reads["absolute"] = lambda tail: fits.update(
+            log_factor_regression=_log_factor_fit(tail, prediction.tail_index))
+        if _const_value(prediction.c_plus) > 0:
+            reads["positive"] = lambda tail: fits.update(
+                tail_constant_plus=_tail_constant_fit(tail, prediction))
+
     batch = sample_stationary_batch(config.model, config.tol,
                                     config.n_samples, rng.substream(3),
                                     workers=workers)
@@ -474,8 +530,9 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
         "truncation_depth": batch.truncation_depth,
         "truncation_bound": batch.truncation_bound,
         "w2": _hill_block(batch.w2),
-        "w1": _hill_block(batch.w1),
+        "w1": _hill_block(batch.w1, reads),
     }
+    empirical.update(fits)
 
     verdicts: list[Verdict] = []
 
@@ -498,52 +555,22 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
             add_stat_verdict("hill_w1_abs", a, est["alpha_hat"], est["se"],
                              extra_band=0.10 * a)
 
-        tail_abs = EmpiricalTail(batch.w1, "absolute")
-        try:
-            grid = default_log_grid(tail_abs)
-            beta_hat, intercept, r2 = log_factor_regression(tail_abs, a, grid)
-            empirical["log_factor_regression"] = {
-                "beta_hat": beta_hat, "intercept": intercept, "r2": r2,
-                "grid_lo": float(grid[0]), "grid_hi": float(grid[-1])}
+        fit = empirical["log_factor_regression"]
+        if "beta_hat" in fit:
             verdicts.append(Verdict(
-                "log_factor_beta", prediction.log_beta, beta_hat, 0.0,
+                "log_factor_beta", prediction.log_beta, fit["beta_hat"], 0.0,
                 "|diff| <= 0.25 (absolute band; regression bias dominates)",
-                abs(beta_hat - prediction.log_beta) <= 0.25))
-        except InsufficientSupport as exc:
-            empirical["log_factor_regression"] = {"error": str(exc)}
+                abs(fit["beta_hat"] - prediction.log_beta) <= 0.25))
 
         # tail-constant comparison on the positive side, over the grid
-        cp_val = _const_value(prediction.c_plus)
-        cp_se = _const_se(prediction.c_plus)
-        if cp_val > 0:
-            tail_pos = EmpiricalTail(batch.w1, "positive")
-            try:
-                grid = default_log_grid(tail_pos)
-                vals = []
-                for x in grid:
-                    c = ccdf(tail_pos, x)
-                    if c * batch.w1.size < 50:
-                        continue
-                    denom = (math.log(x)) ** prediction.log_beta \
-                        if x > 1 else None
-                    if denom is None or denom <= 0:
-                        continue
-                    vals.append(x ** a * c / denom / prediction.ell_scale)
-                if len(vals) >= 5:
-                    emp_c = float(np.mean(vals))
-                    empirical["tail_constant_plus"] = {
-                        "empirical": emp_c, "predicted": cp_val,
-                        "predicted_se": cp_se, "grid_points": len(vals)}
-                    ratio = emp_c / cp_val
-                    verdicts.append(Verdict(
-                        "tail_constant_plus_factor", cp_val, emp_c, cp_se,
-                        "ratio in [0.5, 2.0] (pre-asymptotic factor band)",
-                        0.5 <= ratio <= 2.0))
-                else:
-                    empirical["tail_constant_plus"] = {
-                        "error": "insufficient grid support"}
-            except InsufficientSupport as exc:
-                empirical["tail_constant_plus"] = {"error": str(exc)}
+        fit = empirical.get("tail_constant_plus", {})
+        if "empirical" in fit:
+            ratio = fit["empirical"] / fit["predicted"]
+            verdicts.append(Verdict(
+                "tail_constant_plus_factor", fit["predicted"],
+                fit["empirical"], fit["predicted_se"],
+                "ratio in [0.5, 2.0] (pre-asymptotic factor band)",
+                0.5 <= ratio <= 2.0))
 
         csum = _const_value(prediction.c_plus) + _const_value(prediction.c_minus)
         csum_se = math.hypot(_const_se(prediction.c_plus),

@@ -82,46 +82,44 @@ def truncation_depth(model: TriangularSRE, tol: float) -> tuple[int, float]:
 class StationaryBatch:
     w1: np.ndarray
     w2: np.ndarray
-    w1_own: np.ndarray    # part driven by b1 through the first diagonal
-    w1_cross: np.ndarray  # part fed by the second coordinate via a12
     truncation_depth: int
     truncation_bound: float
-
-
-def _stationary_chunk(model: TriangularSRE, depth: int, m: int,
-                      rng: RngStream) -> tuple[np.ndarray, ...]:
-    """The depth-truncated backward series, run forward from zero.
-
-    Step s uses the draws of lag depth - s, so this is the same truncated
-    series with draws mapped to lags in reverse order, in O(m) memory. The
-    cross part takes the second coordinate from before the current step,
-    i.e. resolved from the deeper lags of the same path, which keeps
-    w1 = w1_own + w1_cross an identity of partial sums.
-    """
-    w1_own = np.zeros(m)
-    w1_cross = np.zeros(m)
-    w2 = np.zeros(m)
-    for _ in range(depth):
-        batch = mod.draw_innovations(model, m, rng)
-        w1_cross = batch.a11 * w1_cross + batch.a12 * w2
-        w1_own = batch.a11 * w1_own + batch.b1
-        w2 = batch.a22 * w2 + batch.b2
-    return w1_own, w1_cross, w2
 
 
 def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
                             rng: RngStream,
                             workers: int | None = None) -> StationaryBatch:
+    """m draws of the depth-truncated backward series, run forward from zero.
+
+    Step s uses the draws of lag depth - s, so this is the same truncated
+    series with draws mapped to lags in reverse order. Each chunk keeps
+    its first coordinate in two parts: the own part driven by b1 through
+    the first diagonal, and the cross part fed via a12 by the second
+    coordinate from before the current step, i.e. resolved from the
+    deeper lags of the same path. Their sum is written into w1 and the
+    second coordinate into w2, which are the only full-size arrays.
+    """
     depth, eps = truncation_depth(model, tol)
     bound = _series_error_bound(model, depth, eps,
                                 contraction_exponent(model)[1]) ** (1.0 / eps)
-    parts = map_chunks(m, CHUNK,
-                       lambda sz, sub: _stationary_chunk(model, depth, sz, sub),
-                       rng, workers)
-    w1_own, w1_cross, w2 = ([np.concatenate(col) for col in zip(*parts)]
-                            or [np.zeros(0) for _ in range(3)])
-    return StationaryBatch(w1=w1_own + w1_cross, w2=w2, w1_own=w1_own,
-                           w1_cross=w1_cross, truncation_depth=depth,
+    w1 = np.empty(m)
+    w2 = np.empty(m)
+
+    def chunk(paths, sub):
+        size = paths.stop - paths.start
+        own = np.zeros(size)
+        cross = np.zeros(size)
+        x2 = np.zeros(size)
+        for _ in range(depth):
+            batch = mod.draw_innovations(model, size, sub)
+            cross = batch.a11 * cross + batch.a12 * x2
+            own = batch.a11 * own + batch.b1
+            x2 = batch.a22 * x2 + batch.b2
+        np.add(own, cross, out=w1[paths])
+        w2[paths] = x2
+
+    map_chunks(m, CHUNK, chunk, rng, workers)
+    return StationaryBatch(w1=w1, w2=w2, truncation_depth=depth,
                            truncation_bound=bound)
 
 
@@ -162,15 +160,18 @@ def _perpetuity_sums(pair_sampler, depth: int, m: int, rng: RngStream,
     B_1 + A_1 B_2 + ... + A_1...A_{depth-1} B_depth, with step s using the
     draws of lag depth - s.
     """
-    def chunk(sz, sub):
-        x = np.zeros(sz)
-        for _ in range(depth):
-            a, b = pair_sampler(sz, sub)
-            x = a * x + b
-        return x
+    out = np.empty(m)
 
-    parts = map_chunks(m, CHUNK, chunk, rng, workers)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    def chunk(paths, sub):
+        size = paths.stop - paths.start
+        x = np.zeros(size)
+        for _ in range(depth):
+            a, b = pair_sampler(size, sub)
+            x = a * x + b
+        out[paths] = x
+
+    map_chunks(m, CHUNK, chunk, rng, workers)
+    return out
 
 
 def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,

@@ -30,7 +30,8 @@ class EmpiricalTail:
     """Sorted-descending sample values under a sign convention.
 
     convention "absolute" stores |x|; "positive" stores x (its tail is
-    P(X > t)); "negative" stores -x (its tail is P(-X > t))."""
+    P(X > t)); "negative" stores -x (its tail is P(-X > t)). The values
+    are one copy of the samples, sorted in place."""
 
     values: np.ndarray
     convention: str
@@ -47,7 +48,8 @@ class EmpiricalTail:
             data = -samples
         else:
             raise ValueError("convention must be absolute|positive|negative")
-        self.values = np.sort(data)[::-1]
+        data.sort()
+        self.values = data[::-1]
         self.convention = convention
 
     @property
@@ -156,7 +158,8 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     if N < 1:
         raise ValueError("N must be >= 1")
 
-    def chunk(m, sub):
+    def chunk(paths, sub):
+        m = paths.stop - paths.start
         a, b, x = sampler(m, sub)
         ax = a * x
         y = ax + b

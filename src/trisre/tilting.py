@@ -114,7 +114,8 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
     n = snapshots[-1]
     snap_set = {int(s) for s in snapshots}
 
-    def chunk(m, sub):
+    def chunk(paths, sub):
+        m = paths.stop - paths.start
         x = np.zeros(m)
         s_acc = np.zeros(m)
         d_acc = np.zeros(m)
@@ -124,14 +125,24 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
             v, u, *w = step_sampler(m, sub)
             vx = v * x
             x = vx + u
-            zp = np.maximum(x, 0.0) ** alpha - np.maximum(vx, 0.0) ** alpha
-            zm = np.maximum(-x, 0.0) ** alpha - np.maximum(-vx, 0.0) ** alpha
+            # z = z^+ + z^- and dz = z^+ - z^- for the increment split by
+            # sign, z^+ = (x^+)^a - (vx^+)^a and z^- = (x^-)^a - (vx^-)^a;
+            # vx becomes sgn(vx)|vx|^a, so no more arrays stay alive
+            z = np.abs(x) ** alpha
+            dz = np.copysign(z, x)
+            vx = np.copysign(np.abs(vx) ** alpha, vx)
+            z -= np.abs(vx)
+            dz -= vx
             if w:
                 weight *= w[0]
-                zp *= weight
-                zm *= weight
-            s_acc = contraction * s_acc + (zp + zm)
-            d_acc = gamma * d_acc + (zp - zm)
+                z *= weight
+                dz *= weight
+            if contraction != 1.0:
+                s_acc *= contraction
+            s_acc += z
+            if gamma != 1.0:
+                d_acc *= gamma
+            d_acc += dz
             if k in snap_set:
                 scale = step_moment ** k
                 up = 0.5 * (s_acc + d_acc) * scale
@@ -418,7 +429,8 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
     if rng is None:
         rng = RngStream(0x0FFD1A6)
 
-    def chunk(m, sub):
+    def chunk(paths, sub):
+        m = paths.stop - paths.start
         d = dist.sample(model.d, sub, m)
         r = dist.sample(model.a12_mode.a12, sub, m) / d
         w = np.abs(d) ** alpha

@@ -14,7 +14,7 @@ from trisre.model import TriangularSRE, draw_innovations
 from trisre.rng import CHUNK, RngStream, map_chunks
 from trisre.stationary import (_first_depth, _perpetuity_sums,
                                contraction_exponent, sample_perpetuity_batch,
-                               univariate_model)
+                               truncation_depth, univariate_model)
 from trisre.tails import goldie_constant_direct
 
 _EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
@@ -66,13 +66,43 @@ def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def chunk(sz, sub):
+    def chunk(paths, sub):
+        sz = paths.stop - paths.start
         steps = [draw_innovations(model, sz, sub) for _ in range(n)]
         return cross_sum_scan(*(np.array([getattr(b, k) for b in steps])
                                 for k in ("a11", "a12", "a22")))
 
     parts = map_chunks(m, CHUNK, chunk, rng)
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def stationary_parts(model: TriangularSRE, tol: float, m: int,
+                     rng: RngStream, workers: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w1_own, w1_cross, w2) of sample_stationary_batch's draws, by the
+    three-part chunk that returns whole arrays to be concatenated.
+
+    The own part is driven by b1 through the first diagonal, the cross
+    part is fed via a12 by the second coordinate from before each step;
+    their sum is the sampler's w1, bit for bit."""
+    depth, _ = truncation_depth(model, tol)
+
+    def chunk(paths, sub):
+        sz = paths.stop - paths.start
+        w1_own = np.zeros(sz)
+        w1_cross = np.zeros(sz)
+        w2 = np.zeros(sz)
+        for _ in range(depth):
+            batch = draw_innovations(model, sz, sub)
+            w1_cross = batch.a11 * w1_cross + batch.a12 * w2
+            w1_own = batch.a11 * w1_own + batch.b1
+            w2 = batch.a22 * w2 + batch.b2
+        return w1_own, w1_cross, w2
+
+    parts = map_chunks(m, CHUNK, chunk, rng, workers)
+    if not parts:
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,

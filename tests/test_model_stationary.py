@@ -1,5 +1,6 @@
 """Model coupling, forward dynamics, stationary sampling, cross sums."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,27 @@ from trisre.errors import NotContractive
 from trisre.rng import CHUNK, map_chunks
 
 from oracles import (cross_sum_brute, cross_sum_scan, sample_cross_sum_batch,
-                     sample_pair_perpetuity_batch)
+                     sample_pair_perpetuity_batch, stationary_parts)
 
 
 def constant_model(a11, a12, a22, b1, b2):
     return IndependentEntries(a11=Constant(a11), a12=Constant(a12),
                               a22=Constant(a22), b1=Constant(b1),
                               b2=Constant(b2))
+
+
+def parts_of_batch(model, tol, m, seed, workers=(1, 2)):
+    """The three-part oracle's (w1_own, w1_cross, w2), after checking that
+    the sampler's w1 is own + cross and its w2 the oracle's, bit for bit,
+    at each worker count."""
+    for w in workers:
+        batch = t.sample_stationary_batch(model, tol, m, t.RngStream(seed),
+                                          workers=w)
+        own, cross, w2 = stationary_parts(model, tol, m, t.RngStream(seed),
+                                          workers=w)
+        np.testing.assert_array_equal(batch.w1, own + cross)
+        np.testing.assert_array_equal(batch.w2, w2)
+    return own, cross, w2
 
 
 def test_draw_innovation_equal_diagonal_constants():
@@ -126,9 +141,9 @@ def test_stationary_zero_offdiagonal_kills_cross_part():
     m = IndependentEntries(a11=Lognormal(-1, 1), a12=Constant(0.0),
                            a22=Lognormal(-1, 1), b1=Constant(1.0),
                            b2=Constant(1.0))
-    batch = t.sample_stationary_batch(m, 1e-8, 1000, t.RngStream(3))
-    assert np.all(batch.w1_cross == 0.0)
-    assert np.array_equal(batch.w1, batch.w1_own)
+    own, cross, _ = parts_of_batch(m, 1e-8, CHUNK + 1000, 3)
+    assert np.all(cross == 0.0)
+    np.testing.assert_array_equal(own + cross, own)
 
 
 def test_stationary_all_zero_matrix_one_step():
@@ -153,8 +168,8 @@ def test_stationary_decomposition_identity_is_exact():
     m = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
                            a22=Lognormal(-2, 1), b1=Normal(0, 1),
                            b2=Constant(1.0))
-    batch = t.sample_stationary_batch(m, 1e-8, 5000, t.RngStream(5))
-    assert np.array_equal(batch.w1, batch.w1_own + batch.w1_cross)
+    own, cross, _ = parts_of_batch(m, 1e-8, CHUNK + 5000, 5)
+    assert np.any(cross != 0.0) and np.any(own != 0.0)
 
 
 @pytest.mark.parametrize("m", [1, CHUNK + 1])
@@ -178,7 +193,7 @@ def test_zero_path_batches_are_empty_with_depth_and_bound_set():
                            a22=Lognormal(-2, 1), b1=Constant(1.0),
                            b2=Constant(1.0))
     batch = t.sample_stationary_batch(m, 1e-8, 0, t.RngStream(1))
-    for arr in (batch.w1, batch.w2, batch.w1_own, batch.w1_cross):
+    for arr in (batch.w1, batch.w2, *parts_of_batch(m, 1e-8, 0, 1)):
         assert arr.shape == (0,)
     full = t.sample_stationary_batch(m, 1e-8, 10, t.RngStream(1))
     assert batch.truncation_depth == full.truncation_depth
@@ -186,6 +201,29 @@ def test_zero_path_batches_are_empty_with_depth_and_bound_set():
     x = t.sample_perpetuity_batch(Lognormal(-1, 1), Constant(1.0), 1e-8, 0,
                                   t.RngStream(1))
     assert x.shape == (0,)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stationary_sampler_peak_is_two_outputs_plus_chunks_in_flight(workers):
+    # w1 and w2 are allocated once and every chunk writes into its slice,
+    # so the traced peak is the two outputs plus what each running chunk
+    # holds: its state, one step's innovations and the temporaries, well
+    # under 20 chunk-sized arrays. Concatenating per-chunk parts would
+    # need about 7 full-size arrays.
+    model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                               a22=Lognormal(-2, 1), b1=Normal(0, 1),
+                               b2=Constant(1.0))
+    m = 16 * CHUNK
+    t.sample_stationary_batch(model, 1e-8, 1, t.RngStream(2), workers=workers)
+    tracemalloc.start()
+    try:
+        batch = t.sample_stationary_batch(model, 1e-8, m, t.RngStream(2),
+                                          workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.w1.size == batch.w2.size == m
+    assert peak <= 2 * 8 * m + workers * 20 * 8 * CHUNK
 
 
 def test_pair_perpetuity_batch_matches_closed_form_moments():
@@ -228,7 +266,7 @@ def test_builtin_truncation_depths_and_bounds_unchanged():
         depth, bound = expected[config.name]
         assert batch.truncation_depth == depth
         assert batch.truncation_bound == pytest.approx(bound, rel=1e-12)
-        assert np.array_equal(batch.w1, batch.w1_own + batch.w1_cross)
+        parts_of_batch(config.model, config.tol, 100, 1, workers=(1,))
 
 
 def test_forward_backward_agreement_ks():
@@ -302,8 +340,9 @@ def test_cross_sum_batch_matches_brute_force_on_its_own_draws():
                                b2=Constant(0.0))
     for n in (1, 3, 25):
         got = sample_cross_sum_batch(model, n, 7, t.RngStream(12, n))
-        (steps,) = map_chunks(7, CHUNK, lambda m, sub: [
-            t.draw_innovations(model, m, sub) for _ in range(n)],
+        (steps,) = map_chunks(7, CHUNK, lambda paths, sub: [
+            t.draw_innovations(model, paths.stop - paths.start, sub)
+            for _ in range(n)],
             t.RngStream(12, n))
         a11, a12, a22 = (np.array([getattr(b, k) for b in steps])
                          for k in ("a11", "a12", "a22"))

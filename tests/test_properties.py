@@ -13,7 +13,8 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     ProportionalToDiagonal, Scaled, SignedLognormal,
                     TwoSidedPareto, Uniform)
 
-from oracles import cross_sum_brute, cross_sum_scan, log_moment_curvature
+from oracles import (cross_sum_brute, cross_sum_scan, log_moment_curvature,
+                     stationary_parts)
 
 settings.register_profile("suite", derandomize=True, max_examples=200,
                           deadline=None)
@@ -133,9 +134,15 @@ def contractive_models():
 
 @given(contractive_models(), st.integers(0, 2 ** 32 - 1))
 def test_decomposition_identity_bit_exact(model, seed):
-    batch = t.sample_stationary_batch(model, 1e-6, 50, t.RngStream(seed, 4),
-                                      workers=1)
-    assert np.array_equal(batch.w1, batch.w1_own + batch.w1_cross)
+    for workers in (1, 2):
+        batch = t.sample_stationary_batch(model, 1e-6, 50,
+                                          t.RngStream(seed, 4),
+                                          workers=workers)
+        own, cross, w2 = stationary_parts(model, 1e-6, 50,
+                                          t.RngStream(seed, 4),
+                                          workers=workers)
+        assert np.array_equal(batch.w1, own + cross)
+        assert np.array_equal(batch.w2, w2)
 
 
 @given(menu_specs(), st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 16))

@@ -246,15 +246,31 @@ def test_classify_deterministic():
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_classify_signed_first_coordinate_reports_distinctness_probe():
-    m = IndependentEntries(a11=SignedLognormal(-1, 1, 0.8),
-                           a12=Lognormal(-1, 0.5), a22=Lognormal(-2, 1),
-                           b1=Constant(1.0), b2=Constant(1.0))
-    rep = t.classify(m)
+SIGNED_COORD1 = IndependentEntries(a11=SignedLognormal(-1, 1, 0.8),
+                                   a12=Lognormal(-1, 0.5),
+                                   a22=Lognormal(-2, 1), b1=Constant(1.0),
+                                   b2=Constant(1.0))
+
+
+def test_classify_signed_first_coordinate_states_distinctness_condition():
+    rep = t.classify(SIGNED_COORD1)
     assert rep.theorem_case == CASE_COORD1_KG
     chk = rep.check("component_tail_distinctness")
     assert chk.status == "unverifiable"
-    assert "vs" in chk.detail
+    assert "E[|U|^a - |A11 U|^a]" in chk.detail
+    assert "own part" in chk.detail and "cross part" in chk.detail
+    assert t.classify(SIGNED_COORD1, RngStream(1)).to_dict() \
+        == t.classify(SIGNED_COORD1, RngStream(2)).to_dict()
+
+
+def test_classify_draws_nothing_on_the_signed_first_coordinate_model(
+        monkeypatch):
+    def no_draws(self):
+        raise AssertionError(f"classify drew from {self.describe()}")
+
+    monkeypatch.setattr(RngStream, "gen", property(no_draws))
+    rep = t.classify(SIGNED_COORD1)
+    assert rep.check("component_tail_distinctness").status == "unverifiable"
 
 
 def test_mixed_moment_condition_does_not_depend_on_the_seed():

@@ -1,5 +1,6 @@
 """Stream keying, the chunk plan of map_chunks and its worker-count
 invariance."""
+import itertools
 import math
 
 import numpy as np
@@ -51,7 +52,8 @@ def test_substreams_of_the_top_stream_id_are_keyed_the_same_way():
 
 
 def plan(total):
-    return map_chunks(total, CHUNK, lambda m, sub: m, RngStream(1), workers=1)
+    return map_chunks(total, CHUNK, lambda paths, sub: paths.stop - paths.start,
+                      RngStream(1), workers=1)
 
 
 @pytest.mark.parametrize("total", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
@@ -71,8 +73,25 @@ def test_plan_splits_study_sizes_evenly():
     assert plan(20_000) == [10_000, 10_000]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("total", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17,
+                                   200_000])
+def test_slices_tile_the_paths_in_order_with_the_even_plan(total, workers):
+    count = math.ceil(total / CHUNK)
+    q, r = divmod(total, max(count, 1))
+    sizes = [q + 1] * r + [q] * (count - r)
+    slices = map_chunks(total, CHUNK, lambda paths, sub: paths, RngStream(1),
+                        workers=workers)
+    stops = [s.stop for s in slices]
+    assert stops == list(itertools.accumulate(sizes))
+    assert [s.start for s in slices] == ([0] + stops)[:-1]
+    assert all(s.step is None for s in slices)
+    assert sum(sizes) == total
+
+
 def test_merged_moments_identical_for_any_worker_count():
-    def chunk(m, sub):
+    def chunk(paths, sub):
+        m = paths.stop - paths.start
         x = sub.gen.lognormal(0.0, 1.5, size=m)
         return RunningMoments(x), RunningMoments(x * x)
 
