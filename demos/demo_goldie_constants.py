@@ -3,13 +3,16 @@
 Route 1 (one-step difference): c_+ = E[((AX+B)^+)^a - ((AX)^+)^a]/(a rho)
 with X stationary and independent of (A, B).
 Route 2 (perpetuity limit): c_+ = lim (a rho n)^{-1} E[(X_n^+)^a] for the
-partial sums X_n of the perpetuity series.
+partial sums X_n of the perpetuity series, scanned over a step source of
+(A, B) (here t.law_steps for independent laws).
 
 The naive sample mean of the alpha-moment in route 2 misses the
 exponentially rare paths that carry it, so the estimator accumulates
 per-step moment increments instead; this demo shows all three numbers.
 At alpha = 2 the variance of route 1 diverges (logarithmically), which is
-why predict uses route 2 for the second coordinate's constant.
+why predict uses route 2 for every Kesten-Goldie constant: the second
+coordinate's over law_steps, the first coordinate's over coord1_steps,
+which runs the bivariate chain. Route 1 stays as the reference.
 """
 import numpy as np
 
@@ -33,8 +36,8 @@ cp, cm = t.goldie_constant_direct(sampler, alpha, rho, 300_000,
                                   rng.substream(1), a_signed=False)
 print(f"direct formula:      c+ = {cp.value:.4f} +- {cp.se:.4f}")
 
-res = t.goldie_constant_perpetuity(a_law, b_law, alpha, rho, 400,
-                                   300_000, rng.substream(2))
+res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, b_law), alpha,
+                                   rho, 400, 300_000, rng.substream(2))
 print(f"perpetuity windowed: c+ = {res.c_plus.value:.4f} +- {res.c_plus.se:.4f}")
 print(f"  full average at n:   {res.rate_at_n.plus.value:.4f}")
 print(f"  full average at n/2: {res.rate_at_half.plus.value:.4f}")

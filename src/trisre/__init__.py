@@ -30,9 +30,10 @@ from .rng import RngStream, default_workers
 from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,
                         run_scenario, run_suite)
-from .stationary import (StationaryBatch, iterate_forward,
-                         sample_perpetuity_batch, sample_stationary_batch,
-                         truncation_depth, univariate_model)
+from .stationary import (StationaryBatch, coord1_steps, iterate_forward,
+                         law_steps, sample_perpetuity_batch,
+                         sample_stationary_batch, truncation_depth,
+                         univariate_model)
 from .tails import (EmpiricalTail, ccdf, default_log_grid,
                     goldie_constant_direct, goldie_constant_perpetuity,
                     grey_constants, hill, log_factor_regression)

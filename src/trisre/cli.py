@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import TrisreError
-from .rng import default_workers
+from .rng import default_workers, worker_count
 from .scenarios import (ScenarioConfig, builtin_scenarios, emit_report,
                         load_config, run_scenario, run_suite,
                         scenario_prediction, scenario_regime)
@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--samples", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=worker_count, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=["json", "csv"], action="append",
                        default=None)
@@ -73,10 +73,14 @@ def main(argv: list[str] | None = None) -> int:
     p_suite = sub.add_parser("suite", help="run every built-in scenario")
     p_suite.add_argument("--quick", action="store_true")
     p_suite.add_argument("--out", default="trisre_out")
-    p_suite.add_argument("--workers", type=int, default=None)
+    p_suite.add_argument("--workers", type=worker_count, default=None)
     p_suite.add_argument("--no-verdict-exit", action="store_true")
 
     args = parser.parse_args(argv)
+    try:  # every chunked estimator falls back to TRISRE_WORKERS
+        env_workers = default_workers()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.command == "classify":
         config = _resolve_config(args.config, p_classify)
@@ -94,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         _dump(pred.to_dict())
         return 0
 
-    workers = args.workers if args.workers is not None else default_workers()
+    workers = args.workers or env_workers
 
     if args.command == "run":
         config = _resolve_config(args.config, p_run)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,8 +15,7 @@ class EstimateWithError:
     seed: str = ""
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "se": self.se,
-                "n_samples": self.n_samples, "seed": self.seed}
+        return asdict(self)
 
 
 class RunningMoments:

@@ -8,7 +8,7 @@ result needs and names the applicable asymptotic case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -178,8 +178,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"check_id": self.check_id, "status": self.status,
-                "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,7 @@ class SignSummary:
     a22_no_zero_atom: bool
 
     def to_dict(self) -> dict:
-        return {"a11_negative_possible": self.a11_negative_possible,
-                "a22_negative_possible": self.a22_negative_possible,
-                "a22_no_zero_atom": self.a22_no_zero_atom}
+        return asdict(self)
 
 
 CASE_COORD1_KG = "coord1_dominant_kg"
@@ -225,19 +222,7 @@ class RegimeReport:
         raise KeyError(check_id)
 
     def to_dict(self) -> dict:
-        drift = self.offdiag_drift
-        if isinstance(drift, EstimateWithError):
-            drift_d = drift.to_dict()
-        else:
-            drift_d = drift
-        return {"alpha1": self.alpha1, "alpha2": self.alpha2,
-                "rho1": self.rho1, "rho2": self.rho2,
-                "regime1": self.regime1, "regime2": self.regime2,
-                "diagonal_relation": self.diagonal_relation,
-                "sign_case": self.sign_case.to_dict(),
-                "checks": [c.to_dict() for c in self.checks],
-                "theorem_case": self.theorem_case,
-                "offdiag_drift": drift_d}
+        return asdict(self)
 
 
 def _coordinate_regime(a_law: Dist, b_law: Dist) -> tuple[str | None, float | None, str]:

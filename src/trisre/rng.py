@@ -62,13 +62,18 @@ class RngStream:
         return f"RngStream({self.describe()})"
 
 
+def worker_count(text: str, what: str = "workers") -> int:
+    """A worker count from text; ValueError unless a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"{what} must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def default_workers() -> int:
+    """TRISRE_WORKERS when set, else the core count, at most 8."""
     env = os.environ.get("TRISRE_WORKERS")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+        return worker_count(env, "TRISRE_WORKERS")
     return min(8, os.cpu_count() or 1)
 
 

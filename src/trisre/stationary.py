@@ -8,6 +8,7 @@ sample carries a certified error bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -135,7 +136,7 @@ def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Univariate perpetuity (used for the scalar tail constants)
+# Univariate perpetuity and the step sources of the tail-constant scans
 # ---------------------------------------------------------------------------
 
 def univariate_model(a_law: dist.Dist, b_law: dist.Dist) -> TriangularSRE:
@@ -146,17 +147,35 @@ def univariate_model(a_law: dist.Dist, b_law: dist.Dist) -> TriangularSRE:
                                   b2=dist.Constant(0.0))
 
 
-def _law_pair_sampler(a_law: dist.Dist, b_law: dist.Dist):
-    """Per-step sampler of independent (A, B), A drawn first."""
-    return lambda k, rng: (dist.sample(a_law, rng, k), dist.sample(b_law, rng, k))
+def law_steps(a_law: dist.Dist, b_law: dist.Dist):
+    """Step source of x = a x + b with independent (A, B), A drawn first:
+    steps(m, rng) yields one step's arrays (a, b) of shape (m,) at a time."""
+    def steps(m: int, rng: RngStream):
+        while True:
+            yield dist.sample(a_law, rng, m), dist.sample(b_law, rng, m)
+
+    return steps
 
 
-def _perpetuity_sums(pair_sampler, depth: int, m: int, rng: RngStream,
+def coord1_steps(model: TriangularSRE):
+    """Step source of x1 = a11 x1' + (b1 + a12 x2') along the forward
+    bivariate chain from zero; each source carries its own x2 per path."""
+    def steps(m: int, rng: RngStream):
+        x2 = np.zeros(m)
+        while True:
+            batch = mod.draw_innovations(model, m, rng)
+            yield batch.a11, batch.b1 + batch.a12 * x2
+            x2 = batch.a22 * x2 + batch.b2
+
+    return steps
+
+
+def _perpetuity_sums(steps, depth: int, m: int, rng: RngStream,
                      workers: int | None = None) -> np.ndarray:
     """m draws of the depth-step recursion x = a x + b, run from zero.
 
-    pair_sampler(k, rng) returns one step's arrays (a, b) of shape (k,).
-    The steps are i.i.d., so this has the law of the backward partial sum
+    steps is a step source of i.i.d. (a, b), fresh for each chunk, so this
+    has the law of the backward partial sum
     B_1 + A_1 B_2 + ... + A_1...A_{depth-1} B_depth, with step s using the
     draws of lag depth - s.
     """
@@ -165,8 +184,7 @@ def _perpetuity_sums(pair_sampler, depth: int, m: int, rng: RngStream,
     def chunk(paths, sub):
         size = paths.stop - paths.start
         x = np.zeros(size)
-        for _ in range(depth):
-            a, b = pair_sampler(size, sub)
+        for a, b in islice(steps(size, sub), depth):
             x = a * x + b
         out[paths] = x
 
@@ -180,5 +198,4 @@ def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,
     """m stationary draws of the scalar recursion X = A X' + B, truncated
     at the depth certified for the embedded bivariate model."""
     depth, _ = truncation_depth(univariate_model(a_law, b_law), tol)
-    return _perpetuity_sums(_law_pair_sampler(a_law, b_law), depth, m, rng,
-                            workers)
+    return _perpetuity_sums(law_steps(a_law, b_law), depth, m, rng, workers)

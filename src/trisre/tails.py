@@ -2,10 +2,12 @@
 
 Covers the survival function, the Hill estimator, the regression that
 extracts a log-power slowly varying factor, and two independent routes to
-the tail constant of a scalar recursion X = A X' + B: the implicit-renewal
-(one-step difference) formula, which takes a stationary sampler and whose
-variance is finite only for alpha < 2, and the perpetuity partial-sum
-limit, which needs only the step law and has finite variance.
+the tail constant of a recursion X = A X' + B: the perpetuity partial-sum
+limit, a scan over a step source of (A, B) with finite variance, which
+predict uses for every Kesten-Goldie constant, and the implicit-renewal
+(one-step difference) formula, which takes a stationary sampler, has
+finite variance only for alpha < 2 and serves as the reference that the
+scan is checked against.
 """
 from __future__ import annotations
 
@@ -20,9 +22,7 @@ from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      NonPositiveOrderStat)
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .rng import CHUNK, RngStream, map_chunks
-from .stationary import _law_pair_sampler
-from .tilting import (SnapshotMoments, _scaled_snapshot, _scan_factors,
-                      _study_from_pairs)
+from .tilting import CouplingRate, _scan_factors, _study_from_pairs
 
 
 @dataclass
@@ -150,9 +150,9 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     Since |ax + b|^alpha - |ax|^alpha ~ alpha |ax|^{alpha-1} b for large x,
     the summand has finite variance only if E|x|^{2 alpha - 2} < inf, that
     is alpha < 2; at alpha = 2 the divergence is logarithmic and the SE is
-    not reliable. Where (a, b) do not depend on the path,
-    goldie_constant_perpetuity estimates the same constants with finite
-    variance."""
+    not reliable. goldie_constant_perpetuity estimates the same constants
+    with finite variance, also where b depends on the path, and is the
+    route predict takes; this formula is the independent reference."""
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
     if N < 1:
@@ -178,25 +178,26 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     return c_plus.estimate(seed), c_minus.estimate(seed)
 
 
-@dataclass(frozen=True)
-class PerpetuityConstants:
-    """Tail constants from the perpetuity partial-sum limit, with the raw
-    normalised moments at n and n/2 as a convergence diagnostic."""
+class PerpetuityConstants(CouplingRate):
+    """Tail constants from the perpetuity partial-sum limit: the
+    late-window rates, with the raw normalised moments at n and n/2 as a
+    convergence diagnostic."""
 
-    c_plus: EstimateWithError
-    c_minus: EstimateWithError
-    at_n: SnapshotMoments
-    at_half: SnapshotMoments
-    rate_at_n: SnapshotMoments
-    rate_at_half: SnapshotMoments
+    c_plus = property(lambda self: self.rate_windowed.plus)
+    c_minus = property(lambda self: self.rate_windowed.minus)
 
 
-def goldie_constant_perpetuity(a_law: Dist, b_law: Dist | None,
-                               alpha: float, rho: float, n: int, N: int,
-                               rng: RngStream, pair_sampler=None
-                               ) -> PerpetuityConstants:
+def goldie_constant_perpetuity(a_law: Dist, steps, alpha: float, rho: float,
+                               n: int, N: int,
+                               rng: RngStream) -> PerpetuityConstants:
     """Perpetuity-limit formula: (alpha rho n)^{-1} E[(X_n^+-)^alpha] for
-    the partial sums X_n of the perpetuity series.
+    the partial sums X_n of X = A X' + B, run from zero.
+
+    steps(m, rng) is the step source of (A, B), as in
+    tilting._study_from_pairs: stationary.law_steps(a_law, b_law) for
+    independent laws, stationary.coord1_steps(model) for the first
+    coordinate of a triangular model, whose B = b1 + a12 W2' rides along
+    the path. a_law, the law of A, sets the scan's factors.
 
     At the critical index the naive sample mean of the alpha-moment is
     dominated by unobservably rare paths, so the moments are accumulated
@@ -209,28 +210,15 @@ def goldie_constant_perpetuity(a_law: Dist, b_law: Dist | None,
         raise ValueError("n must be >= 2")
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
-    if pair_sampler is None:
-        if b_law is None:
-            raise ValueError("give b_law or a pair_sampler")
-        pair_sampler = _law_pair_sampler(a_law, b_law)
-
     moment = dist.abs_moment(a_law, alpha)
     # E[sgn(A)|A|^alpha] is exactly E|A|^alpha for A >= 0
     gamma = (moment if dist.prob_negative(a_law) == 0 else
              dist.signed_moment(a_law, alpha, "plus")
              - dist.signed_moment(a_law, alpha, "minus"))
     lam, gamma = _scan_factors(moment, gamma, "E|A|^alpha")
-    half = n // 2
-    study = _study_from_pairs(pair_sampler, alpha, [half, n], N, rng, lam,
+    study = _study_from_pairs(steps, alpha, [n // 2, n], N, rng, lam,
                               step_moment=1.0, gamma=gamma)
-    at_half, at_n = study.snapshots
-    window = _scaled_snapshot(study.window, 1.0 / (alpha * rho * (n - half)))
-    return PerpetuityConstants(
-        c_plus=window.plus, c_minus=window.minus,
-        at_n=at_n, at_half=at_half,
-        rate_at_n=_scaled_snapshot(at_n, 1.0 / (alpha * rho * n)),
-        rate_at_half=_scaled_snapshot(at_half, 1.0 / (alpha * rho * half)),
-    )
+    return PerpetuityConstants.from_study(study, alpha * rho)
 
 
 def grey_constants(p_alpha: float, q_alpha: float, m_abs: float,

@@ -3,9 +3,9 @@
 Reweighting each step by |a22|^alpha turns moments of the cross sum
 into moments of partial sums of a ratio perpetuity X = V X' + U with
 V = a11/a22 and U = a12/a22. One scan, _study_from_pairs, estimates
-them. When the law of a22 is closed under the tilt its step sampler draws
+them. When the law of a22 is closed under the tilt its step source draws
 the reweighted ratio pair exactly; otherwise it draws untilted entries
-and returns the step weight |a22|^alpha, which the scan folds into its
+and yields the step weight |a22|^alpha, which the scan folds into its
 increments behind a degeneracy guard.
 
 At the critical index the alpha-moment of the partial sum grows linearly
@@ -19,7 +19,8 @@ variance. See the module tests for the cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -57,8 +58,7 @@ class SnapshotMoments:
     minus: EstimateWithError
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "absolute": self.absolute.to_dict(),
-                "plus": self.plus.to_dict(), "minus": self.minus.to_dict()}
+        return asdict(self)
 
 
 @dataclass
@@ -83,13 +83,15 @@ def _snapshot_list(ks: list[int], accs: list[RunningMoments],
             for j, k in enumerate(ks)]
 
 
-def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
+def _study_from_pairs(steps, alpha: float, snapshots: list[int],
                       N: int, rng: RngStream, contraction: float,
                       step_moment: float, gamma: float) -> PartialSumStudy:
     """Core scan over X_{k+1} = U_{k+1} + V_{k+1} X_k.
 
-    step_sampler(m, rng) -> (v, u) arrays for one step of m paths.
-    Per path it accumulates the moment increments
+    steps(m, rng) is the step source: a fresh one per chunk of m paths,
+    yielding each step's arrays (v, u). It may carry state along the
+    paths (the bivariate chain's second coordinate), as long as V_k is
+    independent of X_{k-1}. Per path it accumulates the moment increments
     z_k = |X_k|^alpha - |V_k X_{k-1}|^alpha as s_k = c s_{k-1} + z_k and,
     split by sign, d_k = gamma d_{k-1} + (z_k^+ - z_k^-), with
     c = contraction = E|V|^alpha and gamma = E[sgn(V)|V|^alpha]. Since
@@ -101,7 +103,7 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
     "telescoped"), a mean carried by rare paths. step_moment rescales
     snapshot k by step_moment^k.
 
-    A sampler may return a third array, the step's raw weight w (mode
+    A source may yield a third array, the step's raw weight w (mode
     "weighted_mc"). Each increment is then scaled by the running product
     W_k = w_1 ... w_k, and c and gamma are the weighted step moments
     E[w |V|^alpha] and E[w sgn(V)|V|^alpha]: since
@@ -121,8 +123,7 @@ def _study_from_pairs(step_sampler, alpha: float, snapshots: list[int],
         d_acc = np.zeros(m)
         weight = np.ones(m)
         snaps, weights, prev, vals = [], [], None, None
-        for k in range(1, n + 1):
-            v, u, *w = step_sampler(m, sub)
+        for k, (v, u, *w) in enumerate(islice(steps(m, sub), n), 1):
             vx = v * x
             x = vx + u
             # z = z^+ + z^- and dz = z^+ - z^- for the increment split by
@@ -180,51 +181,51 @@ def _tilted_a22(model: TriangularSRE, alpha: float) -> Dist | None:
         return None
 
 
-def _vu_sampler(model: TriangularSRE, alpha: float):
-    """Per-step sampler of the ratio pair (V, U) = (a11/a22, a12/a22)
-    under the alpha-tilt of a22.
+def _vu_steps(model: TriangularSRE, alpha: float):
+    """Step source of the ratio pair (V, U) = (a11/a22, a12/a22) under
+    the alpha-tilt of a22.
 
     With an exact tilt only the matrix entries are drawn; under the
     proportional equal-diagonal coupling the tilted diagonal cancels from
     both ratios, so a single factor draw per step suffices; with all
     three entries lognormal the pair comes from two correlated normals.
-    Without one the entries are drawn untilted and the sampler also
-    returns the step weight |a22|^alpha; callers refuse that route for
+    Without one the entries are drawn untilted and the source also
+    yields the step weight |a22|^alpha; callers refuse that route for
     equal diagonals, whose ratio V = 1 sits at the critical index."""
     a22_tilted = _tilted_a22(model, alpha)
     if isinstance(model, EqualDiagonal):
-        if isinstance(model.a12_mode, ProportionalToDiagonal):
-            factor = model.a12_mode.factor_law
+        mode = model.a12_mode
 
-            def sampler(m: int, rng: RngStream):
-                return np.ones(m), dist.sample(factor, rng, m)
+        def steps(m: int, rng: RngStream):
+            ones = np.ones(m)
+            while True:
+                if isinstance(mode, ProportionalToDiagonal):
+                    yield ones, dist.sample(mode.factor_law, rng, m)
+                else:
+                    d = dist.sample(a22_tilted, rng, m)
+                    yield ones, dist.sample(mode.a12, rng, m) / d
 
-            return sampler
-        a12_law = model.a12_mode.a12
-
-        def sampler(m: int, rng: RngStream):
-            d = dist.sample(a22_tilted, rng, m)
-            return np.ones(m), dist.sample(a12_law, rng, m) / d
-
-        return sampler
+        return steps
     a11_law, a12_law = model.a11, model.a12
     a22_law = model.a22 if a22_tilted is None else a22_tilted
     if all(isinstance(d, dist.Lognormal) for d in (a11_law, a12_law, a22_tilted)):
-        return _lognormal_vu_sampler(a11_law, a12_law, a22_tilted)
+        return _lognormal_vu_steps(a11_law, a12_law, a22_tilted)
 
-    def sampler(m: int, rng: RngStream):
-        a11 = dist.sample(a11_law, rng, m)
-        a12 = dist.sample(a12_law, rng, m)
-        a22 = dist.sample(a22_law, rng, m)
-        if a22_tilted is None:
-            return a11 / a22, a12 / a22, np.abs(a22) ** alpha
-        return a11 / a22, a12 / a22
+    def steps(m: int, rng: RngStream):
+        while True:
+            a11 = dist.sample(a11_law, rng, m)
+            a12 = dist.sample(a12_law, rng, m)
+            a22 = dist.sample(a22_law, rng, m)
+            if a22_tilted is None:
+                yield a11 / a22, a12 / a22, np.abs(a22) ** alpha
+            else:
+                yield a11 / a22, a12 / a22
 
-    return sampler
+    return steps
 
 
-def _lognormal_vu_sampler(a11: dist.Lognormal, a12: dist.Lognormal,
-                          a22: dist.Lognormal):
+def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
+                        a22: dist.Lognormal):
     """(V, U) = (a11/a22, a12/a22) for lognormal entries, from two normals.
 
     With a_ij = exp(mu_ij + s_ij N_ij) for independent standard normals
@@ -240,16 +241,17 @@ def _lognormal_vu_sampler(a11: dist.Lognormal, a12: dist.Lognormal,
     l21 = c22 / l11
     l22 = math.sqrt(a11.sigma ** 2 + c22 - l21 ** 2)
 
-    def sampler(m: int, rng: RngStream):
-        z = rng.gen.standard_normal((2, m))
-        z[1] *= l22
-        z[1] += l21 * z[0]
-        z[0] *= l11
-        z += shift
-        np.exp(z, out=z)
-        return z[1], z[0]
+    def steps(m: int, rng: RngStream):
+        while True:
+            z = rng.gen.standard_normal((2, m))
+            z[1] *= l22
+            z[1] += l21 * z[0]
+            z[0] *= l11
+            z += shift
+            np.exp(z, out=z)
+            yield z[1], z[0]
 
-    return sampler
+    return steps
 
 
 def _ratio_moment(model: TriangularSRE, alpha: float) -> float:
@@ -333,7 +335,7 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
         # the raw weights carry E|a22|^alpha per step: the scan factors
         # are E|a11|^alpha and E[sgn(a11)|a11|^alpha] E[sgn(a22)]
         contraction, gamma, lam22 = contraction * lam22, gamma * lam22, 1.0
-    return _study_from_pairs(_vu_sampler(model, alpha), alpha, horizons, N,
+    return _study_from_pairs(_vu_steps(model, alpha), alpha, horizons, N,
                              rng, contraction, lam22, gamma)
 
 
@@ -358,10 +360,18 @@ def estimate_coupling_weight(model: TriangularSRE, alpha2: float, n: int,
     return coupling_sum_moments(model, alpha2, horizons, N, rng)
 
 
+def _scaled_snapshot(s: SnapshotMoments, factor: float) -> SnapshotMoments:
+    def sc(e: EstimateWithError) -> EstimateWithError:
+        return EstimateWithError(e.value * factor, e.se * factor,
+                                 e.n_samples, e.seed)
+
+    return SnapshotMoments(s.k, sc(s.absolute), sc(s.plus), sc(s.minus))
+
+
 @dataclass(frozen=True)
 class CouplingRate:
-    """Per-step growth rate of the critical cross-sum moment: the raw
-    moments divided by alpha*k, plus a late-window rate that sheds the
+    """Per-step growth rate of a critical partial-sum moment: the raw
+    moments divided by scale*k, plus a late-window rate that sheds the
     early transient."""
 
     at_n: SnapshotMoments
@@ -370,13 +380,16 @@ class CouplingRate:
     rate_at_half: SnapshotMoments
     rate_windowed: SnapshotMoments
 
-
-def _scaled_snapshot(s: SnapshotMoments, factor: float) -> SnapshotMoments:
-    def sc(e: EstimateWithError) -> EstimateWithError:
-        return EstimateWithError(e.value * factor, e.se * factor,
-                                 e.n_samples, e.seed)
-
-    return SnapshotMoments(s.k, sc(s.absolute), sc(s.plus), sc(s.minus))
+    @classmethod
+    def from_study(cls, study: PartialSumStudy, scale: float):
+        """The rates of a study at k = n/2 and n, with its window."""
+        at_half, at_n = study.snapshots
+        return cls(
+            at_n=at_n, at_half=at_half,
+            rate_at_n=_scaled_snapshot(at_n, 1.0 / (scale * at_n.k)),
+            rate_at_half=_scaled_snapshot(at_half, 1.0 / (scale * at_half.k)),
+            rate_windowed=_scaled_snapshot(
+                study.window, 1.0 / (scale * (at_n.k - at_half.k))))
 
 
 def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
@@ -397,16 +410,8 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
     if isinstance(model, EqualDiagonal):
         raise RegimeMismatch("distinct diagonals required; the equal-diagonal "
                              "case has its own limit laws")
-    half = n // 2
-    study = coupling_sum_moments(model, alpha, [half, n], N, rng)
-    at_half, at_n = study.snapshots
-    return CouplingRate(
-        at_n=at_n, at_half=at_half,
-        rate_at_n=_scaled_snapshot(at_n, 1.0 / (alpha * n)),
-        rate_at_half=_scaled_snapshot(at_half, 1.0 / (alpha * half)),
-        rate_windowed=_scaled_snapshot(study.window,
-                                       1.0 / (alpha * (n - half))),
-    )
+    study = coupling_sum_moments(model, alpha, [n // 2, n], N, rng)
+    return CouplingRate.from_study(study, alpha)
 
 
 def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
@@ -470,4 +475,4 @@ def perpetuity_sample_batch(model: TriangularSRE, alpha: float, n: int,
     if _tilted_a22(model, alpha) is None:
         raise RequiresExactTilt("perpetuity samples need an exactly "
                                 "tiltable second diagonal law")
-    return _perpetuity_sums(_vu_sampler(model, alpha), n, m, rng)
+    return _perpetuity_sums(_vu_steps(model, alpha), n, m, rng)

@@ -105,19 +105,20 @@ def stationary_parts(model: TriangularSRE, tol: float, m: int,
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def sample_pair_perpetuity_batch(pair_sampler, a_law: dist.Dist, tol: float,
+def sample_pair_perpetuity_batch(steps, a_law: dist.Dist, tol: float,
                                  m: int, rng: RngStream) -> np.ndarray:
-    """Stationary draws of X = A X' + B for jointly sampled (A, B) pairs.
+    """Stationary draws of X = A X' + B for jointly sampled i.i.d. (A, B)
+    steps.
 
-    pair_sampler(k, rng) must return arrays (a, b) of shape (k,). The
-    truncation analysis uses A's declared law plus a Monte Carlo probe of
-    E|B|^eps over _EPS_PROBE pairs (safety factor 10).
+    steps(k, rng) must yield arrays (a, b) of shape (k,). The truncation
+    analysis uses A's declared law plus a Monte Carlo probe of E|B|^eps
+    over _EPS_PROBE pairs (safety factor 10).
     """
     eps, q = contraction_exponent(univariate_model(a_law, dist.Constant(1.0)))
-    _, b_probe = pair_sampler(_EPS_PROBE, rng.substream(0))
+    _, b_probe = next(steps(_EPS_PROBE, rng.substream(0)))
     b_eps = float(np.mean(np.abs(b_probe) ** eps)) * 10.0
     depth = _first_depth(lambda k: q ** k / (1.0 - q) * b_eps, tol ** eps)
-    return _perpetuity_sums(pair_sampler, depth, m, rng.substream(1))
+    return _perpetuity_sums(steps, depth, m, rng.substream(1))
 
 
 def goldie_constant_direct_for_laws(a_law: dist.Dist, b_law: dist.Dist,
@@ -136,6 +137,58 @@ def goldie_constant_direct_for_laws(a_law: dist.Dist, b_law: dist.Dist,
 
     return goldie_constant_direct(sampler, alpha, rho, N, rng,
                                   a_signed=dist.prob_negative(a_law) > 0)
+
+
+def coord1_goldie_sum(model: TriangularSRE) -> float:
+    """c+ + c- of the first coordinate at alpha = 2 and rho = 1 for
+    independent entries: Goldie's one-step expectation
+    (2 E[a11] E[W1 B] + E[B^2]) / 2 with B = b1 + a12 W2', from the
+    stationary first and second moments of W, which solve the one-step
+    stationarity equations. E[a11] is the signed mean."""
+    e = dist.mean
+
+    def e2(law):
+        return abs_moment(law, 2.0)
+
+    m = model
+    ew2 = e(m.b2) / (1 - e(m.a22))
+    ew2sq = (e2(m.b2) + 2 * e(m.a22) * e(m.b2) * ew2) / (1 - e2(m.a22))
+    ew1 = (e(m.a12) * ew2 + e(m.b1)) / (1 - e(m.a11))
+    ew1w2 = (e(m.a11) * e(m.b2) * ew1 + e(m.a12) * e(m.a22) * ew2sq
+             + e(m.a12) * e(m.b2) * ew2 + e(m.b1) * e(m.a22) * ew2
+             + e(m.b1) * e(m.b2)) / (1 - e(m.a11) * e(m.a22))
+    ew1b = e(m.b1) * ew1 + e(m.a12) * ew1w2
+    eb2 = e2(m.b1) + 2 * e(m.b1) * e(m.a12) * ew2 + e2(m.a12) * ew2sq
+    return (2 * e(m.a11) * ew1b + eb2) / 2
+
+
+def coord1_window_bias(model: TriangularSRE, n: int) -> float:
+    """Exact relative bias at alpha = 2 and rho = 1 of the late-window
+    growth of E[x1_k^2] over (n/2, n], the chain run from zero with
+    independent entries: (E x1, E x2, E x1^2, E x2^2, E x1 x2) evolve by
+    a linear recursion in the entry moments."""
+    e, m = dist.mean, model
+
+    def e2(law):
+        return abs_moment(law, 2.0)
+
+    x1 = x2 = x11 = x22 = x12 = 0.0
+    second = [0.0]
+    for _ in range(n):
+        x1, x2, x11, x22, x12 = (
+            e(m.a11) * x1 + e(m.a12) * x2 + e(m.b1),
+            e(m.a22) * x2 + e(m.b2),
+            e2(m.a11) * x11 + e2(m.a12) * x22 + e2(m.b1)
+            + 2 * e(m.a11) * (e(m.a12) * x12 + e(m.b1) * x1)
+            + 2 * e(m.a12) * e(m.b1) * x2,
+            e2(m.a22) * x22 + 2 * e(m.a22) * e(m.b2) * x2 + e2(m.b2),
+            e(m.a11) * (e(m.a22) * x12 + e(m.b2) * x1)
+            + e(m.a12) * (e(m.a22) * x22 + e(m.b2) * x2)
+            + e(m.b1) * (e(m.a22) * x2 + e(m.b2)))
+        second.append(x11)
+    h = n // 2
+    growth = (second[n] - second[h]) / (n - h)
+    return growth / (2 * coord1_goldie_sum(model)) - 1
 
 
 def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:

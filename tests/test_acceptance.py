@@ -63,9 +63,10 @@ def test_c02_univariate_tail_reproduction():
 
 # ---------------------------------------------------------------------- 3
 
-def _dependent_pair_sampler(m, rng):
-    a = t.sample(Lognormal(-1, 1), rng, m)
-    return a, 1.0 + 0.5 * a
+def _dependent_steps(m, rng):
+    while True:
+        a = t.sample(Lognormal(-1, 1), rng, m)
+        yield a, 1.0 + 0.5 * a
 
 
 def test_c03_goldie_cross_validation():
@@ -75,8 +76,9 @@ def test_c03_goldie_cross_validation():
     # positive multiplier
     cp_d, _ = goldie_constant_direct_for_laws(
         Lognormal(-1, 1), Constant(1.0), 2.0, 1.0, N, t.RngStream(30_100))
-    perp = t.goldie_constant_perpetuity(Lognormal(-1, 1), Constant(1.0),
-                                        2.0, 1.0, n, N, t.RngStream(30_200))
+    perp = t.goldie_constant_perpetuity(
+        Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1), Constant(1.0)),
+        2.0, 1.0, n, N, t.RngStream(30_200))
     results.append(("positive-A", cp_d, perp.c_plus))
 
     # signed multiplier: constants coincide; compare the shared value
@@ -84,23 +86,23 @@ def test_c03_goldie_cross_validation():
     cp_d, cm_d = goldie_constant_direct_for_laws(
         a_law, Constant(1.0), 2.0, 1.0, N, t.RngStream(30_300))
     assert cp_d.value == cm_d.value
-    perp = t.goldie_constant_perpetuity(a_law, Constant(1.0), 2.0, 1.0,
-                                        n, N, t.RngStream(30_400))
+    perp = t.goldie_constant_perpetuity(a_law,
+                                        t.law_steps(a_law, Constant(1.0)),
+                                        2.0, 1.0, n, N, t.RngStream(30_400))
     results.append(("signed-A", cp_d, perp.c_plus))
 
     # dependent (A, B) pair: B = 1 + A/2
     def sampler(m, rng):
-        a, b = _dependent_pair_sampler(m, rng.substream(0))
-        x = sample_pair_perpetuity_batch(_dependent_pair_sampler,
+        a, b = next(_dependent_steps(m, rng.substream(0)))
+        x = sample_pair_perpetuity_batch(_dependent_steps,
                                          Lognormal(-1, 1), 1e-8, m,
                                          rng.substream(1))
         return a, b, x
 
     cp_d, _ = t.goldie_constant_direct(sampler, 2.0, 1.0, N,
                                        t.RngStream(30_500), a_signed=False)
-    perp = t.goldie_constant_perpetuity(Lognormal(-1, 1), None, 2.0, 1.0,
-                                        n, N, t.RngStream(30_600),
-                                        pair_sampler=_dependent_pair_sampler)
+    perp = t.goldie_constant_perpetuity(Lognormal(-1, 1), _dependent_steps,
+                                        2.0, 1.0, n, N, t.RngStream(30_600))
     results.append(("dependent-pair", cp_d, perp.c_plus))
 
     for name, direct, perpetuity in results:

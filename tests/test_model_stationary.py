@@ -232,16 +232,17 @@ def test_pair_perpetuity_batch_matches_closed_form_moments():
     # E X^2 = (E B^2 + 2 E[AB] E X) / (1 - E A^2)
     a_law = Lognormal(-1.5, 0.5)
 
-    def pairs(k, rng):
-        a = t.sample(a_law, rng, k)
-        return a, 1.0 + 0.5 * a
+    def steps(k, rng):
+        while True:
+            a = t.sample(a_law, rng, k)
+            yield a, 1.0 + 0.5 * a
 
     ea = math.exp(-1.5 + 0.125)
     ea2 = math.exp(-3.0 + 0.5)
     eb, eb2, eab = 1.0 + 0.5 * ea, 1.0 + ea + 0.25 * ea2, ea + 0.5 * ea2
     ex = eb / (1.0 - ea)
     ex2 = (eb2 + 2.0 * eab * ex) / (1.0 - ea2)
-    x = sample_pair_perpetuity_batch(pairs, a_law, 1e-8, 200_000,
+    x = sample_pair_perpetuity_batch(steps, a_law, 1e-8, 200_000,
                                      t.RngStream(7))
     for vals, exact in ((x, ex), (x * x, ex2)):
         se = vals.std() / math.sqrt(vals.size)

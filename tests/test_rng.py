@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trisre.estimates import RunningMoments, merge_chunks
-from trisre.rng import CHUNK, RngStream, map_chunks
+from trisre.rng import CHUNK, RngStream, default_workers, map_chunks
 
 
 TOP = 2 ** 64 - 1
@@ -103,3 +103,12 @@ def test_merged_moments_identical_for_any_worker_count():
         runs.append([(a.n, a.mean, a.m2) for a in accs])
     assert runs[0][0][0] == total
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_default_workers_reads_a_positive_integer(monkeypatch):
+    monkeypatch.setenv("TRISRE_WORKERS", "3")
+    assert default_workers() == 3
+    for bad in ("two", "2.0", "0", "-1"):
+        monkeypatch.setenv("TRISRE_WORKERS", bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            default_workers()

@@ -1,4 +1,5 @@
 """Prediction dispatch, scenario runner, report emission, CLI."""
+import dataclasses
 import json
 import math
 import time
@@ -16,9 +17,9 @@ from trisre.errors import RegimeMismatch, UnsupportedRegime
 from trisre.rng import CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
                               builtin_scenarios, emit_report, load_config,
-                              predict, run_scenario)
+                              predict, run_scenario, scenario_prediction)
 
-from oracles import goldie_constant_direct_for_laws
+from oracles import coord1_goldie_sum, goldie_constant_direct_for_laws
 
 
 def test_predict_rejects_degenerate_offdiagonal():
@@ -129,32 +130,55 @@ def test_predict_equal_diag_drift_constant_matches_closed_form(d, exact):
 
 
 def test_predict_coord1_couples_x_with_second_coordinate():
-    # Goldie's formula needs x = W1' and the W2' inside B = b1 + a12 W2'
-    # from one stationary draw. At alpha = 2, rho = 1 and positive entries
-    # c+ = (2 E[a11] E[W1 B] + E[B^2]) / 2, with the moments of W solving
-    # the one-step stationarity equations. Drawing x and W2' independently
-    # drops the 2 E[a11] E[a12] Cov(W1, W2) / (alpha rho) term (about 10%).
+    # W1 = a11 W1' + B with B = b1 + a12 W2': the scan runs the bivariate
+    # chain, so x1 and the x2 inside B come from one path. At alpha = 2,
+    # rho = 1 and positive entries c+ = (2 E[a11] E[W1 B] + E[B^2]) / 2;
+    # an independent x2 would drop the 2 E[a11] E[a12] Cov(W1, W2) /
+    # (alpha rho) term (about 10%). a22 = LN(-0.2, 0.2) contracts slowly,
+    # so the horizon grows to 72, where the window bias is -0.063%
     m = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(1, 0.5),
                            a22=Lognormal(-0.2, 0.2), b1=Constant(1.0),
                            b2=Lognormal(0, 1))
-    e = t.mean
-
-    def e2(law):
-        return t.abs_moment(law, 2.0)
-
-    ew2 = e(m.b2) / (1 - e(m.a22))
-    ew2sq = (e2(m.b2) + 2 * e(m.a22) * e(m.b2) * ew2) / (1 - e2(m.a22))
-    ew1 = (e(m.a12) * ew2 + e(m.b1)) / (1 - e(m.a11))
-    ew1w2 = (e(m.a11) * e(m.b2) * ew1 + e(m.a12) * e(m.a22) * ew2sq
-             + e(m.a12) * e(m.b2) * ew2 + e(m.b1) * e(m.a22) * ew2
-             + e(m.b1) * e(m.b2)) / (1 - e(m.a11) * e(m.a22))
-    ew1b = e(m.b1) * ew1 + e(m.a12) * ew1w2
-    eb2 = e2(m.b1) + 2 * e(m.b1) * e(m.a12) * ew2 + e2(m.a12) * ew2sq
-    exact = (2 * e(m.a11) * ew1b + eb2) / 2
+    exact = coord1_goldie_sum(m)
     assert exact == pytest.approx(2638.1, abs=0.1)
     pred = predict(m, constant_samples=200_000, rng=t.RngStream(5))
-    assert pred.constant_formula == "one_step_difference_signed_parts"
-    assert pred.c_plus.value == pytest.approx(exact, rel=0.05)
+    assert pred.constant_formula == "perpetuity_scan_signed_parts"
+    assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se
+    assert pred.c_minus.value == 0.0
+
+
+def test_predict_coord1_builtin_matches_closed_form_at_four_seeds():
+    # the perpetuity scan over the forward bivariate chain: finite
+    # variance at alpha = 2, where the one-step formula's SE is not
+    # reliable (its reported SE was 0.0246 at the built-in seed). The
+    # entries are positive, so the negative part is exactly 0
+    config = next(c for c in builtin_scenarios()
+                  if c.name == "coord1_dominant_kg")
+    exact = coord1_goldie_sum(config.model)
+    assert exact == pytest.approx(4.88384, abs=1e-5)
+    for seed in (config.seed, 1, 2, 3):
+        pred = scenario_prediction(dataclasses.replace(config, seed=seed))
+        assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se, seed
+        assert pred.c_plus.se < 0.0246
+        assert pred.c_minus.value == 0.0
+
+
+def test_predict_coord1_signed_a11_halves_the_absolute_constant():
+    # a11 negative with probability 0.2: the two constants coincide and
+    # each is half of c+ + c- = 2.59311, the one-step expectation with the
+    # signed mean E[a11] = 0.364
+    m = IndependentEntries(a11=SignedLognormal(-1, 1, 0.8),
+                           a12=Lognormal(-1, 0.5), a22=Lognormal(-2, 1),
+                           b1=Constant(1.0), b2=Constant(1.0))
+    report = t.classify(m, t.RngStream(1))
+    assert report.theorem_case == "coord1_dominant_kg"
+    assert report.alpha1 == pytest.approx(2.0)
+    exact = coord1_goldie_sum(m)
+    assert exact == pytest.approx(2.59311, abs=1e-5)
+    pred = predict(m, report=report, rng=t.RngStream(1))
+    assert pred.constant_formula == "perpetuity_scan_absolute_halved"
+    assert pred.c_plus == pred.c_minus
+    assert abs(pred.c_plus.value - exact / 2) <= 4 * pred.c_plus.se
 
 
 def test_predict_sign_flip_switches_formula():
@@ -267,6 +291,32 @@ def test_cli_run_rejects_nonpositive_samples_as_usage_error(tmp_path, capsys,
                   "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "sample counts must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["run", "coord1_dominant_grey"],
+                                     ["suite", "--quick"]])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_cli_nonpositive_workers_is_usage_error(tmp_path, capsys, command,
+                                                workers):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(command + ["--workers", workers, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["run", "coord1_dominant_grey"],
+                                     ["suite", "--quick"]])
+@pytest.mark.parametrize("env", ["two", "1.5", "0"])
+def test_cli_invalid_worker_env_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               command, env):
+    monkeypatch.setenv("TRISRE_WORKERS", env)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(command + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "TRISRE_WORKERS must be a positive integer" in \
+        capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

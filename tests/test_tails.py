@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 import trisre as t
-from trisre import Constant, Lognormal, SignedLognormal
+from trisre import Constant, IndependentEntries, Lognormal, SignedLognormal
 from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
 from trisre.errors import RegimeMismatch
 from trisre.scenarios import _GOLDIE_HORIZON, _goldie_horizon, _window_bias
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
 
-from oracles import combined_se, goldie_constant_direct_for_laws
+from oracles import (combined_se, coord1_window_bias,
+                     goldie_constant_direct_for_laws)
 
 
 def test_ccdf_examples():
@@ -143,8 +144,9 @@ def test_goldie_direct_matches_exact_constant_alpha_two():
 
 
 def test_goldie_perpetuity_zero_noise():
-    res = t.goldie_constant_perpetuity(Lognormal(-1, 1), Constant(0.0),
-                                       2.0, 1.0, 50, 1000, t.RngStream(7))
+    res = t.goldie_constant_perpetuity(
+        Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1), Constant(0.0)),
+        2.0, 1.0, 50, 1000, t.RngStream(7))
     assert res.c_plus.value == 0.0
     assert res.c_minus.value == 0.0
 
@@ -153,8 +155,9 @@ def test_goldie_perpetuity_zero_multiplier_sanity():
     # A = 0: partial sums collapse to one noise draw; the normalised
     # moment at n is E[(B^+-)^alpha]/(alpha rho n)
     alpha, rho, n = 2.0, 1.0, 10
-    res = t.goldie_constant_perpetuity(Constant(0.0), Lognormal(0, 1),
-                                       alpha, rho, n, 50_000, t.RngStream(8))
+    res = t.goldie_constant_perpetuity(
+        Constant(0.0), t.law_steps(Constant(0.0), Lognormal(0, 1)),
+        alpha, rho, n, 50_000, t.RngStream(8))
     target = t.abs_moment(Lognormal(0, 1), alpha) / (alpha * rho * n)
     assert abs(res.rate_at_n.plus.value - target) <= \
         4 * res.rate_at_n.plus.se
@@ -173,9 +176,9 @@ def test_goldie_perpetuity_at_predict_horizon_matches_exact_constant(a_law):
     rho = t.abs_moment_derivative(a_law, 2.0)
     ea = t.mean(a_law)
     exact = (ea / (1 - ea) + 0.5) / rho
-    res = t.goldie_constant_perpetuity(a_law, Constant(1.0), 2.0, rho,
-                                       _goldie_horizon(a_law, 2.0), 400_000,
-                                       t.RngStream(13))
+    res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, Constant(1.0)),
+                                       2.0, rho, _goldie_horizon(a_law, 2.0),
+                                       400_000, t.RngStream(13))
     assert abs(res.c_plus.value - exact) <= 4 * res.c_plus.se
     assert res.c_minus.value == 0.0
 
@@ -197,10 +200,37 @@ def test_goldie_horizon_bounds_the_late_window_bias():
         _goldie_horizon(Lognormal(-0.005, 0.1), 1.0)
 
 
+@pytest.mark.parametrize("m, horizon, bias_at_24", [
+    (IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
+                        a22=Lognormal(-2, 1), b1=Constant(1.0),
+                        b2=Constant(1.0)), _GOLDIE_HORIZON, -5.30e-4),
+    (IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(1, 0.5),
+                        a22=Lognormal(-0.2, 0.2), b1=Constant(1.0),
+                        b2=Lognormal(0, 1)), 72, -0.1175),
+], ids=["coord1_dominant_kg", "slow_a22"])
+def test_goldie_horizon_grows_with_a_slow_second_coordinate(m, horizon,
+                                                            bias_at_24):
+    # the first coordinate's B = b1 + a12 x2' is fed by x2, which the
+    # chain also runs from zero. In the built-in model the a11 = LN(-1, 1)
+    # rate dominates and the horizon keeps the floor; a22 = LN(-0.2, 0.2)
+    # couples at E[a22] = 0.835 per step, and the exact alpha = 2 window
+    # bias, -11.7% at n = 24, needs n = 72
+    assert _goldie_horizon(m.a11, 2.0, m.a22) == horizon
+    assert coord1_window_bias(m, 24) == pytest.approx(bias_at_24, rel=1e-3)
+    # the exact bias at the horizon stays inside the envelope it is sized by
+    r_feed = max(t.mean(m.a22), t.abs_moment(m.a22, 2.0))
+    envelope = _window_bias(t.mean(m.a11), horizon, r_feed)
+    assert abs(coord1_window_bias(m, horizon)) <= envelope <= 1e-3
+    # a second coordinate near its own critical index is refused
+    with pytest.raises(RegimeMismatch):
+        _goldie_horizon(m.a11, 2.0, Lognormal(-0.005, 0.05))
+
+
 def test_goldie_perpetuity_symmetric_noise_balances_signs():
     res = t.goldie_constant_perpetuity(
-        Lognormal(-1, 1), SignedLognormal(0, 0.5, 0.5), 2.0, 1.0, 100,
-        100_000, t.RngStream(9))
+        Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1),
+                                      SignedLognormal(0, 0.5, 0.5)),
+        2.0, 1.0, 100, 100_000, t.RngStream(9))
     assert abs(res.c_plus.value - res.c_minus.value) <= \
         4 * combined_se(res.c_plus, res.c_minus)
 
@@ -210,8 +240,8 @@ def test_goldie_cross_estimator_consistency():
     a_law, b_law = Lognormal(-1, 1), Constant(1.0)
     cp_d, _ = goldie_constant_direct_for_laws(a_law, b_law, 2.0, 1.0,
                                               200_000, t.RngStream(10))
-    res = t.goldie_constant_perpetuity(a_law, b_law, 2.0, 1.0, 400,
-                                       200_000, t.RngStream(11))
+    res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, b_law),
+                                       2.0, 1.0, 400, 200_000, t.RngStream(11))
     assert abs(cp_d.value - res.c_plus.value) <= \
         4 * combined_se(cp_d, res.c_plus)
 

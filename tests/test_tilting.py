@@ -15,7 +15,7 @@ from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
                            RequiresExactTilt, RequiresMuZero, TiltUnsupported,
                            WeightDegenerate)
 from trisre.estimates import EstimateWithError
-from trisre.tilting import _vu_sampler
+from trisre.tilting import _vu_steps
 
 from oracles import (combined_se, lognormal_ratio_log_drift,
                      sample_cross_sum_batch)
@@ -106,7 +106,8 @@ def test_weighted_mc_degenerates_on_long_horizons():
     lambda rng: t.estimate_coupling_weight(mild_benchmark(), 2.0, 4, 0, rng),
     lambda rng: t.estimate_coupling_rate(rate_benchmark(), 2.0, 10, 0, rng),
     lambda rng: t.goldie_constant_perpetuity(
-        Lognormal(-1, 1), Constant(1.0), 2.0, 1.0, 10, 0, rng),
+        Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1), Constant(1.0)),
+        2.0, 1.0, 10, 0, rng),
     lambda rng: t.goldie_constant_direct(
         lambda m, r: (np.ones(m), np.ones(m), np.ones(m)), 2.0, 1.0, 0, rng,
         a_signed=False),
@@ -431,8 +432,8 @@ def test_strict_perpetuity_scan_matches_closed_form_at_alpha_two():
     ea, ea2 = lognormal_moment(a_law, 1), lognormal_moment(a_law, 2)
     eb, eb2 = lognormal_moment(b_law, 1), lognormal_moment(b_law, 2)
     exact = scan_second_moment(ea, ea2, eb, eb2, ea * eb, n)
-    res = t.goldie_constant_perpetuity(a_law, b_law, alpha, 1.0, n, 200_000,
-                                       t.RngStream(33))
+    res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, b_law),
+                                       alpha, 1.0, n, 200_000, t.RngStream(33))
     snap = res.at_n.absolute
     assert abs(snap.value - exact) <= 4 * snap.se
     assert res.at_n.minus.value == pytest.approx(0.0, abs=1e-12)
@@ -448,8 +449,7 @@ def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
     # and log U = N12 - N22' share the tilted a22's log-variance
     model = builtin_model("coord2_dominant_kg")
     a22 = t.tilted(model.a22, 2.0)
-    sampler = _vu_sampler(model, 2.0)
-    v, u = sampler(400_000, t.RngStream(40))
+    v, u = next(_vu_steps(model, 2.0)(400_000, t.RngStream(40)))
     lv, lu = np.log(v), np.log(u)
     c22 = a22.sigma ** 2
     cases = (
@@ -466,9 +466,8 @@ def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
 
 def test_lognormal_ratio_pair_draws_two_normals_per_path_step():
     model = builtin_model("distinct_diag_equal_index")
-    sampler = _vu_sampler(model, 2.0)
     used, ref = t.RngStream(41), t.RngStream(41)
-    sampler(1000, used)
+    next(_vu_steps(model, 2.0)(1000, used))
     ref.gen.standard_normal((2, 1000))
     np.testing.assert_array_equal(used.gen.random(8), ref.gen.random(8))
 
