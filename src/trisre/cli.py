@@ -34,7 +34,8 @@ def _resolve_config(name_or_path: str,
     if path.exists():
         try:
             return load_config(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError,
+                OverflowError) as exc:
             parser.error(f"invalid config {name_or_path}: "
                          f"{type(exc).__name__}: {exc}")
     for config in builtin_scenarios(quick=True):

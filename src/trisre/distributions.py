@@ -9,7 +9,7 @@ two-sided Pareto, and scalar rescalings of any of these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -453,41 +453,40 @@ def is_continuous(spec: Dist) -> bool:
 # Serialization (tagged records, the scenario-config wire format)
 # ---------------------------------------------------------------------------
 
+_KINDS = {"constant": Constant, "normal": Normal, "lognormal": Lognormal,
+          "signed_lognormal": SignedLognormal,
+          "two_sided_pareto": TwoSidedPareto, "uniform": Uniform,
+          "scaled": Scaled}
+
+
+def _record_to_dict(tag: str, table: dict, obj, write) -> dict:
+    """{tag: obj's name in table, field: write(field, value), ...}."""
+    name = next(k for k, cls in table.items() if type(obj) is cls)
+    return {tag: name, **{f.name: write(f.name, getattr(obj, f.name))
+                          for f in fields(obj)}}
+
+
+def _record_from_dict(tag: str, table: dict, d: dict, read):
+    """Inverse of _record_to_dict: ValueError for an unknown tag, KeyError
+    for a missing field."""
+    if d[tag] not in table:
+        raise ValueError(f"unknown {tag} {d[tag]!r}")
+    cls = table[d[tag]]
+    return cls(**{f.name: read(f.name, d[f.name]) for f in fields(cls)})
+
+
+def _finite_float(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"law parameters must be finite, not {x}")
+    return x
+
+
 def dist_to_dict(spec: Dist) -> dict:
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "c": spec.c}
-    if isinstance(spec, Normal):
-        return {"kind": "normal", "mean": spec.mean, "sd": spec.sd}
-    if isinstance(spec, Lognormal):
-        return {"kind": "lognormal", "mu": spec.mu, "sigma": spec.sigma}
-    if isinstance(spec, SignedLognormal):
-        return {"kind": "signed_lognormal", "mu": spec.mu, "sigma": spec.sigma,
-                "p_pos": spec.p_pos}
-    if isinstance(spec, TwoSidedPareto):
-        return {"kind": "two_sided_pareto", "alpha": spec.alpha,
-                "scale": spec.scale, "p_pos": spec.p_pos}
-    if isinstance(spec, Uniform):
-        return {"kind": "uniform", "a": spec.a, "b": spec.b}
-    if isinstance(spec, Scaled):
-        return {"kind": "scaled", "inner": dist_to_dict(spec.inner),
-                "factor": spec.factor}
-    raise TypeError(f"unknown spec {spec!r}")  # pragma: no cover
+    return _record_to_dict("kind", _KINDS, spec, lambda name, value: (
+        dist_to_dict(value) if name == "inner" else value))
 
 
 def dist_from_dict(d: dict) -> Dist:
-    kind = d["kind"]
-    if kind == "constant":
-        return Constant(float(d["c"]))
-    if kind == "normal":
-        return Normal(float(d["mean"]), float(d["sd"]))
-    if kind == "lognormal":
-        return Lognormal(float(d["mu"]), float(d["sigma"]))
-    if kind == "signed_lognormal":
-        return SignedLognormal(float(d["mu"]), float(d["sigma"]), float(d["p_pos"]))
-    if kind == "two_sided_pareto":
-        return TwoSidedPareto(float(d["alpha"]), float(d["scale"]), float(d["p_pos"]))
-    if kind == "uniform":
-        return Uniform(float(d["a"]), float(d["b"]))
-    if kind == "scaled":
-        return Scaled(dist_from_dict(d["inner"]), float(d["factor"]))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    return _record_from_dict("kind", _KINDS, d, lambda name, value: (
+        dist_from_dict(value) if name == "inner" else _finite_float(value)))

@@ -168,46 +168,27 @@ def step_batch(w1: np.ndarray, w2: np.ndarray, batch: InnovationBatch):
 # Serialization
 # ---------------------------------------------------------------------------
 
+_COUPLINGS = {"independent_entries": IndependentEntries,
+              "equal_diagonal": EqualDiagonal}
+_A12_MODES = {"proportional_to_diagonal": ProportionalToDiagonal,
+              "independent": IndependentOffDiagonal}
+
+
+def _write_field(name: str, value) -> dict:
+    if name == "a12_mode":
+        return dist._record_to_dict("mode", _A12_MODES, value, _write_field)
+    return dist.dist_to_dict(value)
+
+
+def _read_field(name: str, value: dict):
+    if name == "a12_mode":
+        return dist._record_from_dict("mode", _A12_MODES, value, _read_field)
+    return dist.dist_from_dict(value)
+
+
 def model_to_dict(model: TriangularSRE) -> dict:
-    if isinstance(model, IndependentEntries):
-        return {"coupling": "independent_entries",
-                "a11": dist.dist_to_dict(model.a11),
-                "a12": dist.dist_to_dict(model.a12),
-                "a22": dist.dist_to_dict(model.a22),
-                "b1": dist.dist_to_dict(model.b1),
-                "b2": dist.dist_to_dict(model.b2)}
-    if isinstance(model.a12_mode, ProportionalToDiagonal):
-        mode = {"mode": "proportional_to_diagonal",
-                "factor_law": dist.dist_to_dict(model.a12_mode.factor_law)}
-    else:
-        mode = {"mode": "independent",
-                "a12": dist.dist_to_dict(model.a12_mode.a12)}
-    return {"coupling": "equal_diagonal",
-            "d": dist.dist_to_dict(model.d),
-            "a12_mode": mode,
-            "b1": dist.dist_to_dict(model.b1),
-            "b2": dist.dist_to_dict(model.b2)}
+    return dist._record_to_dict("coupling", _COUPLINGS, model, _write_field)
 
 
 def model_from_dict(d: dict) -> TriangularSRE:
-    coupling = d["coupling"]
-    if coupling == "independent_entries":
-        return IndependentEntries(
-            a11=dist.dist_from_dict(d["a11"]),
-            a12=dist.dist_from_dict(d["a12"]),
-            a22=dist.dist_from_dict(d["a22"]),
-            b1=dist.dist_from_dict(d["b1"]),
-            b2=dist.dist_from_dict(d["b2"]))
-    if coupling == "equal_diagonal":
-        mode_d = d["a12_mode"]
-        mode: OffDiagMode
-        if mode_d["mode"] == "proportional_to_diagonal":
-            mode = ProportionalToDiagonal(dist.dist_from_dict(mode_d["factor_law"]))
-        elif mode_d["mode"] == "independent":
-            mode = IndependentOffDiagonal(dist.dist_from_dict(mode_d["a12"]))
-        else:
-            raise ValueError(f"unknown a12 mode {mode_d['mode']!r}")
-        return EqualDiagonal(d=dist.dist_from_dict(d["d"]), a12_mode=mode,
-                             b1=dist.dist_from_dict(d["b1"]),
-                             b2=dist.dist_from_dict(d["b2"]))
-    raise ValueError(f"unknown coupling {coupling!r}")
+    return dist._record_from_dict("coupling", _COUPLINGS, d, _read_field)

@@ -19,6 +19,7 @@ from .errors import NoRoot, NotContractive
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .model import EqualDiagonal, TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
+from .tilting import tilted_offdiag_moments
 
 _INDEX_TOL = 1e-10
 _INDEX_RTOL = 8.9e-16  # 4 machine epsilons, the smallest relative tolerance
@@ -393,7 +394,6 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     # equal-diagonal case split: drift of the tilted off-diagonal ratio
     drift: float | EstimateWithError | None = None
     if relation == "equal_as" and a1_ok and sign.a22_no_zero_atom:
-        from .tilting import tilted_offdiag_moments
         drift, _ = tilted_offdiag_moments(model, alpha_common,
                                           rng=rng.substream(0xD61F7))
 

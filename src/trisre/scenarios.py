@@ -19,6 +19,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import model as mod
+from . import tilting
 from .errors import (InsufficientSupport, RegimeMismatch, TrisreError,
                      UnsupportedRegime)
 from .estimates import EstimateWithError
@@ -33,8 +34,9 @@ from .stationary import coord1_steps, law_steps, sample_stationary_batch
 # goldie_constant_direct: unused here, but the traced benchmark patches it
 from .tails import (EmpiricalTail, PerpetuityConstants, ccdf,
                     default_log_grid, goldie_constant_direct,  # noqa: F401
-                    goldie_constant_perpetuity, hill, log_factor_regression)
-from .tilting import (clt_constant, estimate_coupling_rate,
+                    goldie_constant_perpetuity, grey_constants, hill,
+                    log_factor_regression)
+from .tilting import (SnapshotMoments, clt_constant, estimate_coupling_rate,
                       estimate_coupling_weight)
 
 SCHEMA_VERSION = 1
@@ -71,6 +73,11 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # the report files are named after the scenario
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
+            raise ValueError(f"name must be a non-empty string without a "
+                             f"path separator, not . or ..: {self.name!r}")
         if self.n_samples < 3 or self.constant_samples <= 0:
             raise ValueError("sample counts must be positive, with n_samples "
                              ">= 3 for the Hill fit (k = 2 < n)")
@@ -96,13 +103,11 @@ class ScenarioConfig:
         schema = d.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {schema!r}")
-        casts = {"n_samples": int, "tol": float, "seed": int,
-                 "mn_horizon": int, "weight_horizon": int,
-                 "constant_samples": int}
         return ScenarioConfig(
             name=d["name"], model=model_from_dict(d["model"]),
             out_dir=d.get("out_dir"),
-            **{k: cast(d[k]) for k, cast in casts.items() if k in d})
+            **{f.name: type(f.default)(d[f.name]) for f in fields(ScenarioConfig)
+               if f.name in d and type(f.default) in (int, float)})
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -155,6 +160,21 @@ def _scale_estimate(c, factor: float):
         return EstimateWithError(c.value * factor, c.se * abs(factor),
                                  c.n_samples, c.seed)
     return float(c) * factor
+
+
+def _inherited(c2p, c2m, w: SnapshotMoments, negative: bool,
+               factor: float = 1.0):
+    """(c+, c-) that W1 inherits from W2's constants c2+- through the
+    weights w: factor (c2+ w+- + c2- w-+) when no diagonal can be
+    negative, else factor (c2+ + c2-) w_abs / 2 on each side."""
+    if negative:
+        c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
+        c = _scale_estimate(_product_estimate([(c2, w.absolute)]),
+                            0.5 * factor)
+        return c, c
+    cp = _product_estimate([(c2p, w.plus), (c2m, w.minus)])
+    cm = _product_estimate([(c2p, w.minus), (c2m, w.plus)])
+    return _scale_estimate(cp, factor), _scale_estimate(cm, factor)
 
 
 def _window_bias(r: float, n: int, r_feed: float = 0.0) -> float:
@@ -260,7 +280,6 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         m_abs = dist.abs_moment(d1, alpha1)
         m_p = dist.signed_moment(d1, alpha1, "plus")
         m_m = dist.signed_moment(d1, alpha1, "minus")
-        from .tails import grey_constants
         cp, cm = grey_constants(b1.p_pos, 1.0 - b1.p_pos, m_abs, m_p, m_m)
         return AsymptoticPrediction(alpha1, 0.0, cp, cm, case,
                                     "rv_noise_closed_form",
@@ -272,17 +291,11 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                                   rng.substream(2))
         study = estimate_coupling_weight(model, alpha2, weight_horizon,
                                          constant_samples, rng.substream(3))
-        snap = study.final()
-        if report.sign_case.a22_negative_possible:
-            c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
-            half_w = _scale_estimate(snap.absolute, 0.5)
-            c = _product_estimate([(c2, half_w)])
-            return AsymptoticPrediction(alpha2, 0.0, c, c, case,
-                                        "inherited_absolute_weight_halved")
-        cp = _product_estimate([(c2p, snap.plus), (c2m, snap.minus)])
-        cm = _product_estimate([(c2p, snap.minus), (c2m, snap.plus)])
-        return AsymptoticPrediction(alpha2, 0.0, cp, cm, case,
-                                    "inherited_signed_weights")
+        a22_neg = report.sign_case.a22_negative_possible
+        cp, cm = _inherited(c2p, c2m, study.final(), a22_neg)
+        formula = ("inherited_absolute_weight_halved" if a22_neg
+                   else "inherited_signed_weights")
+        return AsymptoticPrediction(alpha2, 0.0, cp, cm, case, formula)
 
     if case == CASE_COORD2_GREY:
         alpha2 = report.alpha2
@@ -293,7 +306,6 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         lam22 = dist.abs_moment(d2, alpha2)
         qgeo = max(lam11, lam22)
         c_geo = mod.offdiag_abs_moment(model, alpha2)
-        from .tilting import coupling_sum_moments
         # deep enough that the geometric term bound C i q^{i-1} is far
         # below any truncation threshold we might apply afterwards
         def bound(i: int) -> float:
@@ -308,8 +320,10 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                     f"{1e-8 * c_geo:.6g}: the diagonals contract at "
                     f"{qgeo:.6g} per step")
             i_cap += 1
-        study = coupling_sum_moments(model, alpha2, list(range(1, i_cap + 1)),
-                                     constant_samples, rng.substream(4))
+        # looked up on tilting, where the traced benchmark wraps it
+        study = tilting.coupling_sum_moments(
+            model, alpha2, list(range(1, i_cap + 1)), constant_samples,
+            rng.substream(4))
         # sum terms until the bound drops below 1e-4 of the partial sum
         sum_p, sum_m = 0.0, 0.0
         var_p, var_m = 0.0, 0.0
@@ -356,22 +370,13 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                                   rng.substream(7))
         rate = estimate_coupling_rate(model, alpha, mn_horizon,
                                       constant_samples, rng.substream(8))
-        crp, crm = rate.rate_windowed.plus, rate.rate_windowed.minus
-        a22_neg = report.sign_case.a22_negative_possible
-        a11_neg = report.sign_case.a11_negative_possible
-        if a22_neg or a11_neg:
-            c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
-            cr = rate.rate_windowed.absolute
-            d_both = _scale_estimate(_product_estimate([(c2, cr)]), 0.5)
-            dp = dm = d_both
-            formula = "coupling_rate_absolute_halved"
-        else:
-            dp = _product_estimate([(c2p, crp), (c2m, crm)])
-            dm = _product_estimate([(c2p, crm), (c2m, crp)])
-            formula = "coupling_rate_signed"
-        factor = alpha / rho1
-        return AsymptoticPrediction(alpha, 1.0, _scale_estimate(dp, factor),
-                                    _scale_estimate(dm, factor), case, formula)
+        negative = (report.sign_case.a22_negative_possible
+                    or report.sign_case.a11_negative_possible)
+        cp, cm = _inherited(c2p, c2m, rate.rate_windowed, negative,
+                            factor=alpha / rho1)
+        formula = ("coupling_rate_absolute_halved" if negative
+                   else "coupling_rate_signed")
+        return AsymptoticPrediction(alpha, 1.0, cp, cm, case, formula)
 
     raise UnsupportedRegime(f"unhandled case {case}")  # pragma: no cover
 

@@ -366,3 +366,36 @@ def test_model_serialization_round_trip():
     from trisre import model_from_dict, model_to_dict
     for m in models:
         assert model_from_dict(model_to_dict(m)) == m
+
+
+def test_model_wire_format_is_pinned():
+    lognormal = {"kind": "lognormal", "mu": -1.0, "sigma": 1.0}
+    one = {"kind": "constant", "c": 1.0}
+    m = IndependentEntries(a11=Lognormal(-1.0, 1.0),
+                           a12=t.Scaled(Normal(0.0, 2.0), -0.5),
+                           a22=SignedLognormal(-2.0, 1.0, 0.25),
+                           b1=TwoSidedPareto(2.5, 0.5, 0.9),
+                           b2=t.Uniform(-1.0, 4.0))
+    assert t.model_to_dict(m) == {
+        "coupling": "independent_entries",
+        "a11": lognormal,
+        "a12": {"kind": "scaled",
+                "inner": {"kind": "normal", "mean": 0.0, "sd": 2.0},
+                "factor": -0.5},
+        "a22": {"kind": "signed_lognormal", "mu": -2.0, "sigma": 1.0,
+                "p_pos": 0.25},
+        "b1": {"kind": "two_sided_pareto", "alpha": 2.5, "scale": 0.5,
+               "p_pos": 0.9},
+        "b2": {"kind": "uniform", "a": -1.0, "b": 4.0}}
+    modes = [(ProportionalToDiagonal(Constant(0.5)),
+              {"mode": "proportional_to_diagonal",
+               "factor_law": {"kind": "constant", "c": 0.5}}),
+             (IndependentOffDiagonal(Normal(0.0, 1.0)),
+              {"mode": "independent",
+               "a12": {"kind": "normal", "mean": 0.0, "sd": 1.0}})]
+    for mode, wire in modes:
+        m = EqualDiagonal(d=Lognormal(-1.0, 1.0), a12_mode=mode,
+                          b1=Constant(1.0), b2=Constant(1.0))
+        assert t.model_to_dict(m) == {"coupling": "equal_diagonal",
+                                      "d": lognormal, "a12_mode": wire,
+                                      "b1": one, "b2": one}

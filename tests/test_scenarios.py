@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -261,10 +262,32 @@ def test_config_json_round_trip(tmp_path):
     p.write_text(json.dumps(config.to_dict()))
     loaded = load_config(p)
     assert loaded == config
+    configs = builtin_scenarios(quick=True) + builtin_scenarios(quick=False)
+    assert len(configs) == 14
+    for c in configs:
+        text = json.dumps(c.to_dict())
+        assert ScenarioConfig.from_dict(json.loads(text)) == c
     bad = dict(config.to_dict(), schema=99)
     p.write_text(json.dumps(bad))
     with pytest.raises(ValueError):
         load_config(p)
+
+
+def test_readme_config_schema_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Config schema:", 1)[1]
+    config, equal_diag = (json.loads(block) for block in
+                          re.findall(r"```json\n(.*?)```", section, re.S)[:2])
+    assert ScenarioConfig.from_dict(config).model == IndependentEntries(
+        a11=Lognormal(-1.0, 1.0), a12=Lognormal(-1.0, 0.5),
+        a22=Lognormal(-2.0, 1.0), b1=Constant(1.0), b2=Constant(1.0))
+    factor_law = equal_diag["a12_mode"]["factor_law"]
+    for mode in (equal_diag["a12_mode"], {"mode": "independent",
+                                          "a12": factor_law}):
+        model = ScenarioConfig.from_dict(dict(config, model=dict(
+            equal_diag, a12_mode=mode))).model
+        assert isinstance(model, EqualDiagonal)
+        assert t.model_to_dict(model) == dict(equal_diag, a12_mode=mode)
 
 
 def test_cli_run_and_classify(tmp_path, capsys):
@@ -329,11 +352,28 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, command):
     cases = [(str(p), "sample counts must be positive"),
              (str(tmp_path / "missing.json"), "config file not found"),
              (str(tmp_path), "invalid config")]
+    name_error = "name must be a non-empty string without a path separator"
     for field, value, message in (("mn_horizon", 1, "mn_horizon >= 2"),
-                                  ("out_dir", 5, "out_dir must be a string")):
-        bad = tmp_path / f"{field}.json"
+                                  ("out_dir", 5, "out_dir must be a string"),
+                                  ("n_samples", math.inf, "OverflowError"),
+                                  ("name", "../escaped", name_error),
+                                  ("name", 7, name_error)):
+        bad = tmp_path / f"{field}_{len(cases)}.json"
         bad.write_text(json.dumps(dict(quick_config().to_dict(),
                                        **{field: value})))
+        cases.append((str(bad), message))
+    # law records: non-finite parameters, an unknown tag, a missing key
+    for entry, law, message in (
+            ("a22", {"kind": "lognormal", "mu": math.nan, "sigma": 1.0},
+             "law parameters must be finite"),
+            ("b2", {"kind": "constant", "c": math.inf},
+             "law parameters must be finite"),
+            ("a11", {"kind": "gamma", "shape": 2.0}, "unknown kind 'gamma'"),
+            ("a11", {"kind": "lognormal", "mu": -1.0}, "KeyError: 'sigma'")):
+        d = quick_config().to_dict()
+        d["model"][entry] = law
+        bad = tmp_path / f"{entry}_{len(cases)}.json"
+        bad.write_text(json.dumps(d))
         cases.append((str(bad), message))
     for name, text in (("list.json", "[1, 2]"), ("null.json", "null")):
         (tmp_path / name).write_text(text)
