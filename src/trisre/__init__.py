@@ -12,8 +12,8 @@ from .distributions import (Constant, Dist, Lognormal, Normal, Scaled,
                             SignedLognormal, TwoSidedPareto, Uniform,
                             abs_moment, abs_moment_derivative,
                             abs_normal_moment, dist_from_dict, dist_to_dict,
-                            log_abs_moment, mean, sample, signed_moment,
-                            tilted)
+                            log_abs_moment, mean, sample, sign_moment,
+                            signed_moment, tilted)
 from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      LogMomentUndefined, MomentDiverges, NoRoot,
                      NonPositiveOrderStat, NotContractive, RegimeMismatch,
@@ -25,7 +25,7 @@ from .model import (EqualDiagonal, IndependentEntries, IndependentOffDiagonal,
                     ProportionalToDiagonal, TriangularSRE, draw_innovations,
                     model_from_dict, model_to_dict)
 from .regime import (CheckResult, RegimeReport, SignSummary, classify,
-                     lyapunov_estimate, solve_tail_index)
+                     solve_tail_index)
 from .rng import RngStream, default_workers
 from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,

@@ -172,9 +172,7 @@ def _half_normal_moment(beta: float) -> float:
 
 def abs_normal_moment(alpha: float) -> float:
     """E|N|^alpha for the standard normal, alpha >= 0."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return _half_normal_moment(alpha)
+    return abs_moment(Normal(0.0, 1.0), alpha)
 
 
 def _normal_rule(m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,41 +213,14 @@ def _uniform_abs_antideriv(x: float, beta: float) -> float:
     return math.copysign(abs(x) ** (beta + 1.0) / (beta + 1.0), x)
 
 
-def abs_moment(spec: Dist, beta: float) -> float:
-    """E|X|^beta, exact where the family allows, quadrature otherwise.
-
-    Raises MomentDiverges when beta reaches the Pareto index.
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if beta == 0.0:
-        return 1.0
-    if isinstance(spec, Constant):
-        return abs(spec.c) ** beta
-    if isinstance(spec, Normal):
-        if spec.mean == 0.0:
-            return spec.sd ** beta * _half_normal_moment(beta)
-        return (_normal_positive_part_moment(spec.mean, spec.sd, beta)
-                + _normal_positive_part_moment(-spec.mean, spec.sd, beta))
-    if isinstance(spec, (Lognormal, SignedLognormal)):
-        return math.exp(spec.mu * beta + 0.5 * (spec.sigma * beta) ** 2)
-    if isinstance(spec, TwoSidedPareto):
-        if beta >= spec.alpha:
-            raise MomentDiverges(
-                f"E|X|^{beta} infinite for Pareto index {spec.alpha}")
-        return spec.alpha * spec.scale ** beta / (spec.alpha - beta)
-    if isinstance(spec, Uniform):
-        num = _uniform_abs_antideriv(spec.b, beta) - _uniform_abs_antideriv(spec.a, beta)
-        return num / (spec.b - spec.a)
-    if isinstance(spec, Scaled):
-        if spec.factor == 0.0:
-            return 0.0
-        return abs(spec.factor) ** beta * abs_moment(spec.inner, beta)
-    raise TypeError(f"unknown spec {spec!r}")  # pragma: no cover
-
-
 def signed_moment(spec: Dist, beta: float, sign: str) -> float:
-    """E[(X^+)^beta] or E[(X^-)^beta]; the two sum to abs_moment."""
+    """E[(X^+)^beta] or E[(X^-)^beta], exact where the family allows,
+    quadrature otherwise: the one per-family moment formula. At beta = 0
+    it is P(X > 0) or P(X < 0).
+
+    Raises MomentDiverges when beta reaches the Pareto index on a side
+    with positive weight.
+    """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     if beta < 0:
@@ -264,9 +235,14 @@ def signed_moment(spec: Dist, beta: float, sign: str) -> float:
         mean = spec.mean if plus else -spec.mean
         if beta == 0.0:
             return 0.5 * math.erfc(-mean / (spec.sd * math.sqrt(2.0)))
+        if mean == 0.0:
+            # half the half-normal moment, so the two parts sum exactly
+            return 0.5 * spec.sd ** beta * _half_normal_moment(beta)
         return _normal_positive_part_moment(mean, spec.sd, beta)
     if isinstance(spec, Lognormal):
-        return abs_moment(spec, beta) if plus else 0.0
+        if not plus:
+            return 0.0
+        return math.exp(spec.mu * beta + 0.5 * (spec.sigma * beta) ** 2)
     if isinstance(spec, SignedLognormal):
         w = spec.p_pos if plus else 1.0 - spec.p_pos
         return w * math.exp(spec.mu * beta + 0.5 * (spec.sigma * beta) ** 2)
@@ -278,14 +254,12 @@ def signed_moment(spec: Dist, beta: float, sign: str) -> float:
             raise MomentDiverges(
                 f"E[(X^{'+' if plus else '-'})^{beta}] infinite for Pareto "
                 f"index {spec.alpha}")
-        return w * spec.alpha * spec.scale ** beta / (spec.alpha - beta)
+        return w * (spec.alpha * spec.scale ** beta / (spec.alpha - beta))
     if isinstance(spec, Uniform):
         a, b = (spec.a, spec.b) if plus else (-spec.b, -spec.a)
         lo, hi = max(a, 0.0), max(b, 0.0)
         if hi <= lo:
             return 0.0
-        if beta == 0.0:
-            return (hi - lo) / (spec.b - spec.a)
         num = _uniform_abs_antideriv(hi, beta) - _uniform_abs_antideriv(lo, beta)
         return num / (spec.b - spec.a)
     if isinstance(spec, Scaled):
@@ -294,6 +268,19 @@ def signed_moment(spec: Dist, beta: float, sign: str) -> float:
         inner_sign = sign if spec.factor > 0 else ("minus" if plus else "plus")
         return abs(spec.factor) ** beta * signed_moment(spec.inner, beta, inner_sign)
     raise TypeError(f"unknown spec {spec!r}")  # pragma: no cover
+
+
+def abs_moment(spec: Dist, beta: float) -> float:
+    """E|X|^beta = E[(X^+)^beta] + E[(X^-)^beta], and E|X|^0 = 1."""
+    if beta == 0.0:
+        return 1.0
+    return signed_moment(spec, beta, "plus") + signed_moment(spec, beta, "minus")
+
+
+def sign_moment(spec: Dist, beta: float) -> float:
+    """E[sgn(X)|X|^beta] = E[(X^+)^beta] - E[(X^-)^beta]: for beta > 0
+    exactly abs_moment(spec, beta) when X >= 0, whose negative part is 0.0."""
+    return signed_moment(spec, beta, "plus") - signed_moment(spec, beta, "minus")
 
 
 def log_abs_moment(spec: Dist) -> float:
@@ -355,7 +342,7 @@ def abs_moment_derivative(spec: Dist, beta: float) -> float:
 
 def mean(spec: Dist) -> float:
     """E[X] = E[(X^+)^1] - E[(X^-)^1]."""
-    return signed_moment(spec, 1.0, "plus") - signed_moment(spec, 1.0, "minus")
+    return sign_moment(spec, 1.0)
 
 
 def tilted(spec: Dist, alpha: float) -> Dist:
@@ -395,48 +382,17 @@ def moment_sup(spec: Dist) -> float:
 
 
 def is_zero_pointmass(spec: Dist) -> bool:
-    if isinstance(spec, Constant):
-        return spec.c == 0.0
-    if isinstance(spec, Scaled):
-        return spec.factor == 0.0 or is_zero_pointmass(spec.inner)
-    return False
+    # the menu's only atoms are point masses, so X = 0 a.s. iff X has no sign
+    return prob_positive(spec) + prob_negative(spec) == 0.0
 
 
 def prob_negative(spec: Dist) -> float:
     """P(X < 0), exact for every menu family."""
-    if isinstance(spec, Constant):
-        return 1.0 if spec.c < 0 else 0.0
-    if isinstance(spec, Normal):
-        return 0.5 * math.erfc(spec.mean / (spec.sd * math.sqrt(2.0)))
-    if isinstance(spec, Lognormal):
-        return 0.0
-    if isinstance(spec, (SignedLognormal, TwoSidedPareto)):
-        return 1.0 - spec.p_pos
-    if isinstance(spec, Uniform):
-        if spec.b <= 0:
-            return 1.0
-        if spec.a >= 0:
-            return 0.0
-        return -spec.a / (spec.b - spec.a)
-    if isinstance(spec, Scaled):
-        if spec.factor == 0.0:
-            return 0.0
-        if spec.factor > 0:
-            return prob_negative(spec.inner)
-        return prob_positive(spec.inner)
-    raise TypeError(f"unknown spec {spec!r}")  # pragma: no cover
+    return signed_moment(spec, 0.0, "minus")
 
 
 def prob_positive(spec: Dist) -> float:
-    if isinstance(spec, Constant):
-        return 1.0 if spec.c > 0 else 0.0
-    if isinstance(spec, Scaled):
-        if spec.factor == 0.0:
-            return 0.0
-        if spec.factor > 0:
-            return prob_positive(spec.inner)
-        return prob_negative(spec.inner)
-    return 1.0 - prob_negative(spec) - (1.0 if is_zero_pointmass(spec) else 0.0)
+    return signed_moment(spec, 0.0, "plus")
 
 
 def is_continuous(spec: Dist) -> bool:
@@ -467,16 +423,32 @@ def _record_to_dict(tag: str, table: dict, obj, write) -> dict:
 
 
 def _record_from_dict(tag: str, table: dict, d: dict, read):
-    """Inverse of _record_to_dict: ValueError for an unknown tag, KeyError
-    for a missing field."""
+    """Inverse of _record_to_dict: ValueError for an unknown tag or key,
+    KeyError for a missing field."""
     if d[tag] not in table:
         raise ValueError(f"unknown {tag} {d[tag]!r}")
-    cls = table[d[tag]]
-    return cls(**{f.name: read(f.name, d[f.name]) for f in fields(cls)})
+    names = [f.name for f in fields(table[d[tag]])]
+    _check_keys(d, [tag, *names])
+    return table[d[tag]](**{name: read(name, d[name]) for name in names})
 
 
-def _finite_float(x) -> float:
-    x = float(x)
+def _check_keys(d: dict, known: list[str]) -> None:
+    if unknown := sorted(set(d) - set(known)):
+        raise ValueError(f"unknown keys {unknown}")
+
+
+def _json_number(name: str, x, kind=float):
+    """x as kind, from a JSON number (not a bool or a string) with an
+    integral value when kind is int."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or kind is int and not float(x).is_integer()):
+        raise ValueError(f"{name} must be {'an integral' if kind is int else 'a'}"
+                         f" JSON number, not {x!r}")
+    return kind(x)
+
+
+def _finite_float(name: str, x) -> float:
+    x = _json_number(name, x)
     if not math.isfinite(x):
         raise ValueError(f"law parameters must be finite, not {x}")
     return x
@@ -489,4 +461,4 @@ def dist_to_dict(spec: Dist) -> dict:
 
 def dist_from_dict(d: dict) -> Dist:
     return _record_from_dict("kind", _KINDS, d, lambda name, value: (
-        dist_from_dict(value) if name == "inner" else _finite_float(value)))
+        dist_from_dict(value) if name == "inner" else _finite_float(name, value)))

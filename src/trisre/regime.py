@@ -10,15 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import distributions as dist
 from . import model as mod
 from .distributions import Dist
 from .errors import NoRoot, NotContractive
-from .estimates import EstimateWithError, RunningMoments, merge_chunks
+from .estimates import EstimateWithError
 from .model import EqualDiagonal, TriangularSRE
-from .rng import CHUNK, RngStream, map_chunks
+from .rng import RngStream
 from .tilting import tilted_offdiag_moments
 
 _INDEX_TOL = 1e-10
@@ -129,47 +127,6 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
     raise NoRoot(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
-
-
-def lyapunov_estimate(model: TriangularSRE, n: int, reps: int,
-                      rng: RngStream) -> EstimateWithError:
-    """Mean and SE of n^{-1} log ||A_n ... A_1|| over independent paths.
-
-    The running 2x2 product is renormalised by its max-abs entry every
-    step; the factored-out logs accumulate separately so no overflow can
-    occur whatever the horizon."""
-    if n < 1 or reps < 2:
-        raise ValueError("need n >= 1 and reps >= 2")
-
-    def chunk(paths, sub):
-        m = paths.stop - paths.start
-        p11 = np.ones(m)
-        p12 = np.zeros(m)
-        p22 = np.ones(m)
-        logacc = np.zeros(m)
-        for _ in range(n):
-            batch = mod.draw_innovations(model, m, sub)
-            # left-multiply the running product by the new triangular matrix
-            p11_new = batch.a11 * p11
-            p12_new = batch.a11 * p12 + batch.a12 * p22
-            p22_new = batch.a22 * p22
-            scale = np.maximum(np.maximum(np.abs(p11_new), np.abs(p12_new)),
-                               np.abs(p22_new))
-            scale = np.where(scale == 0.0, 1.0, scale)
-            p11, p12, p22 = p11_new / scale, p12_new / scale, p22_new / scale
-            logacc += np.log(scale)
-        # spectral norm of [[p11, p12], [0, p22]] via the 2x2 Gram matrix
-        g11 = p11 * p11
-        g12 = p11 * p12
-        g22 = p12 * p12 + p22 * p22
-        tr = g11 + g22
-        det = g11 * g22 - g12 * g12
-        lam = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-        vals = (logacc + 0.5 * np.log(np.maximum(lam, 1e-300))) / n
-        return (RunningMoments(vals),)
-
-    (acc,) = merge_chunks(map_chunks(reps, CHUNK, chunk, rng))
-    return acc.estimate(rng.describe())
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,12 @@ class ScenarioConfig:
         schema = d.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {schema!r}")
+        dist._check_keys(d, ["schema", *(f.name for f in fields(ScenarioConfig))])
         return ScenarioConfig(
             name=d["name"], model=model_from_dict(d["model"]),
             out_dir=d.get("out_dir"),
-            **{f.name: type(f.default)(d[f.name]) for f in fields(ScenarioConfig)
+            **{f.name: dist._json_number(f.name, d[f.name], type(f.default))
+               for f in fields(ScenarioConfig)
                if f.name in d and type(f.default) in (int, float)})
 
 
@@ -277,10 +279,9 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         alpha1 = report.alpha1
         b1 = model.b1
         assert isinstance(b1, dist.TwoSidedPareto)
-        m_abs = dist.abs_moment(d1, alpha1)
-        m_p = dist.signed_moment(d1, alpha1, "plus")
-        m_m = dist.signed_moment(d1, alpha1, "minus")
-        cp, cm = grey_constants(b1.p_pos, 1.0 - b1.p_pos, m_abs, m_p, m_m)
+        cp, cm = grey_constants(b1.p_pos, 1.0 - b1.p_pos,
+                                dist.abs_moment(d1, alpha1),
+                                dist.sign_moment(d1, alpha1))
         return AsymptoticPrediction(alpha1, 0.0, cp, cm, case,
                                     "rv_noise_closed_form",
                                     ell_scale=b1.scale ** alpha1)

@@ -210,26 +210,22 @@ def goldie_constant_perpetuity(a_law: Dist, steps, alpha: float, rho: float,
         raise ValueError("n must be >= 2")
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
-    moment = dist.abs_moment(a_law, alpha)
-    # E[sgn(A)|A|^alpha] is exactly E|A|^alpha for A >= 0
-    gamma = (moment if dist.prob_negative(a_law) == 0 else
-             dist.signed_moment(a_law, alpha, "plus")
-             - dist.signed_moment(a_law, alpha, "minus"))
-    lam, gamma = _scan_factors(moment, gamma, "E|A|^alpha")
+    lam, gamma = _scan_factors(dist.abs_moment(a_law, alpha),
+                               dist.sign_moment(a_law, alpha), "E|A|^alpha")
     study = _study_from_pairs(steps, alpha, [n // 2, n], N, rng, lam,
                               step_moment=1.0, gamma=gamma)
     return PerpetuityConstants.from_study(study, alpha * rho)
 
 
 def grey_constants(p_alpha: float, q_alpha: float, m_abs: float,
-                   m_plus: float, m_minus: float) -> tuple[float, float]:
+                   m_sign: float) -> tuple[float, float]:
     """Closed-form tail constants when the additive term is regularly
     varying and the multiplier is strictly subcritical."""
     if not (p_alpha >= 0 and q_alpha >= 0 and abs(p_alpha + q_alpha - 1.0) < 1e-9):
         raise ArgumentOutOfRange("need p, q >= 0 with p + q = 1")
     if m_abs >= 1.0:
         raise ArgumentOutOfRange("need E|A|^alpha < 1")
-    denom2 = 1.0 - m_plus + m_minus
+    denom2 = 1.0 - m_sign
     if denom2 <= 0.0:
         raise ArgumentOutOfRange("signed-moment denominator must be positive")
     base = 1.0 / (1.0 - m_abs)

@@ -254,27 +254,17 @@ def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
     return steps
 
 
-def _ratio_moment(model: TriangularSRE, alpha: float) -> float:
+def _ratio_moments(model: TriangularSRE, alpha: float) -> tuple[float, float]:
     """Reweighted E|V|^alpha = E|a11|^alpha / E|a22|^alpha (the weight
-    cancels the denominator's magnitude)."""
-    d1, d2 = mod.diag_laws(model)
+    cancels the denominator's magnitude) and E[sgn(V)|V|^alpha] =
+    E[sgn(a11)|a11|^alpha] E[sgn(a22)] / E|a22|^alpha, which is exactly
+    the first when V >= 0; V = 1 for equal diagonals."""
     if isinstance(model, EqualDiagonal):
-        return 1.0
-    return dist.abs_moment(d1, alpha) / dist.abs_moment(d2, alpha)
-
-
-def _ratio_sign_moment(model: TriangularSRE, alpha: float) -> float:
-    """Reweighted E[sgn(V)|V|^alpha]; closed form from the menu, and
-    exactly the ratio moment when V >= 0."""
-    if isinstance(model, EqualDiagonal):
-        return 1.0
+        return 1.0, 1.0
     d1, d2 = mod.diag_laws(model)
-    if dist.prob_negative(d1) == 0 and dist.prob_negative(d2) == 0:
-        return _ratio_moment(model, alpha)
-    s11 = (dist.signed_moment(d1, alpha, "plus")
-           - dist.signed_moment(d1, alpha, "minus"))
-    sgn22 = dist.prob_positive(d2) - dist.prob_negative(d2)
-    return s11 * sgn22 / dist.abs_moment(d2, alpha)
+    lam22 = dist.abs_moment(d2, alpha)
+    return (dist.abs_moment(d1, alpha) / lam22,
+            dist.sign_moment(d1, alpha) * dist.sign_moment(d2, 0.0) / lam22)
 
 
 def _critical_contraction(moment: float, what: str) -> float:
@@ -323,8 +313,7 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
     if dist.is_zero_pointmass(a22):
         raise RegimeMismatch("ratio representation needs a second diagonal "
                              "with no atom at zero")
-    contraction, gamma = _scan_factors(_ratio_moment(model, alpha),
-                                       _ratio_sign_moment(model, alpha),
+    contraction, gamma = _scan_factors(*_ratio_moments(model, alpha),
                                        "reweighted ratio moment")
     lam22 = dist.abs_moment(a22, alpha)
     if _tilted_a22(model, alpha) is None:
@@ -402,7 +391,7 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
     where the naive mean collapses."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    m_ratio = _ratio_moment(model, alpha)
+    m_ratio = _ratio_moments(model, alpha)[0]
     if _critical_contraction(m_ratio, "reweighted ratio moment") != 1.0:
         raise RegimeMismatch(
             "per-step rate is defined at the critical index "

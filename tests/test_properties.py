@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import trisre as t
+from trisre import distributions as dist
 from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, Scaled, SignedLognormal,
@@ -64,6 +65,49 @@ def test_signed_moments_add_to_absolute(spec, frac):
     split = (t.signed_moment(spec, beta, "plus")
              + t.signed_moment(spec, beta, "minus"))
     assert abs(split - total) <= 1e-9 * max(total, 1.0)
+
+
+def scaled_menu_specs():
+    """All seven families, Scaled wrapping any of them (factor 0 included),
+    and the zero point mass."""
+    return st.one_of(menu_specs(), st.just(Constant(0.0)),
+                     st.builds(Scaled, menu_specs(),
+                               st.floats(-2.0, 2.0, **finite)))
+
+
+def _is_zero_law(spec):
+    # structural oracle: the point mass at 0, possibly rescaled
+    if isinstance(spec, Scaled):
+        return spec.factor == 0.0 or _is_zero_law(spec.inner)
+    return isinstance(spec, Constant) and spec.c == 0.0
+
+
+@given(scaled_menu_specs(), st.floats(0.05, 0.95, **finite))
+def test_sign_moment_is_abs_moment_without_negative_part(spec, frac):
+    beta = frac * min(dist.moment_sup(spec), 5.0)
+    if dist.prob_negative(spec) == 0.0:
+        assert t.sign_moment(spec, beta) == t.abs_moment(spec, beta)
+    else:
+        assert t.sign_moment(spec, beta) <= t.abs_moment(spec, beta)
+
+
+@given(scaled_menu_specs())
+def test_sign_probabilities_sum_to_one_off_the_zero_point_mass(spec):
+    total = dist.prob_positive(spec) + dist.prob_negative(spec)
+    if _is_zero_law(spec):
+        assert total == 0.0
+        assert dist.is_zero_pointmass(spec)
+    else:
+        assert abs(total - 1.0) <= math.ulp(1.0)
+        assert not dist.is_zero_pointmass(spec)
+
+
+@given(st.floats(0.05, 5.0, **finite), st.floats(0.0, 6.0, **finite))
+def test_zero_mean_normal_parts_are_exact_halves(sd, beta):
+    spec = Normal(0.0, sd)
+    half = 0.5 * t.abs_moment(spec, beta)
+    assert t.signed_moment(spec, beta, "plus") == half
+    assert t.signed_moment(spec, beta, "minus") == half
 
 
 def tiltable_specs():

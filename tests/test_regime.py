@@ -1,4 +1,4 @@
-"""Tail-index solving, Lyapunov estimation, and regime classification."""
+"""Tail-index solving and regime classification."""
 import math
 import typing
 
@@ -16,7 +16,7 @@ from trisre.errors import NoRoot, NotContractive
 from trisre.regime import (CASE_COORD1_KG, CASE_DISTINCT_DIAG_EQUAL_INDEX,
                            CASE_EQUAL_DIAG_NONZERO_DRIFT,
                            CASE_EQUAL_DIAG_ZERO_DRIFT, CASE_UNSUPPORTED)
-from trisre.rng import CHUNK, RngStream
+from trisre.rng import RngStream
 from trisre.scenarios import builtin_scenarios, scenario_regime
 
 from oracles import scipy_tail_index
@@ -122,64 +122,6 @@ def test_derivative_examples():
     assert t.abs_moment_derivative(Constant(c), alpha) == \
         pytest.approx(c ** alpha * math.log(c), rel=1e-12)
     assert t.abs_moment_derivative(Constant(c), alpha) < 0
-
-
-def test_lyapunov_diagonal_constants_exact():
-    m = IndependentEntries(a11=Constant(0.5), a12=Constant(0.0),
-                           a22=Constant(0.5), b1=Constant(1.0),
-                           b2=Constant(1.0))
-    est = t.lyapunov_estimate(m, 200, 4, t.RngStream(1))
-    assert est.value == pytest.approx(math.log(0.5), abs=1e-12)
-    assert est.se == 0.0
-
-
-def test_lyapunov_triangular_constants_match_direct_product():
-    a, g, c = 0.5, 1.0, 0.25
-    n = 10_000
-    m = IndependentEntries(a11=Constant(a), a12=Constant(g),
-                           a22=Constant(c), b1=Constant(1.0),
-                           b2=Constant(1.0))
-    est = t.lyapunov_estimate(m, n, 3, t.RngStream(2))
-    # closed-form oracle for the n-step product norm, evaluated in logs:
-    # off-diagonal entry is g * sum a^i c^{n-1-i} = g a^{n-1} (1-r^n)/(1-r)
-    r = c / a
-    off_log = math.log(g) + (n - 1) * math.log(a) + math.log((1 - r ** n) / (1 - r))
-    p11_log = n * math.log(a)
-    p22_log = n * math.log(c)
-    # spectral norm of [[p11, off], [0, p22]]: off dominates exponentially,
-    # norm^2 = largest eigenvalue of the Gram matrix; compute via scaling
-    s = max(p11_log, off_log, p22_log)
-    p11, off, p22 = (math.exp(p11_log - s), math.exp(off_log - s),
-                     math.exp(p22_log - s))
-    g11 = p11 * p11
-    g12 = p11 * off
-    g22 = off * off + p22 * p22
-    tr, det = g11 + g22, g11 * g22 - g12 * g12
-    lam = 0.5 * (tr + math.sqrt(max(tr * tr - 4 * det, 0.0)))
-    oracle = (s + 0.5 * math.log(lam)) / n
-    assert est.value == pytest.approx(oracle, abs=1e-9)
-    # the top exponent is the max diagonal log, up to the O(log n / n) term
-    assert est.value == pytest.approx(math.log(a), abs=1e-3)
-
-
-def test_lyapunov_negative_for_stable_model():
-    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
-                           a22=Lognormal(-2, 1), b1=Constant(1.0),
-                           b2=Constant(1.0))
-    est = t.lyapunov_estimate(m, 10_000, 100, t.RngStream(3))
-    assert est.value + 3 * est.se < 0
-
-
-def test_lyapunov_same_at_any_worker_count(monkeypatch):
-    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
-                           a22=Lognormal(-2, 1), b1=Constant(1.0),
-                           b2=Constant(1.0))
-    ests = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("TRISRE_WORKERS", workers)
-        ests.append(t.lyapunov_estimate(m, 5, CHUNK + 17, t.RngStream(4)))
-    assert ests[0] == ests[1]
-    assert ests[0].n_samples == CHUNK + 17
 
 
 def test_classify_distinct_indices():
@@ -316,3 +258,18 @@ def test_menu_is_the_families_the_mixed_moment_argument_covers():
     assert set(typing.get_args(dist.Dist)) == {
         dist.Constant, dist.Normal, dist.Lognormal, dist.SignedLognormal,
         dist.TwoSidedPareto, dist.Uniform, dist.Scaled}
+
+
+def test_classify_reads_the_exact_top_lyapunov_exponent():
+    # products of i.i.d. upper-triangular matrices grow at the top exponent
+    # max(E log|a11|, E log|a22|), read off the laws without simulation
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                           a22=Lognormal(-2, 1), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    chk = t.classify(m).check("lyapunov_negative")
+    assert chk.status == "pass"
+    assert chk.detail == "E log|A11| = -1, E log|A22| = -2"
+    unstable = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                                  a22=Lognormal(0.1, 1), b1=Constant(1.0),
+                                  b2=Constant(1.0))
+    assert t.classify(unstable).check("lyapunov_negative").status == "fail"

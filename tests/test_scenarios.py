@@ -273,6 +273,20 @@ def test_config_json_round_trip(tmp_path):
         load_config(p)
 
 
+def test_config_numbers_accept_integral_floats_and_integers():
+    # an integer field takes an integral float; a float field and a law
+    # parameter take an integer
+    d = quick_config().to_dict()
+    d.update(n_samples=1e6, seed=7.0)
+    d["model"]["a11"] = {"kind": "lognormal", "mu": -1, "sigma": 1}
+    config = ScenarioConfig.from_dict(d)
+    assert type(config.n_samples) is int and config.n_samples == 1_000_000
+    assert type(config.seed) is int and config.seed == 7
+    assert config.model.a11 == Lognormal(-1.0, 1.0)
+    assert type(config.model.a11.mu) is float
+    assert ScenarioConfig.from_dict(config.to_dict()) == config
+
+
 def test_readme_config_schema_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("Config schema:", 1)[1]
@@ -355,7 +369,16 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, command):
     name_error = "name must be a non-empty string without a path separator"
     for field, value, message in (("mn_horizon", 1, "mn_horizon >= 2"),
                                   ("out_dir", 5, "out_dir must be a string"),
-                                  ("n_samples", math.inf, "OverflowError"),
+                                  ("n_samples", math.inf, "n_samples must "
+                                   "be an integral JSON number, not inf"),
+                                  ("n_samples", 5000.9, "n_samples must be "
+                                   "an integral JSON number, not 5000.9"),
+                                  ("n_samples", "1000", "n_samples must be "
+                                   "an integral JSON number, not '1000'"),
+                                  ("seed", True, "seed must be an integral "
+                                   "JSON number, not True"),
+                                  ("tol", "1e-8", "tol must be a JSON number"),
+                                  ("n_sample", 50, "unknown keys ['n_sample']"),
                                   ("name", "../escaped", name_error),
                                   ("name", 7, name_error)):
         bad = tmp_path / f"{field}_{len(cases)}.json"
@@ -369,12 +392,25 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, command):
             ("b2", {"kind": "constant", "c": math.inf},
              "law parameters must be finite"),
             ("a11", {"kind": "gamma", "shape": 2.0}, "unknown kind 'gamma'"),
-            ("a11", {"kind": "lognormal", "mu": -1.0}, "KeyError: 'sigma'")):
+            ("a11", {"kind": "lognormal", "mu": -1.0}, "KeyError: 'sigma'"),
+            ("a22", {"kind": "lognormal", "mu": -1, "sigma": 1, "sigm": 3},
+             "unknown keys ['sigm']"),
+            ("a22", {"kind": "lognormal", "mu": "-1", "sigma": 1},
+             "mu must be a JSON number"),
+            ("a22", {"kind": "lognormal", "mu": -1, "sigma": True},
+             "sigma must be a JSON number"),
+            ("b3", {"kind": "constant", "c": 1.0}, "unknown keys ['b3']")):
         d = quick_config().to_dict()
         d["model"][entry] = law
         bad = tmp_path / f"{entry}_{len(cases)}.json"
         bad.write_text(json.dumps(d))
         cases.append((str(bad), message))
+    # an a12_mode record with a key its mode does not have
+    d = next(c for c in builtin_scenarios(quick=True)
+             if isinstance(c.model, EqualDiagonal)).to_dict()
+    d["model"]["a12_mode"]["scale"] = 2.0
+    (tmp_path / "a12_mode.json").write_text(json.dumps(d))
+    cases.append((str(tmp_path / "a12_mode.json"), "unknown keys ['scale']"))
     for name, text in (("list.json", "[1, 2]"), ("null.json", "null")):
         (tmp_path / name).write_text(text)
         cases.append((str(tmp_path / name), "config must be a JSON object"))

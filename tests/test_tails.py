@@ -256,14 +256,14 @@ def test_goldie_positivity_of_summed_constants():
 
 
 def test_grey_constants():
-    cp, cm = t.grey_constants(0.5, 0.5, 0.3, 0.3, 0.0)
+    cp, cm = t.grey_constants(0.5, 0.5, 0.3, 0.3)
     assert cp == cm == pytest.approx(1.0 / (2 * 0.7))
-    cp, cm = t.grey_constants(1.0, 0.0, 0.0, 0.0, 0.0)
+    cp, cm = t.grey_constants(1.0, 0.0, 0.0, 0.0)
     assert (cp, cm) == (1.0, 0.0)
-    cp, cm = t.grey_constants(1.0, 0.0, 0.5, 0.5, 0.0)
+    cp, cm = t.grey_constants(1.0, 0.0, 0.5, 0.5)
     assert cp == pytest.approx(2.0)
     assert cm == pytest.approx(0.0)
     with pytest.raises(ArgumentOutOfRange):
-        t.grey_constants(0.5, 0.5, 1.0, 0.5, 0.0)
+        t.grey_constants(0.5, 0.5, 1.0, 0.5)
     with pytest.raises(ArgumentOutOfRange):
-        t.grey_constants(0.7, 0.7, 0.3, 0.3, 0.0)
+        t.grey_constants(0.7, 0.7, 0.3, 0.3)
