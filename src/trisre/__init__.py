@@ -34,7 +34,7 @@ from .stationary import (StationaryBatch, coord1_steps, iterate_forward,
                          law_steps, sample_perpetuity_batch,
                          sample_stationary_batch, truncation_depth,
                          univariate_model)
-from .tails import (EmpiricalTail, ccdf, default_log_grid,
+from .tails import (EmpiricalTail, TailSelection, ccdf, default_log_grid,
                     goldie_constant_direct, goldie_constant_perpetuity,
                     grey_constants, hill, log_factor_regression)
 from .tilting import (CouplingRate, PartialSumStudy, SnapshotMoments,

@@ -9,6 +9,7 @@ two-sided Pareto, and scalar rescalings of any of these.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -439,8 +440,9 @@ def _check_keys(d: dict, known: list[str]) -> None:
 
 def _json_number(name: str, x, kind=float):
     """x as kind, from a JSON number (not a bool or a string) with an
-    integral value when kind is int."""
-    if (isinstance(x, bool) or not isinstance(x, (int, float))
+    integral value when kind is int; from Python, any real number type
+    (numpy's included) but bool."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
             or kind is int and not float(x).is_integer()):
         raise ValueError(f"{name} must be {'an integral' if kind is int else 'a'}"
                          f" JSON number, not {x!r}")

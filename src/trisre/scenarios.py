@@ -31,11 +31,13 @@ from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
                      CASE_UNSUPPORTED, RegimeReport, classify)
 from .rng import RngStream
 from .stationary import coord1_steps, law_steps, sample_stationary_batch
-# goldie_constant_direct: unused here, but the traced benchmark patches it
-from .tails import (EmpiricalTail, PerpetuityConstants, ccdf,
+# EmpiricalTail and goldie_constant_direct: unused here, but the traced
+# benchmark patches them
+from .tails import (CONVENTIONS, EmpiricalTail,  # noqa: F401
+                    PerpetuityConstants, TailSelection, ccdf,
                     default_log_grid, goldie_constant_direct,  # noqa: F401
                     goldie_constant_perpetuity, grey_constants, hill,
-                    log_factor_regression)
+                    hill_depth, log_factor_regression, log_grid_depth)
 from .tilting import (SnapshotMoments, clt_constant, estimate_coupling_rate,
                       estimate_coupling_weight)
 
@@ -78,6 +80,12 @@ class ScenarioConfig:
                 or any(c in self.name for c in "/\\\0")):
             raise ValueError(f"name must be a non-empty string without a "
                              f"path separator, not . or ..: {self.name!r}")
+        # numbers follow the wire format: an integer field takes an
+        # integral number, no field takes a bool or a string
+        for f in fields(self):
+            if type(f.default) in (int, float):
+                setattr(self, f.name, dist._json_number(
+                    f.name, getattr(self, f.name), type(f.default)))
         if self.n_samples < 3 or self.constant_samples <= 0:
             raise ValueError("sample counts must be positive, with n_samples "
                              ">= 3 for the Hill fit (k = 2 < n)")
@@ -107,8 +115,7 @@ class ScenarioConfig:
         return ScenarioConfig(
             name=d["name"], model=model_from_dict(d["model"]),
             out_dir=d.get("out_dir"),
-            **{f.name: dist._json_number(f.name, d[f.name], type(f.default))
-               for f in fields(ScenarioConfig)
+            **{f.name: d[f.name] for f in fields(ScenarioConfig)
                if f.name in d and type(f.default) in (int, float)})
 
 
@@ -422,27 +429,17 @@ class ScenarioReport:
                 "verdicts": [v.to_dict() for v in self.verdicts]}
 
 
-def _hill_block(samples: np.ndarray, reads: dict | None = None) -> dict:
-    """Hill fits of the absolute, positive and negative tails.
-
-    Each tail is built once and dropped before the next one, so at most
-    one sorted copy of the samples is alive; reads[convention](tail), where
-    given, runs on that tail before it is dropped."""
-    reads = reads or {}
+def _hill_block(tails: dict, k: int) -> dict:
+    """Hill fits at k of the absolute, positive and negative tails of one
+    coordinate, each from the top k + 1 order statistics it keeps."""
     out = {}
-    n = samples.size
-    k = max(2, min(int(n ** (2.0 / 3.0)), n - 1))
-    for conv in ("absolute", "positive", "negative"):
-        tail = EmpiricalTail(samples, conv)
+    for conv, tail in tails.items():
         try:
             est = hill(tail, k)
             out[conv] = {"alpha_hat": est.value, "se": est.se, "k": k}
         except TrisreError as exc:
             out[conv] = {"error": str(exc), "k": k}
-        if conv in reads:
-            reads[conv](tail)
-        del tail
-    out["n"] = n
+    out["n"] = tails["absolute"].count
     return out
 
 
@@ -514,27 +511,39 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
     except TrisreError as exc:
         prediction_error = f"{type(exc).__name__}: {exc}"
 
-    # the w1 tails also serve the log-factor regression (absolute) and
-    # the tail-constant grid (positive), read while each tail is alive
-    fits: dict = {}
-    reads = {}
+    # every read takes top order statistics: the Hill fits the top k + 1
+    # of each tail, the log grid (and its ccdf) of w1's absolute tail, for
+    # the log-factor regression, and of its positive tail, for the
+    # tail-constant fit, the top log_grid_depth(n)
+    n = config.n_samples
+    k = hill_depth(n)
+    grid_reads = set()
     if prediction is not None:
-        reads["absolute"] = lambda tail: fits.update(
-            log_factor_regression=_log_factor_fit(tail, prediction.tail_index))
+        grid_reads.add("absolute")
         if _const_value(prediction.c_plus) > 0:
-            reads["positive"] = lambda tail: fits.update(
-                tail_constant_plus=_tail_constant_fit(tail, prediction))
+            grid_reads.add("positive")
 
-    batch = sample_stationary_batch(config.model, config.tol,
-                                    config.n_samples, rng.substream(3),
-                                    workers=workers)
+    def selections(deep: set) -> list[TailSelection]:
+        return [TailSelection(conv, max(k + 1, log_grid_depth(n))
+                              if conv in deep else k + 1)
+                for conv in CONVENTIONS]
+
+    batch = sample_stationary_batch(
+        config.model, config.tol, n, rng.substream(3), workers=workers,
+        tails={"w1": selections(grid_reads), "w2": selections(set())})
+    w1 = batch.tails["w1"]
     empirical: dict = {
         "truncation_depth": batch.truncation_depth,
         "truncation_bound": batch.truncation_bound,
-        "w2": _hill_block(batch.w2),
-        "w1": _hill_block(batch.w1, reads),
+        "w2": _hill_block(batch.tails["w2"], k),
+        "w1": _hill_block(w1, k),
     }
-    empirical.update(fits)
+    if "absolute" in grid_reads:
+        empirical["log_factor_regression"] = _log_factor_fit(
+            w1["absolute"], prediction.tail_index)
+    if "positive" in grid_reads:
+        empirical["tail_constant_plus"] = _tail_constant_fit(
+            w1["positive"], prediction)
 
     verdicts: list[Verdict] = []
 

@@ -81,15 +81,20 @@ def truncation_depth(model: TriangularSRE, tol: float) -> tuple[int, float]:
 
 @dataclass
 class StationaryBatch:
-    w1: np.ndarray
-    w2: np.ndarray
+    """The sample of sample_stationary_batch: the arrays w1 and w2, or,
+    for a tails request, tails[coordinate][convention], each the
+    EmpiricalTail of a TailSelection (w1 and w2 are then None)."""
+
+    w1: np.ndarray | None
+    w2: np.ndarray | None
     truncation_depth: int
     truncation_bound: float
+    tails: dict | None = None
 
 
 def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
-                            rng: RngStream,
-                            workers: int | None = None) -> StationaryBatch:
+                            rng: RngStream, workers: int | None = None,
+                            tails: dict | None = None) -> StationaryBatch:
     """m draws of the depth-truncated backward series, run forward from zero.
 
     Step s uses the draws of lag depth - s, so this is the same truncated
@@ -97,14 +102,42 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
     its first coordinate in two parts: the own part driven by b1 through
     the first diagonal, and the cross part fed via a12 by the second
     coordinate from before the current step, i.e. resolved from the
-    deeper lags of the same path. Their sum is written into w1 and the
-    second coordinate into w2, which are the only full-size arrays.
+    deeper lags of the same path. The chunk's (w1, w2) then go to one of
+    two folds. Without tails they are written into the arrays w1 and w2,
+    the only full-size arrays (empty for m = 0). tails = {"w1": [...],
+    "w2": [...]} lists tails.TailSelection accumulators for each
+    coordinate, at most one per sign convention: each finished chunk is
+    added to them from its worker, so nothing of size m is held, and the
+    batch returns their tails. A tail needs m >= 2. The draws are the
+    same either way.
     """
+    if tails is not None:
+        if set(tails) != {"w1", "w2"}:
+            raise ValueError(f"tails are requested for coordinates w1 and "
+                             f"w2, not {sorted(tails)}")
+        for coord, group in tails.items():
+            conventions = [s.convention for s in group]
+            if len(set(conventions)) < len(conventions):
+                raise ValueError(f"tails of {coord} list a sign convention "
+                                 f"twice: {conventions}")
+        if m < 2:
+            raise ValueError(f"a tail needs at least 2 samples, not m = {m}")
     depth, eps = truncation_depth(model, tol)
     bound = _series_error_bound(model, depth, eps,
                                 contraction_exponent(model)[1]) ** (1.0 / eps)
-    w1 = np.empty(m)
-    w2 = np.empty(m)
+    if tails is None:
+        w1 = np.empty(m)
+        w2 = np.empty(m)
+
+        def fold(paths, x1, x2):
+            w1[paths] = x1
+            w2[paths] = x2
+    else:
+        def fold(paths, x1, x2):
+            for selection in tails["w1"]:
+                selection.add(x1)
+            for selection in tails["w2"]:
+                selection.add(x2)
 
     def chunk(paths, sub):
         size = paths.stop - paths.start
@@ -116,12 +149,16 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
             cross = batch.a11 * cross + batch.a12 * x2
             own = batch.a11 * own + batch.b1
             x2 = batch.a22 * x2 + batch.b2
-        np.add(own, cross, out=w1[paths])
-        w2[paths] = x2
+        fold(paths, np.add(own, cross, out=own), x2)
 
     map_chunks(m, CHUNK, chunk, rng, workers)
-    return StationaryBatch(w1=w1, w2=w2, truncation_depth=depth,
-                           truncation_bound=bound)
+    if tails is None:
+        return StationaryBatch(w1=w1, w2=w2, truncation_depth=depth,
+                               truncation_bound=bound)
+    return StationaryBatch(
+        w1=None, w2=None, truncation_depth=depth, truncation_bound=bound,
+        tails={coord: {s.convention: s.tail() for s in selections}
+               for coord, selections in tails.items()})
 
 
 def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],

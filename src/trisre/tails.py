@@ -1,6 +1,8 @@
 """Empirical tail machinery and the scalar tail-constant estimators.
 
-Covers the survival function, the Hill estimator, the regression that
+Covers the survival function, the Hill estimator and the depth of the
+top order statistics each reads (so a stream of samples can be folded
+into just those, chunk by chunk, in a TailSelection), the regression that
 extracts a log-power slowly varying factor, and two independent routes to
 the tail constant of a recursion X = A X' + B: the perpetuity partial-sum
 limit, a scan over a step source of (A, B) with finite variance, which
@@ -12,6 +14,7 @@ scan is checked against.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,43 +28,144 @@ from .rng import CHUNK, RngStream, map_chunks
 from .tilting import CouplingRate, _scan_factors, _study_from_pairs
 
 
+CONVENTIONS = ("absolute", "positive", "negative")
+# the lower quantile of default_log_grid, which sets how deep its reads go
+LOG_GRID_LO_Q = 0.90
+
+
+def _convention(samples: np.ndarray, convention: str) -> np.ndarray:
+    """The values whose upper tail is the convention's tail; a new array
+    except for "positive", which returns samples itself."""
+    if convention == "absolute":
+        return np.abs(samples)
+    if convention == "positive":
+        return samples
+    if convention == "negative":
+        return -samples
+    raise ValueError(f"convention must be one of {CONVENTIONS}")
+
+
 @dataclass
 class EmpiricalTail:
-    """Sorted-descending sample values under a sign convention.
+    """Top order statistics of a sample under a sign convention, sorted
+    descending.
 
     convention "absolute" stores |x|; "positive" stores x (its tail is
-    P(X > t)); "negative" stores -x (its tail is P(-X > t)). The values
-    are one copy of the samples, sorted in place."""
+    P(X > t)); "negative" stores -x (its tail is P(-X > t)). count is the
+    sample size n. Built from samples, the tail keeps all n values;
+    TailSelection.tail keeps only the top values.size of them, and every
+    read that would need a deeper order statistic raises ValueError."""
 
     values: np.ndarray
     convention: str
+    count: int
 
     def __init__(self, samples, convention: str = "absolute"):
         samples = np.asarray(samples, dtype=float)
         if samples.size < 2:
             raise ValueError("need at least 2 samples")
-        if convention == "absolute":
-            data = np.abs(samples)
-        elif convention == "positive":
-            data = samples.copy()
-        elif convention == "negative":
-            data = -samples
-        else:
-            raise ValueError("convention must be absolute|positive|negative")
+        data = _convention(samples, convention)
+        data = data.copy() if data is samples else data
         data.sort()
-        self.values = data[::-1]
-        self.convention = convention
+        self._set(data, convention, samples.size)
 
-    @property
-    def count(self) -> int:
-        return self.values.size
+    @classmethod
+    def _of(cls, ascending: np.ndarray, convention: str,
+            count: int) -> EmpiricalTail:
+        """The tail of count samples whose top order statistics are the
+        sorted array ascending, held without a copy."""
+        tail = cls.__new__(cls)
+        tail._set(ascending, convention, count)
+        return tail
+
+    def _set(self, ascending: np.ndarray, convention: str,
+             count: int) -> None:
+        self.values = ascending[::-1]
+        self.convention = convention
+        self.count = count
+
+    def top(self, depth: int) -> np.ndarray:
+        """The top depth order statistics, descending."""
+        if depth > self.values.size:
+            raise ValueError(f"read of the top {depth} order statistics; the "
+                             f"tail keeps {self.values.size} of {self.count}")
+        return self.values[:depth]
+
+
+class TailSelection:
+    """Mergeable accumulator of the keep largest values, under a sign
+    convention, of samples added in chunks: the top order statistics of
+    an EmpiricalTail of all the samples, down to depth keep.
+
+    The kept values do not depend on the order of the chunks (only which
+    of +0.0 and -0.0 fills a tie can), and add takes a lock, so worker
+    threads may add their chunks as they finish them. Each chunk's top
+    keep values are copied into one buffer of 2 keep allocated up front,
+    filled from its end; a partition in place trims it to the top keep
+    only when the next chunk would not fit, so adding allocates nothing
+    beyond the chunk's own size."""
+
+    def __init__(self, convention: str, keep: int):
+        if convention not in CONVENTIONS:
+            raise ValueError(f"convention must be one of {CONVENTIONS}")
+        if keep < 2:
+            raise ValueError("keep must be >= 2")
+        self.convention = convention
+        self.keep = keep
+        self.count = 0
+        self._buf = np.empty(2 * keep)
+        self._size = 0  # the candidates are _buf[-_size:]
+        self._lock = threading.Lock()
+
+    def add(self, samples: np.ndarray) -> None:
+        samples = np.asarray(samples, dtype=float)
+        data = _convention(samples, self.convention)
+        if data.size > self.keep:
+            data = np.partition(data, data.size - self.keep)[-self.keep:]
+        with self._lock:
+            self.count += samples.size
+            if self._size + data.size > self._buf.size:
+                self._trim()
+            start = self._buf.size - self._size - data.size
+            self._buf[start:start + data.size] = data
+            self._size += data.size
+
+    def _trim(self) -> None:
+        if self._size > self.keep:
+            self._buf[-self._size:].partition(self._size - self.keep)
+            self._size = self.keep
+
+    def tail(self) -> EmpiricalTail:
+        """The selection as an EmpiricalTail of count samples, holding a
+        sorted copy of the kept values."""
+        if self.count < 2:
+            raise ValueError("need at least 2 samples")
+        self._trim()
+        return EmpiricalTail._of(np.sort(self._buf[-self._size:]),
+                                 self.convention, self.count)
+
+
+def hill_depth(n: int) -> int:
+    """The k of the Hill fits of run_scenario: n^(2/3) within [2, n - 1];
+    hill(tail, k) reads the top k + 1 order statistics."""
+    return max(2, min(int(n ** (2.0 / 3.0)), n - 1))
+
+
+def log_grid_depth(n: int) -> int:
+    """Top order statistics that default_log_grid reads at its default
+    lo_q, LOG_GRID_LO_Q, for n samples, and with them ccdf at every point
+    of its grid."""
+    return n - min(int(LOG_GRID_LO_Q * (n - 1)), n - 2)
 
 
 def ccdf(tail: EmpiricalTail, x: float) -> float:
     """Fraction of samples strictly above x."""
-    ascending = tail.values[::-1]
-    idx = np.searchsorted(ascending, x, side="right")
-    return float(tail.count - idx) / tail.count
+    values = tail.values
+    if values.size < tail.count and not values[-1] <= x:
+        raise ValueError(f"ccdf at {x!r} is below the {values.size} kept "
+                         f"order statistics of {tail.count}")
+    idx = np.searchsorted(values[::-1], x, side="right")
+    return float(values.size - idx) / tail.count
 
 
 def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
@@ -71,7 +175,7 @@ def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
     two leaves the estimate bit-identical."""
     if not 2 <= k < tail.count:
         raise ValueError("need 2 <= k < sample count")
-    top = tail.values[:k + 1]
+    top = tail.top(k + 1)
     if top[k] <= 0.0:
         raise NonPositiveOrderStat("top-(k+1) order statistics must be > 0")
     ratios = top[:k] / top[k]
@@ -83,16 +187,18 @@ def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
 
 
 def default_log_grid(tail: EmpiricalTail, points: int = 20,
-                     lo_q: float = 0.90, hi_q: float = 0.9999) -> np.ndarray:
+                     lo_q: float = LOG_GRID_LO_Q,
+                     hi_q: float = 0.9999) -> np.ndarray:
     """Geometric grid between the lo_q and hi_q empirical quantiles."""
-    ascending = tail.values[::-1]
+    n = tail.count
 
     def quantile(q: float) -> float:
-        # np.quantile's linear interpolation, read off the sorted values
-        pos = q * (ascending.size - 1)
-        i = min(int(pos), ascending.size - 2)
-        return float(ascending[i]
-                     + (pos - i) * (ascending[i + 1] - ascending[i]))
+        # np.quantile's linear interpolation between the ascending order
+        # statistics i and i + 1, the descending ones n - 1 - i, n - 2 - i
+        pos = q * (n - 1)
+        i = min(int(pos), n - 2)
+        upper, lower = tail.top(n - i)[-2:]
+        return float(lower + (pos - i) * (upper - lower))
 
     lo, hi = quantile(lo_q), quantile(hi_q)
     if not (lo > 0 and hi > lo):

@@ -12,6 +12,7 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     ProportionalToDiagonal, SignedLognormal, TwoSidedPareto)
 from trisre.errors import NotContractive
 from trisre.rng import CHUNK, map_chunks
+from trisre.tails import CONVENTIONS, TailSelection
 
 from oracles import (cross_sum_brute, cross_sum_scan, sample_cross_sum_batch,
                      sample_pair_perpetuity_batch, stationary_parts)
@@ -224,6 +225,87 @@ def test_stationary_sampler_peak_is_two_outputs_plus_chunks_in_flight(workers):
         tracemalloc.stop()
     assert batch.w1.size == batch.w2.size == m
     assert peak <= 2 * 8 * m + workers * 20 * 8 * CHUNK
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stationary_tails_peak_is_the_kept_depths_plus_chunks_in_flight(
+        workers):
+    # a tails request folds each chunk into the selections as it finishes,
+    # so the traced peak is the selections' buffers (twice the kept
+    # values) and the sorted tails (once) plus the chunks in flight, with
+    # no term in m
+    model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                               a22=Lognormal(-2, 1), b1=Normal(0, 1),
+                               b2=Constant(1.0))
+    m = 16 * CHUNK
+    k = t.tails.hill_depth(m)
+    deep = max(k + 1, t.tails.log_grid_depth(m))
+
+    def request():
+        return {"w1": [TailSelection(c, k + 1 if c == "negative" else deep)
+                       for c in CONVENTIONS],
+                "w2": [TailSelection(c, k + 1) for c in CONVENTIONS]}
+
+    t.sample_stationary_batch(model, 1e-8, 10, t.RngStream(2),
+                              workers=workers, tails=request())
+    tracemalloc.start()
+    try:
+        selections = request()
+        batch = t.sample_stationary_batch(model, 1e-8, m, t.RngStream(2),
+                                          workers=workers, tails=selections)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.w1 is None and batch.w2 is None
+    kept = sum(s.keep for group in selections.values() for s in group)
+    for coord, group in selections.items():
+        for s in group:
+            tail = batch.tails[coord][s.convention]
+            assert tail.count == m and tail.values.size == s.keep
+    assert peak <= 3 * 8 * kept + workers * 20 * 8 * CHUNK
+
+
+def test_stationary_tails_are_the_tails_of_the_arrays():
+    model = IndependentEntries(a11=SignedLognormal(-1, 1, 0.3),
+                               a12=Normal(0, 1), a22=Lognormal(-2, 1),
+                               b1=Normal(0, 1), b2=Constant(1.0))
+    m = 2 * CHUNK + 5
+    full = t.sample_stationary_batch(model, 1e-8, m, t.RngStream(4))
+    for workers in (1, 2):
+        batch = t.sample_stationary_batch(
+            model, 1e-8, m, t.RngStream(4), workers=workers,
+            tails={coord: [TailSelection(c, 300) for c in CONVENTIONS]
+                   for coord in ("w1", "w2")})
+        assert batch.truncation_depth == full.truncation_depth
+        for coord in ("w1", "w2"):
+            assert set(batch.tails[coord]) == set(CONVENTIONS)
+            for conv, tail in batch.tails[coord].items():
+                np.testing.assert_array_equal(
+                    tail.values,
+                    t.EmpiricalTail(getattr(full, coord), conv).values[:300])
+
+
+def test_stationary_tails_request_is_checked_up_front():
+    model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                               a22=Lognormal(-2, 1), b1=Normal(0, 1),
+                               b2=Constant(1.0))
+
+    def request(w1=CONVENTIONS):
+        return {"w1": [TailSelection(c, 5) for c in w1],
+                "w2": [TailSelection(c, 5) for c in CONVENTIONS]}
+
+    for tails, match in (({"w1": [], "w3": []}, "coordinates w1 and w2"),
+                         ({"w2": []}, "coordinates w1 and w2"),
+                         (request(("absolute", "absolute")), "twice")):
+        with pytest.raises(ValueError, match=match):
+            t.sample_stationary_batch(model, 1e-8, 10, t.RngStream(4),
+                                      tails=tails)
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            t.sample_stationary_batch(model, 1e-8, m, t.RngStream(4),
+                                      tails=request())
+        assert t.sample_stationary_batch(model, 1e-8, m,
+                                         t.RngStream(4)).w1.size == m
 
 
 def test_pair_perpetuity_batch_matches_closed_form_moments():

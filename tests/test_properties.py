@@ -219,3 +219,82 @@ def test_hill_scale_invariance_binary_exact(seed, j, k):
     tail = t.EmpiricalTail(samples, "positive")
     scaled = t.EmpiricalTail(samples * 2.0 ** j, "positive")
     assert t.hill(tail, k).value == t.hill(scaled, k).value
+
+
+SPECIAL = [0.0, -0.0, 1.0, 2.0, -1.0, 3.5, math.inf, -math.inf]
+
+
+@st.composite
+def tail_samples(draw):
+    """Samples with ties, signed zeros and infinities: a short list, or a
+    heavy-tailed sample of up to 20000 values rounded into ties, large
+    enough for the log-factor regression to find its grid points."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(
+            st.one_of(st.sampled_from(SPECIAL),
+                      st.floats(-1e3, 1e3, **finite)),
+            min_size=3, max_size=60)))
+    n = draw(st.integers(3, 20_000))
+    g = t.RngStream(draw(st.integers(0, 2 ** 32 - 1)), 11).gen
+    x = g.random(n) ** (-1.0 / 1.7) * np.where(g.random(n) < 0.3, -1.0, 1.0)
+    x = np.round(x, draw(st.integers(0, 3)))
+    specials = draw(st.lists(st.sampled_from(SPECIAL), max_size=5))
+    x[:len(specials)] = specials[:n]
+    return g.permutation(x)
+
+
+def outcome(read, *args):
+    """repr of a read's result, or the type of what it raised; repr tells
+    -0.0 from 0.0 and matches nan with nan (which inf - inf gives)."""
+    try:
+        with np.errstate(invalid="ignore"):
+            out = read(*args)
+    except (t.TrisreError, ValueError) as exc:
+        return type(exc)
+    return repr(out.tolist() if isinstance(out, np.ndarray) else out)
+
+
+@given(tail_samples(), st.sampled_from(t.tails.CONVENTIONS),
+       st.integers(-2, 2), st.lists(st.integers(0, 20_000), max_size=6),
+       st.randoms(use_true_random=False), st.lists(st.integers(2, 19_999),
+                                                   max_size=3))
+def test_selection_tails_read_as_the_full_sample(samples, conv, delta, cuts,
+                                                 order, ks):
+    # a TailSelection kept at, just above or just below the depth of the
+    # reads, fed in chunks in any order, answers every read within its
+    # depth bit for bit as the tail of the full sample, and raises
+    # ValueError for every read below it
+    n = samples.size
+    k = t.tails.hill_depth(n)
+    need = max(k + 1, t.tails.log_grid_depth(n))
+    keep = max(2, need + delta)
+    chunks = np.split(samples, sorted(c % (n + 1) for c in cuts))
+    order.shuffle(chunks)
+    selection = t.tails.TailSelection(conv, keep)
+    for chunk in chunks:
+        selection.add(chunk)
+    full = t.EmpiricalTail(samples, conv)
+    tail = selection.tail()
+    complete = keep >= n
+    assert tail.count == n and tail.values.size == min(keep, n)
+    np.testing.assert_array_equal(tail.values, full.values[:keep])
+
+    def check(depth, read, *args):
+        expected = (ValueError if depth > keep and not complete
+                    else outcome(read, full, *args))
+        assert outcome(read, tail, *args) == expected
+
+    for kk in {k, *(j for j in ks if j < n)}:
+        check(kk + 1, t.hill, kk)
+    check(t.tails.log_grid_depth(n), t.default_log_grid)
+    near_floor = full.values[max(keep - 3, 0):keep + 3]
+    for x in np.unique(np.concatenate((near_floor, samples[:200]))):
+        # exact once the least kept value is at most x
+        check(np.count_nonzero(full.values > x) + 1, t.ccdf, x)
+    if (keep >= need or complete) and isinstance(
+            outcome(t.default_log_grid, full), str):
+        with np.errstate(invalid="ignore"):
+            grid = t.default_log_grid(full)
+        for x in grid:
+            check(0, t.ccdf, x)
+        check(0, t.log_factor_regression, 1.7, grid)

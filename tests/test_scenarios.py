@@ -17,8 +17,11 @@ from trisre.cli import main as cli_main
 from trisre.errors import RegimeMismatch, UnsupportedRegime
 from trisre.rng import CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
-                              builtin_scenarios, emit_report, load_config,
-                              predict, run_scenario, scenario_prediction)
+                              _hill_block, _log_factor_fit,
+                              _tail_constant_fit, builtin_scenarios,
+                              emit_report, load_config, predict, run_scenario,
+                              scenario_prediction)
+from trisre.tails import CONVENTIONS, EmpiricalTail, hill_depth
 
 from oracles import coord1_goldie_sum, goldie_constant_direct_for_laws
 
@@ -232,6 +235,48 @@ def test_run_scenario_deterministic_given_seed(monkeypatch):
     d1, d2 = json.loads(j1), json.loads(j2)
     d1.pop("runtime_seconds"), d2.pop("runtime_seconds")
     assert d1 == d2
+
+
+def test_run_scenario_merges_tails_across_chunks_as_the_full_sample():
+    # four stationary chunks: the report is the same at one and two
+    # workers, and its empirical block is that of the tails of the full
+    # arrays that sample_stationary_batch returns without a tails request
+    config = dataclasses.replace(quick_config(seed=31),
+                                 n_samples=3 * CHUNK + 17)
+    reports = [run_scenario(config, workers=w).to_dict() for w in (1, 2)]
+    for r in reports:
+        r.pop("runtime_seconds")
+    assert reports[0] == reports[1]
+    empirical = reports[0]["empirical"]
+    batch = t.sample_stationary_batch(
+        config.model, config.tol, config.n_samples,
+        t.RngStream(config.seed).substream(3), workers=2)
+    k = hill_depth(config.n_samples)
+    for coord, w in (("w1", batch.w1), ("w2", batch.w2)):
+        full = {conv: EmpiricalTail(w, conv) for conv in CONVENTIONS}
+        assert empirical[coord] == _hill_block(full, k)
+    prediction = scenario_prediction(config)
+    assert empirical["log_factor_regression"] == _log_factor_fit(
+        EmpiricalTail(batch.w1, "absolute"), prediction.tail_index)
+    assert "beta_hat" in empirical["log_factor_regression"]
+    assert empirical["tail_constant_plus"] == _tail_constant_fit(
+        EmpiricalTail(batch.w1, "positive"), prediction)
+    assert "empirical" in empirical["tail_constant_plus"]
+
+
+def test_config_numbers_follow_the_wire_format():
+    base = builtin_scenarios(quick=True)[0]
+    for field, value in (("n_samples", 5000.9), ("constant_samples", 2000.5),
+                         ("n_samples", "5000"), ("seed", True),
+                         ("mn_horizon", None), ("weight_horizon", math.inf),
+                         ("tol", "1e-8"), ("tol", False)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            dataclasses.replace(base, **{field: value})
+    # an integral float or a numpy integer becomes an int, as on the wire
+    config = dataclasses.replace(base, n_samples=5000.0, seed=np.int64(7))
+    assert type(config.n_samples) is int and config.n_samples == 5000
+    assert type(config.seed) is int and config.seed == 7
+    assert ScenarioConfig.from_dict(config.to_dict()) == config
 
 
 def test_emit_report_round_trip(tmp_path):

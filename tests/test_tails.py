@@ -1,5 +1,7 @@
 """Empirical tails, Hill, log-factor regression, scalar tail constants."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
 from trisre.errors import RegimeMismatch
 from trisre.scenarios import _GOLDIE_HORIZON, _goldie_horizon, _window_bias
-from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
+from trisre.tails import (EmpiricalTail, TailSelection, ccdf, default_log_grid,
+                          hill, hill_depth, log_factor_regression,
+                          log_grid_depth)
 
 from oracles import (combined_se, coord1_window_bias,
                      goldie_constant_direct_for_laws)
@@ -21,6 +25,99 @@ def test_ccdf_examples():
     assert ccdf(tail, 1.5) == pytest.approx(2.0 / 3.0)
     assert ccdf(tail, 0.0) == 1.0
     assert ccdf(tail, 5.0) == 0.0
+
+
+def test_read_depths_at_a_million_samples():
+    # the Hill fit reads the top 10^4, the log grid from the 0.90 quantile
+    assert hill_depth(1_000_000) + 1 == 10_000
+    assert log_grid_depth(1_000_000) == 100_001
+    assert hill_depth(3) == 2 and log_grid_depth(3) == 2
+
+
+def test_selection_keeps_the_top_values_in_any_chunk_order():
+    x = np.array([5.0, -7.0, 1.0, 3.0, -2.0, 9.0, 3.0, 0.5])
+    for chunks in ([x], [x[:3], x[3:]], [x[5:], x[:2], x[2:5]]):
+        selection = TailSelection("absolute", 4)
+        for chunk in chunks:
+            selection.add(chunk)
+        tail = selection.tail()
+        assert tail.count == 8 and tail.convention == "absolute"
+        np.testing.assert_array_equal(tail.values, [9.0, 7.0, 5.0, 3.0])
+    negative = TailSelection("negative", 3)
+    negative.add(x)
+    np.testing.assert_array_equal(negative.tail().values, [7.0, 2.0, -0.5])
+
+
+def test_selection_reads_below_the_kept_depth_raise():
+    g = t.RngStream(9).gen
+    x = g.random(20_000) ** -0.5
+    full = EmpiricalTail(x, "positive")
+    shallow = TailSelection("positive", 50)
+    shallow.add(x)
+    tail = shallow.tail()
+    assert hill(tail, 49) == hill(full, 49)
+    with pytest.raises(ValueError, match="top 51 order statistics"):
+        hill(tail, 50)
+    with pytest.raises(ValueError, match="keeps 50 of 20000"):
+        default_log_grid(tail)
+    floor = tail.values[-1]
+    assert ccdf(tail, floor) == ccdf(full, floor) == 49 / 20_000
+    with pytest.raises(ValueError, match="below the 50 kept"):
+        ccdf(tail, np.nextafter(floor, 0.0))
+    # one value short of the log grid's depth raises; at it, the grid and
+    # the regression are the full sample's
+    for keep, ok in ((log_grid_depth(20_000) - 1, False),
+                     (log_grid_depth(20_000), True)):
+        selection = TailSelection("positive", keep)
+        selection.add(x)
+        if not ok:
+            with pytest.raises(ValueError):
+                default_log_grid(selection.tail())
+            continue
+        grid = default_log_grid(selection.tail())
+        np.testing.assert_array_equal(grid, default_log_grid(full))
+        assert log_factor_regression(selection.tail(), 2.0, grid) == \
+            log_factor_regression(full, 2.0, grid)
+
+
+def test_selection_loses_no_chunk_added_from_many_threads():
+    # more threads than cores and a short switch interval: a lost update
+    # of count or of the kept values would show against the full sample
+    x = t.RngStream(10).gen.standard_normal(64 * 500)
+    chunks = np.split(x, 64)
+    selection = TailSelection("absolute", 700)
+
+    def add_every_eighth(start):
+        for chunk in chunks[start::8]:
+            selection.add(chunk)
+
+    threads = [threading.Thread(target=add_every_eighth, args=(i,))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    tail = selection.tail()
+    assert tail.count == x.size
+    np.testing.assert_array_equal(tail.values,
+                                  EmpiricalTail(x, "absolute").values[:700])
+
+
+def test_selection_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="convention"):
+        TailSelection("upper", 10)
+    with pytest.raises(ValueError, match="keep"):
+        TailSelection("absolute", 1)
+    selection = TailSelection("absolute", 10)
+    selection.add(np.ones(1))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        selection.tail()
 
 
 def test_hill_on_exact_pareto_transform():
