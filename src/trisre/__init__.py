@@ -30,13 +30,13 @@ from .rng import RngStream, default_workers
 from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,
                         run_scenario, run_suite)
-from .stationary import (StationaryBatch, coord1_steps, iterate_forward,
-                         law_steps, sample_perpetuity_batch,
-                         sample_stationary_batch, truncation_depth,
-                         univariate_model)
-from .tails import (EmpiricalTail, TailSelection, ccdf, default_log_grid,
-                    goldie_constant_direct, goldie_constant_perpetuity,
-                    grey_constants, hill, log_factor_regression)
+from .stationary import (StationaryBatch, coord1_steps, law_steps,
+                         sample_perpetuity_batch, sample_stationary_batch,
+                         truncation_depth, univariate_model)
+from .tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
+                    default_log_grid, goldie_constant_direct,
+                    goldie_constant_perpetuity, grey_constants, hill,
+                    log_factor_regression)
 from .tilting import (CouplingRate, PartialSumStudy, SnapshotMoments,
                       clt_constant, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,

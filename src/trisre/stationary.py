@@ -1,12 +1,17 @@
 """Stationary solution sampling and the scalar perpetuity.
 
-The stationary law is reached through the truncated backward series,
-evaluated as a forward recursion from zero; the truncation depth comes
-from an explicit epsilon-moment bound on the discarded remainder, so every
-sample carries a certified error bound.
+The stationary law is reached by long chains run forward from zero. The
+truncation depth comes from an explicit epsilon-moment bound on what a
+recursion over that many lags leaves out of the backward series, and the
+bound does not grow with the depth past it. Each chain burns in for the
+depth and then keeps CHAIN_LENGTH values, so every value carries the
+certified bound, and the burn-in is paid once per chain rather than once
+per value. Values of one chain are dependent; their extremes cluster, so
+tail reads take their SEs from per-chain sums (see tails).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -19,6 +24,10 @@ from .model import TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
 
 _EPS_GRID = np.linspace(0.05, 1.0, 20)
+# Values each stationary chain keeps after its burn-in, and chains per
+# work chunk: 1M values make 16130 chains in 4 chunks.
+CHAIN_LENGTH = 62
+CHAINS_PER_CHUNK = 4096
 
 
 def contraction_exponent(model: TriangularSRE) -> tuple[float, float]:
@@ -70,12 +79,16 @@ def _first_depth(bound, target: float) -> int:
 
 
 def truncation_depth(model: TriangularSRE, tol: float) -> tuple[int, float]:
-    """Smallest depth whose discarded-remainder bound is below tol^eps."""
+    """Smallest depth whose discarded-remainder bound is below tol^eps and
+    past which the bound does not grow, so it covers every deeper
+    recursion too: its n q^{n-1} term falls from n >= 1 / log(1/q) on."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
     eps, q = contraction_exponent(model)
     n = _first_depth(lambda k: _series_error_bound(model, k, eps, q),
                      tol ** eps)
+    if q > 0.0:
+        n = max(n, math.ceil(1.0 / math.log(1.0 / q)))
     return n, eps
 
 
@@ -83,7 +96,11 @@ def truncation_depth(model: TriangularSRE, tol: float) -> tuple[int, float]:
 class StationaryBatch:
     """The sample of sample_stationary_batch: the arrays w1 and w2, or,
     for a tails request, tails[coordinate][convention], each the
-    EmpiricalTail of a TailSelection (w1 and w2 are then None)."""
+    EmpiricalTail of a TailSelection (w1 and w2 are then None).
+
+    The values are chain-major: chain c holds values c * CHAIN_LENGTH up
+    to (c + 1) * CHAIN_LENGTH of w1 and w2, in step order, and only the
+    last chain may hold fewer."""
 
     w1: np.ndarray | None
     w2: np.ndarray | None
@@ -91,25 +108,43 @@ class StationaryBatch:
     truncation_bound: float
     tails: dict | None = None
 
+    def chain_ids(self) -> np.ndarray:
+        """The chain of each value of w1 and w2, as int32."""
+        return np.arange(self.w1.size, dtype=np.int32) // CHAIN_LENGTH
+
+
+def _chain_sizes(m: int) -> np.ndarray:
+    """Values each chain of an m-value sample keeps, by chain id: the
+    chains of sample_stationary_batch, all CHAIN_LENGTH long but the last."""
+    sizes = np.full(-(-m // CHAIN_LENGTH), CHAIN_LENGTH, dtype=np.int32)
+    if sizes.size:
+        sizes[-1] = m - (sizes.size - 1) * CHAIN_LENGTH
+    return sizes
+
 
 def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
                             rng: RngStream, workers: int | None = None,
                             tails: dict | None = None) -> StationaryBatch:
-    """m draws of the depth-truncated backward series, run forward from zero.
+    """m stationary values from ceil(m / CHAIN_LENGTH) independent chains.
 
-    Step s uses the draws of lag depth - s, so this is the same truncated
-    series with draws mapped to lags in reverse order. Each chunk keeps
-    its first coordinate in two parts: the own part driven by b1 through
-    the first diagonal, and the cross part fed via a12 by the second
-    coordinate from before the current step, i.e. resolved from the
-    deeper lags of the same path. The chunk's (w1, w2) then go to one of
-    two folds. Without tails they are written into the arrays w1 and w2,
-    the only full-size arrays (empty for m = 0). tails = {"w1": [...],
+    Each chain starts from zero and runs model.step_batch forward. It
+    first burns in for the truncation depth, so each value it keeps is a
+    recursion over at least that many lags, whose distance to the
+    stationary law the bound certifies; it then keeps CHAIN_LENGTH
+    steps, the last chain only as many as make m values in all. Values
+    of one chain are dependent, so a tail read of them needs the
+    chain-clustered SE (tails.hill, tails.ccdf_se).
+
+    The chains are the items of map_chunks, CHAINS_PER_CHUNK to a chunk,
+    so the plan depends only on m and any worker count gives the same
+    values. A chunk's kept steps go in blocks of about CHUNK values to
+    one of two folds. Without tails they are written into the arrays w1
+    and w2, in chain-major order (empty for m = 0). tails = {"w1": [...],
     "w2": [...]} lists tails.TailSelection accumulators for each
-    coordinate, at most one per sign convention: each finished chunk is
-    added to them from its worker, so nothing of size m is held, and the
-    batch returns their tails. A tail needs m >= 2. The draws are the
-    same either way.
+    coordinate, at most one per sign convention: each block is added to
+    them, with its chain ids, from its worker, so nothing of size m is
+    held, and the batch returns their tails. A tail needs m >= 2. The
+    draws are the same either way.
     """
     if tails is not None:
         if set(tails) != {"w1", "w2"}:
@@ -125,51 +160,57 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
     depth, eps = truncation_depth(model, tol)
     bound = _series_error_bound(model, depth, eps,
                                 contraction_exponent(model)[1]) ** (1.0 / eps)
+    sizes = _chain_sizes(m)
+    count = sizes.size
     if tails is None:
-        w1 = np.empty(m)
-        w2 = np.empty(m)
+        w1 = np.empty(count * CHAIN_LENGTH)
+        w2 = np.empty(count * CHAIN_LENGTH)
+        rows1 = w1.reshape(count, CHAIN_LENGTH)
+        rows2 = w2.reshape(count, CHAIN_LENGTH)
 
-        def fold(paths, x1, x2):
-            w1[paths] = x1
-            w2[paths] = x2
+        def fold(chains, first, x1, x2):
+            steps = slice(first, first + len(x1))
+            rows1[chains, steps] = x1.T
+            rows2[chains, steps] = x2.T
     else:
-        def fold(paths, x1, x2):
+        def fold(chains, first, x1, x2):
+            ids = np.arange(chains.start, chains.stop, dtype=np.int32)
+            # the last chain keeps only its share of the m values
+            kept = (first + np.arange(len(x1)))[:, None] < sizes[chains]
+            ids = np.broadcast_to(ids, x1.shape)[kept]
+            x1, x2 = x1[kept], x2[kept]
             for selection in tails["w1"]:
-                selection.add(x1)
+                selection.add(x1, ids)
             for selection in tails["w2"]:
-                selection.add(x2)
+                selection.add(x2, ids)
 
-    def chunk(paths, sub):
-        size = paths.stop - paths.start
-        own = np.zeros(size)
-        cross = np.zeros(size)
+    def chunk(chains, sub):
+        size = chains.stop - chains.start
+        # kept steps go to the fold in blocks of about CHUNK values
+        block = min(max(1, CHUNK // size), CHAIN_LENGTH)
+        block1 = np.empty((block, size))
+        block2 = np.empty((block, size))
+        x1 = np.zeros(size)
         x2 = np.zeros(size)
-        for _ in range(depth):
-            batch = mod.draw_innovations(model, size, sub)
-            cross = batch.a11 * cross + batch.a12 * x2
-            own = batch.a11 * own + batch.b1
-            x2 = batch.a22 * x2 + batch.b2
-        fold(paths, np.add(own, cross, out=own), x2)
+        for step in range(-depth, CHAIN_LENGTH):
+            x1, x2 = mod.step_batch(x1, x2,
+                                    mod.draw_innovations(model, size, sub))
+            if step < 0:
+                continue
+            row = step % block
+            block1[row] = x1
+            block2[row] = x2
+            if row == block - 1 or step == CHAIN_LENGTH - 1:
+                fold(chains, step - row, block1[:row + 1], block2[:row + 1])
 
-    map_chunks(m, CHUNK, chunk, rng, workers)
+    map_chunks(count, CHAINS_PER_CHUNK, chunk, rng, workers)
     if tails is None:
-        return StationaryBatch(w1=w1, w2=w2, truncation_depth=depth,
+        return StationaryBatch(w1=w1[:m], w2=w2[:m], truncation_depth=depth,
                                truncation_bound=bound)
     return StationaryBatch(
         w1=None, w2=None, truncation_depth=depth, truncation_bound=bound,
-        tails={coord: {s.convention: s.tail() for s in selections}
+        tails={coord: {s.convention: s.tail(sizes) for s in selections}
                for coord, selections in tails.items()})
-
-
-def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],
-                    steps: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Run m parallel chains forward; returns the final states."""
-    w1, w2 = np.asarray(w0[0], dtype=float), np.asarray(w0[1], dtype=float)
-    m = w1.size
-    for _ in range(steps):
-        batch = mod.draw_innovations(model, m, rng)
-        w1, w2 = mod.step_batch(w1, w2, batch)
-    return w1, w2
 
 
 # ---------------------------------------------------------------------------

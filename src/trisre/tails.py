@@ -2,7 +2,9 @@
 
 Covers the survival function, the Hill estimator and the depth of the
 top order statistics each reads (so a stream of samples can be folded
-into just those, chunk by chunk, in a TailSelection), the regression that
+into just those, chunk by chunk, in a TailSelection), their SEs, which
+are clustered by chain for samples drawn in dependent chains, the
+regression that
 extracts a log-power slowly varying factor, and two independent routes to
 the tail constant of a recursion X = A X' + B: the perpetuity partial-sum
 limit, a scan over a step source of (A, B) with finite variance, which
@@ -45,6 +47,17 @@ def _convention(samples: np.ndarray, convention: str) -> np.ndarray:
     raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
+def _keys(values: np.ndarray, chains: np.ndarray | None) -> np.ndarray:
+    """Complex sort keys value + i chain: numpy orders complex numbers by
+    real part, then imaginary part, so one sort or partition orders by
+    (value, chain id), and ties of value break the same way whatever the
+    order the values came in."""
+    keys = np.empty(values.size, dtype=complex)
+    keys.real = values
+    keys.imag = 0.0 if chains is None else chains
+    return keys
+
+
 @dataclass
 class EmpiricalTail:
     """Top order statistics of a sample under a sign convention, sorted
@@ -54,35 +67,59 @@ class EmpiricalTail:
     P(X > t)); "negative" stores -x (its tail is P(-X > t)). count is the
     sample size n. Built from samples, the tail keeps all n values;
     TailSelection.tail keeps only the top values.size of them, and every
-    read that would need a deeper order statistic raises ValueError."""
+    read that would need a deeper order statistic raises ValueError.
+
+    For a sample drawn in independent chains of dependent values, chains
+    holds the chain id of each kept value (ties of value sorted by id)
+    and chain_sizes the number of samples of each chain, by id; both are
+    None for independent samples. hill and ccdf_se then give SEs
+    clustered by chain. values and chains are then views of the sorted
+    complex keys value + i chain (see _keys), so the ids are integral
+    floats and the tail holds 16 bytes per kept value."""
 
     values: np.ndarray
     convention: str
     count: int
+    chains: np.ndarray | None
+    chain_sizes: np.ndarray | None
 
-    def __init__(self, samples, convention: str = "absolute"):
+    def __init__(self, samples, convention: str = "absolute", chains=None):
         samples = np.asarray(samples, dtype=float)
         if samples.size < 2:
             raise ValueError("need at least 2 samples")
         data = _convention(samples, convention)
-        data = data.copy() if data is samples else data
-        data.sort()
-        self._set(data, convention, samples.size)
+        if chains is None:
+            data = data.copy() if data is samples else data
+            data.sort()
+            self._set(data, convention, samples.size)
+            return
+        chains = np.asarray(chains)
+        if (chains.shape != samples.shape
+                or not np.issubdtype(chains.dtype, np.integer)
+                or chains.min() < 0 or chains.max() > np.iinfo(np.int32).max):
+            raise ValueError("chains must hold an int32 chain id >= 0 for "
+                             "each sample")
+        keys = _keys(data, chains)
+        keys.sort()
+        self._set(keys, convention, samples.size, np.bincount(chains))
 
     @classmethod
-    def _of(cls, ascending: np.ndarray, convention: str,
-            count: int) -> EmpiricalTail:
+    def _of(cls, ascending: np.ndarray, convention: str, count: int,
+            chain_sizes: np.ndarray | None = None) -> EmpiricalTail:
         """The tail of count samples whose top order statistics are the
-        sorted array ascending, held without a copy."""
+        sorted array ascending, held without a copy: values, or the keys
+        value + i chain of chained samples of chain_sizes."""
         tail = cls.__new__(cls)
-        tail._set(ascending, convention, count)
+        tail._set(ascending, convention, count, chain_sizes)
         return tail
 
-    def _set(self, ascending: np.ndarray, convention: str,
-             count: int) -> None:
-        self.values = ascending[::-1]
+    def _set(self, ascending: np.ndarray, convention: str, count: int,
+             chain_sizes: np.ndarray | None = None) -> None:
+        self.values = ascending.real[::-1]
+        self.chains = ascending.imag[::-1] if chain_sizes is not None else None
         self.convention = convention
         self.count = count
+        self.chain_sizes = chain_sizes
 
     def top(self, depth: int) -> np.ndarray:
         """The top depth order statistics, descending."""
@@ -95,14 +132,18 @@ class EmpiricalTail:
 class TailSelection:
     """Mergeable accumulator of the keep largest values, under a sign
     convention, of samples added in chunks: the top order statistics of
-    an EmpiricalTail of all the samples, down to depth keep.
+    an EmpiricalTail of all the samples, down to depth keep, with their
+    chain ids when the samples come with them.
 
-    The kept values do not depend on the order of the chunks (only which
-    of +0.0 and -0.0 fills a tie can), and add takes a lock, so worker
-    threads may add their chunks as they finish them. Each chunk's top
-    keep values are copied into one buffer of 2 keep allocated up front,
-    filled from its end; a partition in place trims it to the top keep
-    only when the next chunk would not fit, so adding allocates nothing
+    Ties of value break by chain id, so the kept values and ids do not
+    depend on the order of the chunks (only which of +0.0 and -0.0 fills
+    a tie within one chain can), and add takes a lock, so worker threads
+    may add their chunks as they finish them. The candidates sit in one
+    buffer of keep + keep // 4 + 1 (value, chain id) keys allocated up
+    front. When it is full, a partition in place trims it to the top
+    keep and sets a floor: keep candidates are at least the floor, so a
+    later value below it is dropped before it is copied. Past the first
+    few chunks, few values get that far, so adding allocates little
     beyond the chunk's own size."""
 
     def __init__(self, convention: str, keep: int):
@@ -113,36 +154,70 @@ class TailSelection:
         self.convention = convention
         self.keep = keep
         self.count = 0
-        self._buf = np.empty(2 * keep)
+        self._buf = np.empty(keep + keep // 4 + 1, dtype=complex)
         self._size = 0  # the candidates are _buf[-_size:]
+        self._floor = -np.inf
+        self._chained = None  # whether the samples come with chain ids
+        self._taken = False  # tail() hands out the buffer
         self._lock = threading.Lock()
 
-    def add(self, samples: np.ndarray) -> None:
+    def add(self, samples: np.ndarray, chains: np.ndarray | None = None) -> None:
         samples = np.asarray(samples, dtype=float)
         data = _convention(samples, self.convention)
-        if data.size > self.keep:
-            data = np.partition(data, data.size - self.keep)[-self.keep:]
+        # the floor only rises, so a read before the lock is safe
+        above = data >= self._floor
+        keys = _keys(data[above],
+                     None if chains is None else np.asarray(chains)[above])
+        floor = -np.inf
+        if keys.size > self.keep:
+            keys.partition(keys.size - self.keep)
+            keys = keys[-self.keep:]
+            floor = keys[0].real
         with self._lock:
+            if self._taken:
+                raise ValueError("the selection's tail was taken; it takes "
+                                 "no more samples")
+            if self._chained is None:
+                self._chained = chains is not None
+            if self._chained != (chains is not None):
+                raise ValueError("either every chunk comes with chain ids "
+                                 "or none does")
             self.count += samples.size
-            if self._size + data.size > self._buf.size:
-                self._trim()
-            start = self._buf.size - self._size - data.size
-            self._buf[start:start + data.size] = data
-            self._size += data.size
+            self._floor = max(self._floor, floor)
+            while keys.size:
+                if self._size == self._buf.size:
+                    self._trim()
+                end = self._buf.size - self._size
+                n = min(keys.size, end)
+                self._buf[end - n:end] = keys[:n]
+                self._size += n
+                keys = keys[n:]
 
     def _trim(self) -> None:
         if self._size > self.keep:
             self._buf[-self._size:].partition(self._size - self.keep)
             self._size = self.keep
+            self._floor = self._buf[-self.keep].real
 
-    def tail(self) -> EmpiricalTail:
-        """The selection as an EmpiricalTail of count samples, holding a
-        sorted copy of the kept values."""
+    def tail(self, chain_sizes: np.ndarray | None = None) -> EmpiricalTail:
+        """The selection as an EmpiricalTail of count samples. Chained
+        samples need chain_sizes, the number of samples of each chain by
+        id; their tail sorts the kept keys in place and holds the buffer,
+        so the selection takes no more samples after it."""
         if self.count < 2:
             raise ValueError("need at least 2 samples")
+        if self._chained != (chain_sizes is not None) or (
+                chain_sizes is not None and chain_sizes.sum() != self.count):
+            raise ValueError("chain_sizes must give the samples of each "
+                             "chain exactly when they come with chain ids")
         self._trim()
-        return EmpiricalTail._of(np.sort(self._buf[-self._size:]),
-                                 self.convention, self.count)
+        self._taken = True
+        keys = self._buf[-self._size:]
+        keys.sort()
+        if not self._chained:
+            keys = np.ascontiguousarray(keys.real)
+        return EmpiricalTail._of(keys, self.convention, self.count,
+                                 chain_sizes)
 
 
 def hill_depth(n: int) -> int:
@@ -158,32 +233,67 @@ def log_grid_depth(n: int) -> int:
     return n - min(int(LOG_GRID_LO_Q * (n - 1)), n - 2)
 
 
-def ccdf(tail: EmpiricalTail, x: float) -> float:
-    """Fraction of samples strictly above x."""
+def _exceedances(tail: EmpiricalTail, x: float) -> int:
+    """Number of samples strictly above x."""
     values = tail.values
     if values.size < tail.count and not values[-1] <= x:
         raise ValueError(f"ccdf at {x!r} is below the {values.size} kept "
                          f"order statistics of {tail.count}")
-    idx = np.searchsorted(values[::-1], x, side="right")
-    return float(values.size - idx) / tail.count
+    # a scan, not a binary search, which would copy strided values
+    return int(np.count_nonzero(values > x))
+
+
+def ccdf(tail: EmpiricalTail, x: float) -> float:
+    """Fraction of samples strictly above x."""
+    return float(_exceedances(tail, x)) / tail.count
+
+
+def ccdf_se(tail: EmpiricalTail, x: float) -> float:
+    """SE of ccdf(tail, x) = N / n. For independent samples it is the
+    binomial sqrt(p (1 - p) / n). For a tail with chain ids it is the
+    cluster-robust sqrt(sum_c (N_c - p n_c)^2) / n over the chains c,
+    each with N_c exceedances among its n_c samples: the chains are
+    independent, the values within one are not."""
+    hits = _exceedances(tail, x)
+    n = tail.count
+    p = hits / n
+    if tail.chains is None:
+        return math.sqrt(p * (1.0 - p) / n)
+    sizes = tail.chain_sizes
+    residual = (np.bincount(tail.chains[:hits].astype(np.intp),
+                            minlength=sizes.size) - p * sizes)
+    return math.sqrt(float(np.dot(residual, residual))) / n
 
 
 def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
-    """Hill estimator from the top k log-spacings; SE = alpha_hat/sqrt(k).
+    """Hill estimator from the top k log-spacings.
+
+    alpha_hat = k / S, with S the sum of the log excesses of the top k
+    over the (k+1)-th order statistic. For independent samples the SE is
+    alpha_hat / sqrt(k). For a tail with chain ids it is the
+    cluster-robust delta-method SE of that ratio from the per-chain
+    (count, sum of log excesses) (N_c, S_c) above the threshold taken as
+    fixed: sqrt(sum_c (N_c - alpha_hat S_c)^2) / S.
 
     Uses order-statistic ratios, so rescaling the sample by a power of
-    two leaves the estimate bit-identical."""
+    two leaves the estimate and its SE bit-identical."""
     if not 2 <= k < tail.count:
         raise ValueError("need 2 <= k < sample count")
     top = tail.top(k + 1)
     if top[k] <= 0.0:
         raise NonPositiveOrderStat("top-(k+1) order statistics must be > 0")
-    ratios = top[:k] / top[k]
-    s = float(np.sum(np.log(ratios)))
+    logs = np.log(top[:k] / top[k])
+    s = float(np.sum(logs))
     if s <= 0.0:
         raise DegenerateTail("top order statistics coincide")
     a = k / s
-    return EstimateWithError(a, a / math.sqrt(k), k)
+    if tail.chains is None:
+        return EstimateWithError(a, a / math.sqrt(k), k)
+    # a chain without exceedances adds 0 - alpha_hat * 0
+    chain = tail.chains[:k].astype(np.intp)
+    residual = np.bincount(chain) - a * np.bincount(chain, weights=logs)
+    se = math.sqrt(float(np.dot(residual, residual))) / s
+    return EstimateWithError(a, se, k)
 
 
 def default_log_grid(tail: EmpiricalTail, points: int = 20,

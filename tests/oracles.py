@@ -10,7 +10,7 @@ from trisre import distributions as dist
 from trisre import regime
 from trisre.distributions import abs_moment
 from trisre.estimates import EstimateWithError
-from trisre.model import TriangularSRE, draw_innovations
+from trisre.model import TriangularSRE, draw_innovations, step_batch
 from trisre.rng import CHUNK, RngStream, map_chunks
 from trisre.stationary import (_first_depth, _perpetuity_sums,
                                contraction_exponent, sample_perpetuity_batch,
@@ -79,12 +79,14 @@ def sample_cross_sum_batch(model: TriangularSRE, n: int, m: int,
 def stationary_parts(model: TriangularSRE, tol: float, m: int,
                      rng: RngStream, workers: int | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w1_own, w1_cross, w2) of sample_stationary_batch's draws, by the
-    three-part chunk that returns whole arrays to be concatenated.
+    """(w1_own, w1_cross, w2) of m independent draws of the depth-truncated
+    backward series, run forward from zero, by the three-part chunk that
+    returns whole arrays to be concatenated: the i.i.d. reference for the
+    library's chain sampler.
 
     The own part is driven by b1 through the first diagonal, the cross
     part is fed via a12 by the second coordinate from before each step;
-    their sum is the sampler's w1, bit for bit."""
+    their sum is w1."""
     depth, _ = truncation_depth(model, tol)
 
     def chunk(paths, sub):
@@ -103,6 +105,16 @@ def stationary_parts(model: TriangularSRE, tol: float, m: int,
     if not parts:
         return np.zeros(0), np.zeros(0), np.zeros(0)
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],
+                    steps: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Run parallel chains from w0 for steps steps, without burn-in;
+    returns the final states."""
+    w1, w2 = np.asarray(w0[0], dtype=float), np.asarray(w0[1], dtype=float)
+    for _ in range(steps):
+        w1, w2 = step_batch(w1, w2, draw_innovations(model, w1.size, rng))
+    return w1, w2
 
 
 def sample_pair_perpetuity_batch(steps, a_law: dist.Dist, tol: float,

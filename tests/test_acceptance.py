@@ -271,7 +271,7 @@ def test_c09_property_suites_configured():
         "test_signed_moments_add_to_absolute",
         "test_tilt_identity_against_weighted_mc",
         "test_cross_sum_scan_equals_brute_force",
-        "test_decomposition_identity_bit_exact",
+        "test_chain_sample_is_the_same_at_any_worker_count",
         "test_stream_determinism_under_reseeding",
         "test_moment_bound_envelope_on_eps_grid",
         "test_hill_scale_invariance_binary_exact",

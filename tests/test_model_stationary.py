@@ -12,30 +12,19 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     ProportionalToDiagonal, SignedLognormal, TwoSidedPareto)
 from trisre.errors import NotContractive
 from trisre.rng import CHUNK, map_chunks
+from trisre.stationary import (CHAIN_LENGTH, CHAINS_PER_CHUNK,
+                               _series_error_bound, contraction_exponent)
 from trisre.tails import CONVENTIONS, TailSelection
 
-from oracles import (cross_sum_brute, cross_sum_scan, sample_cross_sum_batch,
-                     sample_pair_perpetuity_batch, stationary_parts)
+from oracles import (cross_sum_brute, cross_sum_scan, iterate_forward,
+                     sample_cross_sum_batch, sample_pair_perpetuity_batch,
+                     stationary_parts)
 
 
 def constant_model(a11, a12, a22, b1, b2):
     return IndependentEntries(a11=Constant(a11), a12=Constant(a12),
                               a22=Constant(a22), b1=Constant(b1),
                               b2=Constant(b2))
-
-
-def parts_of_batch(model, tol, m, seed, workers=(1, 2)):
-    """The three-part oracle's (w1_own, w1_cross, w2), after checking that
-    the sampler's w1 is own + cross and its w2 the oracle's, bit for bit,
-    at each worker count."""
-    for w in workers:
-        batch = t.sample_stationary_batch(model, tol, m, t.RngStream(seed),
-                                          workers=w)
-        own, cross, w2 = stationary_parts(model, tol, m, t.RngStream(seed),
-                                          workers=w)
-        np.testing.assert_array_equal(batch.w1, own + cross)
-        np.testing.assert_array_equal(batch.w2, w2)
-    return own, cross, w2
 
 
 def test_draw_innovation_equal_diagonal_constants():
@@ -89,8 +78,8 @@ def test_iterated_steps_reach_fixed_point():
     m = EqualDiagonal(d=Constant(0.5),
                       a12_mode=IndependentOffDiagonal(Constant(0.0)),
                       b1=Constant(1.0), b2=Constant(1.0))
-    w1, w2 = t.iterate_forward(m, (np.array([5.0]), np.array([-3.0])),
-                               10_000, t.RngStream(1))
+    w1, w2 = iterate_forward(m, (np.array([5.0]), np.array([-3.0])),
+                             10_000, t.RngStream(1))
     assert w2[0] == pytest.approx(2.0, abs=1e-12)
     assert w1[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -139,12 +128,23 @@ def test_truncation_not_contractive():
 
 
 def test_stationary_zero_offdiagonal_kills_cross_part():
-    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Constant(0.0),
-                           a22=Lognormal(-1, 1), b1=Constant(1.0),
-                           b2=Constant(1.0))
-    own, cross, _ = parts_of_batch(m, 1e-8, CHUNK + 1000, 3)
+    # with a12 = 0 the first coordinate never sees the second: flipping b2
+    # (a constant, which draws nothing, with the same truncation depth)
+    # leaves w1 the same bit for bit
+    def model(b2):
+        return IndependentEntries(a11=Lognormal(-1, 1), a12=Constant(0.0),
+                                  a22=Lognormal(-1, 1), b1=Constant(1.0),
+                                  b2=Constant(b2))
+
+    n = CHAINS_PER_CHUNK * CHAIN_LENGTH + 1000
+    base = t.sample_stationary_batch(model(1.0), 1e-8, n, t.RngStream(3))
+    for workers in (1, 2):
+        moved = t.sample_stationary_batch(model(-1.0), 1e-8, n,
+                                          t.RngStream(3), workers=workers)
+        np.testing.assert_array_equal(moved.w1, base.w1)
+        assert np.all(moved.w2 != base.w2)
+    _, cross, _ = stationary_parts(model(1.0), 1e-8, 1000, t.RngStream(3))
     assert np.all(cross == 0.0)
-    np.testing.assert_array_equal(own + cross, own)
 
 
 def test_stationary_all_zero_matrix_one_step():
@@ -165,14 +165,6 @@ def test_stationary_deterministic_fixed_point():
     assert s.truncation_bound < tol
 
 
-def test_stationary_decomposition_identity_is_exact():
-    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
-                           a22=Lognormal(-2, 1), b1=Normal(0, 1),
-                           b2=Constant(1.0))
-    own, cross, _ = parts_of_batch(m, 1e-8, CHUNK + 5000, 5)
-    assert np.any(cross != 0.0) and np.any(own != 0.0)
-
-
 @pytest.mark.parametrize("m", [1, CHUNK + 1])
 @pytest.mark.parametrize("a_law,b_law", [
     (Lognormal(-1, 1), Lognormal(-1, 1)),
@@ -181,12 +173,13 @@ def test_stationary_decomposition_identity_is_exact():
 ])
 def test_perpetuity_batch_equals_embedded_stationary_first_coordinate(
         a_law, b_law, m):
-    # the scalar sampler skips the bivariate one, but the embedded model's
-    # zero entries draw nothing, so the draws and the output are the same
+    # the scalar sampler skips the bivariate truncated series, but the
+    # embedded model's zero entries draw nothing, so the draws and the
+    # output are the same
     x = t.sample_perpetuity_batch(a_law, b_law, 1e-8, m, t.RngStream(6))
-    batch = t.sample_stationary_batch(t.univariate_model(a_law, b_law), 1e-8,
-                                      m, t.RngStream(6))
-    np.testing.assert_array_equal(x, batch.w1)
+    own, cross, _ = stationary_parts(t.univariate_model(a_law, b_law), 1e-8,
+                                     m, t.RngStream(6))
+    np.testing.assert_array_equal(x, own + cross)
 
 
 def test_zero_path_batches_are_empty_with_depth_and_bound_set():
@@ -194,7 +187,8 @@ def test_zero_path_batches_are_empty_with_depth_and_bound_set():
                            a22=Lognormal(-2, 1), b1=Constant(1.0),
                            b2=Constant(1.0))
     batch = t.sample_stationary_batch(m, 1e-8, 0, t.RngStream(1))
-    for arr in (batch.w1, batch.w2, *parts_of_batch(m, 1e-8, 0, 1)):
+    for arr in (batch.w1, batch.w2, batch.chain_ids(),
+                *stationary_parts(m, 1e-8, 0, t.RngStream(1))):
         assert arr.shape == (0,)
     full = t.sample_stationary_batch(m, 1e-8, 10, t.RngStream(1))
     assert batch.truncation_depth == full.truncation_depth
@@ -206,11 +200,11 @@ def test_zero_path_batches_are_empty_with_depth_and_bound_set():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stationary_sampler_peak_is_two_outputs_plus_chunks_in_flight(workers):
-    # w1 and w2 are allocated once and every chunk writes into its slice,
-    # so the traced peak is the two outputs plus what each running chunk
-    # holds: its state, one step's innovations and the temporaries, well
-    # under 20 chunk-sized arrays. Concatenating per-chunk parts would
-    # need about 7 full-size arrays.
+    # w1 and w2 are allocated once and every chunk writes its blocks of
+    # kept steps into its chains' rows, so the traced peak is the two
+    # outputs plus what each running chunk holds: its state, one step's
+    # innovations, a block of about CHUNK kept values per coordinate and
+    # the temporaries, well under 20 arrays of CHUNK values.
     model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
                                a22=Lognormal(-2, 1), b1=Normal(0, 1),
                                b2=Constant(1.0))
@@ -230,10 +224,11 @@ def test_stationary_sampler_peak_is_two_outputs_plus_chunks_in_flight(workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stationary_tails_peak_is_the_kept_depths_plus_chunks_in_flight(
         workers):
-    # a tails request folds each chunk into the selections as it finishes,
-    # so the traced peak is the selections' buffers (twice the kept
-    # values) and the sorted tails (once) plus the chunks in flight, with
-    # no term in m
+    # a tails request folds each block of kept steps into the selections,
+    # so the traced peak is the selections' buffers (a 16-byte key of
+    # value and chain id for 1.25 times the kept values), which each tail
+    # sorts and keeps in place, plus the chunks in flight, with no term
+    # in m
     model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
                                a22=Lognormal(-2, 1), b1=Normal(0, 1),
                                b2=Constant(1.0))
@@ -262,15 +257,20 @@ def test_stationary_tails_peak_is_the_kept_depths_plus_chunks_in_flight(
         for s in group:
             tail = batch.tails[coord][s.convention]
             assert tail.count == m and tail.values.size == s.keep
-    assert peak <= 3 * 8 * kept + workers * 20 * 8 * CHUNK
+    assert peak <= 20 * kept + workers * 20 * 8 * CHUNK
 
 
 def test_stationary_tails_are_the_tails_of_the_arrays():
+    # three chunks of chains, the last chain short: the selections keep
+    # the top values and chain ids of the chain-major arrays
     model = IndependentEntries(a11=SignedLognormal(-1, 1, 0.3),
                                a12=Normal(0, 1), a22=Lognormal(-2, 1),
                                b1=Normal(0, 1), b2=Constant(1.0))
-    m = 2 * CHUNK + 5
+    m = 2 * CHAINS_PER_CHUNK * CHAIN_LENGTH + 5
     full = t.sample_stationary_batch(model, 1e-8, m, t.RngStream(4))
+    ids = full.chain_ids()
+    assert np.array_equal(np.bincount(ids),
+                          [CHAIN_LENGTH] * (ids[-1]) + [5])
     for workers in (1, 2):
         batch = t.sample_stationary_batch(
             model, 1e-8, m, t.RngStream(4), workers=workers,
@@ -280,9 +280,11 @@ def test_stationary_tails_are_the_tails_of_the_arrays():
         for coord in ("w1", "w2"):
             assert set(batch.tails[coord]) == set(CONVENTIONS)
             for conv, tail in batch.tails[coord].items():
-                np.testing.assert_array_equal(
-                    tail.values,
-                    t.EmpiricalTail(getattr(full, coord), conv).values[:300])
+                ref = t.EmpiricalTail(getattr(full, coord), conv, chains=ids)
+                np.testing.assert_array_equal(tail.values, ref.values[:300])
+                np.testing.assert_array_equal(tail.chains, ref.chains[:300])
+                np.testing.assert_array_equal(tail.chain_sizes,
+                                              ref.chain_sizes)
 
 
 def test_stationary_tails_request_is_checked_up_front():
@@ -349,7 +351,19 @@ def test_builtin_truncation_depths_and_bounds_unchanged():
         depth, bound = expected[config.name]
         assert batch.truncation_depth == depth
         assert batch.truncation_bound == pytest.approx(bound, rel=1e-12)
-        parts_of_batch(config.model, config.tol, 100, 1, workers=(1,))
+
+
+def test_builtin_series_bound_does_not_grow_past_the_depth():
+    # every value a chain keeps is a recursion over more than the depth's
+    # lags, so the reported bound covers it only if the bound does not
+    # grow past the depth: its n q^(n-1) term peaks at n = 1 / log(1/q)
+    for config in t.builtin_scenarios(quick=True):
+        depth, eps = t.truncation_depth(config.model, config.tol)
+        q = contraction_exponent(config.model)[1]
+        bounds = [_series_error_bound(config.model, n, eps, q)
+                  for n in range(depth, depth + 10 * CHAIN_LENGTH)]
+        assert all(b <= a for a, b in zip(bounds, bounds[1:])), config.name
+        assert depth >= 1.0 / math.log(1.0 / q)
 
 
 def test_forward_backward_agreement_ks():
@@ -360,11 +374,59 @@ def test_forward_backward_agreement_ks():
     back = t.sample_stationary_batch(m, 1e-8, n, t.RngStream(6))
     depth = back.truncation_depth
     zeros = np.zeros(n)
-    fw1, fw2 = t.iterate_forward(m, (zeros, zeros), 10 * depth, t.RngStream(7))
+    fw1, fw2 = iterate_forward(m, (zeros, zeros), 10 * depth, t.RngStream(7))
     _, p2 = stats.ks_2samp(back.w2, fw2)
     _, p1 = stats.ks_2samp(back.w1, fw1)
     assert p2 > 1e-3
     assert p1 > 1e-3
+
+
+def chain_model():
+    return IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
+                              a22=Lognormal(-2, 1), b1=Constant(1.0),
+                              b2=Constant(1.0))
+
+
+def test_chain_sample_tail_agrees_with_the_iid_series_sample():
+    # the chain sample has the law of the truncated backward series: its
+    # ccdf at three upper quantiles agrees with that of 200k independent
+    # series draws within 4 SE, the chain side's SE clustered by chain
+    n = 200_000
+    batch = t.sample_stationary_batch(chain_model(), 1e-8, n, t.RngStream(21))
+    own, cross, w2 = stationary_parts(chain_model(), 1e-8, n, t.RngStream(22))
+    for coord, chain_values, iid_values in (("w1", batch.w1, own + cross),
+                                            ("w2", batch.w2, w2)):
+        chain = t.EmpiricalTail(chain_values, "absolute",
+                                chains=batch.chain_ids())
+        iid = t.EmpiricalTail(iid_values, "absolute")
+        for q in (0.99, 0.999, 0.9999):
+            x = float(np.quantile(iid_values, q))
+            se = math.hypot(t.ccdf_se(chain, x), t.ccdf_se(iid, x))
+            assert abs(t.ccdf(chain, x) - t.ccdf(iid, x)) <= 4 * se, (coord, q)
+
+
+def test_clustered_ccdf_se_covers_over_seeds_and_the_iid_se_does_not():
+    # 200 samples of 100 chains: the z-scores of ccdf(|W1|, x) against
+    # their mean over the seeds spread with SD near 1 under the clustered
+    # SE, while the binomial SE, which takes the values as independent,
+    # understates the spread of the dependent chain values
+    m = 100 * CHAIN_LENGTH
+    x = 18.0  # about the 0.985 quantile of |W1|
+    p, clustered, binomial = [], [], []
+    for seed in range(200):
+        batch = t.sample_stationary_batch(chain_model(), 1e-8, m,
+                                          t.RngStream(seed, 9), workers=1)
+        chain = t.EmpiricalTail(batch.w1, "absolute",
+                                chains=batch.chain_ids())
+        iid = t.EmpiricalTail(batch.w1, "absolute")
+        p.append(t.ccdf(chain, x))
+        clustered.append(t.ccdf_se(chain, x))
+        binomial.append(t.ccdf_se(iid, x))
+    p = np.array(p)
+    z_clustered = (p - p.mean()) / np.array(clustered)
+    z_binomial = (p - p.mean()) / np.array(binomial)
+    assert 0.8 <= z_clustered.std(ddof=1) <= 1.25
+    assert z_binomial.std(ddof=1) > 1.25
 
 
 def test_stationarity_in_law_under_one_step():

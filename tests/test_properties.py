@@ -3,19 +3,20 @@
 Each suite runs at least 200 derandomized cases.
 """
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import trisre as t
 from trisre import distributions as dist
+from trisre import stationary
 from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, Scaled, SignedLognormal,
                     TwoSidedPareto, Uniform)
 
-from oracles import (cross_sum_brute, cross_sum_scan, log_moment_curvature,
-                     stationary_parts)
+from oracles import cross_sum_brute, cross_sum_scan, log_moment_curvature
 
 settings.register_profile("suite", derandomize=True, max_examples=200,
                           deadline=None)
@@ -176,17 +177,48 @@ def contractive_models():
                      b1=noise, b2=noise)
 
 
-@given(contractive_models(), st.integers(0, 2 ** 32 - 1))
-def test_decomposition_identity_bit_exact(model, seed):
-    for workers in (1, 2):
-        batch = t.sample_stationary_batch(model, 1e-6, 50,
-                                          t.RngStream(seed, 4),
-                                          workers=workers)
-        own, cross, w2 = stationary_parts(model, 1e-6, 50,
-                                          t.RngStream(seed, 4),
-                                          workers=workers)
-        assert np.array_equal(batch.w1, own + cross)
-        assert np.array_equal(batch.w2, w2)
+def constant_models():
+    """All-constant models: every chain runs the same values, so values
+    tie across chains and only the chain ids order them."""
+    value = st.floats(-2.0, 2.0, **finite)
+    return st.builds(IndependentEntries,
+                     a11=st.builds(Constant, st.floats(0.05, 0.9, **finite)),
+                     a12=st.builds(Constant, value),
+                     a22=st.builds(Constant, st.floats(0.05, 0.9, **finite)),
+                     b1=st.builds(Constant, value),
+                     b2=st.builds(Constant, value))
+
+
+@given(st.one_of(contractive_models(), constant_models()),
+       st.integers(0, 2 ** 32 - 1),
+       st.integers(2, 8 * stationary.CHAIN_LENGTH), st.integers(2, 150))
+def test_chain_sample_is_the_same_at_any_worker_count(model, seed, m, keep):
+    # two chains to a chunk, so up to four chunks: the arrays, the
+    # selected tails and their chain ids are bit-identical at one and two
+    # workers, and the tails are those of the chain-major arrays
+    def run(workers, tails=None):
+        return t.sample_stationary_batch(model, 1e-6, m, t.RngStream(seed, 4),
+                                         workers=workers, tails=tails)
+
+    def request():
+        return {coord: [t.TailSelection(c, keep) for c in t.tails.CONVENTIONS]
+                for coord in ("w1", "w2")}
+
+    with mock.patch.object(stationary, "CHAINS_PER_CHUNK", 2):
+        arrays = [run(w) for w in (1, 2)]
+        selected = [run(w, request()) for w in (1, 2)]
+    for coord in ("w1", "w2"):
+        values = getattr(arrays[0], coord)
+        assert values.tobytes() == getattr(arrays[1], coord).tobytes()
+        for conv in t.tails.CONVENTIONS:
+            one, two = (b.tails[coord][conv] for b in selected)
+            assert one.values.tobytes() == two.values.tobytes()
+            assert one.chains.tobytes() == two.chains.tobytes()
+            full = t.EmpiricalTail(values, conv,
+                                   chains=arrays[0].chain_ids())
+            np.testing.assert_array_equal(one.values, full.values[:keep])
+            np.testing.assert_array_equal(one.chains, full.chains[:keep])
+            np.testing.assert_array_equal(one.chain_sizes, full.chain_sizes)
 
 
 @given(menu_specs(), st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 16))

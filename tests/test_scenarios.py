@@ -16,6 +16,7 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries, Lognormal,
 from trisre.cli import main as cli_main
 from trisre.errors import RegimeMismatch, UnsupportedRegime
 from trisre.rng import CHUNK
+from trisre.stationary import CHAIN_LENGTH, CHAINS_PER_CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
                               _hill_block, _log_factor_fit,
                               _tail_constant_fit, builtin_scenarios,
@@ -238,11 +239,13 @@ def test_run_scenario_deterministic_given_seed(monkeypatch):
 
 
 def test_run_scenario_merges_tails_across_chunks_as_the_full_sample():
-    # four stationary chunks: the report is the same at one and two
-    # workers, and its empirical block is that of the tails of the full
-    # arrays that sample_stationary_batch returns without a tails request
-    config = dataclasses.replace(quick_config(seed=31),
-                                 n_samples=3 * CHUNK + 17)
+    # four stationary chunks of chains: the report is the same at one and
+    # two workers, and its empirical block is that of the tails of the
+    # full arrays that sample_stationary_batch returns without a tails
+    # request, with the Hill SEs clustered by chain
+    config = dataclasses.replace(
+        quick_config(seed=31),
+        n_samples=3 * CHAINS_PER_CHUNK * CHAIN_LENGTH + 17)
     reports = [run_scenario(config, workers=w).to_dict() for w in (1, 2)]
     for r in reports:
         r.pop("runtime_seconds")
@@ -252,9 +255,13 @@ def test_run_scenario_merges_tails_across_chunks_as_the_full_sample():
         config.model, config.tol, config.n_samples,
         t.RngStream(config.seed).substream(3), workers=2)
     k = hill_depth(config.n_samples)
+    chains = batch.chain_ids()
     for coord, w in (("w1", batch.w1), ("w2", batch.w2)):
-        full = {conv: EmpiricalTail(w, conv) for conv in CONVENTIONS}
+        full = {conv: EmpiricalTail(w, conv, chains=chains)
+                for conv in CONVENTIONS}
         assert empirical[coord] == _hill_block(full, k)
+        alpha_hat = empirical[coord]["absolute"]["alpha_hat"]
+        assert empirical[coord]["absolute"]["se"] > alpha_hat / math.sqrt(k)
     prediction = scenario_prediction(config)
     assert empirical["log_factor_regression"] == _log_factor_fit(
         EmpiricalTail(batch.w1, "absolute"), prediction.tail_index)

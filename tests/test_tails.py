@@ -12,9 +12,9 @@ from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
 from trisre.errors import RegimeMismatch
 from trisre.scenarios import _GOLDIE_HORIZON, _goldie_horizon, _window_bias
-from trisre.tails import (EmpiricalTail, TailSelection, ccdf, default_log_grid,
-                          hill, hill_depth, log_factor_regression,
-                          log_grid_depth)
+from trisre.tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
+                          default_log_grid, hill, hill_depth,
+                          log_factor_regression, log_grid_depth)
 
 from oracles import (combined_se, coord1_window_bias,
                      goldie_constant_direct_for_laws)
@@ -118,6 +118,83 @@ def test_selection_rejects_bad_arguments():
     selection.add(np.ones(1))
     with pytest.raises(ValueError, match="at least 2 samples"):
         selection.tail()
+
+
+def test_selection_breaks_ties_by_chain_id_in_any_chunk_order():
+    # five values tie at 2.0 across chains; the top 4 keep 3.0 and the
+    # three ties of the largest chain ids, as the tail of the full sample
+    x = np.array([2.0, 3.0, 2.0, 2.0, 1.0, 2.0, 2.0])
+    ids = np.array([4, 0, 1, 6, 2, 5, 3], dtype=np.int32)
+    full = EmpiricalTail(x, "positive", chains=ids)
+    np.testing.assert_array_equal(full.values[:4], [3.0, 2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(full.chains[:4], [0, 6, 5, 4])
+    np.testing.assert_array_equal(full.chain_sizes, np.ones(7))
+    for order in ([0, 1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1, 0],
+                  [3, 0, 6, 1, 5, 2, 4]):
+        selection = TailSelection("positive", 4)
+        for i in order:
+            selection.add(x[i:i + 1], ids[i:i + 1])
+        tail = selection.tail(full.chain_sizes)
+        np.testing.assert_array_equal(tail.values, full.values[:4])
+        np.testing.assert_array_equal(tail.chains, full.chains[:4])
+
+
+def test_selection_chain_ids_are_all_or_nothing():
+    selection = TailSelection("absolute", 3)
+    selection.add(np.ones(4), np.arange(4))
+    with pytest.raises(ValueError, match="chain ids"):
+        selection.add(np.ones(4))
+    with pytest.raises(ValueError, match="chain_sizes"):
+        selection.tail()
+    with pytest.raises(ValueError, match="chain_sizes"):
+        selection.tail(np.array([1, 1, 1]))
+    assert selection.tail(np.ones(4, dtype=np.int32)).chains.size == 3
+    with pytest.raises(ValueError, match="tail was taken"):
+        selection.add(np.ones(4), np.arange(4))
+    plain = TailSelection("absolute", 3)
+    plain.add(np.ones(4))
+    with pytest.raises(ValueError, match="chain_sizes"):
+        plain.tail(np.ones(4, dtype=np.int32))
+    for bad in (np.arange(3), np.arange(4) - 1, np.arange(4.0)):
+        with pytest.raises(ValueError, match="chain id"):
+            EmpiricalTail(np.ones(4), chains=bad)
+
+
+def test_hill_clustered_se_counts_a_repeated_value_once():
+    # every value twice in one chain carries no more information than
+    # once: Hill at 2k of the doubled sample has the estimate and the
+    # clustered SE of Hill at k of the single sample with one chain per
+    # value, while the independent-sample SE falls by sqrt(2)
+    x = t.RngStream(12).gen.random(5000) ** (-1.0 / 1.5)
+    single = EmpiricalTail(x, "positive", chains=np.arange(x.size))
+    double = EmpiricalTail(np.concatenate((x, x)), "positive",
+                           chains=np.tile(np.arange(x.size), 2))
+    plain = EmpiricalTail(np.concatenate((x, x)), "positive")
+    k = 400
+    one, two = hill(single, k), hill(double, 2 * k)
+    assert two.value == pytest.approx(one.value, rel=1e-12)
+    assert two.se == pytest.approx(one.se, rel=1e-12)
+    # the sandwich SE of independent values is near alpha_hat / sqrt(k)
+    assert one.se == pytest.approx(one.value / math.sqrt(k), rel=0.15)
+    assert hill(plain, 2 * k).se == pytest.approx(
+        two.value / math.sqrt(2 * k), rel=1e-12)
+
+
+def test_ccdf_se_clusters_by_chain():
+    # one value per chain is the binomial SE; the doubled sample, each
+    # value twice in one chain, keeps the single sample's SE
+    x = t.RngStream(13).gen.standard_normal(3000)
+    plain = EmpiricalTail(x, "absolute")
+    single = EmpiricalTail(x, "absolute", chains=np.arange(x.size))
+    double = EmpiricalTail(np.concatenate((x, x)), "absolute",
+                           chains=np.tile(np.arange(x.size), 2))
+    for q in (0.5, 0.9, 0.99):
+        y = float(np.quantile(np.abs(x), q))
+        assert ccdf_se(single, y) == pytest.approx(ccdf_se(plain, y),
+                                                   rel=1e-9)
+        assert ccdf_se(double, y) == pytest.approx(ccdf_se(plain, y),
+                                                   rel=1e-9)
+    assert ccdf_se(double, 1e9) == ccdf_se(plain, 1e9) == 0.0
 
 
 def test_hill_on_exact_pareto_transform():
