@@ -36,7 +36,13 @@ a22 = t.tilted(model.a22, alpha)
 v_law = Lognormal(model.a11.mu - a22.mu, math.hypot(model.a11.sigma, a22.sigma))
 drift = t.abs_moment_derivative(v_law, alpha)
 print(f"ratio drift: {drift:.4f}")
-x0 = t.perpetuity_sample_batch(model, alpha, 80, 300_000, rng.substream(3))
+# depth-80 partial sums of the ratio perpetuity X = V X' + U under the tilt
+g = rng.substream(3)
+x0 = np.zeros(300_000)
+for _ in range(80):
+    d = t.sample(a22, g, x0.size)
+    x0 = t.sample(model.a11, g, x0.size) / d * x0 \
+        + t.sample(model.a12, g, x0.size) / d
 for q_level in (0.995, 0.999):
     x = float(np.quantile(np.abs(x0), q_level))
     tail_weight = drift * (1.0 - q_level) * x ** alpha

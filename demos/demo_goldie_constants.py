@@ -14,20 +14,28 @@ why predict uses route 2 for every Kesten-Goldie constant: the second
 coordinate's over law_steps, the first coordinate's over coord1_steps,
 which runs the bivariate chain. Route 1 stays as the reference.
 """
+from itertools import islice
+
 import numpy as np
 
 import trisre as t
-from trisre import Constant, Lognormal
+from trisre import Constant, IndependentEntries, Lognormal
 
 a_law, b_law = Lognormal(-1, 1), Constant(1.0)
 alpha, rho = 2.0, 1.0
 rng = t.RngStream(99)
+# the series depth certified for X = A X' + B as the first coordinate of
+# a bivariate model with nothing off the diagonal
+depth, _ = t.truncation_depth(
+    IndependentEntries(a11=a_law, a12=Constant(0.0), a22=Constant(0.0),
+                       b1=b_law, b2=Constant(0.0)), 1e-8)
 
 
 def sampler(m, r):
     # x stationary (truncated series), (a, b) one fresh independent step
-    x = t.sample_perpetuity_batch(a_law, b_law, 1e-8, m, r.substream(0),
-                                  workers=1)
+    x = np.zeros(m)
+    for a, b in islice(t.law_steps(a_law, b_law)(m, r.substream(0)), depth):
+        x = a * x + b
     step = r.substream(1)
     return t.sample(a_law, step, m), t.sample(b_law, step, m), x
 

@@ -31,8 +31,7 @@ from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,
                         run_scenario, run_suite)
 from .stationary import (StationaryBatch, coord1_steps, law_steps,
-                         sample_perpetuity_batch, sample_stationary_batch,
-                         truncation_depth, univariate_model)
+                         sample_stationary_batch, truncation_depth)
 from .tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
                     default_log_grid, goldie_constant_direct,
                     goldie_constant_perpetuity, grey_constants, hill,
@@ -40,6 +39,6 @@ from .tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
 from .tilting import (CouplingRate, PartialSumStudy, SnapshotMoments,
                       clt_constant, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,
-                      perpetuity_sample_batch, tilted_offdiag_moments)
+                      tilted_offdiag_moments)
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,17 @@ from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
                      CASE_UNSUPPORTED, RegimeReport, classify)
 from .rng import RngStream
 from .stationary import coord1_steps, law_steps, sample_stationary_batch
-# EmpiricalTail and goldie_constant_direct: unused here, but the traced
-# benchmark patches them
-from .tails import (CONVENTIONS, EmpiricalTail,  # noqa: F401
+# goldie_constant_direct and clt_constant are unused here, but the traced
+# benchmark patches them by name, as it does EmpiricalTail
+from .tails import (CONVENTIONS, EmpiricalTail,
                     PerpetuityConstants, TailSelection, ccdf,
                     default_log_grid, goldie_constant_direct,  # noqa: F401
                     goldie_constant_perpetuity, grey_constants, hill,
                     hill_depth, log_factor_regression, log_grid_depth)
-from .tilting import (SnapshotMoments, clt_constant, estimate_coupling_rate,
-                      estimate_coupling_weight)
+from .tilting import (SnapshotMoments, _gaussian_constant,
+                      clt_constant,  # noqa: F401
+                      estimate_coupling_rate, estimate_coupling_weight,
+                      tilted_offdiag_moments)
 
 SCHEMA_VERSION = 1
 
@@ -150,6 +152,14 @@ class AsymptoticPrediction:
 # Prediction dispatch
 # ---------------------------------------------------------------------------
 
+def _joined_seed(*constants) -> str:
+    """The distinct seeds of the estimates among constants, in order,
+    joined by '+'."""
+    seeds = dict.fromkeys(c.seed for c in constants
+                          if isinstance(c, EstimateWithError) and c.seed)
+    return "+".join(seeds)
+
+
 def _product_estimate(pairs: list[tuple]) -> EstimateWithError:
     """Sum of products of independent estimates, first-order error."""
     value = 0.0
@@ -161,7 +171,8 @@ def _product_estimate(pairs: list[tuple]) -> EstimateWithError:
         value += av * bv
         var += (ase * bv) ** 2 + (av * bse) ** 2
         n = max(n, getattr(a, "n_samples", 0), getattr(b, "n_samples", 0))
-    return EstimateWithError(value, math.sqrt(var), n)
+    return EstimateWithError(value, math.sqrt(var), n,
+                             _joined_seed(*(c for pair in pairs for c in pair)))
 
 
 def _scale_estimate(c, factor: float):
@@ -346,8 +357,9 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             nmax = max(nmax, wp.n_samples)
             if bound(i) < 1e-4 * max(sum_p + sum_m, 1e-300):
                 break
-        cp = EstimateWithError(sum_p, math.sqrt(var_p), nmax)
-        cm = EstimateWithError(sum_m, math.sqrt(var_m), nmax)
+        seed = study.final().plus.seed
+        cp = EstimateWithError(sum_p, math.sqrt(var_p), nmax, seed)
+        cm = EstimateWithError(sum_m, math.sqrt(var_m), nmax, seed)
         return AsymptoticPrediction(alpha2, 0.0, cp, cm, case,
                                     "rv_noise_weight_series",
                                     ell_scale=b2.scale ** alpha2)
@@ -357,9 +369,14 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         c2p, c2m = _coord2_goldie(model, report, constant_samples,
                                   rng.substream(5))
         if case == CASE_EQUAL_DIAG_ZERO_DRIFT:
-            cc = clt_constant(model, alpha, rng=rng.substream(6))
+            # the report's drift test decided the case; this draw gives
+            # only the dispersion, so a second test cannot overrule it
+            _, second = tilted_offdiag_moments(model, alpha,
+                                               rng=rng.substream(6))
+            cc = _gaussian_constant(model, alpha, _const_value(second))
             c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
             c = _scale_estimate(c2, cc / 2.0)
+            c = replace(c, seed=_joined_seed(c, second))
             return AsymptoticPrediction(alpha, alpha / 2.0, c, c, case,
                                         "gaussian_limit_constant")
         drift = report.offdiag_drift
@@ -693,13 +710,12 @@ def builtin_scenarios(quick: bool = False) -> list[ScenarioConfig]:
 
 
 def run_suite(quick: bool = False, out_dir: str | Path = "trisre_out",
-              workers: int | None = None,
-              formats: tuple[str, ...] = ("json", "csv")) -> list[ScenarioReport]:
+              workers: int | None = None) -> list[ScenarioReport]:
     reports = []
     out = Path(out_dir)
     for config in builtin_scenarios(quick):
         report = run_scenario(config, workers=workers)
-        emit_report(report, out, formats)
+        emit_report(report, out)
         reports.append(report)
     summary = {
         "schema": SCHEMA_VERSION,

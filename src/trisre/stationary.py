@@ -1,4 +1,5 @@
-"""Stationary solution sampling and the scalar perpetuity.
+"""Stationary solution sampling and the step sources of the tail-constant
+scans.
 
 The stationary law is reached by long chains run forward from zero. The
 truncation depth comes from an explicit epsilon-moment bound on what a
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -214,16 +214,8 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
 
 
 # ---------------------------------------------------------------------------
-# Univariate perpetuity and the step sources of the tail-constant scans
+# Step sources of the tail-constant scans
 # ---------------------------------------------------------------------------
-
-def univariate_model(a_law: dist.Dist, b_law: dist.Dist) -> TriangularSRE:
-    """Embed a scalar recursion as the first coordinate of a degenerate
-    bivariate model (zero off-diagonal, zero second coordinate)."""
-    return mod.IndependentEntries(a11=a_law, a12=dist.Constant(0.0),
-                                  a22=dist.Constant(0.0), b1=b_law,
-                                  b2=dist.Constant(0.0))
-
 
 def law_steps(a_law: dist.Dist, b_law: dist.Dist):
     """Step source of x = a x + b with independent (A, B), A drawn first:
@@ -246,34 +238,3 @@ def coord1_steps(model: TriangularSRE):
             x2 = batch.a22 * x2 + batch.b2
 
     return steps
-
-
-def _perpetuity_sums(steps, depth: int, m: int, rng: RngStream,
-                     workers: int | None = None) -> np.ndarray:
-    """m draws of the depth-step recursion x = a x + b, run from zero.
-
-    steps is a step source of i.i.d. (a, b), fresh for each chunk, so this
-    has the law of the backward partial sum
-    B_1 + A_1 B_2 + ... + A_1...A_{depth-1} B_depth, with step s using the
-    draws of lag depth - s.
-    """
-    out = np.empty(m)
-
-    def chunk(paths, sub):
-        size = paths.stop - paths.start
-        x = np.zeros(size)
-        for a, b in islice(steps(size, sub), depth):
-            x = a * x + b
-        out[paths] = x
-
-    map_chunks(m, CHUNK, chunk, rng, workers)
-    return out
-
-
-def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,
-                            m: int, rng: RngStream,
-                            workers: int | None = None) -> np.ndarray:
-    """m stationary draws of the scalar recursion X = A X' + B, truncated
-    at the depth certified for the embedded bivariate model."""
-    depth, _ = truncation_depth(univariate_model(a_law, b_law), tol)
-    return _perpetuity_sums(law_steps(a_law, b_law), depth, m, rng, workers)

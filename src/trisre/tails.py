@@ -31,8 +31,11 @@ from .tilting import CouplingRate, _scan_factors, _study_from_pairs
 
 
 CONVENTIONS = ("absolute", "positive", "negative")
-# the lower quantile of default_log_grid, which sets how deep its reads go
+# default_log_grid's points and its lower and upper quantiles; the lower
+# one sets how deep its reads go (log_grid_depth)
+LOG_GRID_POINTS = 20
 LOG_GRID_LO_Q = 0.90
+LOG_GRID_HI_Q = 0.9999
 
 
 def _convention(samples: np.ndarray, convention: str) -> np.ndarray:
@@ -227,9 +230,9 @@ def hill_depth(n: int) -> int:
 
 
 def log_grid_depth(n: int) -> int:
-    """Top order statistics that default_log_grid reads at its default
-    lo_q, LOG_GRID_LO_Q, for n samples, and with them ccdf at every point
-    of its grid."""
+    """Top order statistics that default_log_grid reads at its lower
+    quantile, LOG_GRID_LO_Q, for n samples, and with them ccdf at every
+    point of its grid."""
     return n - min(int(LOG_GRID_LO_Q * (n - 1)), n - 2)
 
 
@@ -296,10 +299,9 @@ def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
     return EstimateWithError(a, se, k)
 
 
-def default_log_grid(tail: EmpiricalTail, points: int = 20,
-                     lo_q: float = LOG_GRID_LO_Q,
-                     hi_q: float = 0.9999) -> np.ndarray:
-    """Geometric grid between the lo_q and hi_q empirical quantiles."""
+def default_log_grid(tail: EmpiricalTail) -> np.ndarray:
+    """Geometric grid of LOG_GRID_POINTS points between the LOG_GRID_LO_Q
+    and LOG_GRID_HI_Q empirical quantiles."""
     n = tail.count
 
     def quantile(q: float) -> float:
@@ -310,10 +312,10 @@ def default_log_grid(tail: EmpiricalTail, points: int = 20,
         upper, lower = tail.top(n - i)[-2:]
         return float(lower + (pos - i) * (upper - lower))
 
-    lo, hi = quantile(lo_q), quantile(hi_q)
+    lo, hi = quantile(LOG_GRID_LO_Q), quantile(LOG_GRID_HI_Q)
     if not (lo > 0 and hi > lo):
         raise InsufficientSupport("tail quantiles do not span a positive range")
-    return np.geomspace(lo, hi, points)
+    return np.geomspace(lo, hi, LOG_GRID_POINTS)
 
 
 def log_factor_regression(tail: EmpiricalTail, alpha: float,

@@ -32,7 +32,6 @@ from .errors import (RegimeMismatch, RequiresEqualDiagonal, RequiresExactTilt,
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .model import EqualDiagonal, ProportionalToDiagonal, TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
-from .stationary import _perpetuity_sums
 
 _MIN_ESS = 100.0
 _CRITICAL_BAND = 1e-6
@@ -434,10 +433,20 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
     return m1.estimate(rng.describe()), m2.estimate(rng.describe())
 
 
+def _gaussian_constant(model: TriangularSRE, alpha: float,
+                       sigma2: float) -> float:
+    """sigma^alpha rho1^{-alpha/2} E|N|^alpha for the dispersion sigma2."""
+    d1, _ = mod.diag_laws(model)
+    rho1 = dist.abs_moment_derivative(d1, alpha)
+    return sigma2 ** (alpha / 2.0) * rho1 ** (-alpha / 2.0) \
+        * dist.abs_normal_moment(alpha)
+
+
 def clt_constant(model: TriangularSRE, alpha: float,
                  rng: RngStream | None = None) -> float:
     """Gaussian-limit constant sigma^alpha rho1^{-alpha/2} E|N|^alpha for
-    the zero-drift equal-diagonal case."""
+    the zero-drift equal-diagonal case; raises RequiresMuZero when the
+    drift of its own draw is not consistent with zero."""
     drift, second = tilted_offdiag_moments(model, alpha, rng=rng)
     if isinstance(drift, EstimateWithError):
         if abs(drift.value) > 3.0 * drift.se:
@@ -449,19 +458,4 @@ def clt_constant(model: TriangularSRE, alpha: float,
         if drift != 0.0:
             raise RequiresMuZero(f"off-diagonal drift {drift:.4g} != 0")
         sigma2 = second
-    d1, _ = mod.diag_laws(model)
-    rho1 = dist.abs_moment_derivative(d1, alpha)
-    return sigma2 ** (alpha / 2.0) * rho1 ** (-alpha / 2.0) \
-        * dist.abs_normal_moment(alpha)
-
-
-def perpetuity_sample_batch(model: TriangularSRE, alpha: float, n: int,
-                            m: int, rng: RngStream) -> np.ndarray:
-    """m draws of the depth-n partial sum of the reweighted ratio
-    perpetuity (term i carries i-1 ratio factors), run as the forward
-    recursion x = v x + u from zero. Raw step weights give no sample of
-    the reweighted law, so a22 must be exactly tiltable."""
-    if _tilted_a22(model, alpha) is None:
-        raise RequiresExactTilt("perpetuity samples need an exactly "
-                                "tiltable second diagonal law")
-    return _perpetuity_sums(_vu_steps(model, alpha), n, m, rng)
+    return _gaussian_constant(model, alpha, sigma2)

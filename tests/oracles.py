@@ -1,6 +1,7 @@
 """Test oracles: slow or brute-force references and test-only samplers
 that the library does not use."""
 import math
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,15 @@ from scipy.optimize import brentq
 from trisre import distributions as dist
 from trisre import regime
 from trisre.distributions import abs_moment
+from trisre.errors import RequiresExactTilt
 from trisre.estimates import EstimateWithError
-from trisre.model import TriangularSRE, draw_innovations, step_batch
+from trisre.model import (IndependentEntries, TriangularSRE, draw_innovations,
+                          step_batch)
 from trisre.rng import CHUNK, RngStream, map_chunks
-from trisre.stationary import (_first_depth, _perpetuity_sums,
-                               contraction_exponent, sample_perpetuity_batch,
-                               truncation_depth, univariate_model)
+from trisre.stationary import (_first_depth, contraction_exponent, law_steps,
+                               truncation_depth)
 from trisre.tails import goldie_constant_direct
+from trisre.tilting import _tilted_a22, _vu_steps
 
 _EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
 
@@ -117,6 +120,57 @@ def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],
     return w1, w2
 
 
+def univariate_model(a_law: dist.Dist, b_law: dist.Dist) -> TriangularSRE:
+    """Embed a scalar recursion as the first coordinate of a degenerate
+    bivariate model (zero off-diagonal, zero second coordinate)."""
+    return IndependentEntries(a11=a_law, a12=dist.Constant(0.0),
+                              a22=dist.Constant(0.0), b1=b_law,
+                              b2=dist.Constant(0.0))
+
+
+def _perpetuity_sums(steps, depth: int, m: int, rng: RngStream,
+                     workers: int | None = None) -> np.ndarray:
+    """m draws of the depth-step recursion x = a x + b, run from zero.
+
+    steps is a step source of i.i.d. (a, b), fresh for each chunk, so this
+    has the law of the backward partial sum
+    B_1 + A_1 B_2 + ... + A_1...A_{depth-1} B_depth, with step s using the
+    draws of lag depth - s.
+    """
+    out = np.empty(m)
+
+    def chunk(paths, sub):
+        size = paths.stop - paths.start
+        x = np.zeros(size)
+        for a, b in islice(steps(size, sub), depth):
+            x = a * x + b
+        out[paths] = x
+
+    map_chunks(m, CHUNK, chunk, rng, workers)
+    return out
+
+
+def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,
+                            m: int, rng: RngStream,
+                            workers: int | None = None) -> np.ndarray:
+    """m stationary draws of the scalar recursion X = A X' + B, truncated
+    at the depth certified for the embedded bivariate model."""
+    depth, _ = truncation_depth(univariate_model(a_law, b_law), tol)
+    return _perpetuity_sums(law_steps(a_law, b_law), depth, m, rng, workers)
+
+
+def perpetuity_sample_batch(model: TriangularSRE, alpha: float, n: int,
+                            m: int, rng: RngStream) -> np.ndarray:
+    """m draws of the depth-n partial sum of the reweighted ratio
+    perpetuity (term i carries i-1 ratio factors), run as the forward
+    recursion x = v x + u from zero. Raw step weights give no sample of
+    the reweighted law, so a22 must be exactly tiltable."""
+    if _tilted_a22(model, alpha) is None:
+        raise RequiresExactTilt("perpetuity samples need an exactly "
+                                "tiltable second diagonal law")
+    return _perpetuity_sums(_vu_steps(model, alpha), n, m, rng)
+
+
 def sample_pair_perpetuity_batch(steps, a_law: dist.Dist, tol: float,
                                  m: int, rng: RngStream) -> np.ndarray:
     """Stationary draws of X = A X' + B for jointly sampled i.i.d. (A, B)
@@ -201,6 +255,66 @@ def coord1_window_bias(model: TriangularSRE, n: int) -> float:
     h = n // 2
     growth = (second[n] - second[h]) / (n - h)
     return growth / (2 * coord1_goldie_sum(model)) - 1
+
+
+def coord2_kg_constant(model: TriangularSRE) -> float:
+    """c+ of the first coordinate at alpha2 = 2 when the second dominates
+    (E a22^2 = 1), for positive independent entries and b2 >= 0; c- is 0.
+
+    W1 inherits W2's tail through the cross sum, so c+ = c2 E_t[X^2]:
+    - c2 is W2's Goldie constant, E[(a22 W2 + b2)^2 - (a22 W2)^2] /
+      (2 rho2) = (2 E[a22] E[b2] E[W2] + E[b2^2]) / (2 rho2), with
+      E[W2] = E[b2] / (1 - E[a22]) and rho2 = E[a22^2 log a22].
+    - X = V X' + U is the ratio perpetuity, V = a11/a22 and U = a12/a22,
+      under the tilt E_t[f] = E[a22^2 f] (E a22^2 = 1). The tilt cancels
+      a22 from the moments: E_t V = E a11 E a22, E_t V^2 = E a11^2,
+      E_t U = E a12 E a22, E_t U^2 = E a12^2 and E_t UV = E a11 E a12.
+    - X' is independent of (V, U), so E_t X = E_t U / (1 - E_t V) and
+      E_t X^2 = (E_t U^2 + 2 E_t[UV] E_t X) / (1 - E_t V^2).
+    """
+    e, m = dist.mean, model
+
+    def e2(law):
+        return abs_moment(law, 2.0)
+
+    ew2 = e(m.b2) / (1 - e(m.a22))
+    c2 = ((2 * e(m.a22) * e(m.b2) * ew2 + e2(m.b2))
+          / (2 * dist.abs_moment_derivative(m.a22, 2.0)))
+    ex = e(m.a12) * e(m.a22) / (1 - e(m.a11) * e(m.a22))
+    ex2 = (e2(m.a12) + 2 * e(m.a11) * e(m.a12) * ex) / (1 - e2(m.a11))
+    return c2 * ex2
+
+
+def coord2_grey_weight_sum(model: TriangularSRE) -> float:
+    """sum_{k >= 1} E[(A_1...A_k)_12^2] for independent entries: the
+    alpha2 = 2 weight series of the second-grey case. With positive
+    entries and b2 two-sided Pareto with weights (p, q), W1's constants
+    are c+ = p times this sum and c- = q times it.
+
+    For P_k = P_{k-1} A_k, (P_k)_11 = (P_{k-1})_11 a11 and (P_k)_12 =
+    (P_{k-1})_11 a12 + (P_{k-1})_12 a22, with A_k independent of P_{k-1}.
+    So x = E[P11^2], y = E[P11 P12] and z = E[P12^2] follow the linear
+    recursion
+        x' = E[a11^2] x,
+        y' = E[a11] E[a12] x + E[a11] E[a22] y,
+        z' = E[a12^2] x + 2 E[a12] E[a22] y + E[a22^2] z,
+    from P_0 = I (x = 1, y = z = 0). The terms contract at
+    max(E a11^2, E a22^2) per step, 0.36 for the built-in model, so 400
+    terms reach double precision with a wide margin."""
+    e, m = dist.mean, model
+
+    def e2(law):
+        return abs_moment(law, 2.0)
+
+    x, y, z = 1.0, 0.0, 0.0
+    total = 0.0
+    for _ in range(400):
+        x, y, z = (e2(m.a11) * x,
+                   e(m.a11) * e(m.a12) * x + e(m.a11) * e(m.a22) * y,
+                   e2(m.a12) * x + 2 * e(m.a12) * e(m.a22) * y
+                   + e2(m.a22) * z)
+        total += z
+    return total
 
 
 def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:

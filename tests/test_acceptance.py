@@ -18,7 +18,8 @@ from trisre.cli import main as cli_main
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
 
 from oracles import (combined_se, goldie_constant_direct_for_laws,
-                     lognormal_ratio_log_drift, sample_pair_perpetuity_batch)
+                     lognormal_ratio_log_drift, perpetuity_sample_batch,
+                     sample_pair_perpetuity_batch, sample_perpetuity_batch)
 
 
 def _report(line: str) -> None:
@@ -49,8 +50,8 @@ def test_c01_tail_index_solver_and_derivative():
 
 def test_c02_univariate_tail_reproduction():
     t0 = time.time()
-    x = t.sample_perpetuity_batch(Lognormal(-1, 1), Constant(1.0), 1e-8,
-                                  1_000_000, t.RngStream(20_101))
+    x = sample_perpetuity_batch(Lognormal(-1, 1), Constant(1.0), 1e-8,
+                                1_000_000, t.RngStream(20_101))
     tail = EmpiricalTail(x, "positive")
     est = hill(tail, 10_000)
     band = max(4 * est.se, 0.2)
@@ -224,7 +225,7 @@ def test_c07_coupling_rate_convergence_and_tail_cross_check():
     # x^{-alpha} here, dimensionally inconsistent with a tail constant;
     # the x^{+alpha} reading is implemented (see README).
     drift = lognormal_ratio_log_drift(model, alpha)
-    x0 = t.perpetuity_sample_batch(model, alpha, 80, 400_000, rng.substream(3))
+    x0 = perpetuity_sample_batch(model, alpha, 80, 400_000, rng.substream(3))
     q = float(np.quantile(np.abs(x0), 0.999))
     p_tail = float(np.mean(np.abs(x0) > q))
     cross = drift * p_tail * q ** alpha

@@ -18,7 +18,8 @@ from trisre.tails import CONVENTIONS, TailSelection
 
 from oracles import (cross_sum_brute, cross_sum_scan, iterate_forward,
                      sample_cross_sum_batch, sample_pair_perpetuity_batch,
-                     stationary_parts)
+                     sample_perpetuity_batch, stationary_parts,
+                     univariate_model)
 
 
 def constant_model(a11, a12, a22, b1, b2):
@@ -176,8 +177,8 @@ def test_perpetuity_batch_equals_embedded_stationary_first_coordinate(
     # the scalar sampler skips the bivariate truncated series, but the
     # embedded model's zero entries draw nothing, so the draws and the
     # output are the same
-    x = t.sample_perpetuity_batch(a_law, b_law, 1e-8, m, t.RngStream(6))
-    own, cross, _ = stationary_parts(t.univariate_model(a_law, b_law), 1e-8,
+    x = sample_perpetuity_batch(a_law, b_law, 1e-8, m, t.RngStream(6))
+    own, cross, _ = stationary_parts(univariate_model(a_law, b_law), 1e-8,
                                      m, t.RngStream(6))
     np.testing.assert_array_equal(x, own + cross)
 
@@ -193,8 +194,8 @@ def test_zero_path_batches_are_empty_with_depth_and_bound_set():
     full = t.sample_stationary_batch(m, 1e-8, 10, t.RngStream(1))
     assert batch.truncation_depth == full.truncation_depth
     assert batch.truncation_bound == full.truncation_bound
-    x = t.sample_perpetuity_batch(Lognormal(-1, 1), Constant(1.0), 1e-8, 0,
-                                  t.RngStream(1))
+    x = sample_perpetuity_batch(Lognormal(-1, 1), Constant(1.0), 1e-8, 0,
+                                t.RngStream(1))
     assert x.shape == (0,)
 
 

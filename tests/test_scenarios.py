@@ -10,21 +10,23 @@ import numpy as np
 import pytest
 
 import trisre as t
-from trisre import (Constant, EqualDiagonal, IndependentEntries, Lognormal,
-                    Normal, ProportionalToDiagonal, SignedLognormal,
-                    TwoSidedPareto)
+from trisre import (Constant, EqualDiagonal, IndependentEntries,
+                    IndependentOffDiagonal, Lognormal, Normal,
+                    ProportionalToDiagonal, SignedLognormal, TwoSidedPareto)
 from trisre.cli import main as cli_main
-from trisre.errors import RegimeMismatch, UnsupportedRegime
+from trisre.errors import RegimeMismatch, RequiresMuZero, UnsupportedRegime
+from trisre.estimates import EstimateWithError
 from trisre.rng import CHUNK
 from trisre.stationary import CHAIN_LENGTH, CHAINS_PER_CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
                               _hill_block, _log_factor_fit,
                               _tail_constant_fit, builtin_scenarios,
                               emit_report, load_config, predict, run_scenario,
-                              scenario_prediction)
+                              scenario_prediction, scenario_regime)
 from trisre.tails import CONVENTIONS, EmpiricalTail, hill_depth
 
-from oracles import coord1_goldie_sum, goldie_constant_direct_for_laws
+from oracles import (coord1_goldie_sum, coord2_grey_weight_sum,
+                     coord2_kg_constant, goldie_constant_direct_for_laws)
 
 
 def test_predict_rejects_degenerate_offdiagonal():
@@ -94,6 +96,35 @@ def test_predict_equal_diag_zero_drift_combines_factors():
     # clt factor is exactly 1 here, so c_+ = c_2/2
     assert pred.c_plus.value == pytest.approx(pred.c_minus.value)
     assert pred.c_plus.value > 0
+
+
+def test_predict_zero_drift_takes_the_case_from_the_report():
+    # classify's drift estimate reads 0.00036 +- 0.00099 at seed 16, so
+    # the case is zero drift; predict's own draw (substream 6) reads
+    # 0.0031 +- 0.0010, which clt_constant's guard rejects. predict takes
+    # only the dispersion from it: sigma^2 = 1 and rho1 = 1 make the
+    # constant half of W2's Goldie constant 2.041494
+    m = EqualDiagonal(d=Lognormal(-1, 1),
+                      a12_mode=IndependentOffDiagonal(Normal(0, 1)),
+                      b1=Constant(1.0), b2=Constant(1.0))
+    config = ScenarioConfig(name="zero_drift_mc", model=m,
+                            constant_samples=1000, seed=16)
+    report = scenario_regime(config)
+    assert report.theorem_case == "equal_diag_zero_drift"
+    pred = scenario_prediction(config, report)
+    assert pred.constant_formula == "gaussian_limit_constant"
+    assert pred.c_plus == pred.c_minus
+    assert abs(pred.c_plus.value - 2.041494 / 2) <= 4 * pred.c_plus.se
+    with pytest.raises(RequiresMuZero):
+        t.clt_constant(m, 2.0, rng=t.RngStream(16).substream(2).substream(6))
+
+
+def test_every_estimated_builtin_constant_names_its_seed():
+    for config in builtin_scenarios(quick=True):
+        pred = scenario_prediction(config)
+        for c in (pred.c_plus, pred.c_minus):
+            if isinstance(c, EstimateWithError):
+                assert c.seed.startswith(f"seed={config.seed},"), config.name
 
 
 def test_predict_sign_dispatch_consistency():
@@ -166,6 +197,33 @@ def test_predict_coord1_builtin_matches_closed_form_at_four_seeds():
         assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se, seed
         assert pred.c_plus.se < 0.0246
         assert pred.c_minus.value == 0.0
+
+
+def test_predict_coord2_kg_builtin_matches_closed_form_at_three_seeds():
+    # W2's Goldie constant 2.04149 times E_t X^2 = 2.37163 of the tilted
+    # ratio perpetuity; positive entries make the negative part exactly 0
+    config = next(c for c in builtin_scenarios()
+                  if c.name == "coord2_dominant_kg")
+    exact = coord2_kg_constant(config.model)
+    assert exact == pytest.approx(4.84167, abs=1e-5)
+    for seed in (config.seed, 1, 2):
+        pred = scenario_prediction(dataclasses.replace(config, seed=seed))
+        assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se, seed
+        assert pred.c_minus.value == 0.0
+
+
+def test_predict_coord2_grey_builtin_matches_closed_form_at_three_seeds():
+    # b2's tail weights (0.7, 0.3) times the weight series 3.52631
+    config = next(c for c in builtin_scenarios()
+                  if c.name == "coord2_dominant_grey")
+    total = coord2_grey_weight_sum(config.model)
+    assert total == pytest.approx(3.52631, abs=1e-5)
+    p = config.model.b2.p_pos
+    for seed in (config.seed, 1, 2):
+        pred = scenario_prediction(dataclasses.replace(config, seed=seed))
+        assert abs(pred.c_plus.value - p * total) <= 4 * pred.c_plus.se, seed
+        assert abs(pred.c_minus.value - (1 - p) * total) \
+            <= 4 * pred.c_minus.se, seed
 
 
 def test_predict_coord1_signed_a11_halves_the_absolute_constant():

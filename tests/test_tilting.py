@@ -18,7 +18,7 @@ from trisre.estimates import EstimateWithError
 from trisre.tilting import _vu_steps
 
 from oracles import (combined_se, lognormal_ratio_log_drift,
-                     sample_cross_sum_batch)
+                     perpetuity_sample_batch, sample_cross_sum_batch)
 
 
 def tilt_benchmark():
@@ -289,13 +289,13 @@ def test_perpetuity_sample_geometric_and_degenerate():
                            a22=Constant(1.0), b1=Constant(0.0),
                            b2=Constant(0.0))
     for n in (1, 3, 10):
-        x = t.perpetuity_sample_batch(m, 2.0, n, 1, t.RngStream(16))[0]
+        x = perpetuity_sample_batch(m, 2.0, n, 1, t.RngStream(16))[0]
         assert x == pytest.approx(2.0 * (1 - 2.0 ** (-n)), rel=1e-12)
     # v = 0: the sum collapses to its first term
     m0 = IndependentEntries(a11=Constant(0.0), a12=Constant(0.7),
                             a22=Constant(1.0), b1=Constant(0.0),
                             b2=Constant(0.0))
-    assert t.perpetuity_sample_batch(m0, 2.0, 5, 1, t.RngStream(17))[0] == \
+    assert perpetuity_sample_batch(m0, 2.0, 5, 1, t.RngStream(17))[0] == \
         pytest.approx(0.7, rel=1e-15)
 
 
@@ -304,7 +304,7 @@ def test_perpetuity_sample_requires_exact_tilt():
                            a22=Uniform(0.1, 1.0), b1=Constant(0.0),
                            b2=Constant(0.0))
     with pytest.raises(RequiresExactTilt):
-        t.perpetuity_sample_batch(m, 2.0, 3, 1, t.RngStream(18))
+        perpetuity_sample_batch(m, 2.0, 3, 1, t.RngStream(18))
 
 
 def test_coupling_weight_weighted_fallback_for_untiltable_diagonal():
@@ -362,7 +362,7 @@ def test_coupling_rate_matches_tail_of_ratio_perpetuity():
                                     t.RngStream(22))
     drift = lognormal_ratio_log_drift(model, alpha)
     assert drift == pytest.approx(3.0, rel=1e-12)
-    x = t.perpetuity_sample_batch(model, alpha, 60, 400_000, t.RngStream(24))
+    x = perpetuity_sample_batch(model, alpha, 60, 400_000, t.RngStream(24))
     q = np.quantile(np.abs(x), 0.999)
     p_tail = float(np.mean(np.abs(x) > q))
     cross = drift * p_tail * q ** alpha
@@ -420,7 +420,7 @@ def test_perpetuity_sample_mean_matches_closed_form():
     exact = 0.0
     for _ in range(n):
         exact = ev * exact + eu
-    x = t.perpetuity_sample_batch(model, alpha, n, 200_000, t.RngStream(34))
+    x = perpetuity_sample_batch(model, alpha, n, 200_000, t.RngStream(34))
     assert abs(x.mean() - exact) <= 4 * x.std() / math.sqrt(x.size)
 
 
