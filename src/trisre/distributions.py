@@ -144,11 +144,12 @@ def sample(spec: Dist, rng: RngStream, size: int | None = None):
     elif isinstance(spec, Normal):
         out = g.normal(spec.mean, spec.sd, size=n)
     elif isinstance(spec, Lognormal):
-        out = np.exp(g.normal(spec.mu, spec.sigma, size=n))
+        out = g.normal(spec.mu, spec.sigma, size=n)
+        np.exp(out, out=out)
     elif isinstance(spec, SignedLognormal):
-        mag = np.exp(g.normal(spec.mu, spec.sigma, size=n))
-        sign = np.where(g.random(n) < spec.p_pos, 1.0, -1.0)
-        out = sign * mag
+        out = g.normal(spec.mu, spec.sigma, size=n)
+        np.exp(out, out=out)
+        out *= np.where(g.random(n) < spec.p_pos, 1.0, -1.0)
     elif isinstance(spec, TwoSidedPareto):
         mag = spec.scale * g.random(n) ** (-1.0 / spec.alpha)
         sign = np.where(g.random(n) < spec.p_pos, 1.0, -1.0)

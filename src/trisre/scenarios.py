@@ -376,6 +376,12 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             cc = _gaussian_constant(model, alpha, _const_value(second))
             c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
             c = _scale_estimate(c2, cc / 2.0)
+            if isinstance(second, EstimateWithError):
+                # the constant scales as sigma2^(alpha/2): by the delta
+                # method a Monte Carlo dispersion adds alpha/2 times its
+                # relative SE to the constant's
+                rel = alpha / 2.0 * second.se / second.value
+                c = replace(c, se=math.hypot(c.se, c.value * rel))
             c = replace(c, seed=_joined_seed(c, second))
             return AsymptoticPrediction(alpha, alpha / 2.0, c, c, case,
                                         "gaussian_limit_constant")

@@ -174,11 +174,14 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
             rows2[chains, steps] = x2.T
     else:
         def fold(chains, first, x1, x2):
-            ids = np.arange(chains.start, chains.stop, dtype=np.int32)
-            # the last chain keeps only its share of the m values
-            kept = (first + np.arange(len(x1)))[:, None] < sizes[chains]
-            ids = np.broadcast_to(ids, x1.shape)[kept]
-            x1, x2 = x1[kept], x2[kept]
+            ids = np.broadcast_to(np.arange(chains.start, chains.stop,
+                                            dtype=np.int32), x1.shape)
+            if chains.stop == count and first + len(x1) > sizes[-1]:
+                # the last chain keeps only its share of the m values
+                kept = (first + np.arange(len(x1)))[:, None] < sizes[chains]
+                ids, x1, x2 = ids[kept], x1[kept], x2[kept]
+            else:
+                ids = ids.ravel()
             for selection in tails["w1"]:
                 selection.add(x1, ids)
             for selection in tails["w2"]:

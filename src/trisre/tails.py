@@ -2,10 +2,10 @@
 
 Covers the survival function, the Hill estimator and the depth of the
 top order statistics each reads (so a stream of samples can be folded
-into just those, chunk by chunk, in a TailSelection), their SEs, which
-are clustered by chain for samples drawn in dependent chains, the
-regression that
-extracts a log-power slowly varying factor, and two independent routes to
+into just those, chunk by chunk, in a TailSelection of float64 values
+and int32 chain ids), their SEs, which are clustered by chain for
+samples drawn in dependent chains, the regression that extracts a
+log-power slowly varying factor, and two independent routes to
 the tail constant of a recursion X = A X' + B: the perpetuity partial-sum
 limit, a scan over a step source of (A, B) with finite variance, which
 predict uses for every Kesten-Goldie constant, and the implicit-renewal
@@ -50,15 +50,37 @@ def _convention(samples: np.ndarray, convention: str) -> np.ndarray:
     raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
-def _keys(values: np.ndarray, chains: np.ndarray | None) -> np.ndarray:
-    """Complex sort keys value + i chain: numpy orders complex numbers by
-    real part, then imaginary part, so one sort or partition orders by
-    (value, chain id), and ties of value break the same way whatever the
-    order the values came in."""
-    keys = np.empty(values.size, dtype=complex)
-    keys.real = values
-    keys.imag = 0.0 if chains is None else chains
-    return keys
+def _sort(values: np.ndarray, ids: np.ndarray) -> None:
+    """Sort values ascending in place, ties of value ranked by chain id,
+    and ids with them: one float sort, and a lexsort only when two sorted
+    values tie, so ties break the same way whatever the order the values
+    came in."""
+    order = np.argsort(values)
+    values[:] = values[order]
+    if np.any(values[1:] == values[:-1]):
+        tied = np.lexsort((ids[order], values))
+        order = order[tied]
+        values[:] = values[tied]
+    ids[:] = ids[order]
+
+
+def _kept(values: np.ndarray, ids: np.ndarray | None,
+          keep: int) -> tuple[np.ndarray, float]:
+    """Mask of the keep largest of more than keep values, ties of value
+    ranked by chain id (any of the tied values when ids is None), and the
+    least of them."""
+    cut = values.size - keep
+    floor = np.partition(values, cut)[cut]
+    kept = values >= floor
+    extra = np.count_nonzero(kept) - keep
+    if extra:
+        # the floor value repeats on both sides of the cut: drop the
+        # repeats of the least chain ids
+        tied = np.flatnonzero(values == floor)
+        if ids is not None:
+            tied = tied[np.argsort(ids[tied], kind="stable")]
+        kept[tied[:extra]] = False
+    return kept, floor
 
 
 @dataclass
@@ -71,14 +93,15 @@ class EmpiricalTail:
     sample size n. Built from samples, the tail keeps all n values;
     TailSelection.tail keeps only the top values.size of them, and every
     read that would need a deeper order statistic raises ValueError.
+    values is the reversed view of one contiguous ascending float64
+    buffer, which ccdf searches.
 
     For a sample drawn in independent chains of dependent values, chains
-    holds the chain id of each kept value (ties of value sorted by id)
-    and chain_sizes the number of samples of each chain, by id; both are
-    None for independent samples. hill and ccdf_se then give SEs
-    clustered by chain. values and chains are then views of the sorted
-    complex keys value + i chain (see _keys), so the ids are integral
-    floats and the tail holds 16 bytes per kept value."""
+    holds the int32 chain id of each kept value (ties of value sorted by
+    id, the same way whatever the order of the samples) and chain_sizes
+    the number of samples of each chain, by id; both are None for
+    independent samples. hill and ccdf_se then give SEs clustered by
+    chain, and the tail holds 12 bytes per kept value."""
 
     values: np.ndarray
     convention: str
@@ -91,8 +114,8 @@ class EmpiricalTail:
         if samples.size < 2:
             raise ValueError("need at least 2 samples")
         data = _convention(samples, convention)
+        data = data.copy() if data is samples else data
         if chains is None:
-            data = data.copy() if data is samples else data
             data.sort()
             self._set(data, convention, samples.size)
             return
@@ -102,24 +125,26 @@ class EmpiricalTail:
                 or chains.min() < 0 or chains.max() > np.iinfo(np.int32).max):
             raise ValueError("chains must hold an int32 chain id >= 0 for "
                              "each sample")
-        keys = _keys(data, chains)
-        keys.sort()
-        self._set(keys, convention, samples.size, np.bincount(chains))
+        ids = chains.astype(np.int32)
+        _sort(data, ids)
+        self._set(data, convention, samples.size, ids, np.bincount(chains))
 
     @classmethod
     def _of(cls, ascending: np.ndarray, convention: str, count: int,
+            ids: np.ndarray | None = None,
             chain_sizes: np.ndarray | None = None) -> EmpiricalTail:
         """The tail of count samples whose top order statistics are the
-        sorted array ascending, held without a copy: values, or the keys
-        value + i chain of chained samples of chain_sizes."""
+        sorted array ascending, held without a copy, with the chain ids
+        of chained samples of chain_sizes."""
         tail = cls.__new__(cls)
-        tail._set(ascending, convention, count, chain_sizes)
+        tail._set(ascending, convention, count, ids, chain_sizes)
         return tail
 
     def _set(self, ascending: np.ndarray, convention: str, count: int,
+             ids: np.ndarray | None = None,
              chain_sizes: np.ndarray | None = None) -> None:
-        self.values = ascending.real[::-1]
-        self.chains = ascending.imag[::-1] if chain_sizes is not None else None
+        self.values = ascending[::-1]
+        self.chains = None if ids is None else ids[::-1]
         self.convention = convention
         self.count = count
         self.chain_sizes = chain_sizes
@@ -141,13 +166,15 @@ class TailSelection:
     Ties of value break by chain id, so the kept values and ids do not
     depend on the order of the chunks (only which of +0.0 and -0.0 fills
     a tie within one chain can), and add takes a lock, so worker threads
-    may add their chunks as they finish them. The candidates sit in one
-    buffer of keep + keep // 4 + 1 (value, chain id) keys allocated up
-    front. When it is full, a partition in place trims it to the top
-    keep and sets a floor: keep candidates are at least the floor, so a
-    later value below it is dropped before it is copied. Past the first
-    few chunks, few values get that far, so adding allocates little
-    beyond the chunk's own size."""
+    may add their chunks as they finish them. The candidates sit in a
+    float64 value buffer and an int32 chain-id buffer of keep + keep // 4
+    + 1 slots each, allocated up front. When they are full, a float
+    partition of a copy of the values finds the floor, the keep-th
+    largest, and the kept candidates in the first slots move into the
+    gaps that the dropped ones leave in the last keep: keep candidates
+    are at least the floor, so a later value below it is dropped before
+    it is copied. Past the first few chunks, few values get that far, so
+    adding allocates little beyond the chunk's own size."""
 
     def __init__(self, convention: str, keep: int):
         if convention not in CONVENTIONS:
@@ -157,25 +184,27 @@ class TailSelection:
         self.convention = convention
         self.keep = keep
         self.count = 0
-        self._buf = np.empty(keep + keep // 4 + 1, dtype=complex)
-        self._size = 0  # the candidates are _buf[-_size:]
+        self._values = np.empty(keep + keep // 4 + 1)
+        self._ids = np.empty(self._values.size, dtype=np.int32)
+        self._size = 0  # the candidates are _values[-_size:], _ids[-_size:]
         self._floor = -np.inf
         self._chained = None  # whether the samples come with chain ids
-        self._taken = False  # tail() hands out the buffer
+        self._taken = False  # tail() hands out the buffers
         self._lock = threading.Lock()
 
     def add(self, samples: np.ndarray, chains: np.ndarray | None = None) -> None:
-        samples = np.asarray(samples, dtype=float)
+        samples = np.asarray(samples, dtype=float).ravel()
         data = _convention(samples, self.convention)
         # the floor only rises, so a read before the lock is safe
-        above = data >= self._floor
-        keys = _keys(data[above],
-                     None if chains is None else np.asarray(chains)[above])
+        above = np.flatnonzero(data >= self._floor)
+        values = data[above]
+        ids = None if chains is None else np.asarray(chains).ravel()[above]
         floor = -np.inf
-        if keys.size > self.keep:
-            keys.partition(keys.size - self.keep)
-            keys = keys[-self.keep:]
-            floor = keys[0].real
+        if values.size > self.keep:
+            kept, floor = _kept(values, ids, self.keep)
+            top = np.flatnonzero(kept)
+            values = values[top]
+            ids = None if ids is None else ids[top]
         with self._lock:
             if self._taken:
                 raise ValueError("the selection's tail was taken; it takes "
@@ -187,26 +216,38 @@ class TailSelection:
                                  "or none does")
             self.count += samples.size
             self._floor = max(self._floor, floor)
-            while keys.size:
-                if self._size == self._buf.size:
+            while values.size:
+                if self._size == self._values.size:
                     self._trim()
-                end = self._buf.size - self._size
-                n = min(keys.size, end)
-                self._buf[end - n:end] = keys[:n]
+                end = self._values.size - self._size
+                n = min(values.size, end)
+                self._values[end - n:end] = values[:n]
+                if ids is not None:
+                    self._ids[end - n:end] = ids[:n]
+                    ids = ids[n:]
                 self._size += n
-                keys = keys[n:]
+                values = values[n:]
 
     def _trim(self) -> None:
         if self._size > self.keep:
-            self._buf[-self._size:].partition(self._size - self.keep)
+            values = self._values[-self._size:]
+            ids = self._ids[-self._size:] if self._chained else None
+            kept, self._floor = _kept(values, ids, self.keep)
+            # the kept values ahead of the last keep slots fill the gaps
+            # that the dropped ones leave in them
+            cut = self._size - self.keep
+            src = np.flatnonzero(kept[:cut])
+            dst = cut + np.flatnonzero(~kept[cut:])
+            values[dst] = values[src]
+            if ids is not None:
+                ids[dst] = ids[src]
             self._size = self.keep
-            self._floor = self._buf[-self.keep].real
 
     def tail(self, chain_sizes: np.ndarray | None = None) -> EmpiricalTail:
         """The selection as an EmpiricalTail of count samples. Chained
         samples need chain_sizes, the number of samples of each chain by
-        id; their tail sorts the kept keys in place and holds the buffer,
-        so the selection takes no more samples after it."""
+        id. The tail sorts the kept values (and ids) in place and holds
+        the buffers, so the selection takes no more samples after it."""
         if self.count < 2:
             raise ValueError("need at least 2 samples")
         if self._chained != (chain_sizes is not None) or (
@@ -215,11 +256,13 @@ class TailSelection:
                              "chain exactly when they come with chain ids")
         self._trim()
         self._taken = True
-        keys = self._buf[-self._size:]
-        keys.sort()
+        values = self._values[-self._size:]
         if not self._chained:
-            keys = np.ascontiguousarray(keys.real)
-        return EmpiricalTail._of(keys, self.convention, self.count,
+            values.sort()
+            return EmpiricalTail._of(values, self.convention, self.count)
+        ids = self._ids[-self._size:]
+        _sort(values, ids)
+        return EmpiricalTail._of(values, self.convention, self.count, ids,
                                  chain_sizes)
 
 
@@ -242,8 +285,8 @@ def _exceedances(tail: EmpiricalTail, x: float) -> int:
     if values.size < tail.count and not values[-1] <= x:
         raise ValueError(f"ccdf at {x!r} is below the {values.size} kept "
                          f"order statistics of {tail.count}")
-    # a scan, not a binary search, which would copy strided values
-    return int(np.count_nonzero(values > x))
+    # values[::-1] is the contiguous ascending buffer
+    return values.size - int(np.searchsorted(values[::-1], x, side="right"))
 
 
 def ccdf(tail: EmpiricalTail, x: float) -> float:
@@ -263,7 +306,7 @@ def ccdf_se(tail: EmpiricalTail, x: float) -> float:
     if tail.chains is None:
         return math.sqrt(p * (1.0 - p) / n)
     sizes = tail.chain_sizes
-    residual = (np.bincount(tail.chains[:hits].astype(np.intp),
+    residual = (np.bincount(tail.chains[:hits],
                             minlength=sizes.size) - p * sizes)
     return math.sqrt(float(np.dot(residual, residual))) / n
 
@@ -293,7 +336,7 @@ def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
     if tail.chains is None:
         return EstimateWithError(a, a / math.sqrt(k), k)
     # a chain without exceedances adds 0 - alpha_hat * 0
-    chain = tail.chains[:k].astype(np.intp)
+    chain = tail.chains[:k]
     residual = np.bincount(chain) - a * np.bincount(chain, weights=logs)
     se = math.sqrt(float(np.dot(residual, residual))) / s
     return EstimateWithError(a, se, k)

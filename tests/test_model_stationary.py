@@ -226,10 +226,10 @@ def test_stationary_sampler_peak_is_two_outputs_plus_chunks_in_flight(workers):
 def test_stationary_tails_peak_is_the_kept_depths_plus_chunks_in_flight(
         workers):
     # a tails request folds each block of kept steps into the selections,
-    # so the traced peak is the selections' buffers (a 16-byte key of
-    # value and chain id for 1.25 times the kept values), which each tail
-    # sorts and keeps in place, plus the chunks in flight, with no term
-    # in m
+    # so the traced peak is the selections' buffers (12 bytes per slot, a
+    # float64 value and an int32 chain id, for 1.25 times the kept
+    # values), which each tail sorts and keeps in place, plus the chunks
+    # in flight, with no term in m
     model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
                                a22=Lognormal(-2, 1), b1=Normal(0, 1),
                                b2=Constant(1.0))
@@ -258,7 +258,7 @@ def test_stationary_tails_peak_is_the_kept_depths_plus_chunks_in_flight(
         for s in group:
             tail = batch.tails[coord][s.convention]
             assert tail.count == m and tail.values.size == s.keep
-    assert peak <= 20 * kept + workers * 20 * 8 * CHUNK
+    assert peak <= 16 * kept + workers * 20 * 8 * CHUNK
 
 
 def test_stationary_tails_are_the_tails_of_the_arrays():

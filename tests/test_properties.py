@@ -330,3 +330,35 @@ def test_selection_tails_read_as_the_full_sample(samples, conv, delta, cuts,
         for x in grid:
             check(0, t.ccdf, x)
         check(0, t.log_factor_regression, 1.7, grid)
+
+
+TIED_VALUES = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3000),
+       st.integers(1, 40), st.integers(2, 60),
+       st.sampled_from(t.tails.CONVENTIONS),
+       st.lists(st.integers(0, 3000), max_size=8),
+       st.randoms(use_true_random=False))
+def test_selection_ranks_tied_values_by_chain_id(seed, n, chains, keep, conv,
+                                                  cuts, order):
+    # few distinct values, so the floor value repeats across the cut of
+    # nearly every trim, and a keep smaller than most chunks, so both the
+    # chunk's own selection and the buffer's trims rank ties: added in
+    # random chunks in a random order, the tail is the top keep of the
+    # (value, chain id) order of the whole sample
+    g = t.RngStream(seed, 12).gen
+    samples = g.choice(TIED_VALUES, n)
+    ids = g.integers(0, chains, n).astype(np.int32)
+    pieces = np.split(np.arange(n), sorted(c % (n + 1) for c in cuts))
+    order.shuffle(pieces)
+    selection = t.tails.TailSelection(conv, keep)
+    for piece in pieces:
+        selection.add(samples[piece], ids[piece])
+    tail = selection.tail(np.bincount(ids))
+    data = {"absolute": np.abs(samples), "positive": samples,
+            "negative": -samples}[conv]
+    top = np.lexsort((ids, data))[::-1][:keep]
+    assert tail.chains.dtype == np.int32
+    np.testing.assert_array_equal(tail.values, data[top])
+    np.testing.assert_array_equal(tail.chains, ids[top])

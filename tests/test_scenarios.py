@@ -19,7 +19,7 @@ from trisre.estimates import EstimateWithError
 from trisre.rng import CHUNK
 from trisre.stationary import CHAIN_LENGTH, CHAINS_PER_CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
-                              _hill_block, _log_factor_fit,
+                              _coord2_goldie, _hill_block, _log_factor_fit,
                               _tail_constant_fit, builtin_scenarios,
                               emit_report, load_config, predict, run_scenario,
                               scenario_prediction, scenario_regime)
@@ -117,6 +117,33 @@ def test_predict_zero_drift_takes_the_case_from_the_report():
     assert abs(pred.c_plus.value - 2.041494 / 2) <= 4 * pred.c_plus.se
     with pytest.raises(RequiresMuZero):
         t.clt_constant(m, 2.0, rng=t.RngStream(16).substream(2).substream(6))
+
+
+def test_predict_zero_drift_carries_the_dispersion_se():
+    # the Gaussian-limit constant scales as sigma2^(alpha/2), so a Monte
+    # Carlo dispersion adds alpha/2 times its relative SE to the
+    # constant's, in quadrature with the SE that W2's constants give it
+    m = EqualDiagonal(d=Lognormal(-1, 1),
+                      a12_mode=IndependentOffDiagonal(Normal(0, 1)),
+                      b1=Constant(1.0), b2=Constant(1.0))
+    config = ScenarioConfig(name="zero_drift_mc", model=m,
+                            constant_samples=1000, seed=16)
+    report = scenario_regime(config)
+    pred = scenario_prediction(config, report)
+    rng = t.RngStream(16).substream(2)
+    _, second = t.tilted_offdiag_moments(m, report.alpha1,
+                                         rng=rng.substream(6))
+    assert isinstance(second, EstimateWithError) and second.se > 0
+    c2p, c2m = _coord2_goldie(m, report, 1000, rng.substream(5))
+    half = t.tilting._gaussian_constant(m, report.alpha1, second.value) / 2
+    c2_se = math.hypot(c2p.se, c2m.se) * half
+    rel = report.alpha1 / 2 * second.se / second.value
+    assert pred.c_plus.value == pytest.approx((c2p.value + c2m.value) * half,
+                                              rel=1e-12)
+    assert pred.c_plus.se == pytest.approx(
+        math.hypot(c2_se, pred.c_plus.value * rel), rel=1e-12)
+    assert pred.c_plus.se > c2_se * (1 + 1e-4)
+    assert pred.c_minus == pred.c_plus
 
 
 def test_every_estimated_builtin_constant_names_its_seed():
