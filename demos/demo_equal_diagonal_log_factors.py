@@ -31,6 +31,14 @@ study = t.coupling_sum_moments(drift, alpha, horizons, 1000, rng.substream(2))
 for snap in study.snapshots:
     print(f"  n={snap.k:5d}: {snap.absolute.value / snap.k ** 2:.6f}")
 
+
+
+def show(e: t.EstimateWithError) -> str:
+    """The value, with its SE unless the estimate is exact."""
+    return f"{e.value:.6g}" + (f" +- {e.se:.2g}" if e.se else "")
+
+
 mu, s2 = t.tilted_offdiag_moments(zero_drift, alpha)
-print(f"\nreweighted ratio moments, zero-drift model: mu={mu}, sigma^2={s2}")
+print(f"\nreweighted ratio moments, zero-drift model: mu={show(mu)}, "
+      f"sigma^2={show(s2)}")
 print("gaussian-limit constant:", t.clt_constant(zero_drift, alpha))

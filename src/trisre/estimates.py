@@ -1,4 +1,4 @@
-"""Monte Carlo point estimates with standard errors."""
+"""Point estimates with standard errors, and how errors propagate."""
 from __future__ import annotations
 
 import math
@@ -9,13 +9,44 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EstimateWithError:
+    """A Monte Carlo estimate, or a closed form: EstimateWithError(value)
+    is exact, with se = 0 from no samples and no seed."""
+
     value: float
-    se: float
-    n_samples: int
+    se: float = 0.0
+    n_samples: int = 0
     seed: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def exact(self) -> bool:
+        return self.n_samples == 0
+
+    def to_json(self) -> float | dict:
+        """An exact estimate is its bare number, any other the object
+        {value, se, n_samples, seed}."""
+        return self.value if self.exact else asdict(self)
+
+    def scaled(self, factor: float) -> EstimateWithError:
+        return EstimateWithError(self.value * factor, self.se * abs(factor),
+                                 self.n_samples, self.seed)
+
+
+def joined_seed(*estimates: EstimateWithError) -> str:
+    """The distinct seeds of the estimates, in order, joined by '+'."""
+    return "+".join(dict.fromkeys(e.seed for e in estimates if e.seed))
+
+
+def sum_of_products(pairs) -> EstimateWithError:
+    """sum a b over pairs (a, b) of independent estimates: the first-order
+    SE, the largest sample count and the joined seeds of the factors."""
+    value = var = 0.0
+    for a, b in pairs:
+        value += a.value * b.value
+        var += (a.se * b.value) ** 2 + (a.value * b.se) ** 2
+    factors = [e for pair in pairs for e in pair]
+    return EstimateWithError(value, math.sqrt(var),
+                             max(e.n_samples for e in factors),
+                             joined_seed(*factors))
 
 
 class RunningMoments:

@@ -17,7 +17,7 @@ from .errors import NoRoot, NotContractive
 from .estimates import EstimateWithError
 from .model import EqualDiagonal, TriangularSRE
 from .rng import RngStream
-from .tilting import tilted_offdiag_moments
+from .tilting import drift_is_zero, tilted_offdiag_moments
 
 _INDEX_TOL = 1e-10
 _INDEX_RTOL = 8.9e-16  # 4 machine epsilons, the smallest relative tolerance
@@ -171,7 +171,7 @@ class RegimeReport:
     sign_case: SignSummary
     checks: list[CheckResult] = field(default_factory=list)
     theorem_case: str = CASE_UNSUPPORTED
-    offdiag_drift: float | EstimateWithError | None = None
+    offdiag_drift: EstimateWithError | None = None
 
     def check(self, check_id: str) -> CheckResult:
         for c in self.checks:
@@ -180,7 +180,9 @@ class RegimeReport:
         raise KeyError(check_id)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        drift = self.offdiag_drift
+        return {**asdict(self),
+                "offdiag_drift": None if drift is None else drift.to_json()}
 
 
 def _coordinate_regime(a_law: Dist, b_law: Dist) -> tuple[str | None, float | None, str]:
@@ -349,7 +351,7 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
                                   "equal-index case"))
 
     # equal-diagonal case split: drift of the tilted off-diagonal ratio
-    drift: float | EstimateWithError | None = None
+    drift: EstimateWithError | None = None
     if relation == "equal_as" and a1_ok and sign.a22_no_zero_atom:
         drift, _ = tilted_offdiag_moments(model, alpha_common,
                                           rng=rng.substream(0xD61F7))
@@ -368,11 +370,8 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
                                     else CASE_COORD2_GREY)
         elif same_alpha and relation == "equal_as":
             if a1_ok and a2_ok and sign.a22_no_zero_atom and a4_ok:
-                if isinstance(drift, EstimateWithError):
-                    zero_drift = abs(drift.value) <= 3.0 * drift.se
-                else:
-                    zero_drift = drift is not None and drift == 0.0
-                theorem_case = (CASE_EQUAL_DIAG_ZERO_DRIFT if zero_drift
+                theorem_case = (CASE_EQUAL_DIAG_ZERO_DRIFT
+                                if drift_is_zero(drift)
                                 else CASE_EQUAL_DIAG_NONZERO_DRIFT)
         elif same_alpha and relation == "distinct":
             if a1_ok and a2_ok and sign.a22_no_zero_atom and a4_ok and a5_ok:

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import model as mod
 from . import tilting
 from .errors import (InsufficientSupport, RegimeMismatch, TrisreError,
                      UnsupportedRegime)
-from .estimates import EstimateWithError
+from .estimates import EstimateWithError, joined_seed, sum_of_products
 from .model import (EqualDiagonal, IndependentEntries, ProportionalToDiagonal,
                     TriangularSRE, model_from_dict, model_to_dict)
 from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
@@ -126,60 +126,26 @@ def load_config(path: str | Path) -> ScenarioConfig:
         return ScenarioConfig.from_dict(json.load(fh))
 
 
-def _const_value(c) -> float:
-    return c.value if isinstance(c, EstimateWithError) else float(c)
-
-
-def _const_se(c) -> float:
-    return c.se if isinstance(c, EstimateWithError) else 0.0
-
-
 @dataclass
 class AsymptoticPrediction:
     tail_index: float
     log_beta: float
-    c_plus: float | EstimateWithError
-    c_minus: float | EstimateWithError
+    c_plus: EstimateWithError
+    c_minus: EstimateWithError
     source: str
     constant_formula: str
     ell_scale: float = 1.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "c_plus": self.c_plus.to_json(),
+                "c_minus": self.c_minus.to_json()}
 
 
 # ---------------------------------------------------------------------------
 # Prediction dispatch
 # ---------------------------------------------------------------------------
 
-def _joined_seed(*constants) -> str:
-    """The distinct seeds of the estimates among constants, in order,
-    joined by '+'."""
-    seeds = dict.fromkeys(c.seed for c in constants
-                          if isinstance(c, EstimateWithError) and c.seed)
-    return "+".join(seeds)
-
-
-def _product_estimate(pairs: list[tuple]) -> EstimateWithError:
-    """Sum of products of independent estimates, first-order error."""
-    value = 0.0
-    var = 0.0
-    n = 0
-    for a, b in pairs:
-        av, ase = _const_value(a), _const_se(a)
-        bv, bse = _const_value(b), _const_se(b)
-        value += av * bv
-        var += (ase * bv) ** 2 + (av * bse) ** 2
-        n = max(n, getattr(a, "n_samples", 0), getattr(b, "n_samples", 0))
-    return EstimateWithError(value, math.sqrt(var), n,
-                             _joined_seed(*(c for pair in pairs for c in pair)))
-
-
-def _scale_estimate(c, factor: float):
-    if isinstance(c, EstimateWithError):
-        return EstimateWithError(c.value * factor, c.se * abs(factor),
-                                 c.n_samples, c.seed)
-    return float(c) * factor
+_ONE = EstimateWithError(1.0)
 
 
 def _inherited(c2p, c2m, w: SnapshotMoments, negative: bool,
@@ -188,13 +154,12 @@ def _inherited(c2p, c2m, w: SnapshotMoments, negative: bool,
     weights w: factor (c2+ w+- + c2- w-+) when no diagonal can be
     negative, else factor (c2+ + c2-) w_abs / 2 on each side."""
     if negative:
-        c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
-        c = _scale_estimate(_product_estimate([(c2, w.absolute)]),
-                            0.5 * factor)
+        c2 = sum_of_products([(c2p, _ONE), (c2m, _ONE)])
+        c = sum_of_products([(c2, w.absolute)]).scaled(0.5 * factor)
         return c, c
-    cp = _product_estimate([(c2p, w.plus), (c2m, w.minus)])
-    cm = _product_estimate([(c2p, w.minus), (c2m, w.plus)])
-    return _scale_estimate(cp, factor), _scale_estimate(cm, factor)
+    cp = sum_of_products([(c2p, w.plus), (c2m, w.minus)])
+    cm = sum_of_products([(c2p, w.minus), (c2m, w.plus)])
+    return cp.scaled(factor), cm.scaled(factor)
 
 
 def _window_bias(r: float, n: int, r_feed: float = 0.0) -> float:
@@ -287,7 +252,7 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         c = _goldie_scan(d1, coord1_steps(model), report.alpha1, report.rho1,
                          constant_samples, rng.substream(1), feed_law=d2)
         if report.sign_case.a11_negative_possible:
-            half = _scale_estimate(c.rate_windowed.absolute, 0.5)
+            half = c.rate_windowed.absolute.scaled(0.5)
             return AsymptoticPrediction(report.alpha1, 0.0, half, half, case,
                                         "perpetuity_scan_absolute_halved")
         return AsymptoticPrediction(report.alpha1, 0.0, c.c_plus, c.c_minus,
@@ -297,9 +262,9 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         alpha1 = report.alpha1
         b1 = model.b1
         assert isinstance(b1, dist.TwoSidedPareto)
-        cp, cm = grey_constants(b1.p_pos, 1.0 - b1.p_pos,
-                                dist.abs_moment(d1, alpha1),
-                                dist.sign_moment(d1, alpha1))
+        cp, cm = map(EstimateWithError, grey_constants(
+            b1.p_pos, 1.0 - b1.p_pos, dist.abs_moment(d1, alpha1),
+            dist.sign_moment(d1, alpha1)))
         return AsymptoticPrediction(alpha1, 0.0, cp, cm, case,
                                     "rv_noise_closed_form",
                                     ell_scale=b1.scale ** alpha1)
@@ -373,26 +338,22 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             # only the dispersion, so a second test cannot overrule it
             _, second = tilted_offdiag_moments(model, alpha,
                                                rng=rng.substream(6))
-            cc = _gaussian_constant(model, alpha, _const_value(second))
-            c2 = _product_estimate([(c2p, 1.0), (c2m, 1.0)])
-            c = _scale_estimate(c2, cc / 2.0)
-            if isinstance(second, EstimateWithError):
-                # the constant scales as sigma2^(alpha/2): by the delta
-                # method a Monte Carlo dispersion adds alpha/2 times its
-                # relative SE to the constant's
-                rel = alpha / 2.0 * second.se / second.value
-                c = replace(c, se=math.hypot(c.se, c.value * rel))
-            c = replace(c, seed=_joined_seed(c, second))
+            cc = _gaussian_constant(model, alpha, second.value)
+            c = sum_of_products([(c2p, _ONE), (c2m, _ONE)]).scaled(cc / 2.0)
+            # the constant scales as sigma2^(alpha/2): by the delta method
+            # the dispersion adds alpha/2 times its relative SE to the
+            # constant's (nothing for a closed form)
+            rel = alpha / 2.0 * second.se / second.value
+            c = EstimateWithError(c.value, math.hypot(c.se, c.value * rel),
+                                  c.n_samples, joined_seed(c, second))
             return AsymptoticPrediction(alpha, alpha / 2.0, c, c, case,
                                         "gaussian_limit_constant")
-        drift = report.offdiag_drift
-        mu = _const_value(drift)
+        mu = report.offdiag_drift.value
         factor = abs(mu) ** alpha * rho1 ** (-alpha)
-        if mu > 0:
-            cp, cm = _scale_estimate(c2p, factor), _scale_estimate(c2m, factor)
-        else:
-            cp, cm = _scale_estimate(c2m, factor), _scale_estimate(c2p, factor)
-        return AsymptoticPrediction(alpha, alpha, cp, cm, case,
+        if mu <= 0:
+            c2p, c2m = c2m, c2p
+        return AsymptoticPrediction(alpha, alpha, c2p.scaled(factor),
+                                    c2m.scaled(factor), case,
                                     "drift_limit_constant")
 
     if case == CASE_DISTINCT_DIAG_EQUAL_INDEX:
@@ -497,8 +458,8 @@ def _tail_constant_fit(tail: EmpiricalTail,
     if len(vals) < 5:
         return {"error": "insufficient grid support"}
     return {"empirical": float(np.mean(vals)),
-            "predicted": _const_value(prediction.c_plus),
-            "predicted_se": _const_se(prediction.c_plus),
+            "predicted": prediction.c_plus.value,
+            "predicted_se": prediction.c_plus.se,
             "grid_points": len(vals)}
 
 
@@ -543,7 +504,7 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
     grid_reads = set()
     if prediction is not None:
         grid_reads.add("absolute")
-        if _const_value(prediction.c_plus) > 0:
+        if prediction.c_plus.value > 0:
             grid_reads.add("positive")
 
     def selections(deep: set) -> list[TailSelection]:
@@ -606,9 +567,8 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
                 "ratio in [0.5, 2.0] (pre-asymptotic factor band)",
                 0.5 <= ratio <= 2.0))
 
-        csum = _const_value(prediction.c_plus) + _const_value(prediction.c_minus)
-        csum_se = math.hypot(_const_se(prediction.c_plus),
-                             _const_se(prediction.c_minus))
+        csum = prediction.c_plus.value + prediction.c_minus.value
+        csum_se = math.hypot(prediction.c_plus.se, prediction.c_minus.se)
         verdicts.append(Verdict(
             "constants_sum_positive", 0.0, csum, csum_se,
             "c_plus + c_minus - 4se > 0", csum - 4.0 * csum_se > 0.0))

@@ -64,6 +64,19 @@ def _sort(values: np.ndarray, ids: np.ndarray) -> None:
     ids[:] = ids[order]
 
 
+def _chain_ids(chains, samples: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The int32 chain ids of the rows of samples: chains holds an integer
+    id for each sample, those of the rows in [0, 2^31)."""
+    chains = np.asarray(chains)
+    if chains.shape == samples.shape and chains.dtype.kind in "iu":
+        ids = chains[rows]
+        if not ids.size or ids.min() >= 0 and (ids.dtype == np.int32
+                                               or ids.max() < 2 ** 31):
+            return ids.astype(np.int32, copy=False)
+    raise ValueError("chains must hold an int32 chain id >= 0 for each "
+                     "sample")
+
+
 def _kept(values: np.ndarray, ids: np.ndarray | None,
           keep: int) -> tuple[np.ndarray, float]:
     """Mask of the keep largest of more than keep values, ties of value
@@ -119,15 +132,9 @@ class EmpiricalTail:
             data.sort()
             self._set(data, convention, samples.size)
             return
-        chains = np.asarray(chains)
-        if (chains.shape != samples.shape
-                or not np.issubdtype(chains.dtype, np.integer)
-                or chains.min() < 0 or chains.max() > np.iinfo(np.int32).max):
-            raise ValueError("chains must hold an int32 chain id >= 0 for "
-                             "each sample")
-        ids = chains.astype(np.int32)
+        ids = _chain_ids(chains, samples).copy()  # _sort permutes it
         _sort(data, ids)
-        self._set(data, convention, samples.size, ids, np.bincount(chains))
+        self._set(data, convention, samples.size, ids, np.bincount(ids))
 
     @classmethod
     def _of(cls, ascending: np.ndarray, convention: str, count: int,
@@ -198,7 +205,9 @@ class TailSelection:
         # the floor only rises, so a read before the lock is safe
         above = np.flatnonzero(data >= self._floor)
         values = data[above]
-        ids = None if chains is None else np.asarray(chains).ravel()[above]
+        # only values at least the floor can be kept: check only their ids
+        ids = (None if chains is None
+               else _chain_ids(np.ravel(chains), samples, above))
         floor = -np.inf
         if values.size > self.keep:
             kept, floor = _kept(values, ids, self.keep)

@@ -349,11 +349,8 @@ def estimate_coupling_weight(model: TriangularSRE, alpha2: float, n: int,
 
 
 def _scaled_snapshot(s: SnapshotMoments, factor: float) -> SnapshotMoments:
-    def sc(e: EstimateWithError) -> EstimateWithError:
-        return EstimateWithError(e.value * factor, e.se * factor,
-                                 e.n_samples, e.seed)
-
-    return SnapshotMoments(s.k, sc(s.absolute), sc(s.plus), sc(s.minus))
+    return SnapshotMoments(s.k, s.absolute.scaled(factor),
+                           s.plus.scaled(factor), s.minus.scaled(factor))
 
 
 @dataclass(frozen=True)
@@ -403,13 +400,13 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
 
 
 def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
-                           N: int = 1_000_000, rng: RngStream | None = None):
+                           N: int = 1_000_000, rng: RngStream | None = None
+                           ) -> tuple[EstimateWithError, EstimateWithError]:
     """Reweighted mean and second moment of a12/a11 for equal diagonals.
 
-    Closed form when a12 is proportional to the diagonal with an
-    independent factor; weighted Monte Carlo otherwise. These are the
-    drift and dispersion of the random walk behind the equal-diagonal
-    limit laws."""
+    Exact when a12 is proportional to the diagonal with an independent
+    factor; weighted Monte Carlo otherwise. These are the drift and
+    dispersion of the random walk behind the equal-diagonal limit laws."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not isinstance(model, EqualDiagonal):
@@ -418,7 +415,8 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
     lam = dist.abs_moment(model.d, alpha)
     if isinstance(model.a12_mode, ProportionalToDiagonal):
         xi = model.a12_mode.factor_law
-        return dist.mean(xi) * lam, dist.abs_moment(xi, 2.0) * lam
+        return (EstimateWithError(dist.mean(xi) * lam),
+                EstimateWithError(dist.abs_moment(xi, 2.0) * lam))
     if rng is None:
         rng = RngStream(0x0FFD1A6)
 
@@ -431,6 +429,12 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
 
     m1, m2 = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
     return m1.estimate(rng.describe()), m2.estimate(rng.describe())
+
+
+def drift_is_zero(drift: EstimateWithError) -> bool:
+    """The equal-diagonal case split: a drift within 3 SE of zero, which
+    for an exact drift means exactly zero."""
+    return abs(drift.value) <= 3.0 * drift.se
 
 
 def _gaussian_constant(model: TriangularSRE, alpha: float,
@@ -448,14 +452,8 @@ def clt_constant(model: TriangularSRE, alpha: float,
     the zero-drift equal-diagonal case; raises RequiresMuZero when the
     drift of its own draw is not consistent with zero."""
     drift, second = tilted_offdiag_moments(model, alpha, rng=rng)
-    if isinstance(drift, EstimateWithError):
-        if abs(drift.value) > 3.0 * drift.se:
-            raise RequiresMuZero(
-                f"off-diagonal drift {drift.value:.4g} +- {drift.se:.2g} "
-                "is not consistent with zero")
-        sigma2 = second.value
-    else:
-        if drift != 0.0:
-            raise RequiresMuZero(f"off-diagonal drift {drift:.4g} != 0")
-        sigma2 = second
-    return _gaussian_constant(model, alpha, sigma2)
+    if not drift_is_zero(drift):
+        raise RequiresMuZero(
+            f"off-diagonal drift {drift.value:.4g} +- {drift.se:.2g} "
+            "is not consistent with zero")
+    return _gaussian_constant(model, alpha, second.value)

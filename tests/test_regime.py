@@ -144,7 +144,7 @@ def test_classify_equal_diagonal_zero_drift():
     rep = t.classify(m)
     assert rep.theorem_case == CASE_EQUAL_DIAG_ZERO_DRIFT
     assert rep.diagonal_relation == "equal_as"
-    assert rep.offdiag_drift == 0.0
+    assert rep.offdiag_drift.value == 0.0
 
 
 def test_classify_drift_of_narrow_normal_factor():
@@ -155,7 +155,7 @@ def test_classify_drift_of_narrow_normal_factor():
                       b1=Constant(1.0), b2=Constant(1.0))
     rep = t.classify(m)
     assert rep.theorem_case == CASE_EQUAL_DIAG_NONZERO_DRIFT
-    assert rep.offdiag_drift == pytest.approx(10.0, rel=1e-12)
+    assert rep.offdiag_drift.value == pytest.approx(10.0, rel=1e-12)
 
 
 def test_classify_zero_offdiagonal_unsupported():

@@ -45,7 +45,8 @@ def test_predict_grey_first_coordinate_closed_form():
     pred = predict(m, constant_samples=1000, rng=t.RngStream(1))
     # symmetric heavy noise kills the signed correction
     m_abs = t.abs_moment(Lognormal(-1, 0.8), 2.0)
-    assert pred.c_plus == pytest.approx(1.0 / (2 * (1 - m_abs)), rel=1e-12)
+    assert pred.c_plus.value == pytest.approx(1.0 / (2 * (1 - m_abs)),
+                                             rel=1e-12)
     assert pred.c_plus == pred.c_minus
     assert pred.log_beta == 0.0
     assert pred.tail_index == pytest.approx(2.0)
@@ -75,15 +76,8 @@ def test_predict_log_beta_menu_and_positivity():
         a = pred.tail_index
         assert any(abs(pred.log_beta - b) < 1e-12
                    for b in (0.0, a / 2.0, a, 1.0))
-
-        def val(c):
-            return c.value if hasattr(c, "value") else float(c)
-
-        def err(c):
-            return c.se if hasattr(c, "se") else 0.0
-
-        total = val(pred.c_plus) + val(pred.c_minus)
-        se = math.hypot(err(pred.c_plus), err(pred.c_minus))
+        total = pred.c_plus.value + pred.c_minus.value
+        se = math.hypot(pred.c_plus.se, pred.c_minus.se)
         assert total - 4 * se > 0, (config.name, total, se)
 
 
@@ -150,8 +144,40 @@ def test_every_estimated_builtin_constant_names_its_seed():
     for config in builtin_scenarios(quick=True):
         pred = scenario_prediction(config)
         for c in (pred.c_plus, pred.c_minus):
-            if isinstance(c, EstimateWithError):
+            if not c.exact:
                 assert c.seed.startswith(f"seed={config.seed},"), config.name
+
+
+def test_reports_write_exact_constants_as_numbers(tmp_path):
+    # the wire format of a constant: an exact one (a closed form) is its
+    # bare number, an estimated one the object {value, se, n_samples,
+    # seed}; the benchmark reads an SE only from the objects
+    configs = {c.name: c for c in builtin_scenarios(quick=True)}
+    docs = {}
+    for name in ("coord1_dominant_grey", "equal_diag_zero_drift",
+                 "equal_diag_nonzero_drift", "coord1_dominant_kg"):
+        emit_report(run_scenario(configs[name], workers=1), tmp_path,
+                    ("json",))
+        docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
+    grey = docs["coord1_dominant_grey"]["prediction"]
+    assert type(grey["c_plus"]) is float and type(grey["c_minus"]) is float
+    for name in ("equal_diag_zero_drift", "equal_diag_nonzero_drift"):
+        assert type(docs[name]["regime"]["offdiag_drift"]) is float, name
+    for name in ("equal_diag_zero_drift", "equal_diag_nonzero_drift",
+                 "coord1_dominant_kg"):
+        for key in ("c_plus", "c_minus"):
+            c = docs[name]["prediction"][key]
+            assert set(c) == {"value", "se", "n_samples", "seed"}, (name, key)
+            assert c["n_samples"] > 0
+    assert docs["coord1_dominant_kg"]["regime"]["offdiag_drift"] is None
+    # a Monte Carlo drift is an object too
+    mc = EqualDiagonal(d=Lognormal(-1, 1),
+                       a12_mode=IndependentOffDiagonal(Normal(0, 1)),
+                       b1=Constant(1.0), b2=Constant(1.0))
+    drift = json.loads(json.dumps(scenario_regime(ScenarioConfig(
+        name="mc_drift", model=mc, seed=16)).to_dict()))["offdiag_drift"]
+    assert set(drift) == {"value", "se", "n_samples", "seed"}
+    assert drift["se"] > 0
 
 
 def test_predict_sign_dispatch_consistency():

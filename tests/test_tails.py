@@ -160,6 +160,25 @@ def test_selection_chain_ids_are_all_or_nothing():
             EmpiricalTail(np.ones(4), chains=bad)
 
 
+def test_selection_checks_chain_ids_as_the_tail_does():
+    # one integer id >= 0 in the int32 range per sample: a selection
+    # that may keep every value refuses the ids that EmpiricalTail
+    # refuses, and keeps nothing of the chunk, where it would misalign
+    # extra ids or wrap 2**31 + 5 to a negative int32
+    x = np.array([5.0, 6.0])
+    for ids in ([0, 1, 2], [0], [2 ** 31 + 5, -1], [3, -1], [0.0, 1.0]):
+        selection = TailSelection("absolute", 2)
+        with pytest.raises(ValueError, match="chain id"):
+            selection.add(x, np.array(ids))
+        assert selection.count == 0
+        with pytest.raises(ValueError, match="chain id"):
+            EmpiricalTail(x, chains=np.array(ids))
+    selection = TailSelection("absolute", 2)
+    selection.add(x, np.array([2 ** 31 - 1, 0]))
+    tail = selection.tail(np.ones(2, dtype=np.int32))
+    np.testing.assert_array_equal(tail.chains, [0, 2 ** 31 - 1])
+
+
 def test_hill_clustered_se_counts_a_repeated_value_once():
     # every value twice in one chain carries no more information than
     # once: Hill at 2k of the doubled sample has the estimate and the
