@@ -393,6 +393,11 @@ def prob_negative(spec: Dist) -> float:
     return signed_moment(spec, 0.0, "minus")
 
 
+def any_negative(*specs: Dist) -> bool:
+    """Whether any of the laws gives mass to X < 0."""
+    return any(prob_negative(spec) > 0 for spec in specs)
+
+
 def prob_positive(spec: Dist) -> float:
     return signed_moment(spec, 0.0, "plus")
 

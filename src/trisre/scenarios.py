@@ -230,6 +230,16 @@ def _coord2_goldie(model: TriangularSRE, report: RegimeReport, N: int,
     return c.c_plus, c.c_minus
 
 
+def _with_power_error(c: EstimateWithError, x: EstimateWithError,
+                      power: float) -> EstimateWithError:
+    """c, a constant proportional to |x|^power, with x's error carried in
+    by the delta method: power times x's relative SE, in quadrature with
+    c's own SE, and x's seed joined (nothing for an exact x)."""
+    rel = power * x.se / abs(x.value)
+    return EstimateWithError(c.value, math.hypot(c.se, c.value * rel),
+                             c.n_samples, joined_seed(c, x))
+
+
 def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             constant_samples: int = 200_000, mn_horizon: int = 400,
             weight_horizon: int = 50,
@@ -340,20 +350,18 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                                                rng=rng.substream(6))
             cc = _gaussian_constant(model, alpha, second.value)
             c = sum_of_products([(c2p, _ONE), (c2m, _ONE)]).scaled(cc / 2.0)
-            # the constant scales as sigma2^(alpha/2): by the delta method
-            # the dispersion adds alpha/2 times its relative SE to the
-            # constant's (nothing for a closed form)
-            rel = alpha / 2.0 * second.se / second.value
-            c = EstimateWithError(c.value, math.hypot(c.se, c.value * rel),
-                                  c.n_samples, joined_seed(c, second))
+            # the constant scales as sigma2^(alpha/2)
+            c = _with_power_error(c, second, alpha / 2.0)
             return AsymptoticPrediction(alpha, alpha / 2.0, c, c, case,
                                         "gaussian_limit_constant")
-        mu = report.offdiag_drift.value
-        factor = abs(mu) ** alpha * rho1 ** (-alpha)
-        if mu <= 0:
+        # the constants scale as |mu|^alpha
+        mu = report.offdiag_drift
+        factor = abs(mu.value) ** alpha * rho1 ** (-alpha)
+        if mu.value <= 0:
             c2p, c2m = c2m, c2p
-        return AsymptoticPrediction(alpha, alpha, c2p.scaled(factor),
-                                    c2m.scaled(factor), case,
+        cp, cm = (_with_power_error(c.scaled(factor), mu, alpha)
+                  for c in (c2p, c2m))
+        return AsymptoticPrediction(alpha, alpha, cp, cm, case,
                                     "drift_limit_constant")
 
     if case == CASE_DISTINCT_DIAG_EQUAL_INDEX:

@@ -22,6 +22,7 @@ from . import model as mod
 from .errors import NotContractive
 from .model import TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
+from .tilting import StepSource
 
 _EPS_GRID = np.linspace(0.05, 1.0, 20)
 # Values each stationary chain keeps after its burn-in, and chains per
@@ -220,24 +221,37 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
 # Step sources of the tail-constant scans
 # ---------------------------------------------------------------------------
 
-def law_steps(a_law: dist.Dist, b_law: dist.Dist):
+def law_steps(a_law: dist.Dist, b_law: dist.Dist) -> StepSource:
     """Step source of x = a x + b with independent (A, B), A drawn first:
-    steps(m, rng) yields one step's arrays (a, b) of shape (m,) at a time."""
+    steps(m, rng) yields one step's arrays (a, b) of shape (m,) at a time.
+    A Constant b, which consumes no random numbers, is drawn once per
+    chunk. The source is signed when A or B can be negative."""
     def steps(m: int, rng: RngStream):
+        b = (dist.sample(b_law, rng, m) if isinstance(b_law, dist.Constant)
+             else None)
         while True:
-            yield dist.sample(a_law, rng, m), dist.sample(b_law, rng, m)
+            a = dist.sample(a_law, rng, m)
+            yield a, dist.sample(b_law, rng, m) if b is None else b
 
-    return steps
+    return StepSource(steps, dist.any_negative(a_law, b_law))
 
 
-def coord1_steps(model: TriangularSRE):
+def coord1_steps(model: TriangularSRE) -> StepSource:
     """Step source of x1 = a11 x1' + (b1 + a12 x2') along the forward
-    bivariate chain from zero; each source carries its own x2 per path."""
+    bivariate chain from zero; each source carries its own x2 per path.
+    It is signed unless a11, b1, a12, a22 and b2 are all nonnegative,
+    which keeps x2 and so b1 + a12 x2' nonnegative too."""
     def steps(m: int, rng: RngStream):
         x2 = np.zeros(m)
+        u = np.empty(m)
         while True:
             batch = mod.draw_innovations(model, m, rng)
-            yield batch.a11, batch.b1 + batch.a12 * x2
-            x2 = batch.a22 * x2 + batch.b2
+            np.multiply(batch.a12, x2, out=u)
+            u += batch.b1
+            yield batch.a11, u
+            x2 *= batch.a22
+            x2 += batch.b2
 
-    return steps
+    a11, a22 = mod.diag_laws(model)
+    return StepSource(steps, mod.offdiag_negative_possible(model)
+                      or dist.any_negative(a11, a22, model.b1, model.b2))

@@ -255,8 +255,9 @@ class TailSelection:
     def tail(self, chain_sizes: np.ndarray | None = None) -> EmpiricalTail:
         """The selection as an EmpiricalTail of count samples. Chained
         samples need chain_sizes, the number of samples of each chain by
-        id. The tail sorts the kept values (and ids) in place and holds
-        the buffers, so the selection takes no more samples after it."""
+        id, with an entry for every kept id. The tail sorts the kept
+        values (and ids) in place and holds the buffers, so the selection
+        takes no more samples after it."""
         if self.count < 2:
             raise ValueError("need at least 2 samples")
         if self._chained != (chain_sizes is not None) or (
@@ -264,12 +265,16 @@ class TailSelection:
             raise ValueError("chain_sizes must give the samples of each "
                              "chain exactly when they come with chain ids")
         self._trim()
-        self._taken = True
         values = self._values[-self._size:]
-        if not self._chained:
+        ids = self._ids[-self._size:] if self._chained else None
+        # add checks the ids against 0 and the int32 range, not the sizes
+        if ids is not None and (top := int(ids.max())) >= chain_sizes.size:
+            raise ValueError(f"kept chain id {top} has no entry in the "
+                             f"chain_sizes of {chain_sizes.size} chains")
+        self._taken = True
+        if ids is None:
             values.sort()
             return EmpiricalTail._of(values, self.convention, self.count)
-        ids = self._ids[-self._size:]
         _sort(values, ids)
         return EmpiricalTail._of(values, self.convention, self.count, ids,
                                  chain_sizes)

@@ -19,6 +19,7 @@ variance. See the module tests for the cross-validation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -82,6 +83,21 @@ def _snapshot_list(ks: list[int], accs: list[RunningMoments],
             for j, k in enumerate(ks)]
 
 
+@dataclass(frozen=True)
+class StepSource:
+    """A step source and its sign flag. source(m, rng) calls draw, a fresh
+    generator of each step's arrays (v, u), or (v, u, w), for a chunk of
+    m paths. signed is False only when no v or u it yields can be
+    negative, which its factory decides from the laws with
+    distributions.prob_negative; any other callable counts as signed."""
+
+    draw: Callable[[int, RngStream], Iterator[tuple[np.ndarray, ...]]]
+    signed: bool
+
+    def __call__(self, m: int, rng: RngStream):
+        return self.draw(m, rng)
+
+
 def _study_from_pairs(steps, alpha: float, snapshots: list[int],
                       N: int, rng: RngStream, contraction: float,
                       step_moment: float, gamma: float) -> PartialSumStudy:
@@ -90,10 +106,13 @@ def _study_from_pairs(steps, alpha: float, snapshots: list[int],
     steps(m, rng) is the step source: a fresh one per chunk of m paths,
     yielding each step's arrays (v, u). It may carry state along the
     paths (the bivariate chain's second coordinate), as long as V_k is
-    independent of X_{k-1}. Per path it accumulates the moment increments
-    z_k = |X_k|^alpha - |V_k X_{k-1}|^alpha as s_k = c s_{k-1} + z_k and,
-    split by sign, d_k = gamma d_{k-1} + (z_k^+ - z_k^-), with
-    c = contraction = E|V|^alpha and gamma = E[sgn(V)|V|^alpha]. Since
+    independent of X_{k-1}. The scan never writes into the arrays a
+    source yields, and reads them only until it asks for the next step,
+    so a source may reuse its buffers. Per path it accumulates the moment
+    increments z_k = |X_k|^alpha - |V_k X_{k-1}|^alpha as
+    s_k = c s_{k-1} + z_k and, split by sign,
+    d_k = gamma d_{k-1} + (z_k^+ - z_k^-), with c = contraction =
+    E|V|^alpha and gamma = E[sgn(V)|V|^alpha]. Since
     E|V_k X_{k-1}|^alpha = c E|X_{k-1}|^alpha, induction from X_0 = 0
     makes s_k unbiased for E|X_k|^alpha, and d_k for the difference of
     the signed parts. Their variance needs only E|X|^{2 alpha - 2} < inf,
@@ -101,6 +120,11 @@ def _study_from_pairs(steps, alpha: float, snapshots: list[int],
     E|V|^{2 alpha} > 1 and, at the critical index (c = 1, mode
     "telescoped"), a mean carried by rare paths. step_moment rescales
     snapshot k by step_moment^k.
+
+    A StepSource that is not signed keeps X_k >= 0, so z_k^- = 0 and,
+    with gamma = c, d_k = s_k: the scan then keeps s_k alone, and the
+    positive part is s_k and the negative part exactly 0, the same bits
+    the split gives.
 
     A source may yield a third array, the step's raw weight w (mode
     "weighted_mc"). Each increment is then scaled by the running product
@@ -114,40 +138,62 @@ def _study_from_pairs(steps, alpha: float, snapshots: list[int],
         raise ValueError("N must be >= 1")
     n = snapshots[-1]
     snap_set = {int(s) for s in snapshots}
+    by_sign = getattr(steps, "signed", True) or gamma != contraction
 
     def chunk(paths, sub):
         m = paths.stop - paths.start
+        # the chunk's own buffers, written in place at every step
         x = np.zeros(m)
         s_acc = np.zeros(m)
-        d_acc = np.zeros(m)
         weight = np.ones(m)
+        vx = np.empty(m)
+        z = np.empty(m)
+        if by_sign:
+            d_acc = np.zeros(m)
+            dz = np.empty(m)
+            t = np.empty(m)
         snaps, weights, prev, vals = [], [], None, None
         for k, (v, u, *w) in enumerate(islice(steps(m, sub), n), 1):
-            vx = v * x
-            x = vx + u
-            # z = z^+ + z^- and dz = z^+ - z^- for the increment split by
-            # sign, z^+ = (x^+)^a - (vx^+)^a and z^- = (x^-)^a - (vx^-)^a;
-            # vx becomes sgn(vx)|vx|^a, so no more arrays stay alive
-            z = np.abs(x) ** alpha
-            dz = np.copysign(z, x)
-            vx = np.copysign(np.abs(vx) ** alpha, vx)
-            z -= np.abs(vx)
-            dz -= vx
+            np.multiply(v, x, out=vx)
+            np.add(vx, u, out=x)
+            if by_sign:
+                # z = z^+ + z^- and dz = z^+ - z^- for the increment split
+                # by sign, z^+ = (x^+)^a - (vx^+)^a and
+                # z^- = (x^-)^a - (vx^-)^a, from t = |vx|^a
+                np.abs(x, out=z)
+                z **= alpha
+                np.copysign(z, x, out=dz)
+                np.abs(vx, out=t)
+                t **= alpha
+                z -= t
+                np.copysign(t, vx, out=t)
+                dz -= t
+            else:
+                # x, vx >= 0: z = x^a - vx^a
+                np.power(x, alpha, out=z)
+                vx **= alpha
+                z -= vx
             if w:
                 weight *= w[0]
                 z *= weight
-                dz *= weight
+                if by_sign:
+                    dz *= weight
             if contraction != 1.0:
                 s_acc *= contraction
             s_acc += z
-            if gamma != 1.0:
-                d_acc *= gamma
-            d_acc += dz
+            if by_sign:
+                if gamma != 1.0:
+                    d_acc *= gamma
+                d_acc += dz
             if k in snap_set:
                 scale = step_moment ** k
-                up = 0.5 * (s_acc + d_acc) * scale
-                um = 0.5 * (s_acc - d_acc) * scale
-                prev, vals = vals, (up + um, up, um)
+                if by_sign:
+                    up = 0.5 * (s_acc + d_acc) * scale
+                    um = 0.5 * (s_acc - d_acc) * scale
+                    prev, vals = vals, (up + um, up, um)
+                else:
+                    up = s_acc * scale
+                    prev, vals = vals, (up, up, np.zeros(m))
                 snaps += [RunningMoments(val) for val in vals]
                 if w:
                     weights.append(RunningMoments(weight))
@@ -180,9 +226,10 @@ def _tilted_a22(model: TriangularSRE, alpha: float) -> Dist | None:
         return None
 
 
-def _vu_steps(model: TriangularSRE, alpha: float):
+def _vu_steps(model: TriangularSRE, alpha: float) -> StepSource:
     """Step source of the ratio pair (V, U) = (a11/a22, a12/a22) under
-    the alpha-tilt of a22.
+    the alpha-tilt of a22, signed when any entry it divides can be
+    negative (the tilt keeps a22's signs).
 
     With an exact tilt only the matrix entries are drawn; under the
     proportional equal-diagonal coupling the tilted diagonal cancels from
@@ -194,6 +241,9 @@ def _vu_steps(model: TriangularSRE, alpha: float):
     a22_tilted = _tilted_a22(model, alpha)
     if isinstance(model, EqualDiagonal):
         mode = model.a12_mode
+        signed = (dist.any_negative(mode.factor_law)
+                  if isinstance(mode, ProportionalToDiagonal)
+                  else dist.any_negative(mode.a12, model.d))
 
         def steps(m: int, rng: RngStream):
             ones = np.ones(m)
@@ -204,7 +254,7 @@ def _vu_steps(model: TriangularSRE, alpha: float):
                     d = dist.sample(a22_tilted, rng, m)
                     yield ones, dist.sample(mode.a12, rng, m) / d
 
-        return steps
+        return StepSource(steps, signed)
     a11_law, a12_law = model.a11, model.a12
     a22_law = model.a22 if a22_tilted is None else a22_tilted
     if all(isinstance(d, dist.Lognormal) for d in (a11_law, a12_law, a22_tilted)):
@@ -220,20 +270,21 @@ def _vu_steps(model: TriangularSRE, alpha: float):
             else:
                 yield a11 / a22, a12 / a22
 
-    return steps
+    return StepSource(steps, dist.any_negative(a11_law, a12_law, model.a22))
 
 
 def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
-                        a22: dist.Lognormal):
+                        a22: dist.Lognormal) -> StepSource:
     """(V, U) = (a11/a22, a12/a22) for lognormal entries, from two normals.
 
     With a_ij = exp(mu_ij + s_ij N_ij) for independent standard normals
     N_ij, log V = mu11 - mu22 + s11 N11 - s22 N22 and log U = mu12 - mu22
     + s12 N12 - s22 N22 are jointly normal: variances s11^2 + s22^2 and
-    s12^2 + s22^2, covariance s22^2. One standard_normal((2, m)) call per
-    step goes through the Cholesky factor of that covariance, taken in the
-    order (log U, log V): the same law as the three-draw ratio, at two
-    normals and two exps per path-step."""
+    s12^2 + s22^2, covariance s22^2. Each step fills one (2, m) buffer of
+    standard normals and mixes it through the Cholesky factor of that
+    covariance, taken in the order (log U, log V): the same law as the
+    three-draw ratio, at two normals and two exps per path-step. The
+    pair is positive."""
     shift = np.array([[a12.mu - a22.mu], [a11.mu - a22.mu]])
     c22 = a22.sigma ** 2
     l11 = math.sqrt(a12.sigma ** 2 + c22)
@@ -241,16 +292,19 @@ def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
     l22 = math.sqrt(a11.sigma ** 2 + c22 - l21 ** 2)
 
     def steps(m: int, rng: RngStream):
+        z = np.empty((2, m))
+        mix = np.empty(m)
         while True:
-            z = rng.gen.standard_normal((2, m))
+            rng.gen.standard_normal(out=z)
             z[1] *= l22
-            z[1] += l21 * z[0]
+            np.multiply(z[0], l21, out=mix)
+            z[1] += mix
             z[0] *= l11
             z += shift
             np.exp(z, out=z)
             yield z[1], z[0]
 
-    return steps
+    return StepSource(steps, False)
 
 
 def _ratio_moments(model: TriangularSRE, alpha: float) -> tuple[float, float]:

@@ -140,6 +140,32 @@ def test_predict_zero_drift_carries_the_dispersion_se():
     assert pred.c_minus == pred.c_plus
 
 
+def test_predict_nonzero_drift_carries_the_drift_se():
+    # the drift-limit constants scale as |mu|^alpha, so a Monte Carlo
+    # drift adds alpha times its relative SE to their SEs, in quadrature
+    # with the SE that W2's constants give them, and joins its seed
+    m = EqualDiagonal(d=Lognormal(-1, 1),
+                      a12_mode=IndependentOffDiagonal(Normal(0.5, 1)),
+                      b1=Constant(1.0), b2=Constant(1.0))
+    config = ScenarioConfig(name="nonzero_drift_mc", model=m,
+                            constant_samples=4000, seed=16)
+    report = scenario_regime(config)
+    assert report.theorem_case == "equal_diag_nonzero_drift"
+    mu, alpha = report.offdiag_drift, report.alpha1
+    assert mu.value > 0 and mu.se > 0
+    pred = scenario_prediction(config, report)
+    c2p, c2m = _coord2_goldie(m, report, 4000,
+                              t.RngStream(16).substream(2).substream(5))
+    factor = mu.value ** alpha * report.rho1 ** -alpha
+    rel = alpha * mu.se / mu.value
+    for c, c2 in ((pred.c_plus, c2p), (pred.c_minus, c2m)):
+        assert c.value == pytest.approx(c2.value * factor, rel=1e-12)
+        assert c.se == pytest.approx(
+            math.hypot(c2.se * factor, c.value * rel), rel=1e-12)
+        assert c.seed == f"{c2.seed}+{mu.seed}"
+    assert pred.c_plus.se > c2p.se * factor * (1 + 1e-3)
+
+
 def test_every_estimated_builtin_constant_names_its_seed():
     for config in builtin_scenarios(quick=True):
         pred = scenario_prediction(config)

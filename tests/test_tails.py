@@ -173,10 +173,24 @@ def test_selection_checks_chain_ids_as_the_tail_does():
         assert selection.count == 0
         with pytest.raises(ValueError, match="chain id"):
             EmpiricalTail(x, chains=np.array(ids))
+    # the largest int32 id is kept as it is; two chain sizes do not
+    # index it, so the tail refuses them
     selection = TailSelection("absolute", 2)
     selection.add(x, np.array([2 ** 31 - 1, 0]))
-    tail = selection.tail(np.ones(2, dtype=np.int32))
-    np.testing.assert_array_equal(tail.chains, [0, 2 ** 31 - 1])
+    assert selection.count == 2
+    with pytest.raises(ValueError, match=f"chain id {2 ** 31 - 1} "):
+        selection.tail(np.ones(2, dtype=np.int32))
+
+
+def test_selection_tail_needs_a_size_for_every_kept_chain():
+    # the sizes sum to the count, but chain 7 has none: the tail refuses
+    # them, and still takes sizes that index every kept id
+    selection = TailSelection("absolute", 4)
+    selection.add(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 1, 7, 1]))
+    with pytest.raises(ValueError, match="chain id 7 "):
+        selection.tail(np.array([2, 2], dtype=np.int32))
+    tail = selection.tail(np.array([1, 2, 0, 0, 0, 0, 0, 1], dtype=np.int32))
+    np.testing.assert_array_equal(tail.chains, [1, 7, 1, 0])
 
 
 def test_hill_clustered_se_counts_a_repeated_value_once():

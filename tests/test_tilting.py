@@ -2,6 +2,7 @@
 equal-diagonal drift constants, and the critical per-step rate."""
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
                            RequiresExactTilt, RequiresMuZero, TiltUnsupported,
                            WeightDegenerate)
 from trisre.estimates import EstimateWithError
-from trisre.tilting import _vu_steps
+from trisre.tilting import StepSource, _study_from_pairs, _vu_steps
 
 from oracles import (combined_se, lognormal_ratio_log_drift,
                      perpetuity_sample_batch, sample_cross_sum_batch)
@@ -493,3 +494,69 @@ def test_lognormal_fast_path_matches_generic_ratio_draws(monkeypatch):
                                        t.RngStream(42))
         runs.append(study.final().to_dict())
     assert runs[0] == runs[1] == fast.final().to_dict()
+
+
+def _nonnegative_sources():
+    """name: (source, alpha) of step sources that yield no negative v or u."""
+    kg = builtin_model("coord1_dominant_kg")
+    distinct = builtin_model("distinct_diag_equal_index")
+    untiltable = IndependentEntries(a11=Constant(0.4), a12=Lognormal(-1, 0.5),
+                                    a22=Uniform(0.2, 1.2), b1=Constant(1.0),
+                                    b2=Constant(1.0))
+    drift = EqualDiagonal(d=Lognormal(-1, 1),
+                          a12_mode=ProportionalToDiagonal(Constant(0.5)),
+                          b1=Constant(1.0), b2=Constant(1.0))
+    return {
+        "lognormal": (_vu_steps(distinct, 2.0), 2.0),
+        "generic": (_vu_steps(dataclasses.replace(
+            distinct, a22=Scaled(distinct.a22, 1.0)), 2.0), 2.0),
+        "law": (t.law_steps(Lognormal(-1, 1), Constant(1.0)), 2.0),
+        "coord1": (t.coord1_steps(kg), 2.0),
+        "equal_diagonal": (_vu_steps(drift, 2.0), 2.0),
+        "weighted_mc": (_vu_steps(untiltable, 1.5), 1.5),
+    }
+
+
+@pytest.mark.parametrize("name, contraction, step_moment", [
+    ("lognormal", 1.0, 0.8), ("generic", 0.9, 1.0), ("law", 1.0, 1.0),
+    ("coord1", 0.95, 1.1), ("equal_diagonal", 1.0, 1.0),
+    ("weighted_mc", 0.5, 1.2)])
+def test_single_accumulator_scan_matches_the_sign_split(name, contraction,
+                                                        step_moment):
+    # a nonnegative source scans one accumulator; the same steps through
+    # a source that declares itself signed take the sign split, and every
+    # snapshot and the window agree bit for bit, over two chunks
+    source, alpha = _nonnegative_sources()[name]
+    assert not source.signed
+    split = StepSource(source.draw, signed=True)
+    runs = [_study_from_pairs(s, alpha, [3, 8], 20_000, t.RngStream(43),
+                              contraction, step_moment, contraction)
+            for s in (source, split)]
+    assert runs[0].mode == runs[1].mode
+    for a, b in zip(runs[0].snapshots + [runs[0].window],
+                    runs[1].snapshots + [runs[1].window]):
+        assert a == b
+        assert a.plus.value != 0.0 and a.minus.value == 0.0 == a.minus.se
+        assert a.absolute.n_samples == 20_000
+
+
+def test_step_sources_flag_every_law_that_can_go_negative():
+    ln, c1 = Lognormal(-1, 1), Constant(1.0)
+    signed = [
+        _vu_steps(IndependentEntries(a11=SignedLognormal(-1, 1, 0.7),
+                                     a12=Lognormal(-1, 0.5), a22=ln,
+                                     b1=c1, b2=c1), 2.0),
+        _vu_steps(EqualDiagonal(d=ln,
+                                a12_mode=ProportionalToDiagonal(Normal(0, 1)),
+                                b1=c1, b2=c1), 2.0),
+        t.law_steps(ln, Normal(1, 1)),
+        t.coord1_steps(IndependentEntries(a11=ln, a12=Lognormal(-1, 0.5),
+                                          a22=Lognormal(-2, 1), b1=c1,
+                                          b2=Normal(1, 1))),
+    ]
+    assert all(s.signed for s in signed)
+    # those flagged nonnegative yield no negative v, u (or weight)
+    for name, (source, _) in _nonnegative_sources().items():
+        assert not source.signed
+        for arrays in islice(source(1000, t.RngStream(44)), 100):
+            assert all(np.all(a >= 0) for a in arrays), name
