@@ -13,7 +13,6 @@ from scipy import stats
 
 import trisre as t
 from trisre import Constant, IndependentEntries, Lognormal
-from trisre.model import step_batch
 from trisre.stationary import CHAIN_LENGTH
 
 model = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
@@ -24,7 +23,8 @@ model = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
 def iterate_forward(w1, w2, steps, rng):
     """Independent paths from (w1, w2), run forward for steps steps."""
     for _ in range(steps):
-        w1, w2 = step_batch(w1, w2, t.draw_innovations(model, w1.size, rng))
+        s = t.draw_innovations(model, w1.size, rng)
+        w1, w2 = s.a11 * w1 + s.a12 * w2 + s.b1, s.a22 * w2 + s.b2
     return w1, w2
 
 

@@ -1,4 +1,5 @@
-"""Bivariate upper-triangular SRE model: coupling menu and innovations.
+"""Bivariate upper-triangular SRE model: coupling menu, innovations and
+the forward chain.
 
 One time step multiplies the state by [[a11, a12], [0, a22]] and adds
 (b1, b2). The coupling describes the joint per-step law of the five
@@ -6,6 +7,7 @@ entries; within a step they may be dependent, across steps they are iid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,40 +80,23 @@ def b_laws(model: TriangularSRE) -> tuple[Dist, Dist]:
     return model.b1, model.b2
 
 
-@dataclass(frozen=True)
-class _ProductLaw:
-    """Internal marker for the product of two independent menu laws.
-
-    Only the moment functionals are needed downstream, so this never
-    surfaces in sampling or serialization.
-    """
-
-    x: Dist
-    y: Dist
-
-
-def offdiag_law(model: TriangularSRE):
-    """Marginal law of a12 (for moment bookkeeping only; under the
-    proportional coupling a12 is dependent on the diagonal)."""
+def offdiag_factors(model: TriangularSRE) -> tuple[Dist, ...]:
+    """Independent laws whose product has the law of a12: (a12,), or
+    (factor, d) under the proportional coupling. For moment bookkeeping
+    only; a12 is then dependent on the diagonal."""
     if isinstance(model, IndependentEntries):
-        return model.a12
+        return (model.a12,)
     if isinstance(model.a12_mode, IndependentOffDiagonal):
-        return model.a12_mode.a12
-    return _ProductLaw(model.a12_mode.factor_law, model.d)
+        return (model.a12_mode.a12,)
+    return (model.a12_mode.factor_law, model.d)
 
 
 def offdiag_abs_moment(model: TriangularSRE, beta: float) -> float:
-    law = offdiag_law(model)
-    if isinstance(law, _ProductLaw):
-        return dist.abs_moment(law.x, beta) * dist.abs_moment(law.y, beta)
-    return dist.abs_moment(law, beta)
+    return math.prod(dist.abs_moment(f, beta) for f in offdiag_factors(model))
 
 
 def offdiag_moment_sup(model: TriangularSRE) -> float:
-    law = offdiag_law(model)
-    if isinstance(law, _ProductLaw):
-        return min(dist.moment_sup(law.x), dist.moment_sup(law.y))
-    return dist.moment_sup(law)
+    return min(dist.moment_sup(f) for f in offdiag_factors(model))
 
 
 def entry_moment_sup(model: TriangularSRE) -> float:
@@ -123,19 +108,19 @@ def entry_moment_sup(model: TriangularSRE) -> float:
 
 
 def offdiag_is_zero(model: TriangularSRE) -> bool:
-    law = offdiag_law(model)
-    if isinstance(law, _ProductLaw):
-        return dist.is_zero_pointmass(law.x) or dist.is_zero_pointmass(law.y)
-    return dist.is_zero_pointmass(law)
+    return any(dist.is_zero_pointmass(f) for f in offdiag_factors(model))
 
 
 def offdiag_negative_possible(model: TriangularSRE) -> bool:
-    law = offdiag_law(model)
-    if isinstance(law, _ProductLaw):
-        if dist.is_zero_pointmass(law.x) or dist.is_zero_pointmass(law.y):
-            return False
-        return dist.prob_negative(law.x) > 0 or dist.prob_negative(law.y) > 0
-    return dist.prob_negative(law) > 0
+    return (not offdiag_is_zero(model)
+            and dist.any_negative(*offdiag_factors(model)))
+
+
+def chain_signed(model: TriangularSRE) -> bool:
+    """Whether W1 can go negative: unless a11, b1, a12, a22 and b2 are all
+    nonnegative, which keeps W2 and so b1 + a12 W2' nonnegative too."""
+    return (offdiag_negative_possible(model)
+            or dist.any_negative(*diag_laws(model), model.b1, model.b2))
 
 
 def draw_innovations(model: TriangularSRE, m: int,
@@ -159,9 +144,21 @@ def draw_innovations(model: TriangularSRE, m: int,
                            b2=dist.sample(model.b2, rng, m))
 
 
-def step_batch(w1: np.ndarray, w2: np.ndarray, batch: InnovationBatch):
-    return (batch.a11 * w1 + batch.a12 * w2 + batch.b1,
-            batch.a22 * w2 + batch.b2)
+def chain_steps(model: TriangularSRE, m: int, rng: RngStream):
+    """The forward bivariate chain from zero for m paths: yields each
+    step's arrays (a11, u, x2) with u = b1 + a12 x2' and x2 = a22 x2' + b2,
+    so the first coordinate steps as x1 = a11 x1' + u. u and x2 are
+    buffers the generator reuses: they hold one step's values, and the
+    caller must not write into them."""
+    x2 = np.zeros(m)
+    u = np.empty(m)
+    while True:
+        batch = draw_innovations(model, m, rng)
+        np.multiply(batch.a12, x2, out=u)
+        u += batch.b1
+        x2 *= batch.a22
+        x2 += batch.b2
+        yield batch.a11, u, x2
 
 
 # ---------------------------------------------------------------------------

@@ -387,11 +387,7 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     # first-coordinate dominant case hinges on the two decomposition parts
     # having distinct tail constants; that condition has no computable
     # criterion, so it is reported informationally, never pass/fail.
-    signed_entries = (sign.a11_negative_possible
-                      or dist.prob_negative(model.b1) > 0.0
-                      or dist.prob_negative(model.b2) > 0.0
-                      or mod.offdiag_negative_possible(model))
-    if theorem_case == CASE_COORD1_KG and signed_entries:
+    if theorem_case == CASE_COORD1_KG and mod.chain_signed(model):
         report.checks.append(CheckResult(
             "component_tail_distinctness", "unverifiable",
             "c_plus + c_minus > 0 needs E[|U|^a - |A11 U|^a] to differ "

@@ -128,7 +128,7 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
                             tails: dict | None = None) -> StationaryBatch:
     """m stationary values from ceil(m / CHAIN_LENGTH) independent chains.
 
-    Each chain starts from zero and runs model.step_batch forward. It
+    Each chain starts from zero and runs model.chain_steps forward. It
     first burns in for the truncation depth, so each value it keeps is a
     recursion over at least that many lags, whose distance to the
     stationary law the bound certifies; it then keeps CHAIN_LENGTH
@@ -195,10 +195,10 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
         block1 = np.empty((block, size))
         block2 = np.empty((block, size))
         x1 = np.zeros(size)
-        x2 = np.zeros(size)
-        for step in range(-depth, CHAIN_LENGTH):
-            x1, x2 = mod.step_batch(x1, x2,
-                                    mod.draw_innovations(model, size, sub))
+        for step, (a11, u, x2) in zip(range(-depth, CHAIN_LENGTH),
+                                      mod.chain_steps(model, size, sub)):
+            x1 *= a11
+            x1 += u
             if step < 0:
                 continue
             row = step % block
@@ -238,20 +238,10 @@ def law_steps(a_law: dist.Dist, b_law: dist.Dist) -> StepSource:
 
 def coord1_steps(model: TriangularSRE) -> StepSource:
     """Step source of x1 = a11 x1' + (b1 + a12 x2') along the forward
-    bivariate chain from zero; each source carries its own x2 per path.
-    It is signed unless a11, b1, a12, a22 and b2 are all nonnegative,
-    which keeps x2 and so b1 + a12 x2' nonnegative too."""
+    bivariate chain from zero, model.chain_steps with x2 dropped. It is
+    signed when model.chain_signed says W1 can go negative."""
     def steps(m: int, rng: RngStream):
-        x2 = np.zeros(m)
-        u = np.empty(m)
-        while True:
-            batch = mod.draw_innovations(model, m, rng)
-            np.multiply(batch.a12, x2, out=u)
-            u += batch.b1
-            yield batch.a11, u
-            x2 *= batch.a22
-            x2 += batch.b2
+        for a11, u, _ in mod.chain_steps(model, m, rng):
+            yield a11, u
 
-    a11, a22 = mod.diag_laws(model)
-    return StepSource(steps, mod.offdiag_negative_possible(model)
-                      or dist.any_negative(a11, a22, model.b1, model.b2))
+    return StepSource(steps, mod.chain_signed(model))

@@ -12,8 +12,8 @@ from trisre import regime
 from trisre.distributions import abs_moment
 from trisre.errors import RequiresExactTilt
 from trisre.estimates import EstimateWithError
-from trisre.model import (IndependentEntries, TriangularSRE, draw_innovations,
-                          step_batch)
+from trisre.model import (IndependentEntries, InnovationBatch, TriangularSRE,
+                          draw_innovations)
 from trisre.rng import CHUNK, RngStream, map_chunks
 from trisre.stationary import (_first_depth, contraction_exponent, law_steps,
                                truncation_depth)
@@ -108,6 +108,13 @@ def stationary_parts(model: TriangularSRE, tol: float, m: int,
     if not parts:
         return np.zeros(0), np.zeros(0), np.zeros(0)
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def step_batch(w1: np.ndarray, w2: np.ndarray, batch: InnovationBatch):
+    """One step of the bivariate map, (a11 w1 + a12 w2 + b1, a22 w2 + b2),
+    written apart from the library's model.chain_steps."""
+    return (batch.a11 * w1 + batch.a12 * w2 + batch.b1,
+            batch.a22 * w2 + batch.b2)
 
 
 def iterate_forward(model: TriangularSRE, w0: tuple[np.ndarray, np.ndarray],

@@ -10,6 +10,8 @@ import trisre as t
 from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, SignedLognormal, TwoSidedPareto)
+from trisre import distributions as dist
+from trisre import model as mod
 from trisre.errors import NotContractive
 from trisre.rng import CHUNK, map_chunks
 from trisre.stationary import (CHAIN_LENGTH, CHAINS_PER_CHUNK,
@@ -18,7 +20,7 @@ from trisre.tails import CONVENTIONS, TailSelection
 
 from oracles import (cross_sum_brute, cross_sum_scan, iterate_forward,
                      sample_cross_sum_batch, sample_pair_perpetuity_batch,
-                     sample_perpetuity_batch, stationary_parts,
+                     sample_perpetuity_batch, stationary_parts, step_batch,
                      univariate_model)
 
 
@@ -64,15 +66,129 @@ def test_proportional_offdiagonal_ratio_law():
 
 
 def test_step_examples():
-    from trisre.model import step_batch
+    # from zero, x1 = u, so the first step lands on (b1, b2)
     m = constant_model(0.5, 1.0, 0.5, 0.7, -0.3)
-    innov = t.draw_innovations(m, 1, t.RngStream(1))
-    w1, w2 = step_batch(np.zeros(1), np.zeros(1), innov)
-    assert (w1[0], w2[0]) == (0.7, -0.3)
-    m2 = constant_model(0.5, 1.0, 0.5, 0.0, 0.0)
-    innov2 = t.draw_innovations(m2, 1, t.RngStream(1))
-    w1, w2 = step_batch(np.ones(1), np.ones(1), innov2)
-    assert (w1[0], w2[0]) == (1.5, 0.5)
+    _, u, x2 = next(mod.chain_steps(m, 1, t.RngStream(1)))
+    assert (u[0], x2[0]) == (0.7, -0.3)
+    # with b = (1, 1) the second step starts at (1, 1), where the matrix
+    # part moves the state to (1.5, 0.5) before b is added
+    m2 = constant_model(0.5, 1.0, 0.5, 1.0, 1.0)
+    steps = mod.chain_steps(m2, 1, t.RngStream(1))
+    _, u, x2 = next(steps)
+    x1 = u.copy()
+    assert (x1[0], x2[0]) == (1.0, 1.0)
+    a11, u, x2 = next(steps)
+    assert (a11[0] * x1[0] + u[0] - 1.0, x2[0] - 1.0) == (1.5, 0.5)
+
+
+SLN = SignedLognormal(-1, 1, 0.3)
+PARETO = TwoSidedPareto(3.0, 1.0, 0.6)
+
+
+def _entries(a12):
+    return IndependentEntries(a11=Lognormal(-1, 1), a12=a12,
+                              a22=Lognormal(-2, 1), b1=Constant(1.0),
+                              b2=Constant(1.0))
+
+
+def _equal(d, a12_mode):
+    return EqualDiagonal(d=d, a12_mode=a12_mode, b1=Constant(1.0),
+                         b2=Constant(1.0))
+
+
+# model, its off-diagonal factor laws, E|a12|^2, sup of a12's finite
+# moments, a12 = 0 a.s., a12 < 0 possible
+OFFDIAG_CASES = [
+    (_equal(SLN, ProportionalToDiagonal(Normal(0.5, 1))),
+     (Normal(0.5, 1), SLN), 1.25, math.inf, False, True),
+    (_equal(SLN, ProportionalToDiagonal(Constant(0.0))),
+     (Constant(0.0), SLN), 0.0, math.inf, True, False),
+    (_equal(Lognormal(-1, 1), ProportionalToDiagonal(Constant(0.5))),
+     (Constant(0.5), Lognormal(-1, 1)), 0.25, math.inf, False, False),
+    (_equal(SLN, ProportionalToDiagonal(PARETO)),
+     (PARETO, SLN), 3.0, 3.0, False, True),
+    (_equal(SLN, IndependentOffDiagonal(Normal(0, 1))),
+     (Normal(0, 1),), 1.0, math.inf, False, True),
+    (_entries(Normal(0, 1)), (Normal(0, 1),), 1.0, math.inf, False, True),
+    (_entries(Constant(0.0)), (Constant(0.0),), 0.0, math.inf, True, False),
+    (_entries(PARETO), (PARETO,), 3.0, 3.0, False, True),
+]
+
+
+@pytest.mark.parametrize("model, factors, second, sup, zero, negative",
+                         OFFDIAG_CASES)
+def test_offdiag_helpers_follow_the_factor_laws(model, factors, second, sup,
+                                                zero, negative):
+    assert mod.offdiag_factors(model) == factors
+    assert mod.offdiag_abs_moment(model, 2.0) == pytest.approx(second,
+                                                              rel=1e-9)
+    for beta in (0.5, 1.0, 2.0):
+        moments = [dist.abs_moment(f, beta) for f in factors]
+        product = moments[0] * moments[1] if len(factors) == 2 else moments[0]
+        assert mod.offdiag_abs_moment(model, beta) == product
+    assert mod.offdiag_moment_sup(model) == sup \
+        == min(dist.moment_sup(f) for f in factors)
+    assert mod.offdiag_is_zero(model) is zero \
+        is any(dist.is_zero_pointmass(f) for f in factors)
+    assert mod.offdiag_negative_possible(model) is negative is (
+        not zero and any(dist.prob_negative(f) > 0 for f in factors))
+
+
+@pytest.mark.parametrize("model", [
+    IndependentEntries(a11=SignedLognormal(-1, 1, 0.3), a12=Normal(0.5, 1),
+                       a22=Lognormal(-2, 1), b1=Normal(1, 1), b2=PARETO),
+    _equal(Lognormal(-1, 1), ProportionalToDiagonal(Normal(0, 1))),
+])
+def test_coord1_steps_replay_the_chain_one_draw_at_a_time(model):
+    # each step draws the innovations once, forms u from the x2 before
+    # the step and then advances x2; this pins the draw order
+    m = 1000
+    source = t.coord1_steps(model)(m, t.RngStream(3))
+    chain = mod.chain_steps(model, m, t.RngStream(3))
+    rng = t.RngStream(3)
+    x2 = np.zeros(m)
+    for _ in range(30):
+        batch = t.draw_innovations(model, m, rng)
+        u = batch.b1 + batch.a12 * x2
+        x2 = batch.a22 * x2 + batch.b2
+        a11, got_u = next(source)
+        assert np.array_equal(a11, batch.a11)
+        assert np.array_equal(got_u, u)
+        a11, got_u, got_x2 = next(chain)
+        assert np.array_equal(a11, batch.a11)
+        assert np.array_equal(got_u, u)
+        assert np.array_equal(got_x2, x2)
+
+
+def test_stationary_sample_replays_chain_steps_over_its_chunks():
+    # two chunks of chains, the last chain short: each chain burns in for
+    # the depth and keeps CHAIN_LENGTH steps of x1 = a11 x1 + u and x2
+    model = IndependentEntries(a11=Lognormal(-1, 1), a12=Normal(0, 1),
+                               a22=Lognormal(-2, 1), b1=Constant(1.0),
+                               b2=Normal(1, 1))
+    tol, m = 1e-3, (CHAINS_PER_CHUNK + 10) * CHAIN_LENGTH - 17
+    got = t.sample_stationary_batch(model, tol, m, t.RngStream(21), workers=1)
+    depth, _ = t.truncation_depth(model, tol)
+
+    def chunk(chains, sub):
+        size = chains.stop - chains.start
+        x1 = np.zeros(size)
+        kept1, kept2 = [], []
+        for step, (a11, u, x2) in zip(range(-depth, CHAIN_LENGTH),
+                                      mod.chain_steps(model, size, sub)):
+            x1 = a11 * x1 + u
+            if step >= 0:
+                kept1.append(x1)
+                kept2.append(x2.copy())
+        return np.array(kept1).T.ravel(), np.array(kept2).T.ravel()
+
+    count = -(-m // CHAIN_LENGTH)
+    parts = map_chunks(count, CHAINS_PER_CHUNK, chunk, t.RngStream(21),
+                       workers=1)
+    assert len(parts) == 2
+    w1, w2 = (np.concatenate(col)[:m] for col in zip(*parts))
+    assert np.array_equal(got.w1, w1)
+    assert np.array_equal(got.w2, w2)
 
 
 def test_iterated_steps_reach_fixed_point():
@@ -437,7 +553,6 @@ def test_stationarity_in_law_under_one_step():
     n = 100_000
     batch = t.sample_stationary_batch(m, 1e-8, n, t.RngStream(8))
     innov = t.draw_innovations(m, n, t.RngStream(9))
-    from trisre.model import step_batch
     w1_next, w2_next = step_batch(batch.w1, batch.w2, innov)
     fresh = t.sample_stationary_batch(m, 1e-8, n, t.RngStream(10))
     _, p1 = stats.ks_2samp(w1_next, fresh.w1)

@@ -205,6 +205,26 @@ def test_classify_signed_first_coordinate_states_distinctness_condition():
         == t.classify(SIGNED_COORD1, RngStream(2)).to_dict()
 
 
+def test_distinctness_condition_follows_the_chain_sign():
+    # only a22 can be negative: W2 and so b1 + a12 W2' change sign, and
+    # W1 goes negative, so the condition applies as it does for a11
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
+                           a22=SignedLognormal(-2, 1, 0.5), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    rep = t.classify(m)
+    assert rep.theorem_case == CASE_COORD1_KG
+    assert rep.check("component_tail_distinctness").status == "unverifiable"
+    assert mod.chain_signed(m) and t.coord1_steps(m).signed
+    w1 = t.sample_stationary_batch(m, 1e-8, 20_000, RngStream(1)).w1
+    assert (w1 < 0).any()
+    # a nonnegative chain states no condition
+    kg = next(c.model for c in builtin_scenarios(quick=True)
+              if c.name == "coord1_dominant_kg")
+    assert not mod.chain_signed(kg)
+    with pytest.raises(KeyError):
+        t.classify(kg).check("component_tail_distinctness")
+
+
 def test_classify_draws_nothing_on_the_signed_first_coordinate_model(
         monkeypatch):
     def no_draws(self):
