@@ -36,8 +36,9 @@ from .stationary import coord1_steps, law_steps, sample_stationary_batch
 from .tails import (CONVENTIONS, EmpiricalTail,
                     PerpetuityConstants, TailSelection, ccdf,
                     default_log_grid, goldie_constant_direct,  # noqa: F401
-                    goldie_constant_perpetuity, grey_constants, hill,
-                    hill_depth, log_factor_regression, log_grid_depth)
+                    goldie_constant_perpetuity, grey_constants,
+                    grid_point_usable, hill, hill_depth,
+                    log_factor_regression, log_grid_depth)
 from .tilting import (SnapshotMoments, _gaussian_constant,
                       clt_constant,  # noqa: F401
                       estimate_coupling_rate, estimate_coupling_weight,
@@ -318,23 +319,17 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         study = tilting.coupling_sum_moments(
             model, alpha2, list(range(1, i_cap + 1)), constant_samples,
             rng.substream(4))
-        # sum terms until the bound drops below 1e-4 of the partial sum
-        sum_p, sum_m = 0.0, 0.0
-        var_p, var_m = 0.0, 0.0
-        nmax = 0
+        # sum terms until the bound drops below 1e-4 of the partial sum.
+        # The snapshots share their paths, but their errors add in
+        # quadrature here (ROADMAP item 6)
+        ep, eq = EstimateWithError(p), EstimateWithError(q)
+        plus, minus = [], []
         for snap in study.snapshots:
-            i = snap.k
-            wp, wm = snap.plus, snap.minus
-            sum_p += wp.value * p + wm.value * q
-            sum_m += wp.value * q + wm.value * p
-            var_p += (wp.se * p) ** 2 + (wm.se * q) ** 2
-            var_m += (wp.se * q) ** 2 + (wm.se * p) ** 2
-            nmax = max(nmax, wp.n_samples)
-            if bound(i) < 1e-4 * max(sum_p + sum_m, 1e-300):
+            plus += [(snap.plus, ep), (snap.minus, eq)]
+            minus += [(snap.plus, eq), (snap.minus, ep)]
+            cp, cm = sum_of_products(plus), sum_of_products(minus)
+            if bound(snap.k) < 1e-4 * max(cp.value + cm.value, 1e-300):
                 break
-        seed = study.final().plus.seed
-        cp = EstimateWithError(sum_p, math.sqrt(var_p), nmax, seed)
-        cm = EstimateWithError(sum_m, math.sqrt(var_m), nmax, seed)
         return AsymptoticPrediction(alpha2, 0.0, cp, cm, case,
                                     "rv_noise_weight_series",
                                     ell_scale=b2.scale ** alpha2)
@@ -455,12 +450,10 @@ def _tail_constant_fit(tail: EmpiricalTail,
         return {"error": str(exc)}
     vals = []
     for x in grid:
+        if not grid_point_usable(tail, x):
+            continue
         c = ccdf(tail, x)
-        if c * tail.count < 50 or x <= 1:
-            continue
         denom = (math.log(x)) ** prediction.log_beta
-        if denom <= 0:
-            continue
         vals.append(x ** prediction.tail_index * c / denom
                     / prediction.ell_scale)
     if len(vals) < 5:

@@ -3,15 +3,15 @@
 Covers the survival function, the Hill estimator and the depth of the
 top order statistics each reads (so a stream of samples can be folded
 into just those, chunk by chunk, in a TailSelection of float64 values
-and int32 chain ids), their SEs, which are clustered by chain for
-samples drawn in dependent chains, the regression that extracts a
-log-power slowly varying factor, and two independent routes to
-the tail constant of a recursion X = A X' + B: the perpetuity partial-sum
-limit, a scan over a step source of (A, B) with finite variance, which
-predict uses for every Kesten-Goldie constant, and the implicit-renewal
-(one-step difference) formula, which takes a stationary sampler, has
-finite variance only for alpha < 2 and serves as the reference that the
-scan is checked against.
+and int32 chain ids), their SEs, clustered by the chains that the
+samples are drawn in (one sample a chain unless told otherwise), the
+regression that extracts a log-power slowly varying factor, and two
+independent routes to the tail constant of a recursion X = A X' + B:
+the perpetuity partial-sum limit, a scan over a step source of (A, B)
+with finite variance, which predict uses for every Kesten-Goldie
+constant, and the implicit-renewal (one-step difference) formula, which
+takes a stationary sampler, has finite variance only for alpha < 2 and
+serves as the reference that the scan is checked against.
 """
 from __future__ import annotations
 
@@ -36,6 +36,8 @@ CONVENTIONS = ("absolute", "positive", "negative")
 LOG_GRID_POINTS = 20
 LOG_GRID_LO_Q = 0.90
 LOG_GRID_HI_Q = 0.9999
+# a fit over the log grid uses a point only with this many samples above
+GRID_MIN_EXCEEDANCES = 50
 
 
 def _convention(samples: np.ndarray, convention: str) -> np.ndarray:
@@ -77,11 +79,10 @@ def _chain_ids(chains, samples: np.ndarray, rows=slice(None)) -> np.ndarray:
                      "sample")
 
 
-def _kept(values: np.ndarray, ids: np.ndarray | None,
+def _kept(values: np.ndarray, ids: np.ndarray,
           keep: int) -> tuple[np.ndarray, float]:
     """Mask of the keep largest of more than keep values, ties of value
-    ranked by chain id (any of the tied values when ids is None), and the
-    least of them."""
+    ranked by chain id, and the least of them."""
     cut = values.size - keep
     floor = np.partition(values, cut)[cut]
     kept = values >= floor
@@ -90,8 +91,7 @@ def _kept(values: np.ndarray, ids: np.ndarray | None,
         # the floor value repeats on both sides of the cut: drop the
         # repeats of the least chain ids
         tied = np.flatnonzero(values == floor)
-        if ids is not None:
-            tied = tied[np.argsort(ids[tied], kind="stable")]
+        tied = tied[np.argsort(ids[tied], kind="stable")]
         kept[tied[:extra]] = False
     return kept, floor
 
@@ -109,18 +109,19 @@ class EmpiricalTail:
     values is the reversed view of one contiguous ascending float64
     buffer, which ccdf searches.
 
-    For a sample drawn in independent chains of dependent values, chains
-    holds the int32 chain id of each kept value (ties of value sorted by
-    id, the same way whatever the order of the samples) and chain_sizes
-    the number of samples of each chain, by id; both are None for
-    independent samples. hill and ccdf_se then give SEs clustered by
-    chain, and the tail holds 12 bytes per kept value."""
+    The samples come in independent chains of dependent values: chains
+    gives the integer chain id of each sample, and without it each sample
+    is its own chain, with its position as id. The tail's chains holds
+    the int32 chain id of each kept value (ties of value sorted by id, the
+    same way whatever the order of the samples) and chain_sizes the
+    number of samples of each chain, by id. hill and ccdf_se give SEs
+    clustered by chain, and the tail holds 12 bytes per kept value."""
 
     values: np.ndarray
     convention: str
     count: int
-    chains: np.ndarray | None
-    chain_sizes: np.ndarray | None
+    chains: np.ndarray
+    chain_sizes: np.ndarray
 
     def __init__(self, samples, convention: str = "absolute", chains=None):
         samples = np.asarray(samples, dtype=float)
@@ -128,30 +129,25 @@ class EmpiricalTail:
             raise ValueError("need at least 2 samples")
         data = _convention(samples, convention)
         data = data.copy() if data is samples else data
-        if chains is None:
-            data.sort()
-            self._set(data, convention, samples.size)
-            return
-        ids = _chain_ids(chains, samples).copy()  # _sort permutes it
+        ids = (np.arange(samples.size, dtype=np.int32) if chains is None
+               else _chain_ids(chains, samples).copy())  # _sort permutes it
         _sort(data, ids)
         self._set(data, convention, samples.size, ids, np.bincount(ids))
 
     @classmethod
     def _of(cls, ascending: np.ndarray, convention: str, count: int,
-            ids: np.ndarray | None = None,
-            chain_sizes: np.ndarray | None = None) -> EmpiricalTail:
+            ids: np.ndarray, chain_sizes: np.ndarray) -> EmpiricalTail:
         """The tail of count samples whose top order statistics are the
-        sorted array ascending, held without a copy, with the chain ids
-        of chained samples of chain_sizes."""
+        sorted array ascending, held without a copy, with their chain ids
+        and the chain_sizes of all the samples."""
         tail = cls.__new__(cls)
         tail._set(ascending, convention, count, ids, chain_sizes)
         return tail
 
     def _set(self, ascending: np.ndarray, convention: str, count: int,
-             ids: np.ndarray | None = None,
-             chain_sizes: np.ndarray | None = None) -> None:
+             ids: np.ndarray, chain_sizes: np.ndarray) -> None:
         self.values = ascending[::-1]
-        self.chains = None if ids is None else ids[::-1]
+        self.chains = ids[::-1]
         self.convention = convention
         self.count = count
         self.chain_sizes = chain_sizes
@@ -168,7 +164,7 @@ class TailSelection:
     """Mergeable accumulator of the keep largest values, under a sign
     convention, of samples added in chunks: the top order statistics of
     an EmpiricalTail of all the samples, down to depth keep, with their
-    chain ids when the samples come with them.
+    chain ids.
 
     Ties of value break by chain id, so the kept values and ids do not
     depend on the order of the chunks (only which of +0.0 and -0.0 fills
@@ -195,34 +191,27 @@ class TailSelection:
         self._ids = np.empty(self._values.size, dtype=np.int32)
         self._size = 0  # the candidates are _values[-_size:], _ids[-_size:]
         self._floor = -np.inf
-        self._chained = None  # whether the samples come with chain ids
         self._taken = False  # tail() hands out the buffers
         self._lock = threading.Lock()
 
-    def add(self, samples: np.ndarray, chains: np.ndarray | None = None) -> None:
+    def add(self, samples: np.ndarray, chains: np.ndarray) -> None:
+        """Fold in samples, with chains the integer chain id of each."""
         samples = np.asarray(samples, dtype=float).ravel()
         data = _convention(samples, self.convention)
         # the floor only rises, so a read before the lock is safe
         above = np.flatnonzero(data >= self._floor)
         values = data[above]
         # only values at least the floor can be kept: check only their ids
-        ids = (None if chains is None
-               else _chain_ids(np.ravel(chains), samples, above))
+        ids = _chain_ids(np.ravel(chains), samples, above)
         floor = -np.inf
         if values.size > self.keep:
             kept, floor = _kept(values, ids, self.keep)
             top = np.flatnonzero(kept)
-            values = values[top]
-            ids = None if ids is None else ids[top]
+            values, ids = values[top], ids[top]
         with self._lock:
             if self._taken:
                 raise ValueError("the selection's tail was taken; it takes "
                                  "no more samples")
-            if self._chained is None:
-                self._chained = chains is not None
-            if self._chained != (chains is not None):
-                raise ValueError("either every chunk comes with chain ids "
-                                 "or none does")
             self.count += samples.size
             self._floor = max(self._floor, floor)
             while values.size:
@@ -231,16 +220,14 @@ class TailSelection:
                 end = self._values.size - self._size
                 n = min(values.size, end)
                 self._values[end - n:end] = values[:n]
-                if ids is not None:
-                    self._ids[end - n:end] = ids[:n]
-                    ids = ids[n:]
+                self._ids[end - n:end] = ids[:n]
                 self._size += n
-                values = values[n:]
+                values, ids = values[n:], ids[n:]
 
     def _trim(self) -> None:
         if self._size > self.keep:
             values = self._values[-self._size:]
-            ids = self._ids[-self._size:] if self._chained else None
+            ids = self._ids[-self._size:]
             kept, self._floor = _kept(values, ids, self.keep)
             # the kept values ahead of the last keep slots fill the gaps
             # that the dropped ones leave in them
@@ -248,33 +235,27 @@ class TailSelection:
             src = np.flatnonzero(kept[:cut])
             dst = cut + np.flatnonzero(~kept[cut:])
             values[dst] = values[src]
-            if ids is not None:
-                ids[dst] = ids[src]
+            ids[dst] = ids[src]
             self._size = self.keep
 
-    def tail(self, chain_sizes: np.ndarray | None = None) -> EmpiricalTail:
-        """The selection as an EmpiricalTail of count samples. Chained
-        samples need chain_sizes, the number of samples of each chain by
-        id, with an entry for every kept id. The tail sorts the kept
-        values (and ids) in place and holds the buffers, so the selection
-        takes no more samples after it."""
+    def tail(self, chain_sizes: np.ndarray) -> EmpiricalTail:
+        """The selection as an EmpiricalTail of count samples, with
+        chain_sizes the number of samples of each chain by id, an entry
+        for every kept id. The tail sorts the kept values and ids in place
+        and holds the buffers, so the selection takes no more samples
+        after it."""
         if self.count < 2:
             raise ValueError("need at least 2 samples")
-        if self._chained != (chain_sizes is not None) or (
-                chain_sizes is not None and chain_sizes.sum() != self.count):
-            raise ValueError("chain_sizes must give the samples of each "
-                             "chain exactly when they come with chain ids")
+        if chain_sizes.sum() != self.count:
+            raise ValueError("chain_sizes must give the samples of each chain")
         self._trim()
         values = self._values[-self._size:]
-        ids = self._ids[-self._size:] if self._chained else None
+        ids = self._ids[-self._size:]
         # add checks the ids against 0 and the int32 range, not the sizes
-        if ids is not None and (top := int(ids.max())) >= chain_sizes.size:
+        if (top := int(ids.max())) >= chain_sizes.size:
             raise ValueError(f"kept chain id {top} has no entry in the "
                              f"chain_sizes of {chain_sizes.size} chains")
         self._taken = True
-        if ids is None:
-            values.sort()
-            return EmpiricalTail._of(values, self.convention, self.count)
         _sort(values, ids)
         return EmpiricalTail._of(values, self.convention, self.count, ids,
                                  chain_sizes)
@@ -303,22 +284,26 @@ def _exceedances(tail: EmpiricalTail, x: float) -> int:
     return values.size - int(np.searchsorted(values[::-1], x, side="right"))
 
 
+def grid_point_usable(tail: EmpiricalTail, x: float) -> bool:
+    """Whether the fits over the log grid use the point x: x > 1, so that
+    log x > 0, and at least GRID_MIN_EXCEEDANCES samples above it."""
+    return x > 1.0 and _exceedances(tail, x) >= GRID_MIN_EXCEEDANCES
+
+
 def ccdf(tail: EmpiricalTail, x: float) -> float:
     """Fraction of samples strictly above x."""
     return float(_exceedances(tail, x)) / tail.count
 
 
 def ccdf_se(tail: EmpiricalTail, x: float) -> float:
-    """SE of ccdf(tail, x) = N / n. For independent samples it is the
-    binomial sqrt(p (1 - p) / n). For a tail with chain ids it is the
-    cluster-robust sqrt(sum_c (N_c - p n_c)^2) / n over the chains c,
-    each with N_c exceedances among its n_c samples: the chains are
-    independent, the values within one are not."""
+    """SE of ccdf(tail, x) = N / n: the cluster-robust
+    sqrt(sum_c (N_c - p n_c)^2) / n over the chains c, each with N_c
+    exceedances among its n_c samples, as the chains are independent and
+    the values within one are not. With one sample per chain it is the
+    binomial sqrt(p (1 - p) / n)."""
     hits = _exceedances(tail, x)
     n = tail.count
     p = hits / n
-    if tail.chains is None:
-        return math.sqrt(p * (1.0 - p) / n)
     sizes = tail.chain_sizes
     residual = (np.bincount(tail.chains[:hits],
                             minlength=sizes.size) - p * sizes)
@@ -329,11 +314,11 @@ def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
     """Hill estimator from the top k log-spacings.
 
     alpha_hat = k / S, with S the sum of the log excesses of the top k
-    over the (k+1)-th order statistic. For independent samples the SE is
-    alpha_hat / sqrt(k). For a tail with chain ids it is the
-    cluster-robust delta-method SE of that ratio from the per-chain
-    (count, sum of log excesses) (N_c, S_c) above the threshold taken as
-    fixed: sqrt(sum_c (N_c - alpha_hat S_c)^2) / S.
+    over the (k+1)-th order statistic. The SE is the cluster-robust
+    delta-method SE of that ratio from the per-chain (count, sum of log
+    excesses) (N_c, S_c) above the threshold taken as fixed:
+    sqrt(sum_c (N_c - alpha_hat S_c)^2) / S. With one sample per chain
+    it is asymptotically alpha_hat / sqrt(k).
 
     Uses order-statistic ratios, so rescaling the sample by a power of
     two leaves the estimate and its SE bit-identical."""
@@ -347,8 +332,6 @@ def hill(tail: EmpiricalTail, k: int) -> EstimateWithError:
     if s <= 0.0:
         raise DegenerateTail("top order statistics coincide")
     a = k / s
-    if tail.chains is None:
-        return EstimateWithError(a, a / math.sqrt(k), k)
     # a chain without exceedances adds 0 - alpha_hat * 0
     chain = tail.chains[:k]
     residual = np.bincount(chain) - a * np.bincount(chain, weights=logs)
@@ -382,21 +365,17 @@ def log_factor_regression(tail: EmpiricalTail, alpha: float,
     The slope estimates the exponent of a (log x)^beta factor multiplying
     an x^{-alpha} tail; alpha comes from theory, never from this fit.
     Returns (beta_hat, intercept, r2)."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    floor = 50.0 / tail.count
     xs, ys = [], []
-    for x in x_grid:
-        if x <= 1.0:
+    for x in np.asarray(x_grid, dtype=float):
+        if not grid_point_usable(tail, x):
             continue
         c = ccdf(tail, x)
-        if c <= floor:
-            continue
         xs.append(math.log(math.log(x)))
         ys.append(alpha * math.log(x) + math.log(c))
     if len(xs) < 5:
         raise InsufficientSupport(
-            f"only {len(xs)} usable grid points (need >= 5 with ccdf above "
-            f"{floor:.2g} and x > 1)")
+            f"only {len(xs)} usable grid points (need >= 5 with x > 1 and "
+            f"at least {GRID_MIN_EXCEEDANCES} samples above)")
     xarr, yarr = np.array(xs), np.array(ys)
     slope, intercept = np.polyfit(xarr, yarr, 1)
     fitted = slope * xarr + intercept

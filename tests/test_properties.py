@@ -293,23 +293,24 @@ def outcome(read, *args):
 def test_selection_tails_read_as_the_full_sample(samples, conv, delta, cuts,
                                                  order, ks):
     # a TailSelection kept at, just above or just below the depth of the
-    # reads, fed in chunks in any order, answers every read within its
-    # depth bit for bit as the tail of the full sample, and raises
-    # ValueError for every read below it
+    # reads, fed in chunks in any order with one chain a sample, answers
+    # every read within its depth bit for bit as the tail of the full
+    # sample, and raises ValueError for every read below it
     n = samples.size
     k = t.tails.hill_depth(n)
     need = max(k + 1, t.tails.log_grid_depth(n))
     keep = max(2, need + delta)
-    chunks = np.split(samples, sorted(c % (n + 1) for c in cuts))
-    order.shuffle(chunks)
+    pieces = np.split(np.arange(n), sorted(c % (n + 1) for c in cuts))
+    order.shuffle(pieces)
     selection = t.tails.TailSelection(conv, keep)
-    for chunk in chunks:
-        selection.add(chunk)
+    for piece in pieces:
+        selection.add(samples[piece], piece)
     full = t.EmpiricalTail(samples, conv)
-    tail = selection.tail()
+    tail = selection.tail(full.chain_sizes)
     complete = keep >= n
     assert tail.count == n and tail.values.size == min(keep, n)
     np.testing.assert_array_equal(tail.values, full.values[:keep])
+    np.testing.assert_array_equal(tail.chains, full.chains[:keep])
 
     def check(depth, read, *args):
         expected = (ValueError if depth > keep and not complete

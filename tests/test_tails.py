@@ -11,7 +11,10 @@ from trisre import Constant, IndependentEntries, Lognormal, SignedLognormal
 from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
 from trisre.errors import RegimeMismatch
-from trisre.scenarios import _GOLDIE_HORIZON, _goldie_horizon, _window_bias
+from trisre.estimates import EstimateWithError
+from trisre.scenarios import (_GOLDIE_HORIZON, AsymptoticPrediction,
+                              _goldie_horizon, _tail_constant_fit,
+                              _window_bias)
 from trisre.tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
                           default_log_grid, hill, hill_depth,
                           log_factor_regression, log_grid_depth)
@@ -35,26 +38,31 @@ def test_read_depths_at_a_million_samples():
 
 
 def test_selection_keeps_the_top_values_in_any_chunk_order():
+    # one sample a chain, the chain id its position
     x = np.array([5.0, -7.0, 1.0, 3.0, -2.0, 9.0, 3.0, 0.5])
-    for chunks in ([x], [x[:3], x[3:]], [x[5:], x[:2], x[2:5]]):
+    ids, sizes = np.arange(x.size), np.ones(x.size, dtype=np.int64)
+    for pieces in ([ids], [ids[:3], ids[3:]], [ids[5:], ids[:2], ids[2:5]]):
         selection = TailSelection("absolute", 4)
-        for chunk in chunks:
-            selection.add(chunk)
-        tail = selection.tail()
+        for piece in pieces:
+            selection.add(x[piece], piece)
+        tail = selection.tail(sizes)
         assert tail.count == 8 and tail.convention == "absolute"
         np.testing.assert_array_equal(tail.values, [9.0, 7.0, 5.0, 3.0])
+        np.testing.assert_array_equal(tail.chains, [5, 1, 0, 6])
     negative = TailSelection("negative", 3)
-    negative.add(x)
-    np.testing.assert_array_equal(negative.tail().values, [7.0, 2.0, -0.5])
+    negative.add(x, ids)
+    np.testing.assert_array_equal(negative.tail(sizes).values,
+                                  [7.0, 2.0, -0.5])
 
 
 def test_selection_reads_below_the_kept_depth_raise():
     g = t.RngStream(9).gen
     x = g.random(20_000) ** -0.5
     full = EmpiricalTail(x, "positive")
+    ids = np.arange(x.size)
     shallow = TailSelection("positive", 50)
-    shallow.add(x)
-    tail = shallow.tail()
+    shallow.add(x, ids)
+    tail = shallow.tail(full.chain_sizes)
     assert hill(tail, 49) == hill(full, 49)
     with pytest.raises(ValueError, match="top 51 order statistics"):
         hill(tail, 50)
@@ -69,14 +77,15 @@ def test_selection_reads_below_the_kept_depth_raise():
     for keep, ok in ((log_grid_depth(20_000) - 1, False),
                      (log_grid_depth(20_000), True)):
         selection = TailSelection("positive", keep)
-        selection.add(x)
+        selection.add(x, ids)
+        selected = selection.tail(full.chain_sizes)
         if not ok:
             with pytest.raises(ValueError):
-                default_log_grid(selection.tail())
+                default_log_grid(selected)
             continue
-        grid = default_log_grid(selection.tail())
+        grid = default_log_grid(selected)
         np.testing.assert_array_equal(grid, default_log_grid(full))
-        assert log_factor_regression(selection.tail(), 2.0, grid) == \
+        assert log_factor_regression(selected, 2.0, grid) == \
             log_factor_regression(full, 2.0, grid)
 
 
@@ -84,12 +93,12 @@ def test_selection_loses_no_chunk_added_from_many_threads():
     # more threads than cores and a short switch interval: a lost update
     # of count or of the kept values would show against the full sample
     x = t.RngStream(10).gen.standard_normal(64 * 500)
-    chunks = np.split(x, 64)
+    pieces = np.split(np.arange(x.size), 64)
     selection = TailSelection("absolute", 700)
 
     def add_every_eighth(start):
-        for chunk in chunks[start::8]:
-            selection.add(chunk)
+        for piece in pieces[start::8]:
+            selection.add(x[piece], piece)
 
     threads = [threading.Thread(target=add_every_eighth, args=(i,))
                for i in range(8)]
@@ -103,10 +112,11 @@ def test_selection_loses_no_chunk_added_from_many_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    tail = selection.tail()
+    full = EmpiricalTail(x, "absolute")
+    tail = selection.tail(full.chain_sizes)
     assert tail.count == x.size
-    np.testing.assert_array_equal(tail.values,
-                                  EmpiricalTail(x, "absolute").values[:700])
+    np.testing.assert_array_equal(tail.values, full.values[:700])
+    np.testing.assert_array_equal(tail.chains, full.chains[:700])
 
 
 def test_selection_rejects_bad_arguments():
@@ -115,9 +125,9 @@ def test_selection_rejects_bad_arguments():
     with pytest.raises(ValueError, match="keep"):
         TailSelection("absolute", 1)
     selection = TailSelection("absolute", 10)
-    selection.add(np.ones(1))
+    selection.add(np.ones(1), np.zeros(1, dtype=np.int32))
     with pytest.raises(ValueError, match="at least 2 samples"):
-        selection.tail()
+        selection.tail(np.ones(1, dtype=np.int32))
 
 
 def test_selection_breaks_ties_by_chain_id_in_any_chunk_order():
@@ -139,22 +149,14 @@ def test_selection_breaks_ties_by_chain_id_in_any_chunk_order():
         np.testing.assert_array_equal(tail.chains, full.chains[:4])
 
 
-def test_selection_chain_ids_are_all_or_nothing():
+def test_selection_checks_chain_sizes_and_takes_no_samples_after_its_tail():
     selection = TailSelection("absolute", 3)
     selection.add(np.ones(4), np.arange(4))
-    with pytest.raises(ValueError, match="chain ids"):
-        selection.add(np.ones(4))
-    with pytest.raises(ValueError, match="chain_sizes"):
-        selection.tail()
     with pytest.raises(ValueError, match="chain_sizes"):
         selection.tail(np.array([1, 1, 1]))
     assert selection.tail(np.ones(4, dtype=np.int32)).chains.size == 3
     with pytest.raises(ValueError, match="tail was taken"):
         selection.add(np.ones(4), np.arange(4))
-    plain = TailSelection("absolute", 3)
-    plain.add(np.ones(4))
-    with pytest.raises(ValueError, match="chain_sizes"):
-        plain.tail(np.ones(4, dtype=np.int32))
     for bad in (np.arange(3), np.arange(4) - 1, np.arange(4.0)):
         with pytest.raises(ValueError, match="chain id"):
             EmpiricalTail(np.ones(4), chains=bad)
@@ -197,7 +199,7 @@ def test_hill_clustered_se_counts_a_repeated_value_once():
     # every value twice in one chain carries no more information than
     # once: Hill at 2k of the doubled sample has the estimate and the
     # clustered SE of Hill at k of the single sample with one chain per
-    # value, while the independent-sample SE falls by sqrt(2)
+    # value, while with one chain per sample the SE falls by sqrt(2)
     x = t.RngStream(12).gen.random(5000) ** (-1.0 / 1.5)
     single = EmpiricalTail(x, "positive", chains=np.arange(x.size))
     double = EmpiricalTail(np.concatenate((x, x)), "positive",
@@ -209,25 +211,42 @@ def test_hill_clustered_se_counts_a_repeated_value_once():
     assert two.se == pytest.approx(one.se, rel=1e-12)
     # the sandwich SE of independent values is near alpha_hat / sqrt(k)
     assert one.se == pytest.approx(one.value / math.sqrt(k), rel=0.15)
-    assert hill(plain, 2 * k).se == pytest.approx(
-        two.value / math.sqrt(2 * k), rel=1e-12)
+    assert hill(plain, 2 * k).se == pytest.approx(one.se / math.sqrt(2),
+                                                  rel=1e-12)
 
 
 def test_ccdf_se_clusters_by_chain():
     # one value per chain is the binomial SE; the doubled sample, each
     # value twice in one chain, keeps the single sample's SE
     x = t.RngStream(13).gen.standard_normal(3000)
-    plain = EmpiricalTail(x, "absolute")
-    single = EmpiricalTail(x, "absolute", chains=np.arange(x.size))
+    single = EmpiricalTail(x, "absolute")
     double = EmpiricalTail(np.concatenate((x, x)), "absolute",
                            chains=np.tile(np.arange(x.size), 2))
     for q in (0.5, 0.9, 0.99):
         y = float(np.quantile(np.abs(x), q))
-        assert ccdf_se(single, y) == pytest.approx(ccdf_se(plain, y),
-                                                   rel=1e-9)
-        assert ccdf_se(double, y) == pytest.approx(ccdf_se(plain, y),
-                                                   rel=1e-9)
-    assert ccdf_se(double, 1e9) == ccdf_se(plain, 1e9) == 0.0
+        p = ccdf(single, y)
+        binomial = math.sqrt(p * (1.0 - p) / x.size)
+        assert ccdf_se(single, y) == pytest.approx(binomial, rel=1e-9)
+        assert ccdf_se(double, y) == pytest.approx(binomial, rel=1e-9)
+    assert ccdf_se(double, 1e9) == ccdf_se(single, 1e9) == 0.0
+
+
+def test_unchained_sample_is_chains_of_one():
+    # without chain ids each sample is its own chain, the id its position:
+    # the same tail, bit for bit, as with those ids given
+    x = t.RngStream(14).gen.standard_normal(4000).round(2)  # with ties
+    for conv in t.tails.CONVENTIONS:
+        plain = EmpiricalTail(x, conv)
+        given = EmpiricalTail(x, conv, chains=np.arange(x.size))
+        for name in ("values", "chains", "chain_sizes"):
+            a, b = getattr(plain, name), getattr(given, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert plain.chains.dtype == np.int32
+        np.testing.assert_array_equal(plain.chain_sizes, np.ones(x.size))
+        for k in (10, 200):
+            assert hill(plain, k) == hill(given, k)
+        for y in (0.5, 1.5, 2.5):
+            assert ccdf_se(plain, y) == ccdf_se(given, y)
 
 
 def test_hill_on_exact_pareto_transform():
@@ -236,9 +255,18 @@ def test_hill_on_exact_pareto_transform():
     u = g.random(1_000_000)
     samples = u ** (-1.0 / alpha)  # inverse-transform standard Pareto
     tail = EmpiricalTail(samples, "positive")
-    est = hill(tail, 10_000)
+    k = 10_000
+    est = hill(tail, k)
     assert abs(est.value - alpha) <= 4 * est.se
-    assert est.se == pytest.approx(est.value / 100.0)
+    # one sample a chain: the delta-method SE sqrt(sum (1 - a L_i)^2) / S
+    # of the log excesses L_i, near alpha_hat / sqrt(k)
+    top = np.sort(samples)[::-1][:k + 1]
+    logs = np.log(top[:k] / top[k])
+    s = logs.sum()
+    se = math.sqrt(np.sum((1.0 - est.value * logs) ** 2)) / s
+    assert est.value == pytest.approx(k / s, rel=1e-12)
+    assert est.se == pytest.approx(se, rel=1e-12)
+    assert est.se == pytest.approx(est.value / math.sqrt(k), rel=0.05)
 
 
 def test_hill_se_decreases_with_k_on_pareto():
@@ -315,6 +343,37 @@ def test_default_log_grid_quantiles_match_numpy():
     grid = t.default_log_grid(tail)
     ref = np.geomspace(np.quantile(x, 0.9), np.quantile(x, 0.9999), 20)
     np.testing.assert_allclose(grid, ref, rtol=1e-12, atol=0.0)
+
+
+def test_grid_fits_agree_on_a_point_with_exactly_the_floor_of_exceedances():
+    # move the sample around one log-grid point so that exactly 50 values
+    # lie above it, leaving the grid's quantiles where they are: the
+    # log-factor regression and the tail-constant fit both use that point
+    alpha, n = 2.0, 10_000
+    x = t.RngStream(15).gen.random(n) ** (-1.0 / alpha)
+    grid = default_log_grid(EmpiricalTail(x, "positive"))
+    hits = np.array([np.count_nonzero(x > g) for g in grid])
+    g = grid[np.argmin(np.abs(hits - 50))]
+    y = np.sort(x)[::-1]
+    y[:50] = np.maximum(y[:50], np.nextafter(g, np.inf))
+    y[50:] = np.minimum(y[50:], g)
+    tail = EmpiricalTail(y, "positive")
+    np.testing.assert_array_equal(default_log_grid(tail), grid)
+    assert np.count_nonzero(y > g) == t.tails.GRID_MIN_EXCEEDANCES == 50
+    usable = [v for v in grid if v > 1 and np.count_nonzero(y > v) >= 50]
+    assert g in usable and len(usable) >= 5
+    p = np.array([ccdf(tail, v) for v in usable])
+    logs = np.log(usable)
+    slope, intercept = np.polyfit(np.log(logs), alpha * logs + np.log(p), 1)
+    beta_hat, icpt, _ = log_factor_regression(tail, alpha, grid)
+    assert beta_hat == pytest.approx(slope, rel=1e-12)
+    assert icpt == pytest.approx(intercept, rel=1e-12)
+    prediction = AsymptoticPrediction(alpha, 0.0, EstimateWithError(1.0),
+                                      EstimateWithError(0.0), "test", "test")
+    fit = _tail_constant_fit(tail, prediction)
+    assert fit["grid_points"] == len(usable)
+    assert fit["empirical"] == pytest.approx(
+        np.mean(np.array(usable) ** alpha * p), rel=1e-12)
 
 
 def test_log_factor_regression_insufficient_support():
