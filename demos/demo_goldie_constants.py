@@ -8,7 +8,9 @@ partial sums X_n of the perpetuity series, scanned over a step source of
 
 The naive sample mean of the alpha-moment in route 2 misses the
 exponentially rare paths that carry it, so the estimator accumulates
-per-step moment increments instead; this demo shows all three numbers.
+per-step moment increments instead, and reads the growth over the late
+window (n/2, n] of a horizon n it sizes from the laws; this demo shows
+both routes, the naive mean and the exact constant.
 At alpha = 2 the variance of route 1 diverges (logarithmically), which is
 why predict uses route 2 for every Kesten-Goldie constant: the second
 coordinate's over law_steps, the first coordinate's over coord1_steps,
@@ -45,10 +47,10 @@ cp, cm = t.goldie_constant_direct(sampler, alpha, rho, 300_000,
 print(f"direct formula:      c+ = {cp.value:.4f} +- {cp.se:.4f}")
 
 res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, b_law), alpha,
-                                   rho, 400, 300_000, rng.substream(2))
-print(f"perpetuity windowed: c+ = {res.c_plus.value:.4f} +- {res.c_plus.se:.4f}")
-print(f"  full average at n:   {res.rate_at_n.plus.value:.4f}")
-print(f"  full average at n/2: {res.rate_at_half.plus.value:.4f}")
+                                   rho, 300_000, rng.substream(2))
+print(f"perpetuity windowed: c+ = {res.plus.value:.4f} +- {res.plus.se:.4f}"
+      f", c- = {res.minus.value:.4f}")
+print(f"  over (n/2, n] at the horizon it derives from the laws, n = {res.k}")
 
 # show the failure mode of the naive mean: it saturates at the scales a
 # finite sample can see

@@ -30,15 +30,15 @@ from .rng import RngStream, default_workers
 from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
                         builtin_scenarios, emit_report, load_config, predict,
                         run_scenario, run_suite)
-from .stationary import (StationaryBatch, coord1_steps, law_steps,
-                         sample_stationary_batch, truncation_depth)
+from .stationary import (StationaryBatch, sample_stationary_batch,
+                         truncation_depth)
 from .tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
-                    default_log_grid, goldie_constant_direct,
-                    goldie_constant_perpetuity, grey_constants, hill,
-                    log_factor_regression)
-from .tilting import (CouplingRate, PartialSumStudy, SnapshotMoments,
-                      clt_constant, coupling_sum_moments,
+                    default_log_grid, goldie_constant_direct, grey_constants,
+                    hill, log_factor_regression)
+from .tilting import (PartialSumStudy, SnapshotMoments, clt_constant,
+                      coord1_steps, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,
+                      goldie_constant_perpetuity, law_steps,
                       tilted_offdiag_moments)
 
 __version__ = "0.1.0"

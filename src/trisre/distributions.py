@@ -135,32 +135,35 @@ Dist = Constant | Normal | Lognormal | SignedLognormal | TwoSidedPareto | Unifor
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample(spec: Dist, rng: RngStream, size: int | None = None):
-    """Draw from the law; advances rng deterministically."""
+def sample(spec: Dist, rng: RngStream, size: int) -> np.ndarray:
+    """An array of size draws from the law; advances rng deterministically."""
     g = rng.gen
-    n = 1 if size is None else size
     if isinstance(spec, Constant):
-        out = np.full(n, spec.c, dtype=float)
+        out = np.full(size, spec.c, dtype=float)
     elif isinstance(spec, Normal):
-        out = g.normal(spec.mean, spec.sd, size=n)
+        out = g.normal(spec.mean, spec.sd, size=size)
     elif isinstance(spec, Lognormal):
-        out = g.normal(spec.mu, spec.sigma, size=n)
+        out = g.normal(spec.mu, spec.sigma, size=size)
         np.exp(out, out=out)
     elif isinstance(spec, SignedLognormal):
-        out = g.normal(spec.mu, spec.sigma, size=n)
+        out = g.normal(spec.mu, spec.sigma, size=size)
         np.exp(out, out=out)
-        out *= np.where(g.random(n) < spec.p_pos, 1.0, -1.0)
+        out *= np.where(g.random(size) < spec.p_pos, 1.0, -1.0)
     elif isinstance(spec, TwoSidedPareto):
-        mag = spec.scale * g.random(n) ** (-1.0 / spec.alpha)
-        sign = np.where(g.random(n) < spec.p_pos, 1.0, -1.0)
+        # random() lies in [0, 1): mapping U = 0 to 1 gives the law of
+        # 1 - U, on (0, 1], so the magnitude stays finite
+        u = g.random(size)
+        u[u == 0.0] = 1.0
+        mag = spec.scale * u ** (-1.0 / spec.alpha)
+        sign = np.where(g.random(size) < spec.p_pos, 1.0, -1.0)
         out = sign * mag
     elif isinstance(spec, Uniform):
-        out = g.uniform(spec.a, spec.b, size=n)
+        out = g.uniform(spec.a, spec.b, size=size)
     elif isinstance(spec, Scaled):
-        out = spec.factor * sample(spec.inner, rng, size=n)
+        out = spec.factor * sample(spec.inner, rng, size)
     else:  # pragma: no cover
         raise TypeError(f"unknown spec {spec!r}")
-    return float(out[0]) if size is None else out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,32 +30,21 @@ from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
                      CASE_EQUAL_DIAG_NONZERO_DRIFT, CASE_EQUAL_DIAG_ZERO_DRIFT,
                      CASE_UNSUPPORTED, RegimeReport, classify)
 from .rng import RngStream
-from .stationary import coord1_steps, law_steps, sample_stationary_batch
+from .stationary import sample_stationary_batch
 # goldie_constant_direct and clt_constant are unused here, but the traced
 # benchmark patches them by name, as it does EmpiricalTail
-from .tails import (CONVENTIONS, EmpiricalTail,
-                    PerpetuityConstants, TailSelection, ccdf,
+from .tails import (CONVENTIONS, EmpiricalTail, TailSelection, ccdf,
                     default_log_grid, goldie_constant_direct,  # noqa: F401
-                    goldie_constant_perpetuity, grey_constants,
-                    grid_point_usable, hill, hill_depth,
+                    grey_constants, grid_point_usable, hill, hill_depth,
                     log_factor_regression, log_grid_depth)
 from .tilting import (SnapshotMoments, _gaussian_constant,
                       clt_constant,  # noqa: F401
-                      estimate_coupling_rate, estimate_coupling_weight,
-                      tilted_offdiag_moments)
+                      coord1_steps, estimate_coupling_rate,
+                      estimate_coupling_weight, goldie_constant_perpetuity,
+                      law_steps, tilted_offdiag_moments)
 
 SCHEMA_VERSION = 1
 
-# Horizon n of the perpetuity scan behind every Kesten-Goldie constant:
-# the smallest even n >= _GOLDIE_HORIZON whose late-window bias
-# bound is below _GOLDIE_BIAS (see _goldie_horizon), at most
-# _GOLDIE_MAX_HORIZON; the scan's cost grows linearly in n. The floor is
-# the horizon of every built-in scenario: for A = LN(-1, 1), B = 1 the
-# bias is -0.13% at n = 20, -0.04% at n = 24 and -0.007% at n = 30,
-# against a Monte Carlo SE of about 0.3% at 200k samples.
-_GOLDIE_HORIZON = 24
-_GOLDIE_BIAS = 1e-3
-_GOLDIE_MAX_HORIZON = 1000
 # Most terms of the coord2_dominant_grey weight series; predict raises
 # when the geometric term bound has not yet fallen below its target there.
 _GREY_MAX_TERMS = 200
@@ -163,72 +152,13 @@ def _inherited(c2p, c2m, w: SnapshotMoments, negative: bool,
     return cp.scaled(factor), cm.scaled(factor)
 
 
-def _window_bias(r: float, n: int, r_feed: float = 0.0) -> float:
-    """Relative bias of the late-window growth over (n/2, n] when the
-    per-step growth d_k approaches its limit like the gap
-    e_k = r e_{k-1} + r_feed^k, e_0 = 1. At alpha = 2 the exact moment
-    recursion gives d_k - d = -2 E[B]^2 E[A]^k / (1 - E[A]), so with
-    r = E[A] and no feed (e_k = r^k) this is the bias for constant B and
-    a bound for any other B independent of the path."""
-    h = n // 2
-    gap, total = 1.0, 0.0
-    for k in range(1, n + 1):
-        gap = r * gap + r_feed ** k
-        if k > h:
-            total += gap
-    return 2.0 * total / ((1.0 + r) * (n - h))
-
-
-def _goldie_horizon(a_law, alpha: float, feed_law=None) -> int:
-    """Horizon of the perpetuity scan for X = A X' + B at the critical
-    index alpha of A.
-
-    The growth d_k = E[g(X_{k-1})], g(x) = E|Ax + B|^alpha - |Ax|^alpha,
-    reaches its limit as fast as X_{k-1} couples with X: at the rate
-    r = E|A|^s when g is s-Hoelder. For alpha <= 2 any s in [alpha - 1, 1]
-    will do and s = alpha / 2 lies there (s = 1, the exact rate E[A], at
-    alpha = 2); for alpha > 2 the bound mixes the exponents 1 and
-    alpha - 1. Both rates are below 1 strictly inside (0, alpha).
-
-    When B = b1 + a12 Y' is fed by Y = C Y' + b2 (C of law feed_law), run
-    from zero alongside X, Y's gap to its stationary copy on the same
-    draws, C_1...C_k Y_0, shrinks in s-moment as r_feed^k and enters X's
-    gap at every step, which then follows e_k = r e_{k-1} + r_feed^k.
-    r_feed is the largest E|C|^s over the exponents above and alpha (the
-    top power of B in g); all lie below 1, as alpha is below C's index.
-    The exact alpha = 2 window bias stays inside this envelope: -0.053%
-    against 0.063% for coord1_dominant_kg at n = 24; -0.063% against
-    0.098% at n = 72 for a22 = LN(-0.2, 0.2), -11.7% at n = 24."""
-    exps = (alpha / 2.0,) if alpha <= 2.0 else (1.0, alpha - 1.0)
-    r = max(dist.abs_moment(a_law, s) for s in exps)
-    r_feed = (0.0 if feed_law is None else
-              max(dist.abs_moment(feed_law, s) for s in exps + (alpha,)))
-    rate, n = max(r, r_feed), _GOLDIE_HORIZON
-    while rate >= 1.0 or _window_bias(r, n, r_feed) > _GOLDIE_BIAS:
-        if rate >= 1.0 or n >= _GOLDIE_MAX_HORIZON:
-            raise RegimeMismatch(
-                f"the perpetuity scan contracts at {rate:.6g} per step: a "
-                f"late-window bias below {_GOLDIE_BIAS:g} needs a horizon "
-                f"beyond {_GOLDIE_MAX_HORIZON}")
-        n += 2
-    return n
-
-
-def _goldie_scan(a_law, steps, alpha: float, rho: float, N: int,
-                 rng: RngStream, feed_law=None) -> PerpetuityConstants:
-    """Kesten-Goldie constants of X = A X' + B: the perpetuity scan over
-    the step source at the horizon _goldie_horizon sizes from the laws."""
-    n = _goldie_horizon(a_law, alpha, feed_law)
-    return goldie_constant_perpetuity(a_law, steps, alpha, rho, n, N, rng)
-
-
 def _coord2_goldie(model: TriangularSRE, report: RegimeReport, N: int,
                    rng: RngStream) -> tuple[EstimateWithError, EstimateWithError]:
     """Kesten-Goldie constants (c+, c-) of W2 = a22 W2' + b2."""
     a22 = mod.diag_laws(model)[1]
-    c = _goldie_scan(a22, law_steps(a22, model.b2), report.alpha2,
-                     report.rho2, N, rng)
-    return c.c_plus, c.c_minus
+    c = goldie_constant_perpetuity(a22, law_steps(a22, model.b2),
+                                   report.alpha2, report.rho2, N, rng)
+    return c.plus, c.minus
 
 
 def _with_power_error(c: EstimateWithError, x: EstimateWithError,
@@ -260,13 +190,14 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
     if case == CASE_COORD1_KG:
         # W1 = a11 W1' + B with B = b1 + a12 W2': the scan runs the
         # bivariate chain, whose x2 feeds B and sets part of the horizon
-        c = _goldie_scan(d1, coord1_steps(model), report.alpha1, report.rho1,
-                         constant_samples, rng.substream(1), feed_law=d2)
+        c = goldie_constant_perpetuity(d1, coord1_steps(model), report.alpha1,
+                                       report.rho1, constant_samples,
+                                       rng.substream(1), feed_law=d2)
         if report.sign_case.a11_negative_possible:
-            half = c.rate_windowed.absolute.scaled(0.5)
+            half = c.absolute.scaled(0.5)
             return AsymptoticPrediction(report.alpha1, 0.0, half, half, case,
                                         "perpetuity_scan_absolute_halved")
-        return AsymptoticPrediction(report.alpha1, 0.0, c.c_plus, c.c_minus,
+        return AsymptoticPrediction(report.alpha1, 0.0, c.plus, c.minus,
                                     case, "perpetuity_scan_signed_parts")
 
     if case == CASE_COORD1_GREY:
@@ -284,10 +215,10 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         alpha2 = report.alpha2
         c2p, c2m = _coord2_goldie(model, report, constant_samples,
                                   rng.substream(2))
-        study = estimate_coupling_weight(model, alpha2, weight_horizon,
-                                         constant_samples, rng.substream(3))
+        weight = estimate_coupling_weight(model, alpha2, weight_horizon,
+                                          constant_samples, rng.substream(3))
         a22_neg = report.sign_case.a22_negative_possible
-        cp, cm = _inherited(c2p, c2m, study.final(), a22_neg)
+        cp, cm = _inherited(c2p, c2m, weight, a22_neg)
         formula = ("inherited_absolute_weight_halved" if a22_neg
                    else "inherited_signed_weights")
         return AsymptoticPrediction(alpha2, 0.0, cp, cm, case, formula)
@@ -367,7 +298,7 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                                       constant_samples, rng.substream(8))
         negative = (report.sign_case.a22_negative_possible
                     or report.sign_case.a11_negative_possible)
-        cp, cm = _inherited(c2p, c2m, rate.rate_windowed, negative,
+        cp, cm = _inherited(c2p, c2m, rate, negative,
                             factor=alpha / rho1)
         formula = ("coupling_rate_absolute_halved" if negative
                    else "coupling_rate_signed")

@@ -1,5 +1,4 @@
-"""Stationary solution sampling and the step sources of the tail-constant
-scans.
+"""Stationary solution sampling.
 
 The stationary law is reached by long chains run forward from zero. The
 truncation depth comes from an explicit epsilon-moment bound on what a
@@ -22,7 +21,6 @@ from . import model as mod
 from .errors import NotContractive
 from .model import TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
-from .tilting import StepSource
 
 _EPS_GRID = np.linspace(0.05, 1.0, 20)
 # Values each stationary chain keeps after its burn-in, and chains per
@@ -215,33 +213,3 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
         w1=None, w2=None, truncation_depth=depth, truncation_bound=bound,
         tails={coord: {s.convention: s.tail(sizes) for s in selections}
                for coord, selections in tails.items()})
-
-
-# ---------------------------------------------------------------------------
-# Step sources of the tail-constant scans
-# ---------------------------------------------------------------------------
-
-def law_steps(a_law: dist.Dist, b_law: dist.Dist) -> StepSource:
-    """Step source of x = a x + b with independent (A, B), A drawn first:
-    steps(m, rng) yields one step's arrays (a, b) of shape (m,) at a time.
-    A Constant b, which consumes no random numbers, is drawn once per
-    chunk. The source is signed when A or B can be negative."""
-    def steps(m: int, rng: RngStream):
-        b = (dist.sample(b_law, rng, m) if isinstance(b_law, dist.Constant)
-             else None)
-        while True:
-            a = dist.sample(a_law, rng, m)
-            yield a, dist.sample(b_law, rng, m) if b is None else b
-
-    return StepSource(steps, dist.any_negative(a_law, b_law))
-
-
-def coord1_steps(model: TriangularSRE) -> StepSource:
-    """Step source of x1 = a11 x1' + (b1 + a12 x2') along the forward
-    bivariate chain from zero, model.chain_steps with x2 dropped. It is
-    signed when model.chain_signed says W1 can go negative."""
-    def steps(m: int, rng: RngStream):
-        for a11, u, _ in mod.chain_steps(model, m, rng):
-            yield a11, u
-
-    return StepSource(steps, mod.chain_signed(model))

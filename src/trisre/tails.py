@@ -1,17 +1,16 @@
-"""Empirical tail machinery and the scalar tail-constant estimators.
+"""Empirical tail machinery and the scalar tail-constant formulas.
 
 Covers the survival function, the Hill estimator and the depth of the
 top order statistics each reads (so a stream of samples can be folded
 into just those, chunk by chunk, in a TailSelection of float64 values
 and int32 chain ids), their SEs, clustered by the chains that the
 samples are drawn in (one sample a chain unless told otherwise), the
-regression that extracts a log-power slowly varying factor, and two
-independent routes to the tail constant of a recursion X = A X' + B:
-the perpetuity partial-sum limit, a scan over a step source of (A, B)
-with finite variance, which predict uses for every Kesten-Goldie
-constant, and the implicit-renewal (one-step difference) formula, which
+regression that extracts a log-power slowly varying factor, the closed
+grey-case constants, and the implicit-renewal (one-step difference)
+formula for the tail constant of a recursion X = A X' + B. That formula
 takes a stationary sampler, has finite variance only for alpha < 2 and
-serves as the reference that the scan is checked against.
+serves as the reference that the perpetuity scan of every Kesten-Goldie
+constant (tilting.goldie_constant_perpetuity) is checked against.
 """
 from __future__ import annotations
 
@@ -21,13 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions as dist
-from .distributions import Dist
 from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      NonPositiveOrderStat)
 from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .rng import CHUNK, RngStream, map_chunks
-from .tilting import CouplingRate, _scan_factors, _study_from_pairs
 
 
 CONVENTIONS = ("absolute", "positive", "negative")
@@ -404,9 +400,10 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     Since |ax + b|^alpha - |ax|^alpha ~ alpha |ax|^{alpha-1} b for large x,
     the summand has finite variance only if E|x|^{2 alpha - 2} < inf, that
     is alpha < 2; at alpha = 2 the divergence is logarithmic and the SE is
-    not reliable. goldie_constant_perpetuity estimates the same constants
-    with finite variance, also where b depends on the path, and is the
-    route predict takes; this formula is the independent reference."""
+    not reliable. tilting.goldie_constant_perpetuity estimates the same
+    constants with finite variance, also where b depends on the path, and
+    is the route predict takes; this formula is the independent
+    reference."""
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
     if N < 1:
@@ -430,45 +427,6 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     seed = rng.describe()
     c_plus, c_minus = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
     return c_plus.estimate(seed), c_minus.estimate(seed)
-
-
-class PerpetuityConstants(CouplingRate):
-    """Tail constants from the perpetuity partial-sum limit: the
-    late-window rates, with the raw normalised moments at n and n/2 as a
-    convergence diagnostic."""
-
-    c_plus = property(lambda self: self.rate_windowed.plus)
-    c_minus = property(lambda self: self.rate_windowed.minus)
-
-
-def goldie_constant_perpetuity(a_law: Dist, steps, alpha: float, rho: float,
-                               n: int, N: int,
-                               rng: RngStream) -> PerpetuityConstants:
-    """Perpetuity-limit formula: (alpha rho n)^{-1} E[(X_n^+-)^alpha] for
-    the partial sums X_n of X = A X' + B, run from zero.
-
-    steps(m, rng) is the step source of (A, B), as in
-    tilting._study_from_pairs: stationary.law_steps(a_law, b_law) for
-    independent laws, stationary.coord1_steps(model) for the first
-    coordinate of a triangular model, whose B = b1 + a12 W2' rides along
-    the path. a_law, the law of A, sets the scan's factors.
-
-    At the critical index the naive sample mean of the alpha-moment is
-    dominated by unobservably rare paths, so the moments are accumulated
-    through per-step increments (exactly unbiased); below it they are
-    contracted by E|A|^alpha, because |X_n|^alpha itself can have infinite
-    variance. The reported constants use the late-window growth, which
-    drops the O(1/n) transient of the full average. Raw averages at n and
-    n/2 are returned alongside."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if rho <= 0:
-        raise ArgumentOutOfRange("rho must be > 0")
-    lam, gamma = _scan_factors(dist.abs_moment(a_law, alpha),
-                               dist.sign_moment(a_law, alpha), "E|A|^alpha")
-    study = _study_from_pairs(steps, alpha, [n // 2, n], N, rng, lam,
-                              step_moment=1.0, gamma=gamma)
-    return PerpetuityConstants.from_study(study, alpha * rho)
 
 
 def grey_constants(p_alpha: float, q_alpha: float, m_abs: float,

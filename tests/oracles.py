@@ -15,10 +15,10 @@ from trisre.estimates import EstimateWithError
 from trisre.model import (IndependentEntries, InnovationBatch, TriangularSRE,
                           draw_innovations)
 from trisre.rng import CHUNK, RngStream, map_chunks
-from trisre.stationary import (_first_depth, contraction_exponent, law_steps,
+from trisre.stationary import (_first_depth, contraction_exponent,
                                truncation_depth)
 from trisre.tails import goldie_constant_direct
-from trisre.tilting import _tilted_a22, _vu_steps
+from trisre.tilting import _tilted_a22, _vu_steps, law_steps
 
 _EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
 

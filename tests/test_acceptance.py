@@ -71,7 +71,7 @@ def _dependent_steps(m, rng):
 
 
 def test_c03_goldie_cross_validation():
-    n, N = 400, 1_000_000
+    N = 1_000_000
     results = []
 
     # positive multiplier
@@ -79,8 +79,8 @@ def test_c03_goldie_cross_validation():
         Lognormal(-1, 1), Constant(1.0), 2.0, 1.0, N, t.RngStream(30_100))
     perp = t.goldie_constant_perpetuity(
         Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1), Constant(1.0)),
-        2.0, 1.0, n, N, t.RngStream(30_200))
-    results.append(("positive-A", cp_d, perp.c_plus))
+        2.0, 1.0, N, t.RngStream(30_200))
+    results.append(("positive-A", cp_d, perp.plus))
 
     # signed multiplier: constants coincide; compare the shared value
     a_law = SignedLognormal(-1, 1, 0.7)
@@ -89,8 +89,8 @@ def test_c03_goldie_cross_validation():
     assert cp_d.value == cm_d.value
     perp = t.goldie_constant_perpetuity(a_law,
                                         t.law_steps(a_law, Constant(1.0)),
-                                        2.0, 1.0, n, N, t.RngStream(30_400))
-    results.append(("signed-A", cp_d, perp.c_plus))
+                                        2.0, 1.0, N, t.RngStream(30_400))
+    results.append(("signed-A", cp_d, perp.plus))
 
     # dependent (A, B) pair: B = 1 + A/2
     def sampler(m, rng):
@@ -103,8 +103,8 @@ def test_c03_goldie_cross_validation():
     cp_d, _ = t.goldie_constant_direct(sampler, 2.0, 1.0, N,
                                        t.RngStream(30_500), a_signed=False)
     perp = t.goldie_constant_perpetuity(Lognormal(-1, 1), _dependent_steps,
-                                        2.0, 1.0, n, N, t.RngStream(30_600))
-    results.append(("dependent-pair", cp_d, perp.c_plus))
+                                        2.0, 1.0, N, t.RngStream(30_600))
+    results.append(("dependent-pair", cp_d, perp.plus))
 
     for name, direct, perpetuity in results:
         diff = abs(direct.value - perpetuity.value)
@@ -157,9 +157,8 @@ def test_c05_distinct_indices_second_dominant():
     c2p, c2m = [], []
     c2p, c2m = goldie_constant_direct_for_laws(model.a22, model.b2, 2.0, 1.0,
                                                400_000, rng.substream(2))
-    study = t.estimate_coupling_weight(model, 2.0, 60, 400_000,
-                                       rng.substream(3))
-    snap = study.final()
+    snap = t.estimate_coupling_weight(model, 2.0, 60, 400_000,
+                                      rng.substream(3))
     pred = c2p.value * snap.plus.value + c2m.value * snap.minus.value
 
     tail = EmpiricalTail(batch.w1, "positive")
@@ -214,9 +213,12 @@ def test_c07_coupling_rate_convergence_and_tail_cross_check():
     model = distinct_diag_benchmark()
     alpha = 2.0
     rng = t.RngStream(70_100)
-    rate = t.estimate_coupling_rate(model, alpha, 400, 200_000,
-                                    rng.substream(1))
-    a_n, a_h = rate.rate_at_n.absolute, rate.rate_at_half.absolute
+    # the full averages (alpha k)^{-1} E|M_k|^alpha at k = n/2 and n, and
+    # the late-window rate, from one study
+    study = t.coupling_sum_moments(model, alpha, [200, 400], 200_000,
+                                   rng.substream(1))
+    a_h, a_n = (s.scaled(1.0 / (alpha * s.k)).absolute
+                for s in study.snapshots)
     slack = 4 * combined_se(a_n, a_h) + 0.05 * abs(a_n.value)
     assert abs(a_n.value - a_h.value) <= slack
 
@@ -229,7 +231,7 @@ def test_c07_coupling_rate_convergence_and_tail_cross_check():
     q = float(np.quantile(np.abs(x0), 0.999))
     p_tail = float(np.mean(np.abs(x0) > q))
     cross = drift * p_tail * q ** alpha
-    ratio = cross / rate.rate_windowed.absolute.value
+    ratio = cross / study.rate(alpha).absolute.value
     assert 0.5 <= ratio <= 2.0
     _report(f"criterion 7 PASS: rate {a_n.value:.4f} vs {a_h.value:.4f} "
             f"(slack {slack:.4f}); tail cross-check ratio {ratio:.3f}")

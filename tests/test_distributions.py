@@ -17,8 +17,8 @@ from trisre.errors import LogMomentUndefined, MomentDiverges, TiltUnsupported
 
 def test_sample_constant_and_scaled():
     rng = t.RngStream(1)
-    assert t.sample(Constant(3.0), rng) == 3.0
-    assert t.sample(Scaled(Constant(2.0), -1.5), rng) == -3.0
+    assert t.sample(Constant(3.0), rng, size=1).tolist() == [3.0]
+    assert t.sample(Scaled(Constant(2.0), -1.5), rng, size=1).tolist() == [-3.0]
 
 
 def test_sample_lognormal_mean_matches_closed_form():
@@ -44,6 +44,23 @@ def test_sample_two_sided_pareto_tail_split():
     assert np.all(np.abs(x) >= 1.5)
     frac_pos = np.mean(x > 0)
     assert abs(frac_pos - 0.7) < 0.01
+
+
+class _ZeroGenerator:
+    """A generator whose uniforms are all 0, the one value random() can
+    return that Pareto inversion must not take to infinity."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+class _ZeroStream:
+    gen = _ZeroGenerator()
+
+
+def test_sample_two_sided_pareto_is_finite_at_a_zero_uniform():
+    x = t.sample(TwoSidedPareto(2.0, 1.0, 0.7), _ZeroStream(), 3)
+    assert x.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_abs_moment_lognormal_closed_form():

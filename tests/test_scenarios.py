@@ -219,8 +219,8 @@ def test_predict_sign_dispatch_consistency():
     comb = math.hypot(cp.se, cm.se)
     assert abs(cp.value - cm.value) <= 4 * comb
     # and each equals half of the absolute-route total within MC error
-    study = t.estimate_coupling_weight(m, 2.0, 40, 100_000, rng.substream(50))
-    w_abs = study.final().absolute
+    w_abs = t.estimate_coupling_weight(m, 2.0, 40, 100_000,
+                                       rng.substream(50)).absolute
     c2p, c2m = goldie_constant_direct_for_laws(m.a22, m.b2, 2.0, 1.0, 100_000,
                                                rng.substream(51))
     absolute_route = (c2p.value + c2m.value) * w_abs.value / 2.0

@@ -12,12 +12,12 @@ from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
 from trisre.errors import RegimeMismatch
 from trisre.estimates import EstimateWithError
-from trisre.scenarios import (_GOLDIE_HORIZON, AsymptoticPrediction,
-                              _goldie_horizon, _tail_constant_fit,
-                              _window_bias)
+from trisre.scenarios import AsymptoticPrediction, _tail_constant_fit
 from trisre.tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
                           default_log_grid, hill, hill_depth,
                           log_factor_regression, log_grid_depth)
+from trisre.tilting import (_GOLDIE_HORIZON, _goldie_horizon, _scan_factors,
+                            _study_from_pairs, _window_bias)
 
 from oracles import (combined_se, coord1_window_bias,
                      goldie_constant_direct_for_laws)
@@ -412,22 +412,27 @@ def test_goldie_direct_matches_exact_constant_alpha_two():
 def test_goldie_perpetuity_zero_noise():
     res = t.goldie_constant_perpetuity(
         Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1), Constant(0.0)),
-        2.0, 1.0, 50, 1000, t.RngStream(7))
-    assert res.c_plus.value == 0.0
-    assert res.c_minus.value == 0.0
+        2.0, 1.0, 1000, t.RngStream(7))
+    assert res.k == _GOLDIE_HORIZON
+    assert res.plus.value == 0.0
+    assert res.minus.value == 0.0
 
 
 def test_goldie_perpetuity_zero_multiplier_sanity():
     # A = 0: partial sums collapse to one noise draw; the normalised
-    # moment at n is E[(B^+-)^alpha]/(alpha rho n)
+    # moment at n is E[(B^+-)^alpha]/(alpha rho n). The late-window
+    # constant is 0 here, so this reads the full average at an explicit n
     alpha, rho, n = 2.0, 1.0, 10
-    res = t.goldie_constant_perpetuity(
-        Constant(0.0), t.law_steps(Constant(0.0), Lognormal(0, 1)),
-        alpha, rho, n, 50_000, t.RngStream(8))
+    a_law = Constant(0.0)
+    lam, gamma = _scan_factors(t.abs_moment(a_law, alpha),
+                               t.sign_moment(a_law, alpha), "E|A|^alpha")
+    study = _study_from_pairs(t.law_steps(a_law, Lognormal(0, 1)), alpha,
+                              [n // 2, n], 50_000, t.RngStream(8), lam,
+                              step_moment=1.0, gamma=gamma)
+    at_n = study.final().scaled(1.0 / (alpha * rho * n))
     target = t.abs_moment(Lognormal(0, 1), alpha) / (alpha * rho * n)
-    assert abs(res.rate_at_n.plus.value - target) <= \
-        4 * res.rate_at_n.plus.se
-    assert res.rate_at_n.minus.value == 0.0
+    assert abs(at_n.plus.value - target) <= 4 * at_n.plus.se
+    assert at_n.minus.value == 0.0
 
 
 @pytest.mark.parametrize("a_law", [Lognormal(-1, 1),
@@ -443,10 +448,10 @@ def test_goldie_perpetuity_at_predict_horizon_matches_exact_constant(a_law):
     ea = t.mean(a_law)
     exact = (ea / (1 - ea) + 0.5) / rho
     res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, Constant(1.0)),
-                                       2.0, rho, _goldie_horizon(a_law, 2.0),
-                                       400_000, t.RngStream(13))
-    assert abs(res.c_plus.value - exact) <= 4 * res.c_plus.se
-    assert res.c_minus.value == 0.0
+                                       2.0, rho, 400_000, t.RngStream(13))
+    assert res.k == _goldie_horizon(a_law, 2.0)
+    assert abs(res.plus.value - exact) <= 4 * res.plus.se
+    assert res.minus.value == 0.0
 
 
 def test_goldie_horizon_bounds_the_late_window_bias():
@@ -492,13 +497,38 @@ def test_goldie_horizon_grows_with_a_slow_second_coordinate(m, horizon,
         _goldie_horizon(m.a11, 2.0, Lognormal(-0.005, 0.05))
 
 
+def test_goldie_perpetuity_sizes_its_horizon_with_the_feed():
+    # the slow_a22 model above: x2 feeds B along coord1_steps, and
+    # feed_law = a22 stretches the derived horizon from 24 to 72
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(1, 0.5),
+                           a22=Lognormal(-0.2, 0.2), b1=Constant(1.0),
+                           b2=Lognormal(0, 1))
+    fed = t.goldie_constant_perpetuity(m.a11, t.coord1_steps(m), 2.0, 1.0,
+                                       1000, t.RngStream(15), feed_law=m.a22)
+    assert fed.k == _goldie_horizon(m.a11, 2.0, m.a22) == 72
+    bare = t.goldie_constant_perpetuity(m.a11, t.coord1_steps(m), 2.0, 1.0,
+                                        1000, t.RngStream(15))
+    assert bare.k == _goldie_horizon(m.a11, 2.0) == 24
+
+
+def test_goldie_perpetuity_checks_rho_before_sizing_its_horizon():
+    # LN(-0.005, 0.1) at alpha = 1 has no horizon below the cap
+    a_law = Lognormal(-0.005, 0.1)
+    with pytest.raises(RegimeMismatch):
+        t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, Constant(1.0)),
+                                     1.0, 1.0, 10, t.RngStream(16))
+    with pytest.raises(ArgumentOutOfRange):
+        t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, Constant(1.0)),
+                                     1.0, 0.0, 10, t.RngStream(16))
+
+
 def test_goldie_perpetuity_symmetric_noise_balances_signs():
     res = t.goldie_constant_perpetuity(
         Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1),
                                       SignedLognormal(0, 0.5, 0.5)),
-        2.0, 1.0, 100, 100_000, t.RngStream(9))
-    assert abs(res.c_plus.value - res.c_minus.value) <= \
-        4 * combined_se(res.c_plus, res.c_minus)
+        2.0, 1.0, 100_000, t.RngStream(9))
+    assert abs(res.plus.value - res.minus.value) <= \
+        4 * combined_se(res.plus, res.minus)
 
 
 def test_goldie_cross_estimator_consistency():
@@ -507,9 +537,9 @@ def test_goldie_cross_estimator_consistency():
     cp_d, _ = goldie_constant_direct_for_laws(a_law, b_law, 2.0, 1.0,
                                               200_000, t.RngStream(10))
     res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, b_law),
-                                       2.0, 1.0, 400, 200_000, t.RngStream(11))
-    assert abs(cp_d.value - res.c_plus.value) <= \
-        4 * combined_se(cp_d, res.c_plus)
+                                       2.0, 1.0, 200_000, t.RngStream(11))
+    assert abs(cp_d.value - res.plus.value) <= \
+        4 * combined_se(cp_d, res.plus)
 
 
 def test_goldie_positivity_of_summed_constants():

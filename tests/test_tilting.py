@@ -16,7 +16,8 @@ from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
                            RequiresExactTilt, RequiresMuZero, TiltUnsupported,
                            WeightDegenerate)
 from trisre.estimates import EstimateWithError
-from trisre.tilting import StepSource, _study_from_pairs, _vu_steps
+from trisre.tilting import (StepSource, _scan_factors, _study_from_pairs,
+                            _vu_steps)
 
 from oracles import (combined_se, lognormal_ratio_log_drift,
                      perpetuity_sample_batch, sample_cross_sum_batch)
@@ -108,7 +109,7 @@ def test_weighted_mc_degenerates_on_long_horizons():
     lambda rng: t.estimate_coupling_rate(rate_benchmark(), 2.0, 10, 0, rng),
     lambda rng: t.goldie_constant_perpetuity(
         Lognormal(-1, 1), t.law_steps(Lognormal(-1, 1), Constant(1.0)),
-        2.0, 1.0, 10, 0, rng),
+        2.0, 1.0, 0, rng),
     lambda rng: t.goldie_constant_direct(
         lambda m, r: (np.ones(m), np.ones(m), np.ones(m)), 2.0, 1.0, 0, rng,
         a_signed=False),
@@ -127,8 +128,8 @@ def test_coupling_weight_zero_offdiagonal_is_zero():
     m = IndependentEntries(a11=Lognormal(-2, 1), a12=Constant(0.0),
                            a22=Lognormal(-1, 1), b1=Constant(1.0),
                            b2=Constant(1.0))
-    study = t.estimate_coupling_weight(m, 2.0, 20, 1000, t.RngStream(7))
-    snap = study.final()
+    snap = t.estimate_coupling_weight(m, 2.0, 20, 1000, t.RngStream(7))
+    assert snap.k == 20
     assert snap.absolute.value == 0.0
     assert snap.plus.value == 0.0
 
@@ -138,8 +139,7 @@ def test_coupling_weight_constant_entries_deterministic():
     m = IndependentEntries(a11=Constant(c), a12=Constant(g), a22=Constant(c),
                            b1=Constant(0.0), b2=Constant(0.0))
     for n in (2, 6, 11):
-        study = t.estimate_coupling_weight(m, alpha, n, 50, t.RngStream(8))
-        snap = study.final()
+        snap = t.estimate_coupling_weight(m, alpha, n, 50, t.RngStream(8))
         expected = (n * g * c ** (n - 1)) ** alpha
         assert snap.absolute.value == pytest.approx(expected, rel=1e-9)
         assert snap.minus.value == pytest.approx(0.0, abs=1e-12)
@@ -148,8 +148,8 @@ def test_coupling_weight_constant_entries_deterministic():
 def test_coupling_weight_at_horizon_one_matches_offdiag_moment():
     m = tilt_benchmark()
     alpha2 = 2.0
-    study = t.estimate_coupling_weight(m, alpha2, 1, 200_000, t.RngStream(9))
-    snap = study.final()
+    snap = t.estimate_coupling_weight(m, alpha2, 1, 200_000, t.RngStream(9))
+    assert snap.k == 1
     target = t.abs_moment(Lognormal(-1, 0.5), alpha2)
     assert abs(snap.absolute.value - target) <= 4 * snap.absolute.se
 
@@ -163,9 +163,12 @@ def test_coupling_weight_requires_subcritical_first_diagonal():
 
 
 def test_coupling_weight_monotone_for_nonnegative_entries():
+    # the weight's own study, with its half-horizon gauge
     m = tilt_benchmark()
-    study = t.estimate_coupling_weight(m, 2.0, 40, 100_000, t.RngStream(11))
+    study = t.coupling_sum_moments(m, 2.0, [20, 40], 100_000, t.RngStream(11))
     half, final = study.snapshots
+    assert final == t.estimate_coupling_weight(m, 2.0, 40, 100_000,
+                                               t.RngStream(11))
     assert final.absolute.value >= half.absolute.value \
         - 4 * combined_se(final.absolute, half.absolute)
 
@@ -195,8 +198,8 @@ def test_tilted_moments_match_direct_cross_sum_mc():
     m = mild_benchmark()
     alpha2, n = 2.0, 5
     exact = exact_cross_sum_second_moment(m, n)
-    study = t.estimate_coupling_weight(m, alpha2, n, 400_000, t.RngStream(12))
-    tilted_est = study.final().absolute
+    tilted_est = t.estimate_coupling_weight(m, alpha2, n, 400_000,
+                                            t.RngStream(12)).absolute
     direct = sample_cross_sum_batch(m, n, 1_000_000, t.RngStream(13))
     vals = np.abs(direct) ** alpha2
     direct_est = EstimateWithError(float(vals.mean()),
@@ -313,8 +316,11 @@ def test_coupling_weight_weighted_fallback_for_untiltable_diagonal():
                            a22=Uniform(0.2, 1.2), b1=Constant(1.0),
                            b2=Constant(1.0))
     alpha2 = 1.5
-    study = t.estimate_coupling_weight(m, alpha2, 3, 400_000, t.RngStream(30))
+    # the weight's own study at n = 3 and its half-horizon gauge 1
+    study = t.coupling_sum_moments(m, alpha2, [1, 3], 400_000, t.RngStream(30))
     assert study.mode == "weighted_mc"
+    assert study.final() == t.estimate_coupling_weight(m, alpha2, 3, 400_000,
+                                                       t.RngStream(30))
     # horizon-1 snapshot: E|M_1|^alpha = E|a12|^alpha
     first = study.snapshots[0]
     assert first.k == 1
@@ -344,14 +350,29 @@ def test_coupling_rate_guards():
 
 
 def test_coupling_rate_converges_between_horizons():
-    rate = t.estimate_coupling_rate(rate_benchmark(), 2.0, 200, 50_000,
-                                    t.RngStream(21))
-    a_n = rate.rate_at_n.absolute
-    a_h = rate.rate_at_half.absolute
+    # the full averages (alpha k)^{-1} E|M_k|^alpha at k = n/2 and n, from
+    # the study behind the windowed rate
+    alpha, n = 2.0, 200
+    study = t.coupling_sum_moments(rate_benchmark(), alpha, [n // 2, n],
+                                   50_000, t.RngStream(21))
+    a_h, a_n = (s.scaled(1.0 / (alpha * s.k)).absolute
+                for s in study.snapshots)
     slack = 4 * combined_se(a_n, a_h) + 0.05 * abs(a_n.value)
     assert abs(a_n.value - a_h.value) <= slack
+    rate = t.estimate_coupling_rate(rate_benchmark(), alpha, n, 50_000,
+                                    t.RngStream(21))
+    assert rate == study.rate(alpha)
+    assert rate.k == n
     # all-positive entries: negative side vanishes
-    assert rate.rate_windowed.minus.value == pytest.approx(0.0, abs=1e-12)
+    assert rate.minus.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_rate_needs_two_horizons():
+    study = t.coupling_sum_moments(rate_benchmark(), 2.0, [5], 100,
+                                   t.RngStream(45))
+    assert study.window is None
+    with pytest.raises(ValueError, match="two horizons"):
+        study.rate(2.0)
 
 
 def test_coupling_rate_matches_tail_of_ratio_perpetuity():
@@ -367,7 +388,7 @@ def test_coupling_rate_matches_tail_of_ratio_perpetuity():
     q = np.quantile(np.abs(x), 0.999)
     p_tail = float(np.mean(np.abs(x) > q))
     cross = drift * p_tail * q ** alpha
-    ratio = cross / rate.rate_windowed.absolute.value
+    ratio = cross / rate.absolute.value
     assert 0.5 <= ratio <= 2.0
 
 
@@ -433,11 +454,15 @@ def test_strict_perpetuity_scan_matches_closed_form_at_alpha_two():
     ea, ea2 = lognormal_moment(a_law, 1), lognormal_moment(a_law, 2)
     eb, eb2 = lognormal_moment(b_law, 1), lognormal_moment(b_law, 2)
     exact = scan_second_moment(ea, ea2, eb, eb2, ea * eb, n)
-    res = t.goldie_constant_perpetuity(a_law, t.law_steps(a_law, b_law),
-                                       alpha, 1.0, n, 200_000, t.RngStream(33))
-    snap = res.at_n.absolute
+    # the scan behind goldie_constant_perpetuity at an explicit horizon
+    lam, gamma = _scan_factors(t.abs_moment(a_law, alpha),
+                               t.sign_moment(a_law, alpha), "E|A|^alpha")
+    study = _study_from_pairs(t.law_steps(a_law, b_law), alpha, [n // 2, n],
+                              200_000, t.RngStream(33), lam,
+                              step_moment=1.0, gamma=gamma)
+    snap = study.final().absolute
     assert abs(snap.value - exact) <= 4 * snap.se
-    assert res.at_n.minus.value == pytest.approx(0.0, abs=1e-12)
+    assert study.final().minus.value == pytest.approx(0.0, abs=1e-12)
 
 
 def builtin_model(name: str):
