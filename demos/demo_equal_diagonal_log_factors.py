@@ -41,4 +41,4 @@ def show(e: t.EstimateWithError) -> str:
 mu, s2 = t.tilted_offdiag_moments(zero_drift, alpha)
 print(f"\nreweighted ratio moments, zero-drift model: mu={show(mu)}, "
       f"sigma^2={show(s2)}")
-print("gaussian-limit constant:", t.clt_constant(zero_drift, alpha))
+print("gaussian-limit constant:", show(t.clt_constant(zero_drift, alpha)))

@@ -38,7 +38,7 @@ from .tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
 from .tilting import (PartialSumStudy, SnapshotMoments, clt_constant,
                       coord1_steps, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,
-                      goldie_constant_perpetuity, law_steps,
-                      tilted_offdiag_moments)
+                      estimate_weight_series, goldie_constant_perpetuity,
+                      law_steps, tilted_offdiag_moments)
 
 __version__ = "0.1.0"

@@ -30,6 +30,13 @@ class EstimateWithError:
         return EstimateWithError(self.value * factor, self.se * abs(factor),
                                  self.n_samples, self.seed)
 
+    def power(self, p: float) -> EstimateWithError:
+        """|value|^p with the delta-method SE p |value|^(p-1) se; an exact
+        estimate stays exact."""
+        v = abs(self.value)
+        se = p * v ** (p - 1.0) * self.se if self.se else 0.0
+        return EstimateWithError(v ** p, se, self.n_samples, self.seed)
+
 
 def joined_seed(*estimates: EstimateWithError) -> str:
     """The distinct seeds of the estimates, in order, joined by '+'."""

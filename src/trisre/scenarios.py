@@ -19,10 +19,8 @@ import numpy as np
 
 from . import distributions as dist
 from . import model as mod
-from . import tilting
-from .errors import (InsufficientSupport, RegimeMismatch, TrisreError,
-                     UnsupportedRegime)
-from .estimates import EstimateWithError, joined_seed, sum_of_products
+from .errors import InsufficientSupport, TrisreError, UnsupportedRegime
+from .estimates import EstimateWithError, sum_of_products
 from .model import (EqualDiagonal, IndependentEntries, ProportionalToDiagonal,
                     TriangularSRE, model_from_dict, model_to_dict)
 from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
@@ -31,23 +29,18 @@ from .regime import (CASE_COORD1_GREY, CASE_COORD1_KG, CASE_COORD2_GREY,
                      CASE_UNSUPPORTED, RegimeReport, classify)
 from .rng import RngStream
 from .stationary import sample_stationary_batch
-# goldie_constant_direct and clt_constant are unused here, but the traced
-# benchmark patches them by name, as it does EmpiricalTail
+# goldie_constant_direct is unused here, but the traced benchmark patches
+# it by name, as it does EmpiricalTail
 from .tails import (CONVENTIONS, EmpiricalTail, TailSelection, ccdf,
                     default_log_grid, goldie_constant_direct,  # noqa: F401
                     grey_constants, grid_point_usable, hill, hill_depth,
                     log_factor_regression, log_grid_depth)
-from .tilting import (SnapshotMoments, _gaussian_constant,
-                      clt_constant,  # noqa: F401
-                      coord1_steps, estimate_coupling_rate,
-                      estimate_coupling_weight, goldie_constant_perpetuity,
-                      law_steps, tilted_offdiag_moments)
+from .tilting import (SnapshotMoments, clt_constant, coord1_steps,
+                      estimate_coupling_rate, estimate_coupling_weight,
+                      estimate_weight_series, goldie_constant_perpetuity,
+                      law_steps)
 
 SCHEMA_VERSION = 1
-
-# Most terms of the coord2_dominant_grey weight series; predict raises
-# when the geometric term bound has not yet fallen below its target there.
-_GREY_MAX_TERMS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -135,40 +128,22 @@ class AsymptoticPrediction:
 # Prediction dispatch
 # ---------------------------------------------------------------------------
 
-_ONE = EstimateWithError(1.0)
+def _inherited(c2: SnapshotMoments, w: SnapshotMoments, negative: bool,
+               factor: float) -> tuple[EstimateWithError, EstimateWithError]:
+    """(c+, c-) that W1 inherits from W2's constants c2 through the
+    weights w: factor (c2+ w+- + c2- w-+) when no sign can flip, else
+    factor c2_abs w_abs / 2 on each side.
 
-
-def _inherited(c2p, c2m, w: SnapshotMoments, negative: bool,
-               factor: float = 1.0):
-    """(c+, c-) that W1 inherits from W2's constants c2+- through the
-    weights w: factor (c2+ w+- + c2- w-+) when no diagonal can be
-    negative, else factor (c2+ + c2-) w_abs / 2 on each side."""
+    The signed branch treats c2+ and c2-, and w+ and w-, as independent,
+    though each pair comes from one scan: it is exact when one part of
+    each pair is exactly 0, as on every built-in model, and first-order
+    otherwise. The halved branch reads each scan's own per-path sum."""
     if negative:
-        c2 = sum_of_products([(c2p, _ONE), (c2m, _ONE)])
-        c = sum_of_products([(c2, w.absolute)]).scaled(0.5 * factor)
+        c = sum_of_products([(c2.absolute, w.absolute)]).scaled(0.5 * factor)
         return c, c
-    cp = sum_of_products([(c2p, w.plus), (c2m, w.minus)])
-    cm = sum_of_products([(c2p, w.minus), (c2m, w.plus)])
+    cp = sum_of_products([(c2.plus, w.plus), (c2.minus, w.minus)])
+    cm = sum_of_products([(c2.plus, w.minus), (c2.minus, w.plus)])
     return cp.scaled(factor), cm.scaled(factor)
-
-
-def _coord2_goldie(model: TriangularSRE, report: RegimeReport, N: int,
-                   rng: RngStream) -> tuple[EstimateWithError, EstimateWithError]:
-    """Kesten-Goldie constants (c+, c-) of W2 = a22 W2' + b2."""
-    a22 = mod.diag_laws(model)[1]
-    c = goldie_constant_perpetuity(a22, law_steps(a22, model.b2),
-                                   report.alpha2, report.rho2, N, rng)
-    return c.plus, c.minus
-
-
-def _with_power_error(c: EstimateWithError, x: EstimateWithError,
-                      power: float) -> EstimateWithError:
-    """c, a constant proportional to |x|^power, with x's error carried in
-    by the delta method: power times x's relative SE, in quadrature with
-    c's own SE, and x's seed joined (nothing for an exact x)."""
-    rel = power * x.se / abs(x.value)
-    return EstimateWithError(c.value, math.hypot(c.se, c.value * rel),
-                             c.n_samples, joined_seed(c, x))
 
 
 def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
@@ -211,100 +186,67 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                                     "rv_noise_closed_form",
                                     ell_scale=b1.scale ** alpha1)
 
-    if case == CASE_COORD2_KG:
-        alpha2 = report.alpha2
-        c2p, c2m = _coord2_goldie(model, report, constant_samples,
-                                  rng.substream(2))
-        weight = estimate_coupling_weight(model, alpha2, weight_horizon,
-                                          constant_samples, rng.substream(3))
-        a22_neg = report.sign_case.a22_negative_possible
-        cp, cm = _inherited(c2p, c2m, weight, a22_neg)
-        formula = ("inherited_absolute_weight_halved" if a22_neg
-                   else "inherited_signed_weights")
-        return AsymptoticPrediction(alpha2, 0.0, cp, cm, case, formula)
+    # every other case: W1 inherits W2's constants c2 through weights w
+    def w2_goldie(substream: int) -> SnapshotMoments:
+        """Kesten-Goldie constants of W2 = a22 W2' + b2."""
+        return goldie_constant_perpetuity(
+            d2, law_steps(d2, model.b2), report.alpha2, report.rho2,
+            constant_samples, rng.substream(substream))
 
-    if case == CASE_COORD2_GREY:
-        alpha2 = report.alpha2
+    signs = report.sign_case
+    negative, factor, ell_scale = False, 1.0, 1.0
+    if case == CASE_COORD2_KG:
+        alpha, log_beta = report.alpha2, 0.0
+        c2 = w2_goldie(2)
+        w = estimate_coupling_weight(model, alpha, weight_horizon,
+                                     constant_samples, rng.substream(3))
+        negative = signs.a22_negative_possible
+        formula = ("inherited_absolute_weight_halved" if negative
+                   else "inherited_signed_weights")
+    elif case == CASE_COORD2_GREY:
+        alpha, log_beta = report.alpha2, 0.0
         b2 = model.b2
         assert isinstance(b2, dist.TwoSidedPareto)
-        p, q = b2.p_pos, 1.0 - b2.p_pos
-        lam11 = dist.abs_moment(d1, alpha2)
-        lam22 = dist.abs_moment(d2, alpha2)
-        qgeo = max(lam11, lam22)
-        c_geo = mod.offdiag_abs_moment(model, alpha2)
-        # deep enough that the geometric term bound C i q^{i-1} is far
-        # below any truncation threshold we might apply afterwards
-        def bound(i: int) -> float:
-            return c_geo * i * qgeo ** (i - 1)
-
-        i_cap = 1
-        while bound(i_cap) > 1e-8 * c_geo:
-            if i_cap == _GREY_MAX_TERMS:
-                raise RegimeMismatch(
-                    f"the weight series term bound {bound(i_cap):.6g} at "
-                    f"{i_cap} terms is above 1e-8 E|a12|^alpha2 = "
-                    f"{1e-8 * c_geo:.6g}: the diagonals contract at "
-                    f"{qgeo:.6g} per step")
-            i_cap += 1
-        # looked up on tilting, where the traced benchmark wraps it
-        study = tilting.coupling_sum_moments(
-            model, alpha2, list(range(1, i_cap + 1)), constant_samples,
-            rng.substream(4))
-        # sum terms until the bound drops below 1e-4 of the partial sum.
-        # The snapshots share their paths, but their errors add in
-        # quadrature here (ROADMAP item 6)
-        ep, eq = EstimateWithError(p), EstimateWithError(q)
-        plus, minus = [], []
-        for snap in study.snapshots:
-            plus += [(snap.plus, ep), (snap.minus, eq)]
-            minus += [(snap.plus, eq), (snap.minus, ep)]
-            cp, cm = sum_of_products(plus), sum_of_products(minus)
-            if bound(snap.k) < 1e-4 * max(cp.value + cm.value, 1e-300):
-                break
-        return AsymptoticPrediction(alpha2, 0.0, cp, cm, case,
-                                    "rv_noise_weight_series",
-                                    ell_scale=b2.scale ** alpha2)
-
-    if case in (CASE_EQUAL_DIAG_ZERO_DRIFT, CASE_EQUAL_DIAG_NONZERO_DRIFT):
-        alpha, rho1 = report.alpha1, report.rho1
-        c2p, c2m = _coord2_goldie(model, report, constant_samples,
-                                  rng.substream(5))
-        if case == CASE_EQUAL_DIAG_ZERO_DRIFT:
-            # the report's drift test decided the case; this draw gives
-            # only the dispersion, so a second test cannot overrule it
-            _, second = tilted_offdiag_moments(model, alpha,
-                                               rng=rng.substream(6))
-            cc = _gaussian_constant(model, alpha, second.value)
-            c = sum_of_products([(c2p, _ONE), (c2m, _ONE)]).scaled(cc / 2.0)
-            # the constant scales as sigma2^(alpha/2)
-            c = _with_power_error(c, second, alpha / 2.0)
-            return AsymptoticPrediction(alpha, alpha / 2.0, c, c, case,
-                                        "gaussian_limit_constant")
-        # the constants scale as |mu|^alpha
+        # the noise's own tail weights stand in for W2's constants
+        c2 = SnapshotMoments(0, *map(EstimateWithError,
+                                     (1.0, b2.p_pos, 1.0 - b2.p_pos)))
+        w = estimate_weight_series(model, alpha, constant_samples,
+                                   rng.substream(4))
+        formula, ell_scale = "rv_noise_weight_series", b2.scale ** alpha
+    elif case == CASE_EQUAL_DIAG_ZERO_DRIFT:
+        alpha = report.alpha1
+        log_beta = alpha / 2.0
+        c2 = w2_goldie(5)
+        # the report's drift test decided the case; this draw gives only
+        # the dispersion, and the Gaussian limit is symmetric
+        clt = clt_constant(model, alpha, rng.substream(6))
+        half = clt.scaled(0.5)
+        w = SnapshotMoments(0, clt, half, half)
+        negative, formula = True, "gaussian_limit_constant"
+    elif case == CASE_EQUAL_DIAG_NONZERO_DRIFT:
+        alpha = report.alpha1
+        log_beta = alpha
+        c2 = w2_goldie(5)
+        # the drift carries W2's constants to the side of its sign
         mu = report.offdiag_drift
-        factor = abs(mu.value) ** alpha * rho1 ** (-alpha)
-        if mu.value <= 0:
-            c2p, c2m = c2m, c2p
-        cp, cm = (_with_power_error(c.scaled(factor), mu, alpha)
-                  for c in (c2p, c2m))
-        return AsymptoticPrediction(alpha, alpha, cp, cm, case,
-                                    "drift_limit_constant")
-
-    if case == CASE_DISTINCT_DIAG_EQUAL_INDEX:
-        alpha, rho1 = report.alpha1, report.rho1
-        c2p, c2m = _coord2_goldie(model, report, constant_samples,
-                                  rng.substream(7))
-        rate = estimate_coupling_rate(model, alpha, mn_horizon,
-                                      constant_samples, rng.substream(8))
-        negative = (report.sign_case.a22_negative_possible
-                    or report.sign_case.a11_negative_possible)
-        cp, cm = _inherited(c2p, c2m, rate, negative,
-                            factor=alpha / rho1)
+        drift, zero = mu.power(alpha), EstimateWithError(0.0)
+        w = SnapshotMoments(0, drift, *((drift, zero) if mu.value > 0
+                                        else (zero, drift)))
+        factor, formula = report.rho1 ** (-alpha), "drift_limit_constant"
+    elif case == CASE_DISTINCT_DIAG_EQUAL_INDEX:
+        alpha, log_beta = report.alpha1, 1.0
+        c2 = w2_goldie(7)
+        w = estimate_coupling_rate(model, alpha, mn_horizon,
+                                   constant_samples, rng.substream(8))
+        negative = signs.a22_negative_possible or signs.a11_negative_possible
+        factor = alpha / report.rho1
         formula = ("coupling_rate_absolute_halved" if negative
                    else "coupling_rate_signed")
-        return AsymptoticPrediction(alpha, 1.0, cp, cm, case, formula)
-
-    raise UnsupportedRegime(f"unhandled case {case}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise UnsupportedRegime(f"unhandled case {case}")
+    cp, cm = _inherited(c2, w, negative, factor)
+    return AsymptoticPrediction(alpha, log_beta, cp, cm, case, formula,
+                                ell_scale=ell_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +442,9 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
                 0.5 <= ratio <= 2.0))
 
         csum = prediction.c_plus.value + prediction.c_minus.value
-        csum_se = math.hypot(prediction.c_plus.se, prediction.c_minus.se)
+        # c+ and c- can come from one estimate: the sum of their SEs is
+        # exact when they are perfectly correlated, a bound otherwise
+        csum_se = prediction.c_plus.se + prediction.c_minus.se
         verdicts.append(Verdict(
             "constants_sum_positive", 0.0, csum, csum_se,
             "c_plus + c_minus - 4se > 0", csum - 4.0 * csum_se > 0.0))

@@ -34,7 +34,8 @@ from .distributions import Dist
 from .errors import (ArgumentOutOfRange, RegimeMismatch, RequiresEqualDiagonal,
                      RequiresExactTilt, RequiresMuZero, TiltUnsupported,
                      WeightDegenerate)
-from .estimates import EstimateWithError, RunningMoments, merge_chunks
+from .estimates import (EstimateWithError, RunningMoments, merge_chunks,
+                        sum_of_products)
 from .model import EqualDiagonal, ProportionalToDiagonal, TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
 
@@ -107,7 +108,7 @@ class StepSource:
     generator of each step's arrays (v, u), or (v, u, w), for a chunk of
     m paths. signed is False only when no v or u it yields can be
     negative, which its factory decides from the laws with
-    distributions.prob_negative; any other callable counts as signed."""
+    distributions.prob_negative."""
 
     draw: Callable[[int, RngStream], Iterator[tuple[np.ndarray, ...]]]
     signed: bool
@@ -142,7 +143,7 @@ def coord1_steps(model: TriangularSRE) -> StepSource:
     return StepSource(steps, mod.chain_signed(model))
 
 
-def _study_from_pairs(steps, alpha: float, snapshots: list[int],
+def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
                       N: int, rng: RngStream, contraction: float,
                       step_moment: float, gamma: float) -> PartialSumStudy:
     """Core scan over X_{k+1} = U_{k+1} + V_{k+1} X_k.
@@ -182,7 +183,7 @@ def _study_from_pairs(steps, alpha: float, snapshots: list[int],
         raise ValueError("N must be >= 1")
     n = snapshots[-1]
     snap_set = {int(s) for s in snapshots}
-    by_sign = getattr(steps, "signed", True) or gamma != contraction
+    by_sign = steps.signed or gamma != contraction
 
     def chunk(paths, sub):
         m = paths.stop - paths.start
@@ -467,6 +468,44 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
     return coupling_sum_moments(model, alpha, [n // 2, n], N, rng).rate(alpha)
 
 
+# Most terms of the weight series; estimate_weight_series raises when the
+# geometric term bound has not yet fallen below _WEIGHT_SERIES_TOL there.
+_WEIGHT_SERIES_MAX_TERMS = 200
+_WEIGHT_SERIES_TOL = 1e-4
+
+
+def estimate_weight_series(model: TriangularSRE, alpha2: float, N: int,
+                           rng: RngStream) -> SnapshotMoments:
+    """The weight series sum_{k=1..K} E|(A_1...A_k)_12|^alpha2 and its
+    signed parts, summed from one coupling_sum_moments study at horizons
+    1..K; k is K.
+
+    Term k is at most C k q^{k-1}, with C = E|a12|^alpha2 the first term
+    and q = max(E|a11|^alpha2, E|a22|^alpha2), so the horizon K, the first
+    k with k q^{k-1} < _WEIGHT_SERIES_TOL, cuts the series where a term
+    is below that share of the first. The snapshots share their paths,
+    but their SEs add in quadrature here, as if independent."""
+    d1, d2 = mod.diag_laws(model)
+    q = max(dist.abs_moment(d1, alpha2), dist.abs_moment(d2, alpha2))
+    K = 1
+    while K * q ** (K - 1) >= _WEIGHT_SERIES_TOL:
+        if K == _WEIGHT_SERIES_MAX_TERMS:
+            raise RegimeMismatch(
+                f"the weight series term bound {K * q ** (K - 1):.6g} "
+                f"E|a12|^alpha2 at {K} terms is above "
+                f"{_WEIGHT_SERIES_TOL:g} E|a12|^alpha2: the diagonals "
+                f"contract at {q:.6g} per step")
+        K += 1
+    study = coupling_sum_moments(model, alpha2, list(range(1, K + 1)), N, rng)
+    one = EstimateWithError(1.0)
+
+    def total(part: str) -> EstimateWithError:
+        return sum_of_products([(getattr(s, part), one)
+                                for s in study.snapshots])
+
+    return SnapshotMoments(K, total("absolute"), total("plus"), total("minus"))
+
+
 # Horizon n of the perpetuity scan behind every Kesten-Goldie constant:
 # the smallest even n >= _GOLDIE_HORIZON whose late-window bias
 # bound is below _GOLDIE_BIAS (see _goldie_horizon), at most
@@ -531,8 +570,8 @@ def _goldie_horizon(a_law: Dist, alpha: float,
     return n
 
 
-def goldie_constant_perpetuity(a_law: Dist, steps, alpha: float, rho: float,
-                               N: int, rng: RngStream,
+def goldie_constant_perpetuity(a_law: Dist, steps: StepSource, alpha: float,
+                               rho: float, N: int, rng: RngStream,
                                feed_law: Dist | None = None
                                ) -> SnapshotMoments:
     """Kesten-Goldie constants of X = A X' + B from the perpetuity limit
@@ -600,23 +639,22 @@ def drift_is_zero(drift: EstimateWithError) -> bool:
     return abs(drift.value) <= 3.0 * drift.se
 
 
-def _gaussian_constant(model: TriangularSRE, alpha: float,
-                       sigma2: float) -> float:
-    """sigma^alpha rho1^{-alpha/2} E|N|^alpha for the dispersion sigma2."""
-    d1, _ = mod.diag_laws(model)
-    rho1 = dist.abs_moment_derivative(d1, alpha)
-    return sigma2 ** (alpha / 2.0) * rho1 ** (-alpha / 2.0) \
-        * dist.abs_normal_moment(alpha)
-
-
 def clt_constant(model: TriangularSRE, alpha: float,
-                 rng: RngStream | None = None) -> float:
-    """Gaussian-limit constant sigma^alpha rho1^{-alpha/2} E|N|^alpha for
-    the zero-drift equal-diagonal case; raises RequiresMuZero when the
-    drift of its own draw is not consistent with zero."""
+                 rng: RngStream | None = None) -> EstimateWithError:
+    """Gaussian-limit constant sigma^alpha rho1^{-alpha/2} E|N|^alpha of
+    the zero-drift equal-diagonal case, predict's weight there, from the
+    dispersion sigma^2 of tilted_offdiag_moments; a Monte Carlo
+    dispersion carries its SE in through its power(alpha / 2). The
+    regime report decides the case, so only an exact nonzero drift raises
+    RequiresMuZero."""
     drift, second = tilted_offdiag_moments(model, alpha, rng=rng)
-    if not drift_is_zero(drift):
-        raise RequiresMuZero(
-            f"off-diagonal drift {drift.value:.4g} +- {drift.se:.2g} "
-            "is not consistent with zero")
-    return _gaussian_constant(model, alpha, second.value)
+    if drift.exact and drift.value != 0.0:
+        raise RequiresMuZero(f"off-diagonal drift {drift.value:.4g} is not "
+                             "zero")
+    rho1 = dist.abs_moment_derivative(mod.diag_laws(model)[0], alpha)
+    scale = rho1 ** (-alpha / 2.0)
+    enorm = dist.abs_normal_moment(alpha)
+    sigma = second.power(alpha / 2.0)
+    return EstimateWithError(sigma.value * scale * enorm,
+                             sigma.se * scale * enorm, sigma.n_samples,
+                             sigma.seed)

@@ -16,6 +16,7 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries, Lognormal,
                     Normal, ProportionalToDiagonal, SignedLognormal)
 from trisre.cli import main as cli_main
 from trisre.tails import EmpiricalTail, ccdf, hill, log_factor_regression
+from trisre.tilting import StepSource
 
 from oracles import (combined_se, goldie_constant_direct_for_laws,
                      lognormal_ratio_log_drift, perpetuity_sample_batch,
@@ -102,7 +103,8 @@ def test_c03_goldie_cross_validation():
 
     cp_d, _ = t.goldie_constant_direct(sampler, 2.0, 1.0, N,
                                        t.RngStream(30_500), a_signed=False)
-    perp = t.goldie_constant_perpetuity(Lognormal(-1, 1), _dependent_steps,
+    perp = t.goldie_constant_perpetuity(Lognormal(-1, 1),
+                                        StepSource(_dependent_steps, True),
                                         2.0, 1.0, N, t.RngStream(30_600))
     results.append(("dependent-pair", cp_d, perp.plus))
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trisre.estimates import RunningMoments, merge_chunks
+from trisre.estimates import EstimateWithError, RunningMoments, merge_chunks
 
 
 def test_running_moments_variance_stable_at_large_mean():
@@ -42,3 +42,13 @@ def test_running_moments_effective_sample_size():
     w = np.array([1.0, 0.0, 0.0, 0.0])
     assert RunningMoments(w).ess() == pytest.approx(1.0)
     assert RunningMoments(np.zeros(4)).ess() == 0.0
+
+
+def test_power_carries_the_delta_method_se():
+    # |value|^p, with SE p |value|^(p-1) se; an exact estimate stays exact
+    exact = EstimateWithError(-0.5).power(2.0)
+    assert exact == EstimateWithError(0.25) and exact.exact
+    e = EstimateWithError(4.0, 0.1, 1000, "seed=1,stream=2").power(1.5)
+    assert e.value == pytest.approx(8.0, rel=1e-15)
+    assert e.se == pytest.approx(1.5 * 2.0 * 0.1, rel=1e-15)
+    assert (e.n_samples, e.seed) == (1000, "seed=1,stream=2")

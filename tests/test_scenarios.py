@@ -14,12 +14,13 @@ from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, SignedLognormal, TwoSidedPareto)
 from trisre.cli import main as cli_main
-from trisre.errors import RegimeMismatch, RequiresMuZero, UnsupportedRegime
-from trisre.estimates import EstimateWithError
+from trisre.errors import RegimeMismatch, UnsupportedRegime
+from trisre.estimates import EstimateWithError, sum_of_products
+from trisre.model import diag_laws
 from trisre.rng import CHUNK
 from trisre.stationary import CHAIN_LENGTH, CHAINS_PER_CHUNK
 from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
-                              _coord2_goldie, _hill_block, _log_factor_fit,
+                              _hill_block, _log_factor_fit,
                               _tail_constant_fit, builtin_scenarios,
                               emit_report, load_config, predict, run_scenario,
                               scenario_prediction, scenario_regime)
@@ -27,6 +28,13 @@ from trisre.tails import CONVENTIONS, EmpiricalTail, hill_depth
 
 from oracles import (coord1_goldie_sum, coord2_grey_weight_sum,
                      coord2_kg_constant, goldie_constant_direct_for_laws)
+
+
+def w2_goldie(m, report, N, rng):
+    """W2's Kesten-Goldie constants, as predict estimates them."""
+    a22 = diag_laws(m)[1]
+    return t.goldie_constant_perpetuity(a22, t.law_steps(a22, m.b2),
+                                        report.alpha2, report.rho2, N, rng)
 
 
 def test_predict_rejects_degenerate_offdiagonal():
@@ -77,7 +85,7 @@ def test_predict_log_beta_menu_and_positivity():
         assert any(abs(pred.log_beta - b) < 1e-12
                    for b in (0.0, a / 2.0, a, 1.0))
         total = pred.c_plus.value + pred.c_minus.value
-        se = math.hypot(pred.c_plus.se, pred.c_minus.se)
+        se = pred.c_plus.se + pred.c_minus.se
         assert total - 4 * se > 0, (config.name, total, se)
 
 
@@ -95,9 +103,9 @@ def test_predict_equal_diag_zero_drift_combines_factors():
 def test_predict_zero_drift_takes_the_case_from_the_report():
     # classify's drift estimate reads 0.00036 +- 0.00099 at seed 16, so
     # the case is zero drift; predict's own draw (substream 6) reads
-    # 0.0031 +- 0.0010, which clt_constant's guard rejects. predict takes
-    # only the dispersion from it: sigma^2 = 1 and rho1 = 1 make the
-    # constant half of W2's Goldie constant 2.041494
+    # 0.0031 +- 0.0010, and clt_constant takes only the dispersion from
+    # it: sigma^2 = 1 and rho1 = 1 make the constant half of W2's Goldie
+    # constant 2.041494
     m = EqualDiagonal(d=Lognormal(-1, 1),
                       a12_mode=IndependentOffDiagonal(Normal(0, 1)),
                       b1=Constant(1.0), b2=Constant(1.0))
@@ -109,8 +117,11 @@ def test_predict_zero_drift_takes_the_case_from_the_report():
     assert pred.constant_formula == "gaussian_limit_constant"
     assert pred.c_plus == pred.c_minus
     assert abs(pred.c_plus.value - 2.041494 / 2) <= 4 * pred.c_plus.se
-    with pytest.raises(RequiresMuZero):
-        t.clt_constant(m, 2.0, rng=t.RngStream(16).substream(2).substream(6))
+    rng = t.RngStream(16).substream(2)
+    weight = t.clt_constant(m, 2.0, rng=rng.substream(6))
+    c2 = w2_goldie(m, report, 1000, rng.substream(5))
+    assert pred.c_plus == sum_of_products(
+        [(c2.absolute, weight)]).scaled(0.5)
 
 
 def test_predict_zero_drift_carries_the_dispersion_se():
@@ -128,11 +139,11 @@ def test_predict_zero_drift_carries_the_dispersion_se():
     _, second = t.tilted_offdiag_moments(m, report.alpha1,
                                          rng=rng.substream(6))
     assert isinstance(second, EstimateWithError) and second.se > 0
-    c2p, c2m = _coord2_goldie(m, report, 1000, rng.substream(5))
-    half = t.tilting._gaussian_constant(m, report.alpha1, second.value) / 2
-    c2_se = math.hypot(c2p.se, c2m.se) * half
+    c2 = w2_goldie(m, report, 1000, rng.substream(5))
+    half = t.clt_constant(m, report.alpha1, rng.substream(6)).value / 2
+    c2_se = c2.absolute.se * half
     rel = report.alpha1 / 2 * second.se / second.value
-    assert pred.c_plus.value == pytest.approx((c2p.value + c2m.value) * half,
+    assert pred.c_plus.value == pytest.approx(c2.absolute.value * half,
                                               rel=1e-12)
     assert pred.c_plus.se == pytest.approx(
         math.hypot(c2_se, pred.c_plus.value * rel), rel=1e-12)
@@ -154,8 +165,8 @@ def test_predict_nonzero_drift_carries_the_drift_se():
     mu, alpha = report.offdiag_drift, report.alpha1
     assert mu.value > 0 and mu.se > 0
     pred = scenario_prediction(config, report)
-    c2p, c2m = _coord2_goldie(m, report, 4000,
-                              t.RngStream(16).substream(2).substream(5))
+    c2 = w2_goldie(m, report, 4000, t.RngStream(16).substream(2).substream(5))
+    c2p, c2m = c2.plus, c2.minus
     factor = mu.value ** alpha * report.rho1 ** -alpha
     rel = alpha * mu.se / mu.value
     for c, c2 in ((pred.c_plus, c2p), (pred.c_minus, c2m)):
@@ -334,6 +345,63 @@ def test_predict_sign_flip_switches_formula():
                    rng=t.RngStream(4))
     assert pred.constant_formula == "inherited_absolute_weight_halved"
     assert pred.c_plus.value == pred.c_minus.value
+
+
+def assert_same_estimate(c, expected):
+    assert c.value == pytest.approx(expected.value, rel=1e-12)
+    assert c.se == pytest.approx(expected.se, rel=1e-12)
+    assert (c.n_samples, c.seed) == (expected.n_samples, expected.seed)
+
+
+def test_predict_signed_w2_halves_the_scan_absolute_with_its_own_se():
+    # a signed a22 flips W2's sign: each constant is half of c2_abs w_abs,
+    # and c2_abs is the Goldie scan's per-path sum with its own SE, not
+    # c2+ + c2- with their SEs in quadrature
+    m = IndependentEntries(a11=Lognormal(-2, 1), a12=Lognormal(0, 0.5),
+                           a22=SignedLognormal(-1, 1, 0.7), b1=Constant(0.1),
+                           b2=Constant(1.0))
+    report = t.classify(m, t.RngStream(1))
+    assert report.theorem_case == "coord2_dominant_kg"
+    rng = t.RngStream(5)
+    pred = predict(m, report=report, constant_samples=20_000,
+                   weight_horizon=30, rng=rng)
+    assert pred.constant_formula == "inherited_absolute_weight_halved"
+    c2 = w2_goldie(m, report, 20_000, rng.substream(2))
+    w = t.estimate_coupling_weight(m, report.alpha2, 30, 20_000,
+                                   rng.substream(3))
+    assert c2.minus.value > 0
+    assert_same_estimate(pred.c_plus, sum_of_products(
+        [(c2.absolute, w.absolute)]).scaled(0.5))
+    assert pred.c_minus == pred.c_plus
+
+
+def test_predict_signed_zero_drift_diagonal_reads_the_scan_absolute():
+    m = EqualDiagonal(d=SignedLognormal(-1, 1, 0.7),
+                      a12_mode=ProportionalToDiagonal(Normal(0, 1)),
+                      b1=Constant(1.0), b2=Constant(1.0))
+    report = t.classify(m, t.RngStream(1))
+    assert report.theorem_case == "equal_diag_zero_drift"
+    rng = t.RngStream(5)
+    pred = predict(m, report=report, constant_samples=20_000, rng=rng)
+    c2 = w2_goldie(m, report, 20_000, rng.substream(5))
+    weight = t.clt_constant(m, report.alpha1, rng.substream(6))
+    assert c2.minus.value > 0 and weight.exact
+    assert_same_estimate(pred.c_plus, sum_of_products(
+        [(c2.absolute, weight)]).scaled(0.5))
+    assert pred.c_minus == pred.c_plus
+
+
+def test_constants_sum_verdict_adds_the_ses_of_one_estimate():
+    # in zero drift c+ and c- are one estimate, so their sum has twice
+    # its SE, not sqrt(2) times
+    config = next(c for c in builtin_scenarios(quick=True)
+                  if c.name == "equal_diag_zero_drift")
+    report = run_scenario(config, workers=1)
+    verdict = next(v for v in report.verdicts
+                   if v.check_id == "constants_sum_positive")
+    c_plus = report.prediction["c_plus"]
+    assert report.prediction["c_minus"] == c_plus
+    assert verdict.se == 2 * c_plus["se"]
 
 
 def quick_config(seed=123):

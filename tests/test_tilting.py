@@ -19,8 +19,9 @@ from trisre.estimates import EstimateWithError
 from trisre.tilting import (StepSource, _scan_factors, _study_from_pairs,
                             _vu_steps)
 
-from oracles import (combined_se, lognormal_ratio_log_drift,
-                     perpetuity_sample_batch, sample_cross_sum_batch)
+from oracles import (combined_se, coord2_grey_weight_sum,
+                     lognormal_ratio_log_drift, perpetuity_sample_batch,
+                     sample_cross_sum_batch)
 
 
 def tilt_benchmark():
@@ -262,11 +263,11 @@ def test_clt_constant_values():
     m = EqualDiagonal(d=Lognormal(-1, 1),
                       a12_mode=ProportionalToDiagonal(Normal(0, 1)),
                       b1=Constant(1.0), b2=Constant(1.0))
-    assert t.clt_constant(m, 2.0) == pytest.approx(1.0, rel=1e-9)
+    assert t.clt_constant(m, 2.0).value == pytest.approx(1.0, rel=1e-9)
     m4 = EqualDiagonal(d=Lognormal(-1, 1),
                        a12_mode=ProportionalToDiagonal(Normal(0, 2)),
                        b1=Constant(1.0), b2=Constant(1.0))
-    assert t.clt_constant(m4, 2.0) == pytest.approx(4.0, rel=1e-9)
+    assert t.clt_constant(m4, 2.0).value == pytest.approx(4.0, rel=1e-9)
     # alpha = 1 with unit drift-derivative: d = exp(N(-1, 2))
     m1 = EqualDiagonal(d=Lognormal(-1, math.sqrt(2)),
                        a12_mode=ProportionalToDiagonal(Normal(0, 1)),
@@ -275,7 +276,7 @@ def test_clt_constant_values():
     assert alpha1 == pytest.approx(1.0, abs=1e-9)
     assert t.abs_moment_derivative(Lognormal(-1, math.sqrt(2)), 1.0) == \
         pytest.approx(1.0, rel=1e-12)
-    assert t.clt_constant(m1, 1.0) == pytest.approx(
+    assert t.clt_constant(m1, 1.0).value == pytest.approx(
         math.sqrt(2 / math.pi), rel=1e-9)
 
 
@@ -285,6 +286,21 @@ def test_clt_constant_rejects_nonzero_drift():
                       b1=Constant(1.0), b2=Constant(1.0))
     with pytest.raises(RequiresMuZero):
         t.clt_constant(m, 2.0)
+
+
+def test_weight_series_sums_the_builtin_grey_terms_to_its_horizon():
+    # alpha2 = 2, the index of b2; q = max(E a11^2, E a22^2) = e^-1.02 =
+    # 0.3606, and 13 is the first k with k q^(k-1) < 1e-4. The entries
+    # are positive, so the negative part is exactly 0
+    config = next(c for c in t.builtin_scenarios()
+                  if c.name == "coord2_dominant_grey")
+    exact = coord2_grey_weight_sum(config.model)
+    for seed in (1, 2, 3):
+        w = t.estimate_weight_series(config.model, 2.0, 200_000,
+                                     t.RngStream(seed))
+        assert w.k == 13
+        assert w.minus == EstimateWithError(0.0, 0.0, 200_000, w.minus.seed)
+        assert abs(w.absolute.value - exact) <= 4 * w.absolute.se, seed
 
 
 def test_perpetuity_sample_geometric_and_degenerate():
