@@ -33,8 +33,8 @@ from .scenarios import (AsymptoticPrediction, ScenarioConfig, ScenarioReport,
 from .stationary import (StationaryBatch, sample_stationary_batch,
                          truncation_depth)
 from .tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
-                    default_log_grid, goldie_constant_direct, grey_constants,
-                    hill, log_factor_regression)
+                    default_log_grid, goldie_constant_direct, hill,
+                    log_factor_regression)
 from .tilting import (PartialSumStudy, SnapshotMoments, clt_constant,
                       coord1_steps, coupling_sum_moments,
                       estimate_coupling_rate, estimate_coupling_weight,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from . import distributions as dist
 from . import model as mod
 from .distributions import Dist
-from .errors import NoRoot, NotContractive
+from .errors import LogMomentUndefined, MomentDiverges, NoRoot, NotContractive
 from .estimates import EstimateWithError
 from .model import EqualDiagonal, TriangularSRE
 from .rng import RngStream
@@ -30,11 +30,12 @@ def solve_tail_index(spec: Dist) -> float:
 
     beta -> log E|A|^beta is convex, vanishes at 0 and has negative slope
     there whenever E log|A| < 0, so a root exists iff the moment function
-    climbs back above 1 before diverging.
+    climbs back above 1 before diverging. A moment that underflows to 0
+    reads as below 1, and a root below the search's start 1e-6 as none.
     """
     try:
         drift = dist.log_abs_moment(spec)
-    except Exception as exc:
+    except LogMomentUndefined as exc:
         raise NotContractive(f"E log|A| unavailable: {exc}") from exc
     if drift >= 0:
         raise NotContractive("E log|A| >= 0: no stationary regime")
@@ -43,17 +44,20 @@ def solve_tail_index(spec: Dist) -> float:
 
     def g(beta: float) -> float:
         try:
-            return math.log(dist.abs_moment(spec, beta))
+            moment = dist.abs_moment(spec, beta)
         except OverflowError:
             return math.inf
+        return math.log(moment) if moment > 0.0 else -math.inf
 
     # expanding scan for a sign change of the convex log-moment function;
     # for a finite moment range, approach the divergence point from below
     if math.isinf(sup):
         grid = [2.0 ** k for k in range(-2, 10)]
-    else:
-        grid = [sup * (1.0 - 2.0 ** (-k)) for k in range(1, 55)]
+    else:  # the last points can round up to sup, where the moment diverges
+        grid = [b for k in range(1, 55) if (b := sup * (1.0 - 2.0 ** (-k))) < sup]
     lo = 1e-6
+    if g(lo) > 0.0:
+        raise NoRoot(f"E|A|^beta exceeds 1 already at beta = {lo}")
     hi = None
     for beta in grid:
         if beta <= lo:
@@ -185,8 +189,19 @@ class RegimeReport:
                 "offdiag_drift": None if drift is None else drift.to_json()}
 
 
-def _coordinate_regime(a_law: Dist, b_law: Dist) -> tuple[str | None, float | None, str]:
-    """Decide per-coordinate regime and index; returns (regime, alpha, why)."""
+def _rho(a_law: Dist, alpha: float) -> float | None:
+    """E|A|^alpha log|A|; None at a zero atom, where log|A| is undefined,
+    and where the float computation overflows."""
+    try:
+        return dist.abs_moment_derivative(a_law, alpha)
+    except (LogMomentUndefined, OverflowError):
+        return None
+
+
+def _coordinate_regime(a_law: Dist, b_law: Dist
+                       ) -> tuple[str | None, float | None, float | None, str]:
+    """Decide per-coordinate regime, index and rho = E|A|^alpha log|A|;
+    returns (regime, alpha, rho, why)."""
     kg_alpha = None
     kg_err = ""
     try:
@@ -197,19 +212,26 @@ def _coordinate_regime(a_law: Dist, b_law: Dist) -> tuple[str | None, float | No
 
     if kg_alpha is not None and dist.moment_sup(b_law) <= kg_alpha:
         # additive tail is at least as heavy as the multiplicative one
+        # (a Pareto B's moments end at its index)
         kg_alpha = None
         kg_err = "E|B|^alpha infinite at the multiplicative index"
-    if kg_alpha is not None and rv_alpha is not None and rv_alpha < kg_alpha:
-        kg_alpha = None
-        kg_err = "regularly varying B dominates the multiplicative index"
 
     if kg_alpha is not None:
-        return "kesten_goldie", kg_alpha, "E|A|^alpha = 1 solvable"
+        # E|A|^beta crosses 1 upwards at the index, so 0 < rho < inf there;
+        # otherwise an underflow or overflow misled the search
+        rho = _rho(a_law, kg_alpha)
+        if rho is not None and 0.0 < rho < math.inf:
+            return "kesten_goldie", kg_alpha, rho, "E|A|^alpha = 1 solvable"
+        kg_err = (f"E|A|^alpha log|A| = {rho} at alpha = {kg_alpha:.6g}, "
+                  "not in (0, inf): the index is out of float range")
     if rv_alpha is not None:
-        if dist.abs_moment(a_law, rv_alpha) < 1.0:
-            return "grey", rv_alpha, "B regularly varying, E|A|^alpha < 1"
-        return None, None, "B regularly varying but E|A|^alpha >= 1"
-    return None, None, kg_err or "no tail index available"
+        # an infinite E|A|^alpha is not below 1
+        if (rv_alpha < dist.moment_sup(a_law)
+                and dist.abs_moment(a_law, rv_alpha) < 1.0):
+            return ("grey", rv_alpha, _rho(a_law, rv_alpha),
+                    "B regularly varying, E|A|^alpha < 1")
+        return None, None, None, "B regularly varying but E|A|^alpha >= 1"
+    return None, None, None, kg_err or "no tail index available"
 
 
 def _eta_margin(model: TriangularSRE, alpha: float) -> float:
@@ -259,9 +281,10 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     checks: list[CheckResult] = []
     d1, d2 = mod.diag_laws(model)
 
+    # plain bools: a law with numpy parameters gives numpy probabilities
     sign = SignSummary(
-        a11_negative_possible=dist.prob_negative(d1) > 0.0,
-        a22_negative_possible=dist.prob_negative(d2) > 0.0,
+        a11_negative_possible=bool(dist.prob_negative(d1) > 0.0),
+        a22_negative_possible=bool(dist.prob_negative(d2) > 0.0),
         a22_no_zero_atom=not dist.is_zero_pointmass(d2),
     )
 
@@ -272,12 +295,12 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
         checks.append(CheckResult(
             "lyapunov_negative", "pass" if stat_ok else "fail",
             f"E log|A11| = {ld1:.4g}, E log|A22| = {ld2:.4g}"))
-    except Exception as exc:
+    except LogMomentUndefined as exc:
         stat_ok = False
         checks.append(CheckResult("lyapunov_negative", "fail", str(exc)))
 
-    regime1, alpha1, why1 = _coordinate_regime(d1, model.b1)
-    regime2, alpha2, why2 = _coordinate_regime(d2, model.b2)
+    regime1, alpha1, rho1, why1 = _coordinate_regime(d1, model.b1)
+    regime2, alpha2, rho2, why2 = _coordinate_regime(d2, model.b2)
     checks.append(CheckResult(
         "kesten_goldie_coord1" if regime1 == "kesten_goldie" else "grey_coord1",
         "pass" if regime1 else "fail", why1))
@@ -285,13 +308,9 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
         "kesten_goldie_coord2" if regime2 == "kesten_goldie" else "grey_coord2",
         "pass" if regime2 else "fail", why2))
 
-    rho1 = dist.abs_moment_derivative(d1, alpha1) if alpha1 is not None else None
-    rho2 = dist.abs_moment_derivative(d2, alpha2) if alpha2 is not None else None
-
     # off-diagonal non-degeneracy with enough moments
     c2_ok = not mod.offdiag_is_zero(model)
-    amin = min(a for a in (alpha1, alpha2) if a is not None) \
-        if (alpha1 is not None or alpha2 is not None) else None
+    amin = min((a for a in (alpha1, alpha2) if a is not None), default=None)
     if c2_ok and amin is not None and mod.offdiag_moment_sup(model) <= amin:
         c2_ok = False
         detail = "E|A12|^{min index} infinite"
@@ -301,13 +320,8 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     checks.append(CheckResult("offdiag_nondegenerate",
                               "pass" if c2_ok else "fail", detail))
 
-    if isinstance(model, EqualDiagonal):
-        relation = "equal_as"
-    elif isinstance(d1, dist.Constant) and isinstance(d2, dist.Constant) \
-            and d1.c == d2.c:
-        relation = "equal_as"
-    else:
-        relation = "distinct"
+    relation = ("equal_as" if isinstance(model, EqualDiagonal)
+                or isinstance(d1, dist.Constant) and d1 == d2 else "distinct")
 
     same_alpha = (alpha1 is not None and alpha2 is not None
                   and abs(alpha1 - alpha2) <= _ALPHA_MATCH * max(1.0, alpha1))
@@ -343,39 +357,39 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
     checks.append(CheckResult("ratio_nonlattice",
                               "pass" if a5_ok else "fail", a5_detail))
 
-    if relation == "distinct" and a1_ok and a2_ok and sign.a22_no_zero_atom:
+    if relation == "distinct" and a1_ok and a2_ok:
         checks.append(_mixed_moment_check(model, alpha_common, eta))
     else:
         checks.append(CheckResult("negative_moment_mix", "unverifiable",
                                   "not needed outside the distinct-diagonal "
                                   "equal-index case"))
 
-    # equal-diagonal case split: drift of the tilted off-diagonal ratio
+    # equal-diagonal case split: drift of the tilted off-diagonal ratio,
+    # which needs the ratio's mean and second moment
     drift: EstimateWithError | None = None
-    if relation == "equal_as" and a1_ok and sign.a22_no_zero_atom:
-        drift, _ = tilted_offdiag_moments(model, alpha_common,
-                                          rng=rng.substream(0xD61F7))
+    if relation == "equal_as" and a1_ok:
+        try:
+            drift, _ = tilted_offdiag_moments(model, alpha_common,
+                                              rng=rng.substream(0xD61F7))
+        except MomentDiverges as exc:
+            checks.append(CheckResult("offdiag_drift", "fail", str(exc)))
 
+    # Only conditions that can fail: past stationarity no diagonal has a
+    # zero atom, and a Kesten-Goldie one is no point mass (|c|^alpha = 1
+    # needs |c| = 1, where E log|c| = 0), so it is continuous.
     theorem_case = CASE_UNSUPPORTED
     if stat_ok and c2_ok and regime1 and regime2:
-        if alpha1 is not None and alpha2 is not None and not same_alpha:
-            if alpha1 < alpha2:
-                theorem_case = (CASE_COORD1_KG if regime1 == "kesten_goldie"
-                                else CASE_COORD1_GREY)
-            else:
-                if regime2 == "kesten_goldie" and not sign.a22_no_zero_atom:
-                    theorem_case = CASE_UNSUPPORTED
-                else:
-                    theorem_case = (CASE_COORD2_KG if regime2 == "kesten_goldie"
-                                    else CASE_COORD2_GREY)
-        elif same_alpha and relation == "equal_as":
-            if a1_ok and a2_ok and sign.a22_no_zero_atom and a4_ok:
-                theorem_case = (CASE_EQUAL_DIAG_ZERO_DRIFT
-                                if drift_is_zero(drift)
-                                else CASE_EQUAL_DIAG_NONZERO_DRIFT)
-        elif same_alpha and relation == "distinct":
-            if a1_ok and a2_ok and sign.a22_no_zero_atom and a4_ok and a5_ok:
-                theorem_case = CASE_DISTINCT_DIAG_EQUAL_INDEX
+        if not same_alpha and alpha1 < alpha2:
+            theorem_case = (CASE_COORD1_KG if regime1 == "kesten_goldie"
+                            else CASE_COORD1_GREY)
+        elif not same_alpha:
+            theorem_case = (CASE_COORD2_KG if regime2 == "kesten_goldie"
+                            else CASE_COORD2_GREY)
+        elif a2_ok and drift is not None:  # drawn only when equal_as and a1_ok
+            theorem_case = (CASE_EQUAL_DIAG_ZERO_DRIFT if drift_is_zero(drift)
+                            else CASE_EQUAL_DIAG_NONZERO_DRIFT)
+        elif a2_ok and both_kg and relation == "distinct":
+            theorem_case = CASE_DISTINCT_DIAG_EQUAL_INDEX
 
     report = RegimeReport(alpha1=alpha1, alpha2=alpha2, rho1=rho1, rho2=rho2,
                           regime1=regime1, regime2=regime2,

@@ -33,8 +33,8 @@ from .stationary import sample_stationary_batch
 # it by name, as it does EmpiricalTail
 from .tails import (CONVENTIONS, EmpiricalTail, TailSelection, ccdf,
                     default_log_grid, goldie_constant_direct,  # noqa: F401
-                    grey_constants, grid_point_usable, hill, hill_depth,
-                    log_factor_regression, log_grid_depth)
+                    grid_point_usable, hill, hill_depth, log_factor_regression,
+                    log_grid_depth)
 from .tilting import (SnapshotMoments, clt_constant, coord1_steps,
                       estimate_coupling_rate, estimate_coupling_weight,
                       estimate_weight_series, goldie_constant_perpetuity,
@@ -128,22 +128,32 @@ class AsymptoticPrediction:
 # Prediction dispatch
 # ---------------------------------------------------------------------------
 
-def _inherited(c2: SnapshotMoments, w: SnapshotMoments, negative: bool,
-               factor: float) -> tuple[EstimateWithError, EstimateWithError]:
-    """(c+, c-) that W1 inherits from W2's constants c2 through the
-    weights w: factor (c2+ w+- + c2- w-+) when no sign can flip, else
-    factor c2_abs w_abs / 2 on each side.
+def _carried(c: SnapshotMoments, w: SnapshotMoments, negative: bool,
+             factor: float) -> tuple[EstimateWithError, EstimateWithError]:
+    """(c+, c-) of W1, carried from the driving constants c through the
+    weights w: factor (c+ w+- + c- w-+) when no sign can flip, else
+    factor c_abs w_abs / 2 on each side.
 
-    The signed branch treats c2+ and c2-, and w+ and w-, as independent,
+    The signed branch treats c+ and c-, and w+ and w-, as independent,
     though each pair comes from one scan: it is exact when one part of
     each pair is exactly 0, as on every built-in model, and first-order
     otherwise. The halved branch reads each scan's own per-path sum."""
     if negative:
-        c = sum_of_products([(c2.absolute, w.absolute)]).scaled(0.5 * factor)
-        return c, c
-    cp = sum_of_products([(c2.plus, w.plus), (c2.minus, w.minus)])
-    cm = sum_of_products([(c2.plus, w.minus), (c2.minus, w.plus)])
+        half = sum_of_products([(c.absolute, w.absolute)]).scaled(0.5 * factor)
+        return half, half
+    cp = sum_of_products([(c.plus, w.plus), (c.minus, w.minus)])
+    cm = sum_of_products([(c.plus, w.minus), (c.minus, w.plus)])
     return cp.scaled(factor), cm.scaled(factor)
+
+
+def _exact(absolute: float, plus: float, minus: float) -> SnapshotMoments:
+    return SnapshotMoments(0, *map(EstimateWithError, (absolute, plus, minus)))
+
+
+def _tail_weights(b: dist.Dist) -> SnapshotMoments:
+    """(1, p, 1 - p): the tail weights of a regularly varying noise."""
+    assert isinstance(b, dist.TwoSidedPareto)
+    return _exact(1.0, b.p_pos, 1.0 - b.p_pos)
 
 
 def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
@@ -151,7 +161,9 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
             weight_horizon: int = 50,
             rng: RngStream | None = None) -> AsymptoticPrediction:
     """Predicted tail asymptote of the first coordinate for a supported
-    model; raises UnsupportedRegime otherwise."""
+    model; raises UnsupportedRegime otherwise. Each case names driving
+    constants c (Kesten-Goldie constants, or a regularly varying noise's
+    tail weights) and the weights w that carry them to W1."""
     if rng is None:
         rng = RngStream(0x9D1C7)
     if report is None:
@@ -162,31 +174,6 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                                 "see the regime report checks")
     d1, d2 = mod.diag_laws(model)
 
-    if case == CASE_COORD1_KG:
-        # W1 = a11 W1' + B with B = b1 + a12 W2': the scan runs the
-        # bivariate chain, whose x2 feeds B and sets part of the horizon
-        c = goldie_constant_perpetuity(d1, coord1_steps(model), report.alpha1,
-                                       report.rho1, constant_samples,
-                                       rng.substream(1), feed_law=d2)
-        if report.sign_case.a11_negative_possible:
-            half = c.absolute.scaled(0.5)
-            return AsymptoticPrediction(report.alpha1, 0.0, half, half, case,
-                                        "perpetuity_scan_absolute_halved")
-        return AsymptoticPrediction(report.alpha1, 0.0, c.plus, c.minus,
-                                    case, "perpetuity_scan_signed_parts")
-
-    if case == CASE_COORD1_GREY:
-        alpha1 = report.alpha1
-        b1 = model.b1
-        assert isinstance(b1, dist.TwoSidedPareto)
-        cp, cm = map(EstimateWithError, grey_constants(
-            b1.p_pos, 1.0 - b1.p_pos, dist.abs_moment(d1, alpha1),
-            dist.sign_moment(d1, alpha1)))
-        return AsymptoticPrediction(alpha1, 0.0, cp, cm, case,
-                                    "rv_noise_closed_form",
-                                    ell_scale=b1.scale ** alpha1)
-
-    # every other case: W1 inherits W2's constants c2 through weights w
     def w2_goldie(substream: int) -> SnapshotMoments:
         """Kesten-Goldie constants of W2 = a22 W2' + b2."""
         return goldie_constant_perpetuity(
@@ -195,9 +182,29 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
 
     signs = report.sign_case
     negative, factor, ell_scale = False, 1.0, 1.0
-    if case == CASE_COORD2_KG:
+    if case == CASE_COORD1_KG:
+        alpha, log_beta = report.alpha1, 0.0
+        # W1 = a11 W1' + B with B = b1 + a12 W2': the scan runs the
+        # bivariate chain, whose x2 feeds B and sets part of the horizon
+        c = goldie_constant_perpetuity(d1, coord1_steps(model), alpha,
+                                       report.rho1, constant_samples,
+                                       rng.substream(1), feed_law=d2)
+        w = _exact(1.0, 1.0, 0.0)  # W1's own constants
+        negative = signs.a11_negative_possible
+        formula = ("perpetuity_scan_absolute_halved" if negative
+                   else "perpetuity_scan_signed_parts")
+    elif case == CASE_COORD1_GREY:
+        alpha, log_beta = report.alpha1, 0.0
+        c = _tail_weights(model.b1)
+        # sum_k E[((a11_1 ... a11_k)^+-)^alpha] from m = E|a11|^alpha < 1
+        # and s = E[sgn(a11) |a11|^alpha]
+        base = 1.0 / (1.0 - dist.abs_moment(d1, alpha))
+        tilt = 1.0 / (1.0 - dist.sign_moment(d1, alpha))
+        w = _exact(base, (base + tilt) / 2.0, (base - tilt) / 2.0)
+        formula, ell_scale = "rv_noise_closed_form", model.b1.scale ** alpha
+    elif case == CASE_COORD2_KG:
         alpha, log_beta = report.alpha2, 0.0
-        c2 = w2_goldie(2)
+        c = w2_goldie(2)
         w = estimate_coupling_weight(model, alpha, weight_horizon,
                                      constant_samples, rng.substream(3))
         negative = signs.a22_negative_possible
@@ -205,18 +212,14 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                    else "inherited_signed_weights")
     elif case == CASE_COORD2_GREY:
         alpha, log_beta = report.alpha2, 0.0
-        b2 = model.b2
-        assert isinstance(b2, dist.TwoSidedPareto)
-        # the noise's own tail weights stand in for W2's constants
-        c2 = SnapshotMoments(0, *map(EstimateWithError,
-                                     (1.0, b2.p_pos, 1.0 - b2.p_pos)))
+        c = _tail_weights(model.b2)
         w = estimate_weight_series(model, alpha, constant_samples,
                                    rng.substream(4))
-        formula, ell_scale = "rv_noise_weight_series", b2.scale ** alpha
+        formula, ell_scale = "rv_noise_weight_series", model.b2.scale ** alpha
     elif case == CASE_EQUAL_DIAG_ZERO_DRIFT:
         alpha = report.alpha1
         log_beta = alpha / 2.0
-        c2 = w2_goldie(5)
+        c = w2_goldie(5)
         # the report's drift test decided the case; this draw gives only
         # the dispersion, and the Gaussian limit is symmetric
         clt = clt_constant(model, alpha, rng.substream(6))
@@ -226,7 +229,7 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
     elif case == CASE_EQUAL_DIAG_NONZERO_DRIFT:
         alpha = report.alpha1
         log_beta = alpha
-        c2 = w2_goldie(5)
+        c = w2_goldie(5)
         # the drift carries W2's constants to the side of its sign
         mu = report.offdiag_drift
         drift, zero = mu.power(alpha), EstimateWithError(0.0)
@@ -235,7 +238,7 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
         factor, formula = report.rho1 ** (-alpha), "drift_limit_constant"
     elif case == CASE_DISTINCT_DIAG_EQUAL_INDEX:
         alpha, log_beta = report.alpha1, 1.0
-        c2 = w2_goldie(7)
+        c = w2_goldie(7)
         w = estimate_coupling_rate(model, alpha, mn_horizon,
                                    constant_samples, rng.substream(8))
         negative = signs.a22_negative_possible or signs.a11_negative_possible
@@ -244,7 +247,7 @@ def predict(model: TriangularSRE, *, report: RegimeReport | None = None,
                    else "coupling_rate_signed")
     else:  # pragma: no cover
         raise UnsupportedRegime(f"unhandled case {case}")
-    cp, cm = _inherited(c2, w, negative, factor)
+    cp, cm = _carried(c, w, negative, factor)
     return AsymptoticPrediction(alpha, log_beta, cp, cm, case, formula,
                                 ell_scale=ell_scale)
 

@@ -428,18 +428,3 @@ def goldie_constant_direct(sampler, alpha: float, rho: float, N: int,
     c_plus, c_minus = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
     return c_plus.estimate(seed), c_minus.estimate(seed)
 
-
-def grey_constants(p_alpha: float, q_alpha: float, m_abs: float,
-                   m_sign: float) -> tuple[float, float]:
-    """Closed-form tail constants when the additive term is regularly
-    varying and the multiplier is strictly subcritical."""
-    if not (p_alpha >= 0 and q_alpha >= 0 and abs(p_alpha + q_alpha - 1.0) < 1e-9):
-        raise ArgumentOutOfRange("need p, q >= 0 with p + q = 1")
-    if m_abs >= 1.0:
-        raise ArgumentOutOfRange("need E|A|^alpha < 1")
-    denom2 = 1.0 - m_sign
-    if denom2 <= 0.0:
-        raise ArgumentOutOfRange("signed-moment denominator must be positive")
-    base = 1.0 / (1.0 - m_abs)
-    tiltp = (p_alpha - q_alpha) / denom2
-    return 0.5 * (base + tiltp), 0.5 * (base - tiltp)

@@ -654,7 +654,4 @@ def clt_constant(model: TriangularSRE, alpha: float,
     rho1 = dist.abs_moment_derivative(mod.diag_laws(model)[0], alpha)
     scale = rho1 ** (-alpha / 2.0)
     enorm = dist.abs_normal_moment(alpha)
-    sigma = second.power(alpha / 2.0)
-    return EstimateWithError(sigma.value * scale * enorm,
-                             sigma.se * scale * enorm, sigma.n_samples,
-                             sigma.seed)
+    return second.power(alpha / 2.0).scaled(scale).scaled(enorm)

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from trisre import distributions as dist
 from trisre import regime
 from trisre.distributions import abs_moment
-from trisre.errors import RequiresExactTilt
+from trisre.errors import ArgumentOutOfRange, RequiresExactTilt
 from trisre.estimates import EstimateWithError
 from trisre.model import (IndependentEntries, InnovationBatch, TriangularSRE,
                           draw_innovations)
@@ -356,3 +356,20 @@ def log_moment_curvature(spec, alpha: float, eps0: float,
         second = (g(b + h) - 2.0 * g(b) + g(b - h)) / (h * h)
         worst = max(worst, second)
     return worst / 2.0
+
+
+# Grey (1994): the reference for predict's coord1_dominant_grey route
+def grey_constants(p_alpha: float, q_alpha: float, m_abs: float,
+                   m_sign: float) -> tuple[float, float]:
+    """Closed-form tail constants when the additive term is regularly
+    varying and the multiplier is strictly subcritical."""
+    if not (p_alpha >= 0 and q_alpha >= 0 and abs(p_alpha + q_alpha - 1.0) < 1e-9):
+        raise ArgumentOutOfRange("need p, q >= 0 with p + q = 1")
+    if m_abs >= 1.0:
+        raise ArgumentOutOfRange("need E|A|^alpha < 1")
+    denom2 = 1.0 - m_sign
+    if denom2 <= 0.0:
+        raise ArgumentOutOfRange("signed-moment denominator must be positive")
+    base = 1.0 / (1.0 - m_abs)
+    tiltp = (p_alpha - q_alpha) / denom2
+    return 0.5 * (base + tiltp), 0.5 * (base - tiltp)

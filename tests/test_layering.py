@@ -1,5 +1,6 @@
 """The partial-sum moment scan has one home, trisre.tilting: the modules
-below it import nothing from it, and no other module names its engine."""
+below it import nothing from it, and no other module names its engine.
+No handler in the library catches every exception."""
 import ast
 from pathlib import Path
 
@@ -47,3 +48,35 @@ def test_only_tilting_names_the_scan_engine():
     users = {path.name for path in PACKAGE.glob("*.py")
              if _names(_tree(path)) & SCAN_ENGINE}
     assert users == {"tilting.py"}
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.AST) -> list[int]:
+    """Lines of handlers that catch everything: a bare except, or one whose
+    types (a tuple's included) name Exception or BaseException."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            if node.type is None or any(
+                    getattr(t, "id", getattr(t, "attr", None)) in BROAD
+                    for t in types):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_broad_handler_detector():
+    tree = ast.parse("try:\n    f()\nexcept:\n    pass\n"
+                     "try:\n    f()\nexcept (ValueError, builtins.Exception):\n"
+                     "    pass\n"
+                     "try:\n    f()\nexcept ValueError:\n    pass\n")
+    assert _broad_handlers(tree) == [3, 7]
+
+
+def test_no_library_handler_catches_everything():
+    found = {path.name: lines for path in PACKAGE.glob("*.py")
+             if (lines := _broad_handlers(_tree(path)))}
+    assert found == {}

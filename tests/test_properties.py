@@ -2,6 +2,7 @@
 
 Each suite runs at least 200 derandomized cases.
 """
+import json
 import math
 from unittest import mock
 
@@ -109,6 +110,25 @@ def test_zero_mean_normal_parts_are_exact_halves(sd, beta):
     half = 0.5 * t.abs_moment(spec, beta)
     assert t.signed_moment(spec, beta, "plus") == half
     assert t.signed_moment(spec, beta, "minus") == half
+
+
+def classifiable_models():
+    """Models the config loader accepts, from every menu law: independent
+    entries, and equal diagonals (no zero atom) under both couplings."""
+    laws = scaled_menu_specs()
+    diagonal = laws.filter(lambda d: not dist.is_zero_pointmass(d))
+    return st.one_of(
+        st.builds(IndependentEntries, laws, laws, laws, laws, laws),
+        st.builds(EqualDiagonal, diagonal,
+                  st.one_of(st.builds(ProportionalToDiagonal, laws),
+                            st.builds(IndependentOffDiagonal, laws)),
+                  laws, laws))
+
+
+@given(classifiable_models())
+def test_classify_reports_on_every_model(model):
+    report = t.classify(model)
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 def tiltable_specs():

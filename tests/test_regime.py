@@ -293,3 +293,83 @@ def test_classify_reads_the_exact_top_lyapunov_exponent():
                                   a22=Lognormal(0.1, 1), b1=Constant(1.0),
                                   b2=Constant(1.0))
     assert t.classify(unstable).check("lyapunov_negative").status == "fail"
+
+
+# Models the config loader accepts, each of which made classify raise; the
+# report now says which condition fails.
+
+@pytest.mark.parametrize("spec", [Constant(0.1), Uniform(0.15, 0.19)])
+def test_solve_tail_index_reads_an_underflowing_moment_as_below_one(spec):
+    # 0.1^512 == 0.0 in floats, whose log raised a math domain error
+    with pytest.raises(NoRoot, match="stays below 1"):
+        t.solve_tail_index(spec)
+    m = IndependentEntries(a11=spec, a12=Constant(1.0), a22=Lognormal(-1, 1),
+                           b1=Constant(1.0), b2=Constant(1.0))
+    report = t.classify(m)
+    assert report.regime1 is None and report.theorem_case == CASE_UNSUPPORTED
+    assert "stays below 1" in report.check("grey_coord1").detail
+
+
+def test_solve_tail_index_has_no_root_below_its_search_start():
+    # E|A|^beta = exp(beta^2 0.32 - beta 1e-300) passes 1 near 3e-300, and
+    # the bracket [1e-6, hi] has no sign change
+    with pytest.raises(NoRoot, match="already at beta"):
+        t.solve_tail_index(Lognormal(-1e-300, 0.8))
+
+
+def test_solve_tail_index_stops_short_of_the_moment_bound():
+    # E|A|^beta < 1 up to the Pareto index, and the last grid points
+    # round up to the index, where the moment diverges
+    with pytest.raises(NoRoot, match="stays below 1"):
+        t.solve_tail_index(t.Scaled(TwoSidedPareto(1.5, 0.25, 0.5), 1e-20))
+
+
+def test_grey_coordinate_needs_a_finite_diagonal_moment():
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Constant(1.0),
+                           a22=TwoSidedPareto(1.0, 1.0, 1.0),
+                           b1=Constant(1.0), b2=TwoSidedPareto(2.0, 1.0, 0.5))
+    report = t.classify(m)
+    assert report.regime2 is None and report.alpha2 is None
+    assert report.check("grey_coord2").status == "fail"
+    assert report.theorem_case == CASE_UNSUPPORTED
+
+
+def test_grey_zero_diagonal_reports_rho_as_null():
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Constant(1.0),
+                           a22=Constant(0.0), b1=Constant(1.0),
+                           b2=TwoSidedPareto(2.0, 1.0, 0.5))
+    report = t.classify(m)
+    assert (report.regime2, report.alpha2, report.rho2) == ("grey", 2.0, None)
+    assert report.theorem_case == CASE_UNSUPPORTED
+    assert report.to_dict()["rho2"] is None
+
+
+def test_equal_diagonal_drift_needs_the_ratio_moments():
+    m = EqualDiagonal(Lognormal(-1, 1),
+                      ProportionalToDiagonal(TwoSidedPareto(1.0, 1.0, 0.5)),
+                      Constant(1.0), Constant(1.0))
+    report = t.classify(m)
+    assert report.offdiag_drift is None
+    assert report.theorem_case == CASE_UNSUPPORTED
+    drift = report.check("offdiag_drift")
+    assert drift.status == "fail" and "Pareto index 1" in drift.detail
+
+
+def test_kesten_goldie_index_out_of_float_range_is_no_regime():
+    # |f|^beta underflows and the inner moment overflows near beta = 126,
+    # so the search stops there with rho = nan, short of the index 127.1
+    d = t.Scaled(Lognormal(-0.0033, 0.3), -0.0033)
+    m = EqualDiagonal(d, ProportionalToDiagonal(Lognormal(0.0, 0.3)),
+                      Constant(0.0), Constant(-0.95))
+    report = t.classify(m)
+    assert report.regime1 is None and report.rho1 is None
+    assert "out of float range" in report.check("grey_coord1").detail
+    assert report.theorem_case == CASE_UNSUPPORTED
+
+
+def test_sign_summary_holds_plain_bools_for_numpy_parameters():
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
+                           a22=Uniform(np.float64(-1.2), np.float64(0.3)),
+                           b1=Constant(1.0), b2=Constant(1.0))
+    sign = t.classify(m).sign_case
+    assert all(type(v) is bool for v in sign.to_dict().values())

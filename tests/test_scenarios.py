@@ -27,7 +27,8 @@ from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
 from trisre.tails import CONVENTIONS, EmpiricalTail, hill_depth
 
 from oracles import (coord1_goldie_sum, coord2_grey_weight_sum,
-                     coord2_kg_constant, goldie_constant_direct_for_laws)
+                     coord2_kg_constant, goldie_constant_direct_for_laws,
+                     grey_constants)
 
 
 def w2_goldie(m, report, N, rng):
@@ -59,6 +60,28 @@ def test_predict_grey_first_coordinate_closed_form():
     assert pred.log_beta == 0.0
     assert pred.tail_index == pytest.approx(2.0)
     assert pred.ell_scale == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("a11", [Lognormal(-1, 0.7),
+                                 SignedLognormal(-1, 0.7, 0.3),
+                                 t.Scaled(t.Uniform(-1.0, 0.6), 0.9)])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_predict_grey_first_coordinate_matches_grey_closed_form(a11, p):
+    # the noise's tail weights carried by the exact weight series give
+    # Grey's closed form, up to rounding
+    m = IndependentEntries(a11=a11, a12=Lognormal(-1.5, 0.5),
+                           a22=Lognormal(-2, 1),
+                           b1=TwoSidedPareto(2.0, 2.0, p), b2=Constant(1.0))
+    report = t.classify(m, t.RngStream(1))
+    assert report.theorem_case == "coord1_dominant_grey"
+    pred = predict(m, report=report, rng=t.RngStream(1))
+    exact = grey_constants(p, 1.0 - p, t.abs_moment(a11, 2.0),
+                           t.sign_moment(a11, 2.0))
+    for c, ref in zip((pred.c_plus, pred.c_minus), exact):
+        assert c.exact
+        assert c.value == pytest.approx(ref, rel=1e-15, abs=1e-300)
+    assert pred.constant_formula == "rv_noise_closed_form"
+    assert pred.ell_scale == 4.0
 
 
 def test_predict_grey_second_coordinate_refuses_a_truncated_series():
@@ -501,6 +524,18 @@ def test_emit_report_round_trip(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "check_id,predicted,estimated,se,band,pass"
     assert len(lines) == 1 + len(report.verdicts)
+
+
+def test_emit_report_writes_json_for_numpy_law_parameters(tmp_path):
+    config = dataclasses.replace(quick_config(), model=IndependentEntries(
+        a11=Lognormal(-1, 1), a12=Lognormal(-1, 0.5),
+        a22=t.Uniform(np.float64(-1.2), np.float64(0.3)), b1=Constant(1.0),
+        b2=Constant(1.0)))
+    report = run_scenario(config, workers=1)
+    jpath = [p for p in emit_report(report, tmp_path) if p.suffix == ".json"][0]
+    with open(jpath, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["regime"]["sign_case"]["a22_negative_possible"] is True
 
 
 def test_emit_report_empty_verdicts(tmp_path):

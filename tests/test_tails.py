@@ -20,7 +20,7 @@ from trisre.tilting import (_GOLDIE_HORIZON, _goldie_horizon, _scan_factors,
                             _study_from_pairs, _window_bias)
 
 from oracles import (combined_se, coord1_window_bias,
-                     goldie_constant_direct_for_laws)
+                     goldie_constant_direct_for_laws, grey_constants)
 
 
 def test_ccdf_examples():
@@ -552,14 +552,14 @@ def test_goldie_positivity_of_summed_constants():
 
 
 def test_grey_constants():
-    cp, cm = t.grey_constants(0.5, 0.5, 0.3, 0.3)
+    cp, cm = grey_constants(0.5, 0.5, 0.3, 0.3)
     assert cp == cm == pytest.approx(1.0 / (2 * 0.7))
-    cp, cm = t.grey_constants(1.0, 0.0, 0.0, 0.0)
+    cp, cm = grey_constants(1.0, 0.0, 0.0, 0.0)
     assert (cp, cm) == (1.0, 0.0)
-    cp, cm = t.grey_constants(1.0, 0.0, 0.5, 0.5)
+    cp, cm = grey_constants(1.0, 0.0, 0.5, 0.5)
     assert cp == pytest.approx(2.0)
     assert cm == pytest.approx(0.0)
     with pytest.raises(ArgumentOutOfRange):
-        t.grey_constants(0.5, 0.5, 1.0, 0.5)
+        grey_constants(0.5, 0.5, 1.0, 0.5)
     with pytest.raises(ArgumentOutOfRange):
-        t.grey_constants(0.7, 0.7, 0.3, 0.3)
+        grey_constants(0.7, 0.7, 0.3, 0.3)
