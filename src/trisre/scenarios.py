@@ -468,14 +468,16 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
 def emit_report(report: ScenarioReport, out_dir: str | Path,
                 formats: tuple[str, ...] = ("json", "csv")) -> list[Path]:
     """Write report files; JSON nested with sorted keys, CSV one row per
-    verdict."""
+    verdict. The JSON text is built before any file is opened, so a value
+    it cannot encode raises and leaves no file behind."""
+    text = (json.dumps(report.to_dict(), sort_keys=True, indent=2)
+            if "json" in formats else None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if "json" in formats:
+    if text is not None:
         p = out / f"{report.name}.json"
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        p.write_text(text, encoding="utf-8")
         written.append(p)
     if "csv" in formats:
         p = out / f"{report.name}.csv"
@@ -569,6 +571,6 @@ def run_suite(quick: bool = False, out_dir: str | Path = "trisre_out",
                        "runtime_seconds": r.runtime_seconds,
                        "n_verdicts": len(r.verdicts)} for r in reports],
     }
-    with open(out / "suite_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+    text = json.dumps(summary, sort_keys=True, indent=2)
+    (out / "suite_summary.json").write_text(text, encoding="utf-8")
     return reports

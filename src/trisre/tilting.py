@@ -9,7 +9,9 @@ which turns moments of the cross sum into moments of a ratio perpetuity.
 When the law of a22 is closed under the tilt that source draws the
 reweighted pair exactly; otherwise it draws untilted entries and yields
 the step weight |a22|^alpha, which the scan folds into its increments
-behind a degeneracy guard.
+behind a degeneracy guard. With all three entries lognormal the ratio
+source draws antithetic pairs of paths from one normal per path-step,
+and the scan takes its SEs from the pair means.
 
 At the critical index the alpha-moment of the partial sum grows linearly
 but a naive sample mean misses the exponentially rare paths that carry
@@ -104,14 +106,18 @@ def _snapshot_list(ks: list[int], accs: list[RunningMoments],
 
 @dataclass(frozen=True)
 class StepSource:
-    """A step source and its sign flag. source(m, rng) calls draw, a fresh
-    generator of each step's arrays (v, u), or (v, u, w), for a chunk of
-    m paths. signed is False only when no v or u it yields can be
-    negative, which its factory decides from the laws with
-    distributions.prob_negative."""
+    """A step source and its declared properties. source(m, rng) calls
+    draw, a fresh generator of each step's arrays (v, u), or (v, u, w),
+    for a chunk of m paths. signed is False only when no v or u it yields
+    can be negative, which its factory decides from the laws with
+    distributions.prob_negative. paired is True when m must be even and
+    path i + m/2 is the antithetic partner of path i at every step, so the
+    two halves of a chunk are dependent and only their pair means are
+    independent; only _lognormal_vu_steps declares it."""
 
     draw: Callable[[int, RngStream], Iterator[tuple[np.ndarray, ...]]]
     signed: bool
+    paired: bool = False
 
     def __call__(self, m: int, rng: RngStream):
         return self.draw(m, rng)
@@ -178,15 +184,29 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
     E[W_k |V_k X_{k-1}|^alpha] = E[w |V|^alpha] E[W_{k-1}|X_{k-1}|^alpha],
     s_k is unbiased for E[W_k |X_k|^alpha]. The effective sample size of
     W_k is checked at every snapshot.
+
+    A paired source (antithetic partners in the two halves of a chunk)
+    runs ceil(N / 2) pairs, so an odd N rounds up to N + 1 paths, in
+    chunks of at most CHUNK paths. Every snapshot and the window are
+    folded into the pair means 0.5 (val[:h] + val[h:]) before they are
+    accumulated, since partners are dependent and pairs are not: se and
+    n_samples then refer to pairs. The weights' effective sample size
+    still counts paths.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     n = snapshots[-1]
     snap_set = {int(s) for s in snapshots}
     by_sign = steps.signed or gamma != contraction
+    paired = steps.paired
 
-    def chunk(paths, sub):
-        m = paths.stop - paths.start
+    def chunk(units, sub):
+        h = units.stop - units.start
+        m = 2 * h if paired else h
+
+        def fold(val):
+            return 0.5 * (val[:h] + val[h:]) if paired else val
+
         # the chunk's own buffers, written in place at every step
         x = np.zeros(m)
         s_acc = np.zeros(m)
@@ -239,14 +259,15 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
                 else:
                     up = s_acc * scale
                     prev, vals = vals, (up, up, np.zeros(m))
-                snaps += [RunningMoments(val) for val in vals]
+                snaps += [RunningMoments(fold(val)) for val in vals]
                 if w:
                     weights.append(RunningMoments(weight))
         if prev is not None:
-            snaps += [RunningMoments(b - a) for a, b in zip(prev, vals)]
+            snaps += [RunningMoments(fold(b - a)) for a, b in zip(prev, vals)]
         return snaps, weights
 
-    parts = map_chunks(N, CHUNK, chunk, rng)
+    parts = (map_chunks((N + 1) // 2, CHUNK // 2, chunk, rng) if paired
+             else map_chunks(N, CHUNK, chunk, rng))
     weights = merge_chunks([w for _, w in parts])
     for acc in weights:
         _check_ess(acc)
@@ -320,16 +341,21 @@ def _vu_steps(model: TriangularSRE, alpha: float) -> StepSource:
 
 def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
                         a22: dist.Lognormal) -> StepSource:
-    """(V, U) = (a11/a22, a12/a22) for lognormal entries, from two normals.
+    """(V, U) = (a11/a22, a12/a22) for lognormal entries, in antithetic
+    pairs of paths, from one normal per path-step.
 
     With a_ij = exp(mu_ij + s_ij N_ij) for independent standard normals
     N_ij, log V = mu11 - mu22 + s11 N11 - s22 N22 and log U = mu12 - mu22
     + s12 N12 - s22 N22 are jointly normal: variances s11^2 + s22^2 and
-    s12^2 + s22^2, covariance s22^2. Each step fills one (2, m) buffer of
-    standard normals and mixes it through the Cholesky factor of that
-    covariance, taken in the order (log U, log V): the same law as the
-    three-draw ratio, at two normals and two exps per path-step. The
-    pair is positive."""
+    s12^2 + s22^2, covariance s22^2. For a chunk of m = 2h paths, each
+    step fills one (2, h) buffer of standard normals and mixes it through
+    the Cholesky factor L of that covariance, taken in the order
+    (log U, log V): path i < h takes shift + L g and path i + h the
+    mirrored shift - L g, the same law as the three-draw ratio, then one
+    exp runs over the (2, m) block. Partners mirror each other at every
+    step, so whole paths are partners and the source is paired; the h
+    paths of either half are independent of each other. The pair is
+    positive."""
     shift = np.array([[a12.mu - a22.mu], [a11.mu - a22.mu]])
     c22 = a22.sigma ** 2
     l11 = math.sqrt(a12.sigma ** 2 + c22)
@@ -337,19 +363,24 @@ def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
     l22 = math.sqrt(a11.sigma ** 2 + c22 - l21 ** 2)
 
     def steps(m: int, rng: RngStream):
+        if m % 2:
+            raise ValueError("a paired source needs an even number of paths")
+        h = m // 2
+        g = np.empty((2, h))
+        mix = np.empty(h)
         z = np.empty((2, m))
-        mix = np.empty(m)
         while True:
-            rng.gen.standard_normal(out=z)
-            z[1] *= l22
-            np.multiply(z[0], l21, out=mix)
-            z[1] += mix
-            z[0] *= l11
-            z += shift
+            rng.gen.standard_normal(out=g)
+            g[1] *= l22
+            np.multiply(g[0], l21, out=mix)
+            g[1] += mix
+            g[0] *= l11
+            np.add(shift, g, out=z[:, :h])
+            np.subtract(shift, g, out=z[:, h:])
             np.exp(z, out=z)
             yield z[1], z[0]
 
-    return StepSource(steps, False)
+    return StepSource(steps, False, paired=True)
 
 
 def _ratio_moments(model: TriangularSRE, alpha: float) -> tuple[float, float]:

@@ -171,11 +171,23 @@ def perpetuity_sample_batch(model: TriangularSRE, alpha: float, n: int,
     """m draws of the depth-n partial sum of the reweighted ratio
     perpetuity (term i carries i-1 ratio factors), run as the forward
     recursion x = v x + u from zero. Raw step weights give no sample of
-    the reweighted law, so a22 must be exactly tiltable."""
+    the reweighted law, so a22 must be exactly tiltable.
+
+    The draws are independent, so a naive SE of their mean holds: a
+    paired source runs 2 size paths per chunk, and only the first half,
+    whose paths are independent of each other, is kept."""
     if _tilted_a22(model, alpha) is None:
         raise RequiresExactTilt("perpetuity samples need an exactly "
                                 "tiltable second diagonal law")
-    return _perpetuity_sums(_vu_steps(model, alpha), n, m, rng)
+    source = _vu_steps(model, alpha)
+    if not source.paired:
+        return _perpetuity_sums(source, n, m, rng)
+
+    def first_halves(size, sub):
+        for v, u in source(2 * size, sub):
+            yield v[:size], u[:size]
+
+    return _perpetuity_sums(first_halves, n, m, rng)
 
 
 def sample_pair_perpetuity_batch(steps, a_law: dist.Dist, tol: float,
@@ -264,14 +276,23 @@ def coord1_window_bias(model: TriangularSRE, n: int) -> float:
     return growth / (2 * coord1_goldie_sum(model)) - 1
 
 
+def w2_goldie_constant(model: TriangularSRE) -> float:
+    """W2's Goldie constant at alpha2 = 2 for E a22^2 = 1 and independent
+    entries: E[(a22 W2 + b2)^2 - (a22 W2)^2] / (2 rho2) =
+    (2 E[a22] E[b2] E[W2] + E[b2^2]) / (2 rho2), with
+    E[W2] = E[b2] / (1 - E[a22]) and rho2 = E[a22^2 log a22]."""
+    e, m = dist.mean, model
+    ew2 = e(m.b2) / (1 - e(m.a22))
+    return ((2 * e(m.a22) * e(m.b2) * ew2 + abs_moment(m.b2, 2.0))
+            / (2 * dist.abs_moment_derivative(m.a22, 2.0)))
+
+
 def coord2_kg_constant(model: TriangularSRE) -> float:
     """c+ of the first coordinate at alpha2 = 2 when the second dominates
     (E a22^2 = 1), for positive independent entries and b2 >= 0; c- is 0.
 
     W1 inherits W2's tail through the cross sum, so c+ = c2 E_t[X^2]:
-    - c2 is W2's Goldie constant, E[(a22 W2 + b2)^2 - (a22 W2)^2] /
-      (2 rho2) = (2 E[a22] E[b2] E[W2] + E[b2^2]) / (2 rho2), with
-      E[W2] = E[b2] / (1 - E[a22]) and rho2 = E[a22^2 log a22].
+    - c2 is W2's Goldie constant, w2_goldie_constant.
     - X = V X' + U is the ratio perpetuity, V = a11/a22 and U = a12/a22,
       under the tilt E_t[f] = E[a22^2 f] (E a22^2 = 1). The tilt cancels
       a22 from the moments: E_t V = E a11 E a22, E_t V^2 = E a11^2,
@@ -280,16 +301,32 @@ def coord2_kg_constant(model: TriangularSRE) -> float:
       E_t X^2 = (E_t U^2 + 2 E_t[UV] E_t X) / (1 - E_t V^2).
     """
     e, m = dist.mean, model
-
-    def e2(law):
-        return abs_moment(law, 2.0)
-
-    ew2 = e(m.b2) / (1 - e(m.a22))
-    c2 = ((2 * e(m.a22) * e(m.b2) * ew2 + e2(m.b2))
-          / (2 * dist.abs_moment_derivative(m.a22, 2.0)))
     ex = e(m.a12) * e(m.a22) / (1 - e(m.a11) * e(m.a22))
-    ex2 = (e2(m.a12) + 2 * e(m.a11) * e(m.a12) * ex) / (1 - e2(m.a11))
-    return c2 * ex2
+    ex2 = (abs_moment(m.a12, 2.0) + 2 * e(m.a11) * e(m.a12) * ex) \
+        / (1 - abs_moment(m.a11, 2.0))
+    return w2_goldie_constant(m) * ex2
+
+
+def distinct_diag_constant(model: TriangularSRE) -> float:
+    """c+ of the first coordinate at alpha = 2 when distinct diagonals
+    share the index (E a11^2 = E a22^2 = 1), for positive independent
+    entries and b2 >= 0; c- is 0.
+
+    c+ = (alpha / rho1) c2 r, with rho1 = E[a11^2 log a11]:
+    - c2 is W2's Goldie constant, w2_goldie_constant.
+    - r = lim (alpha k)^-1 E[M_k^2] is the coupling rate. Under the tilt
+      E_t[f] = E[a22^2 f] the cross sum's second moment is E_t[X_k^2] of
+      the ratio recursion X_k = V_k X_{k-1} + U_k from zero, and with
+      E_t V^2 = E a11^2 = 1 its per-step growth
+      E_t U^2 + 2 E_t[UV] E_t X_{k-1} tends to
+      E_t U^2 + 2 E_t[UV] E_t X, E_t X = E_t U / (1 - E_t V). The tilted
+      moments are those of coord2_kg_constant, so
+      r = (E_t U^2 + 2 E_t[UV] E_t X) / 2.
+    """
+    e, m = dist.mean, model
+    ex = e(m.a12) * e(m.a22) / (1 - e(m.a11) * e(m.a22))
+    rate = (abs_moment(m.a12, 2.0) + 2 * e(m.a11) * e(m.a12) * ex) / 2
+    return 2 / dist.abs_moment_derivative(m.a11, 2.0) * w2_goldie_constant(m) * rate
 
 
 def coord2_grey_weight_sum(model: TriangularSRE) -> float:

@@ -27,7 +27,8 @@ from trisre.scenarios import (ScenarioConfig, ScenarioReport, Verdict,
 from trisre.tails import CONVENTIONS, EmpiricalTail, hill_depth
 
 from oracles import (coord1_goldie_sum, coord2_grey_weight_sum,
-                     coord2_kg_constant, goldie_constant_direct_for_laws,
+                     coord2_kg_constant, distinct_diag_constant,
+                     goldie_constant_direct_for_laws,
                      grey_constants)
 
 
@@ -339,6 +340,21 @@ def test_predict_coord2_grey_builtin_matches_closed_form_at_three_seeds():
             <= 4 * pred.c_minus.se, seed
 
 
+def test_predict_distinct_diag_builtin_matches_closed_form_at_three_seeds():
+    # (alpha / rho1) c2 r = 2 x 0.540988 x 0.161476, W2's Goldie constant
+    # times the coupling rate of the tilted ratio perpetuity. The estimate
+    # is right-skewed; the z read 0.93, 0.93 and -1.49 at these seeds. The
+    # positive entries make the negative part exactly 0
+    config = next(c for c in builtin_scenarios()
+                  if c.name == "distinct_diag_equal_index")
+    exact = distinct_diag_constant(config.model)
+    assert exact == pytest.approx(0.174713, abs=1e-6)
+    for seed in (config.seed, 1, 2):
+        pred = scenario_prediction(dataclasses.replace(config, seed=seed))
+        assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se, seed
+        assert pred.c_minus.value == 0.0
+
+
 def test_predict_coord1_signed_a11_halves_the_absolute_constant():
     # a11 negative with probability 0.2: the two constants coincide and
     # each is half of c+ + c- = 2.59311, the one-step expectation with the
@@ -546,6 +562,25 @@ def test_emit_report_empty_verdicts(tmp_path):
     paths = emit_report(report, tmp_path)
     cpath = [p for p in paths if p.suffix == ".csv"][0]
     assert cpath.read_text().strip() == "check_id,predicted,estimated,se,band,pass"
+
+
+def test_emit_report_writes_all_or_nothing(tmp_path):
+    # a numpy bool is not JSON: the report raises before any file opens,
+    # so no new JSON or CSV appears and an older report is left whole
+    def report(name, empirical):
+        return ScenarioReport(name=name, config={}, regime={},
+                              prediction=None, prediction_error=None,
+                              empirical=empirical, verdicts=[],
+                              runtime_seconds=0.0, seed_provenance="seed=0")
+
+    old = emit_report(report("kept", {"flag": True}), tmp_path)
+    before = {p: p.read_bytes() for p in old}
+    for name in ("fresh", "kept"):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_report(report(name, {"flag": np.bool_(True)}), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv",
+                                                          "kept.json"]
+    assert {p: p.read_bytes() for p in old} == before
 
 
 def test_config_json_round_trip(tmp_path):

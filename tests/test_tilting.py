@@ -16,6 +16,7 @@ from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
                            RequiresExactTilt, RequiresMuZero, TiltUnsupported,
                            WeightDegenerate)
 from trisre.estimates import EstimateWithError
+from trisre.rng import CHUNK
 from trisre.tilting import (StepSource, _scan_factors, _study_from_pairs,
                             _vu_steps)
 
@@ -291,7 +292,8 @@ def test_clt_constant_rejects_nonzero_drift():
 def test_weight_series_sums_the_builtin_grey_terms_to_its_horizon():
     # alpha2 = 2, the index of b2; q = max(E a11^2, E a22^2) = e^-1.02 =
     # 0.3606, and 13 is the first k with k q^(k-1) < 1e-4. The entries
-    # are positive, so the negative part is exactly 0
+    # are positive, so the negative part is exactly 0. The lognormal
+    # ratio source is paired, so 200k paths are 100k samples
     config = next(c for c in t.builtin_scenarios()
                   if c.name == "coord2_dominant_grey")
     exact = coord2_grey_weight_sum(config.model)
@@ -299,7 +301,7 @@ def test_weight_series_sums_the_builtin_grey_terms_to_its_horizon():
         w = t.estimate_weight_series(config.model, 2.0, 200_000,
                                      t.RngStream(seed))
         assert w.k == 13
-        assert w.minus == EstimateWithError(0.0, 0.0, 200_000, w.minus.seed)
+        assert w.minus == EstimateWithError(0.0, 0.0, 100_000, w.minus.seed)
         assert abs(w.absolute.value - exact) <= 4 * w.absolute.se, seed
 
 
@@ -488,15 +490,25 @@ def builtin_model(name: str):
 
 def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
     # coord2_dominant_kg under the alpha = 2 tilt of a22: log V = N11 - N22'
-    # and log U = N12 - N22' share the tilted a22's log-variance
+    # and log U = N12 - N22' share the tilted a22's log-variance. Partners
+    # are dependent, so the moments and their SEs come from one half
     model = builtin_model("coord2_dominant_kg")
     a22 = t.tilted(model.a22, 2.0)
-    v, u = next(_vu_steps(model, 2.0)(400_000, t.RngStream(40)))
+    source = _vu_steps(model, 2.0)
+    assert source.paired
+    v, u = next(source(800_000, t.RngStream(40)))
     lv, lu = np.log(v), np.log(u)
+    mu_v, mu_u = model.a11.mu - a22.mu, model.a12.mu - a22.mu
+    # path i + h mirrors path i about the mean of the log pair
+    np.testing.assert_allclose(lv[400_000:], 2 * mu_v - lv[:400_000],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lu[400_000:], 2 * mu_u - lu[:400_000],
+                               rtol=0, atol=1e-12)
+    lv, lu = lv[:400_000], lu[:400_000]
     c22 = a22.sigma ** 2
     cases = (
-        (lv, model.a11.mu - a22.mu),
-        (lu, model.a12.mu - a22.mu),
+        (lv, mu_v),
+        (lu, mu_u),
         ((lv - lv.mean()) ** 2, model.a11.sigma ** 2 + c22),
         ((lu - lu.mean()) ** 2, model.a12.sigma ** 2 + c22),
         ((lv - lv.mean()) * (lu - lu.mean()), c22),
@@ -506,12 +518,14 @@ def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
         assert abs(vals.mean() - exact) <= 4 * se, (vals.mean(), exact)
 
 
-def test_lognormal_ratio_pair_draws_two_normals_per_path_step():
+def test_lognormal_ratio_pair_draws_one_normal_per_path_step():
     model = builtin_model("distinct_diag_equal_index")
     used, ref = t.RngStream(41), t.RngStream(41)
     next(_vu_steps(model, 2.0)(1000, used))
-    ref.gen.standard_normal((2, 1000))
+    ref.gen.standard_normal((2, 500))
     np.testing.assert_array_equal(used.gen.random(8), ref.gen.random(8))
+    with pytest.raises(ValueError, match="even"):
+        next(_vu_steps(model, 2.0)(999, used))
 
 
 def test_lognormal_fast_path_matches_generic_ratio_draws(monkeypatch):
@@ -569,7 +583,7 @@ def test_single_accumulator_scan_matches_the_sign_split(name, contraction,
     # snapshot and the window agree bit for bit, over two chunks
     source, alpha = _nonnegative_sources()[name]
     assert not source.signed
-    split = StepSource(source.draw, signed=True)
+    split = dataclasses.replace(source, signed=True)
     runs = [_study_from_pairs(s, alpha, [3, 8], 20_000, t.RngStream(43),
                               contraction, step_moment, contraction)
             for s in (source, split)]
@@ -578,7 +592,70 @@ def test_single_accumulator_scan_matches_the_sign_split(name, contraction,
                     runs[1].snapshots + [runs[1].window]):
         assert a == b
         assert a.plus.value != 0.0 and a.minus.value == 0.0 == a.minus.se
-        assert a.absolute.n_samples == 20_000
+        # a paired source's SE and sample count refer to pairs
+        assert a.absolute.n_samples == (10_000 if source.paired else 20_000)
+
+
+def test_paired_scan_takes_its_se_from_pair_means():
+    # halves that are exact copies: each pair mean is one path's value, so
+    # the pair SE is sqrt 2 times the SE of the same values read as
+    # independent paths. 20k paths are two chunks of 10k paths (5k pairs)
+    # either way, so both reads scan the same values
+    base = t.law_steps(Lognormal(-1.5, 1.0), Lognormal(0.0, 0.5))
+
+    def copies(m, rng):
+        for a, b in base(m // 2, rng):
+            yield np.tile(a, 2), np.tile(b, 2)
+
+    paired = StepSource(copies, base.signed, paired=True)
+    per_path = StepSource(copies, base.signed)
+    lam = t.abs_moment(Lognormal(-1.5, 1.0), 2.0)
+    runs = [_study_from_pairs(s, 2.0, [5, 10], 20_000, t.RngStream(46), lam,
+                              1.0, lam) for s in (paired, per_path)]
+    for a, b in zip(runs[0].snapshots + [runs[0].window],
+                    runs[1].snapshots + [runs[1].window]):
+        pa, pb = a.absolute, b.absolute
+        assert pa.value == pb.value
+        assert pa.se == pytest.approx(math.sqrt(2.0) * pb.se, rel=1e-14)
+        assert (pa.n_samples, pb.n_samples) == (10_000, 20_000)
+
+
+def test_paired_scan_rounds_an_odd_path_count_up_to_whole_pairs():
+    source = _vu_steps(builtin_model("distinct_diag_equal_index"), 2.0)
+    study = _study_from_pairs(source, 2.0, [4], 2 * CHUNK + 1,
+                              t.RngStream(47), 1.0, 1.0, 1.0)
+    assert study.final().absolute.n_samples == CHUNK + 1
+
+
+def test_coupling_rate_matches_the_exact_window_rate_at_a_short_horizon():
+    # distinct_diag_equal_index at alpha = 2: the window rate over
+    # (n/2, n] of E_t X_k^2, X_k = V_k X_{k-1} + U_k under the tilt of a22,
+    # is exact from the moment recursion; the antithetic scan's pair SE
+    # must cover it
+    model = builtin_model("distinct_diag_equal_index")
+    a22 = t.tilted(model.a22, 2.0)
+
+    def e(law, k):
+        return lognormal_moment(law, k)
+
+    def window_rate(n):
+        moments = dict(
+            ev=e(model.a11, 1) * e(a22, -1), ev2=e(model.a11, 2) * e(a22, -2),
+            eu=e(model.a12, 1) * e(a22, -1), eu2=e(model.a12, 2) * e(a22, -2),
+            evu=e(model.a11, 1) * e(model.a12, 1) * e(a22, -2))
+        h = n // 2
+        growth = (scan_second_moment(n=n, **moments)
+                  - scan_second_moment(n=h, **moments)) / (n - h)
+        return growth / 2.0
+
+    assert window_rate(400) == pytest.approx(0.161476, abs=5e-7)
+    n = 40
+    exact = window_rate(n)
+    for seed in (51, 52, 53):
+        rate = t.estimate_coupling_rate(model, 2.0, n, 200_000,
+                                        t.RngStream(seed))
+        assert rate.absolute.n_samples == 100_000
+        assert abs(rate.absolute.value - exact) <= 4 * rate.absolute.se, seed
 
 
 def test_step_sources_flag_every_law_that_can_go_negative():
