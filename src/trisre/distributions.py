@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import LogMomentUndefined, MomentDiverges, TiltUnsupported
-from .rng import RngStream
+from .rng import CHUNK, RngStream
 
 _FD_STEP = 1e-5
 
@@ -164,6 +164,29 @@ def sample(spec: Dist, rng: RngStream, size: int) -> np.ndarray:
     else:  # pragma: no cover
         raise TypeError(f"unknown spec {spec!r}")
     return out
+
+
+# Most steps of one law that a step source draws per generator call
+STEP_BLOCK = 16
+
+
+def step_block(m: int) -> int:
+    """Steps in each block that a step source of m paths draws: STEP_BLOCK,
+    or fewer, so that one law's block holds at most 2 * CHUNK values, and
+    at least 1."""
+    return max(1, min(STEP_BLOCK, 2 * CHUNK // max(m, 1)))
+
+
+def sample_steps(spec: Dist, rng: RngStream, rows: int,
+                 m: int) -> np.ndarray | float:
+    """rows steps of the law for m paths from one sample call, as an array
+    of shape (rows, m), so step k is row k. A law that makes one draw per
+    value (Normal, Lognormal, Uniform and their Scaled forms) consumes
+    rng as rows calls sample(spec, rng, m) would. A Constant draws
+    nothing and is its value, a float."""
+    if isinstance(spec, Constant):
+        return float(spec.c)
+    return sample(spec, rng, rows * m).reshape(rows, m)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ class RunningMoments:
         self.mean = float(v.mean()) if v.size else 0.0
         self.m2 = float(np.sum((v - self.mean) ** 2))
 
+    @classmethod
+    def zeros(cls, n: int) -> "RunningMoments":
+        """The accumulator of n values that are all 0, without the array."""
+        acc = cls()
+        acc.n = n
+        return acc
+
     def merge(self, other: "RunningMoments") -> None:
         if self.n == 0:
             self.n, self.mean, self.m2 = other.n, other.mean, other.m2

@@ -61,7 +61,9 @@ TriangularSRE = IndependentEntries | EqualDiagonal
 
 @dataclass
 class InnovationBatch:
-    """Arrays of shape (m,) holding one joint step for m paths."""
+    """Arrays of shape (m,) holding one joint step for m paths; in
+    chain_steps, a block of steps, each entry of shape (B, m) or, for a
+    Constant law, a float."""
 
     a11: np.ndarray
     a12: np.ndarray
@@ -123,25 +125,26 @@ def chain_signed(model: TriangularSRE) -> bool:
             or dist.any_negative(*diag_laws(model), model.b1, model.b2))
 
 
+def _innovations(model: TriangularSRE, draw) -> InnovationBatch:
+    """The five entries of the coupling, each law drawn by draw(law) in a
+    fixed order: a11, a12, a22, b1, b2, or d, the a12 factor, b1, b2."""
+    if isinstance(model, IndependentEntries):
+        return InnovationBatch(a11=draw(model.a11), a12=draw(model.a12),
+                               a22=draw(model.a22), b1=draw(model.b1),
+                               b2=draw(model.b2))
+    d = draw(model.d)
+    if isinstance(model.a12_mode, ProportionalToDiagonal):
+        a12 = draw(model.a12_mode.factor_law) * d
+    else:
+        a12 = draw(model.a12_mode.a12)
+    return InnovationBatch(a11=d, a12=a12, a22=d, b1=draw(model.b1),
+                           b2=draw(model.b2))
+
+
 def draw_innovations(model: TriangularSRE, m: int,
                      rng: RngStream) -> InnovationBatch:
     """One joint step for m paths, honouring the coupling."""
-    if isinstance(model, IndependentEntries):
-        return InnovationBatch(
-            a11=dist.sample(model.a11, rng, m),
-            a12=dist.sample(model.a12, rng, m),
-            a22=dist.sample(model.a22, rng, m),
-            b1=dist.sample(model.b1, rng, m),
-            b2=dist.sample(model.b2, rng, m),
-        )
-    d = dist.sample(model.d, rng, m)
-    if isinstance(model.a12_mode, ProportionalToDiagonal):
-        a12 = dist.sample(model.a12_mode.factor_law, rng, m) * d
-    else:
-        a12 = dist.sample(model.a12_mode.a12, rng, m)
-    return InnovationBatch(a11=d, a12=a12, a22=d,
-                           b1=dist.sample(model.b1, rng, m),
-                           b2=dist.sample(model.b2, rng, m))
+    return _innovations(model, lambda law: dist.sample(law, rng, m))
 
 
 def chain_steps(model: TriangularSRE, m: int, rng: RngStream):
@@ -149,16 +152,31 @@ def chain_steps(model: TriangularSRE, m: int, rng: RngStream):
     step's arrays (a11, u, x2) with u = b1 + a12 x2' and x2 = a22 x2' + b2,
     so the first coordinate steps as x1 = a11 x1' + u. u and x2 are
     buffers the generator reuses: they hold one step's values, and the
-    caller must not write into them."""
+    caller must not write into them.
+
+    The innovations come in blocks of B = distributions.step_block(m)
+    steps: each law of the coupling is drawn for the whole block in one
+    generator call (distributions.sample_steps), law after law in
+    draw_innovations' order, and the steps then read the block's rows
+    (a11 is a read-only row). So step k takes other draws than the k-th
+    call of draw_innovations would, and a caller that reads n steps has
+    consumed the draws of ceil(n / B) * B steps, at most one block past
+    its last step. A Constant entry draws nothing: its value is broadcast
+    over the block, with no array filled per step."""
     x2 = np.zeros(m)
     u = np.empty(m)
+    rows = dist.step_block(m)
     while True:
-        batch = draw_innovations(model, m, rng)
-        np.multiply(batch.a12, x2, out=u)
-        u += batch.b1
-        x2 *= batch.a22
-        x2 += batch.b2
-        yield batch.a11, u, x2
+        block = _innovations(
+            model, lambda law: dist.sample_steps(law, rng, rows, m))
+        for a11, a12, a22, b1, b2 in zip(*(
+                np.broadcast_to(e, (rows, m)) for e in (
+                    block.a11, block.a12, block.a22, block.b1, block.b2))):
+            np.multiply(a12, x2, out=u)
+            u += b1
+            x2 *= a22
+            x2 += b2
+            yield a11, u, x2
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from . import model as mod
 from .errors import NotContractive
 from .model import TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
+from .tails import add_candidates
 
 _EPS_GRID = np.linspace(0.05, 1.0, 20)
 # Values each stationary chain keeps after its burn-in, and chains per
@@ -140,10 +141,14 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
     one of two folds. Without tails they are written into the arrays w1
     and w2, in chain-major order (empty for m = 0). tails = {"w1": [...],
     "w2": [...]} lists tails.TailSelection accumulators for each
-    coordinate, at most one per sign convention: each block is added to
-    them, with its chain ids, from its worker, so nothing of size m is
-    held, and the batch returns their tails. A tail needs m >= 2. The
-    draws are the same either way.
+    coordinate, at most one per sign convention: each block goes to a
+    coordinate's selections from its worker through one candidate pass,
+    tails.add_candidates, which hands each selection only the values it
+    could keep, with their chain ids, and the block's full count, so
+    nothing of size m is held, and the batch returns their tails. A tail
+    needs m >= 2. The draws are the same either way: model.chain_steps
+    draws each law for a block of steps at once, so a chunk draws at
+    most one block of steps past its last kept step.
     """
     if tails is not None:
         if set(tails) != {"w1", "w2"}:
@@ -179,12 +184,8 @@ def sample_stationary_batch(model: TriangularSRE, tol: float, m: int,
                 # the last chain keeps only its share of the m values
                 kept = (first + np.arange(len(x1)))[:, None] < sizes[chains]
                 ids, x1, x2 = ids[kept], x1[kept], x2[kept]
-            else:
-                ids = ids.ravel()
-            for selection in tails["w1"]:
-                selection.add(x1, ids)
-            for selection in tails["w2"]:
-                selection.add(x2, ids)
+            add_candidates(tails["w1"], x1, ids)
+            add_candidates(tails["w2"], x2, ids)
 
     def chunk(chains, sub):
         size = chains.stop - chains.start

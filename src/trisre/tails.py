@@ -190,9 +190,20 @@ class TailSelection:
         self._taken = False  # tail() hands out the buffers
         self._lock = threading.Lock()
 
-    def add(self, samples: np.ndarray, chains: np.ndarray) -> None:
-        """Fold in samples, with chains the integer chain id of each."""
+    def add(self, samples: np.ndarray, chains: np.ndarray,
+            count: int | None = None) -> None:
+        """Fold in samples, with chains the integer chain id of each.
+
+        count, when given, is the size of a larger sample that samples
+        were picked from (see add_candidates), and samples must hold
+        every value of it at or above the selection's floor under its
+        convention; the selection counts count samples."""
         samples = np.asarray(samples, dtype=float).ravel()
+        if count is None:
+            count = samples.size
+        elif count < samples.size:
+            raise ValueError(f"count {count} is below the {samples.size} "
+                             "samples given")
         data = _convention(samples, self.convention)
         # the floor only rises, so a read before the lock is safe
         above = np.flatnonzero(data >= self._floor)
@@ -208,7 +219,7 @@ class TailSelection:
             if self._taken:
                 raise ValueError("the selection's tail was taken; it takes "
                                  "no more samples")
-            self.count += samples.size
+            self.count += count
             self._floor = max(self._floor, floor)
             while values.size:
                 if self._size == self._values.size:
@@ -255,6 +266,39 @@ class TailSelection:
         _sort(values, ids)
         return EmpiricalTail._of(values, self.convention, self.count, ids,
                                  chain_sizes)
+
+
+def add_candidates(selections: list[TailSelection], samples: np.ndarray,
+                   chains: np.ndarray) -> None:
+    """Fold samples, with chains the integer chain id of each (of the same
+    shape, and possibly a broadcast view), into every selection of one
+    coordinate from one pass over them.
+
+    The candidates are the samples that any selection could keep: at
+    least its floor under its convention. The positive and absolute
+    conventions keep only x >= their floor or more, the negative and
+    absolute ones only -x >= their floor or more, so the candidates are
+    the x at or above the lowest floor of the first two or at or below
+    minus the lowest floor of the last two. Each selection is handed just
+    those, with the full sample count, so the kept values, ids and
+    counts are those of adding all the samples to each."""
+    if not selections:
+        return
+    samples = np.asarray(samples, dtype=float)
+    chains = np.asarray(chains)
+    if chains.shape != samples.shape:
+        raise ValueError("chains must hold an int32 chain id >= 0 for each "
+                         "sample")
+    # the floors only rise, so reads before the selections' locks are safe
+    up = min((s._floor for s in selections if s.convention != "negative"),
+             default=np.inf)
+    down = min((s._floor for s in selections if s.convention != "positive"),
+               default=np.inf)
+    x = samples.ravel()
+    at = np.flatnonzero((x >= up) | (x <= -down))
+    values, ids = x[at], np.ravel(chains)[at]
+    for selection in selections:
+        selection.add(values, ids, samples.size)
 
 
 def hill_depth(n: int) -> int:

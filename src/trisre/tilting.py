@@ -108,12 +108,16 @@ def _snapshot_list(ks: list[int], accs: list[RunningMoments],
 class StepSource:
     """A step source and its declared properties. source(m, rng) calls
     draw, a fresh generator of each step's arrays (v, u), or (v, u, w),
-    for a chunk of m paths. signed is False only when no v or u it yields
-    can be negative, which its factory decides from the laws with
-    distributions.prob_negative. paired is True when m must be even and
-    path i + m/2 is the antithetic partner of path i at every step, so the
-    two halves of a chunk are dependent and only their pair means are
-    independent; only _lognormal_vu_steps declares it."""
+    for a chunk of m paths, each of shape (m,). Every source draws its
+    random laws in blocks of distributions.step_block(m) steps, one
+    generator call per law and block, so a caller that reads n steps has
+    consumed the draws of at most one block past its last step. signed is
+    False only when no v or u it yields can be negative, which its
+    factory decides from the laws with distributions.prob_negative.
+    paired is True when m must be even and path i + m/2 is the antithetic
+    partner of path i at every step, so the two halves of a chunk are
+    dependent and only their pair means are independent; only
+    _lognormal_vu_steps declares it."""
 
     draw: Callable[[int, RngStream], Iterator[tuple[np.ndarray, ...]]]
     signed: bool
@@ -124,16 +128,20 @@ class StepSource:
 
 
 def law_steps(a_law: Dist, b_law: Dist) -> StepSource:
-    """Step source of x = a x + b with independent (A, B), A drawn first:
-    steps(m, rng) yields one step's arrays (a, b) of shape (m,) at a time.
-    A Constant b, which consumes no random numbers, is drawn once per
-    chunk. The source is signed when A or B can be negative."""
+    """Step source of x = a x + b with independent (A, B): steps(m, rng)
+    yields one step's arrays (a, b) of shape (m,) at a time. Each block
+    of distributions.step_block(m) steps draws A for the block, then B; a
+    Constant law draws nothing and its value is broadcast. So with a
+    Constant b, and an A of one draw per value, the source consumes rng
+    as one call of distributions.sample per step would. The source is
+    signed when A or B can be negative."""
     def steps(m: int, rng: RngStream):
-        b = (dist.sample(b_law, rng, m) if isinstance(b_law, dist.Constant)
-             else None)
+        rows = dist.step_block(m)
         while True:
-            a = dist.sample(a_law, rng, m)
-            yield a, dist.sample(b_law, rng, m) if b is None else b
+            a = dist.sample_steps(a_law, rng, rows, m)
+            b = dist.sample_steps(b_law, rng, rows, m)
+            yield from zip(np.broadcast_to(a, (rows, m)),
+                           np.broadcast_to(b, (rows, m)))
 
     return StepSource(steps, dist.any_negative(a_law, b_law))
 
@@ -204,13 +212,19 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
         h = units.stop - units.start
         m = 2 * h if paired else h
 
-        def fold(val):
-            return 0.5 * (val[:h] + val[h:]) if paired else val
+        def moments(vals):
+            accs = [RunningMoments(0.5 * (val[:h] + val[h:]) if paired
+                                   else val) for val in vals]
+            if by_sign:
+                return accs
+            # the positive part is the whole and the negative part is 0
+            return [accs[0], accs[0], RunningMoments.zeros(h)]
 
-        # the chunk's own buffers, written in place at every step
+        # the chunk's own buffers, written in place at every step; weight
+        # only for a source that yields weights
         x = np.zeros(m)
         s_acc = np.zeros(m)
-        weight = np.ones(m)
+        weight = None
         vx = np.empty(m)
         z = np.empty(m)
         if by_sign:
@@ -239,6 +253,8 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
                 vx **= alpha
                 z -= vx
             if w:
+                if weight is None:
+                    weight = np.ones(m)
                 weight *= w[0]
                 z *= weight
                 if by_sign:
@@ -257,13 +273,12 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
                     um = 0.5 * (s_acc - d_acc) * scale
                     prev, vals = vals, (up + um, up, um)
                 else:
-                    up = s_acc * scale
-                    prev, vals = vals, (up, up, np.zeros(m))
-                snaps += [RunningMoments(fold(val)) for val in vals]
+                    prev, vals = vals, (s_acc * scale,)
+                snaps += moments(vals)
                 if w:
                     weights.append(RunningMoments(weight))
         if prev is not None:
-            snaps += [RunningMoments(fold(b - a)) for a, b in zip(prev, vals)]
+            snaps += moments([b - a for a, b in zip(prev, vals)])
         return snaps, weights
 
     parts = (map_chunks((N + 1) // 2, CHUNK // 2, chunk, rng) if paired
@@ -312,13 +327,16 @@ def _vu_steps(model: TriangularSRE, alpha: float) -> StepSource:
                   else dist.any_negative(mode.a12, model.d))
 
         def steps(m: int, rng: RngStream):
+            rows = dist.step_block(m)
             ones = np.ones(m)
             while True:
                 if isinstance(mode, ProportionalToDiagonal):
-                    yield ones, dist.sample(mode.factor_law, rng, m)
+                    u = dist.sample_steps(mode.factor_law, rng, rows, m)
                 else:
-                    d = dist.sample(a22_tilted, rng, m)
-                    yield ones, dist.sample(mode.a12, rng, m) / d
+                    d = dist.sample_steps(a22_tilted, rng, rows, m)
+                    u = dist.sample_steps(mode.a12, rng, rows, m) / d
+                for row in np.broadcast_to(u, (rows, m)):
+                    yield ones, row
 
         return StepSource(steps, signed)
     a11_law, a12_law = model.a11, model.a12
@@ -327,14 +345,15 @@ def _vu_steps(model: TriangularSRE, alpha: float) -> StepSource:
         return _lognormal_vu_steps(a11_law, a12_law, a22_tilted)
 
     def steps(m: int, rng: RngStream):
+        rows = dist.step_block(m)
         while True:
-            a11 = dist.sample(a11_law, rng, m)
-            a12 = dist.sample(a12_law, rng, m)
-            a22 = dist.sample(a22_law, rng, m)
+            a11 = dist.sample_steps(a11_law, rng, rows, m)
+            a12 = dist.sample_steps(a12_law, rng, rows, m)
+            a22 = dist.sample_steps(a22_law, rng, rows, m)
+            pair = [a11 / a22, a12 / a22]
             if a22_tilted is None:
-                yield a11 / a22, a12 / a22, np.abs(a22) ** alpha
-            else:
-                yield a11 / a22, a12 / a22
+                pair.append(np.abs(a22) ** alpha)
+            yield from zip(*(np.broadcast_to(e, (rows, m)) for e in pair))
 
     return StepSource(steps, dist.any_negative(a11_law, a12_law, model.a22))
 
@@ -348,14 +367,15 @@ def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
     N_ij, log V = mu11 - mu22 + s11 N11 - s22 N22 and log U = mu12 - mu22
     + s12 N12 - s22 N22 are jointly normal: variances s11^2 + s22^2 and
     s12^2 + s22^2, covariance s22^2. For a chunk of m = 2h paths, each
-    step fills one (2, h) buffer of standard normals and mixes it through
-    the Cholesky factor L of that covariance, taken in the order
-    (log U, log V): path i < h takes shift + L g and path i + h the
-    mirrored shift - L g, the same law as the three-draw ratio, then one
-    exp runs over the (2, m) block. Partners mirror each other at every
-    step, so whole paths are partners and the source is paired; the h
-    paths of either half are independent of each other. The pair is
-    positive."""
+    block of B = distributions.step_block(m) steps fills one (B, 2, h)
+    buffer of standard normals, the stream order of B (2, h) fills, and
+    mixes it through the Cholesky factor L of that covariance, taken in
+    the order (log U, log V): at each step, path i < h takes shift + L g
+    and path i + h the mirrored shift - L g, the same law as the
+    three-draw ratio, then one exp runs over the (B, 2, m) block.
+    Partners mirror each other at every step, so whole paths are partners
+    and the source is paired; the h paths of either half are independent
+    of each other. The pair is positive."""
     shift = np.array([[a12.mu - a22.mu], [a11.mu - a22.mu]])
     c22 = a22.sigma ** 2
     l11 = math.sqrt(a12.sigma ** 2 + c22)
@@ -366,19 +386,21 @@ def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
         if m % 2:
             raise ValueError("a paired source needs an even number of paths")
         h = m // 2
-        g = np.empty((2, h))
-        mix = np.empty(h)
-        z = np.empty((2, m))
+        rows = dist.step_block(m)
+        g = np.empty((rows, 2, h))
+        mix = np.empty((rows, h))
+        z = np.empty((rows, 2, m))
         while True:
             rng.gen.standard_normal(out=g)
-            g[1] *= l22
-            np.multiply(g[0], l21, out=mix)
-            g[1] += mix
-            g[0] *= l11
-            np.add(shift, g, out=z[:, :h])
-            np.subtract(shift, g, out=z[:, h:])
+            g[:, 1] *= l22
+            np.multiply(g[:, 0], l21, out=mix)
+            g[:, 1] += mix
+            g[:, 0] *= l11
+            np.add(shift, g, out=z[:, :, :h])
+            np.subtract(shift, g, out=z[:, :, h:])
             np.exp(z, out=z)
-            yield z[1], z[0]
+            for u, v in z:
+                yield v, u
 
     return StepSource(steps, False, paired=True)
 

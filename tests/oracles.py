@@ -18,7 +18,7 @@ from trisre.rng import CHUNK, RngStream, map_chunks
 from trisre.stationary import (_first_depth, contraction_exponent,
                                truncation_depth)
 from trisre.tails import goldie_constant_direct
-from trisre.tilting import _tilted_a22, _vu_steps, law_steps
+from trisre.tilting import StepSource, _tilted_a22, _vu_steps
 
 _EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
 
@@ -135,6 +135,50 @@ def univariate_model(a_law: dist.Dist, b_law: dist.Dist) -> TriangularSRE:
                               b2=dist.Constant(0.0))
 
 
+def per_step_law_steps(a_law: dist.Dist, b_law: dist.Dist) -> StepSource:
+    """tilting.law_steps drawn one step at a time: a, then b, one
+    distributions.sample call each per step; a Constant b is drawn once
+    per chunk. With a Constant b and an a of one draw per value, the
+    library's blocked source yields the same arrays."""
+    def steps(m: int, rng: RngStream):
+        b = (dist.sample(b_law, rng, m) if isinstance(b_law, dist.Constant)
+             else None)
+        while True:
+            a = dist.sample(a_law, rng, m)
+            yield a, dist.sample(b_law, rng, m) if b is None else b
+
+    return StepSource(steps, dist.any_negative(a_law, b_law))
+
+
+def per_step_lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
+                                a22: dist.Lognormal) -> StepSource:
+    """tilting._lognormal_vu_steps drawn one step at a time: each step
+    fills a (2, h) buffer of standard normals for the h pairs of paths,
+    mixes it through the Cholesky factor of the log-pair's covariance,
+    path i + h taking the mirror of path i, and yields (V, U)."""
+    shift = np.array([[a12.mu - a22.mu], [a11.mu - a22.mu]])
+    c22 = a22.sigma ** 2
+    l11 = math.sqrt(a12.sigma ** 2 + c22)
+    l21 = c22 / l11
+    l22 = math.sqrt(a11.sigma ** 2 + c22 - l21 ** 2)
+
+    def steps(m: int, rng: RngStream):
+        h = m // 2
+        g = np.empty((2, h))
+        z = np.empty((2, m))
+        while True:
+            rng.gen.standard_normal(out=g)
+            g[1] *= l22
+            g[1] += g[0] * l21
+            g[0] *= l11
+            np.add(shift, g, out=z[:, :h])
+            np.subtract(shift, g, out=z[:, h:])
+            np.exp(z, out=z)
+            yield z[1], z[0]
+
+    return StepSource(steps, False, paired=True)
+
+
 def _perpetuity_sums(steps, depth: int, m: int, rng: RngStream,
                      workers: int | None = None) -> np.ndarray:
     """m draws of the depth-step recursion x = a x + b, run from zero.
@@ -161,9 +205,12 @@ def sample_perpetuity_batch(a_law: dist.Dist, b_law: dist.Dist, tol: float,
                             m: int, rng: RngStream,
                             workers: int | None = None) -> np.ndarray:
     """m stationary draws of the scalar recursion X = A X' + B, truncated
-    at the depth certified for the embedded bivariate model."""
+    at the depth certified for the embedded bivariate model, one draw of
+    A and B per step (per_step_law_steps), as the embedded model's
+    stationary_parts draws them."""
     depth, _ = truncation_depth(univariate_model(a_law, b_law), tol)
-    return _perpetuity_sums(law_steps(a_law, b_law), depth, m, rng, workers)
+    return _perpetuity_sums(per_step_law_steps(a_law, b_law), depth, m, rng,
+                            workers)
 
 
 def perpetuity_sample_batch(model: TriangularSRE, alpha: float, n: int,

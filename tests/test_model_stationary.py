@@ -139,23 +139,40 @@ def test_offdiag_helpers_follow_the_factor_laws(model, factors, second, sup,
                        a22=Lognormal(-2, 1), b1=Normal(1, 1), b2=PARETO),
     _equal(Lognormal(-1, 1), ProportionalToDiagonal(Normal(0, 1))),
 ])
-def test_coord1_steps_replay_the_chain_one_draw_at_a_time(model):
-    # each step draws the innovations once, forms u from the x2 before
-    # the step and then advances x2; this pins the draw order
+def test_coord1_steps_replay_the_chain_one_block_at_a_time(model):
+    # each law of the coupling is drawn for a block of B steps at once, law
+    # after law in draw_innovations' order; each step then forms u from
+    # the x2 before it and advances x2. Two whole blocks and half of a
+    # third pin the draw order
     m = 1000
+    rows = dist.step_block(m)
+    assert rows > 1
     source = t.coord1_steps(model)(m, t.RngStream(3))
     chain = mod.chain_steps(model, m, t.RngStream(3))
     rng = t.RngStream(3)
+
+    def block(law):
+        return dist.sample(law, rng, rows * m).reshape(rows, m)
+
     x2 = np.zeros(m)
-    for _ in range(30):
-        batch = t.draw_innovations(model, m, rng)
-        u = batch.b1 + batch.a12 * x2
-        x2 = batch.a22 * x2 + batch.b2
+    for k in range(2 * rows + rows // 2):
+        if k % rows == 0:
+            if isinstance(model, IndependentEntries):
+                a11s, a12s, a22s, b1s, b2s = (
+                    block(law) for law in (model.a11, model.a12, model.a22,
+                                           model.b1, model.b2))
+            else:
+                a11s = a22s = block(model.d)
+                a12s = block(model.a12_mode.factor_law) * a11s
+                b1s, b2s = block(model.b1), block(model.b2)
+        row = k % rows
+        u = b1s[row] + a12s[row] * x2
+        x2 = a22s[row] * x2 + b2s[row]
         a11, got_u = next(source)
-        assert np.array_equal(a11, batch.a11)
+        assert np.array_equal(a11, a11s[row])
         assert np.array_equal(got_u, u)
         a11, got_u, got_x2 = next(chain)
-        assert np.array_equal(a11, batch.a11)
+        assert np.array_equal(a11, a11s[row])
         assert np.array_equal(got_u, u)
         assert np.array_equal(got_x2, x2)
 

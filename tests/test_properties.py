@@ -4,6 +4,7 @@ Each suite runs at least 200 derandomized cases.
 """
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -383,3 +384,52 @@ def test_selection_ranks_tied_values_by_chain_id(seed, n, chains, keep, conv,
     assert tail.chains.dtype == np.int32
     np.testing.assert_array_equal(tail.values, data[top])
     np.testing.assert_array_equal(tail.chains, ids[top])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3000),
+       st.integers(1, 40),
+       st.lists(st.tuples(st.sampled_from(t.tails.CONVENTIONS),
+                          st.integers(2, 400)),
+                min_size=1, max_size=3, unique_by=lambda c: c[0]),
+       st.lists(st.integers(0, 3000), max_size=8),
+       st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_candidate_pass_keeps_what_each_selection_would(seed, n, chains,
+                                                        wanted, cuts, order,
+                                                        threads, blocks):
+    # the selections of one coordinate fed through one candidate pass, in
+    # random chunks (some as 2-row blocks with broadcast chain ids, as the
+    # sampler hands them) in a random order, from threads or not, on
+    # samples with repeated values and both zeros: each keeps the top of
+    # the EmpiricalTail of the whole sample and counts every sample
+    g = t.RngStream(seed, 13).gen
+    samples = np.where(g.random(n) < 0.5, g.choice(TIED_VALUES, n),
+                       3.0 * g.standard_normal(n))
+    ids = g.integers(0, chains, n).astype(np.int32)
+    pieces = np.split(np.arange(n), sorted(c % (n + 1) for c in cuts))
+    order.shuffle(pieces)
+    selections = [t.tails.TailSelection(c, keep) for c, keep in wanted]
+
+    def add(piece):
+        x, chain = samples[piece], ids[piece]
+        if blocks and piece.size % 2 == 0:
+            # one chain a column, as the stationary sampler's blocks
+            x = x.reshape(2, -1)
+            chain = np.broadcast_to(chain[:piece.size // 2], x.shape)
+            ids[piece] = chain.ravel()
+        t.tails.add_candidates(selections, x, chain)
+
+    if threads:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(add, pieces))
+    else:
+        for piece in pieces:
+            add(piece)
+    for selection in selections:
+        assert selection.count == n
+        tail = selection.tail(np.bincount(ids))
+        full = t.EmpiricalTail(samples, selection.convention, chains=ids)
+        assert tail.count == n
+        np.testing.assert_array_equal(tail.values,
+                                      full.values[:selection.keep])
+        np.testing.assert_array_equal(tail.chains,
+                                      full.chains[:selection.keep])

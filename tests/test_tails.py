@@ -13,8 +13,8 @@ from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
 from trisre.errors import RegimeMismatch
 from trisre.estimates import EstimateWithError
 from trisre.scenarios import AsymptoticPrediction, _tail_constant_fit
-from trisre.tails import (EmpiricalTail, TailSelection, ccdf, ccdf_se,
-                          default_log_grid, hill, hill_depth,
+from trisre.tails import (EmpiricalTail, TailSelection, add_candidates, ccdf,
+                          ccdf_se, default_log_grid, hill, hill_depth,
                           log_factor_regression, log_grid_depth)
 from trisre.tilting import (_GOLDIE_HORIZON, _goldie_horizon, _scan_factors,
                             _study_from_pairs, _window_bias)
@@ -125,6 +125,8 @@ def test_selection_rejects_bad_arguments():
     with pytest.raises(ValueError, match="keep"):
         TailSelection("absolute", 1)
     selection = TailSelection("absolute", 10)
+    with pytest.raises(ValueError, match="count 1 is below the 2 samples"):
+        selection.add(np.ones(2), np.zeros(2, dtype=np.int32), count=1)
     selection.add(np.ones(1), np.zeros(1, dtype=np.int32))
     with pytest.raises(ValueError, match="at least 2 samples"):
         selection.tail(np.ones(1, dtype=np.int32))
@@ -173,6 +175,10 @@ def test_selection_checks_chain_ids_as_the_tail_does():
         with pytest.raises(ValueError, match="chain id"):
             selection.add(x, np.array(ids))
         assert selection.count == 0
+        group = [TailSelection(c, 2) for c in ("absolute", "negative")]
+        with pytest.raises(ValueError, match="chain id"):
+            add_candidates(group, x, np.array(ids))
+        assert [s.count for s in group] == [0, 0]
         with pytest.raises(ValueError, match="chain id"):
             EmpiricalTail(x, chains=np.array(ids))
     # the largest int32 id is kept as it is; two chain sizes do not

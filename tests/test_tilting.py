@@ -11,6 +11,7 @@ import trisre as t
 from trisre import (Constant, EqualDiagonal, IndependentEntries,
                     IndependentOffDiagonal, Lognormal, Normal,
                     ProportionalToDiagonal, Scaled, SignedLognormal, Uniform)
+from trisre import distributions as dist
 from trisre import tilting
 from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
                            RequiresExactTilt, RequiresMuZero, TiltUnsupported,
@@ -21,7 +22,8 @@ from trisre.tilting import (StepSource, _scan_factors, _study_from_pairs,
                             _vu_steps)
 
 from oracles import (combined_se, coord2_grey_weight_sum,
-                     lognormal_ratio_log_drift, perpetuity_sample_batch,
+                     lognormal_ratio_log_drift, per_step_law_steps,
+                     per_step_lognormal_vu_steps, perpetuity_sample_batch,
                      sample_cross_sum_batch)
 
 
@@ -519,13 +521,48 @@ def test_lognormal_ratio_pair_has_the_bivariate_normal_log_law():
 
 
 def test_lognormal_ratio_pair_draws_one_normal_per_path_step():
+    # 1000 paths are 500 antithetic pairs: the first step of each block of
+    # B steps draws the block's B * 2 * 500 normals in one call
     model = builtin_model("distinct_diag_equal_index")
-    used, ref = t.RngStream(41), t.RngStream(41)
-    next(_vu_steps(model, 2.0)(1000, used))
-    ref.gen.standard_normal((2, 500))
-    np.testing.assert_array_equal(used.gen.random(8), ref.gen.random(8))
+    rows = dist.step_block(1000)
+    assert rows > 1
+    for steps, blocks in ((1, 1), (rows, 1), (rows + 1, 2)):
+        used, ref = t.RngStream(41), t.RngStream(41)
+        source = _vu_steps(model, 2.0)(1000, used)
+        for _ in range(steps):
+            next(source)
+        ref.gen.standard_normal((blocks * rows, 2, 500))
+        np.testing.assert_array_equal(used.gen.random(8), ref.gen.random(8))
     with pytest.raises(ValueError, match="even"):
-        next(_vu_steps(model, 2.0)(999, used))
+        next(_vu_steps(model, 2.0)(999, t.RngStream(41)))
+
+
+@pytest.mark.parametrize("m", [1000, 5000])
+def test_blocked_step_sources_yield_their_per_step_arrays(m):
+    # a law of one draw per value, drawn for a block of steps in one call,
+    # consumes its stream as one call per step would: three whole blocks
+    # and one step of a fourth are bit-identical to the per-step sources
+    model = builtin_model("distinct_diag_equal_index")
+    tilted = dist.tilted(model.a22, 2.0)
+    pairs = [(t.law_steps(a, b), per_step_law_steps(a, b)) for a, b in (
+        (Lognormal(-1, 1), Constant(1.0)),
+        (Normal(0.5, 1), Constant(-2.0)),
+        (Scaled(Uniform(0, 1), 2.0), Constant(0.5)))]
+    pairs.append((_vu_steps(model, 2.0),
+                  per_step_lognormal_vu_steps(model.a11, model.a12, tilted)))
+    n = 3 * dist.step_block(m) + 1
+    for blocked, per_step in pairs:
+        assert (blocked.signed, blocked.paired) == (per_step.signed,
+                                                    per_step.paired)
+        steps = 0
+        for got, want in zip(islice(blocked(m, t.RngStream(43)), n),
+                             islice(per_step(m, t.RngStream(43)), n)):
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert a.shape == (m,)
+                np.testing.assert_array_equal(a, b)
+            steps += 1
+        assert steps == n
 
 
 def test_lognormal_fast_path_matches_generic_ratio_draws(monkeypatch):
