@@ -12,8 +12,8 @@ from .distributions import (Constant, Dist, Lognormal, Normal, Scaled,
                             SignedLognormal, TwoSidedPareto, Uniform,
                             abs_moment, abs_moment_derivative,
                             abs_normal_moment, dist_from_dict, dist_to_dict,
-                            log_abs_moment, mean, sample, sign_moment,
-                            signed_moment, tilted)
+                            log_abs_moment, log_moment, mean, sample,
+                            sign_moment, signed_moment, tilted)
 from .errors import (ArgumentOutOfRange, DegenerateTail, InsufficientSupport,
                      LogMomentUndefined, MomentDiverges, NoRoot,
                      NonPositiveOrderStat, NotContractive, RegimeMismatch,

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import LogMomentUndefined, MomentDiverges, TiltUnsupported
 from .rng import CHUNK, RngStream
 
-_FD_STEP = 1e-5
-
-
 # Double-exponential rules (Takahasi & Mori 1974) for the Normal
 # integrals: the step in t and where the tanh-sinh and exp-sinh grids end.
 # There the nodes come within ~1e-17 (relative) of 0 and 1 and reach 1e4
@@ -193,9 +190,16 @@ def sample_steps(spec: Dist, rng: RngStream, rows: int,
 # Moments
 # ---------------------------------------------------------------------------
 
-def _half_normal_moment(beta: float) -> float:
-    # E|N(0,1)|^beta
-    return 2.0 ** (beta / 2.0) * math.gamma((beta + 1.0) / 2.0) / math.sqrt(math.pi)
+# The (w, l, slope) of a side with no mass, whose moment w exp(l) is 0
+_NO_PART = (0.0, -math.inf, 0.0)
+
+
+def _exp(x: float) -> float:
+    """exp(x), and inf where that passes float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def abs_normal_moment(alpha: float) -> float:
@@ -203,48 +207,116 @@ def abs_normal_moment(alpha: float) -> float:
     return abs_moment(Normal(0.0, 1.0), alpha)
 
 
-def _normal_rule(m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normal_rule(m: float,
+                 beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes s, weights w and offsets s - m with sum(w f(s)) ~
-    int_0^inf f(s) ds, for f a standard normal density centred at m times
-    a factor that may have a log or power singularity at 0.
+    int_0^inf f(s) ds, for f(s) = s^beta times a standard normal density
+    centred at m, and for f(s) log s.
 
-    The range splits at the mode c = max(m, 0): tanh-sinh on (a, c) with
-    a = max(c - _DE_LEFT_SPAN, 0), exp-sinh on (c, inf). Below a the
-    density has underflowed. Both rules cluster their nodes at 0 as
-    distances, so no cancellation spoils log s there. The offsets come
-    from those distances too, not from s - m: far from zero the nodes
-    round at the scale of m, while the Gaussian factor needs s - m to
-    full precision.
+    The range splits at the mode c = (m + sqrt(m^2 + 4 beta)) / 2 of
+    s^beta exp(-(s - m)^2 / 2), max(m, 0) at beta = 0: tanh-sinh on
+    (a, c) with a = max(c - _DE_LEFT_SPAN, 0), exp-sinh on (c, inf). The
+    log of f has curvature at most -1, so below a it has fallen by 800.
+    Both rules cluster their nodes at 0 as distances, so no cancellation
+    spoils log s there. The offsets come from those distances too, not
+    from s - m: far from zero the nodes round at the scale of m, while the
+    Gaussian factor needs s - m to full precision.
     """
-    c = max(m, 0.0)
+    # q = c - max(m, 0) without cancellation, and c_m = c - m
+    q = 2.0 * beta / (math.sqrt(m * m + 4.0 * beta) + abs(m)) if beta else 0.0
+    c, c_m = (m + q, q) if m >= 0.0 else (q, q - m)
     a = max(c - _DE_LEFT_SPAN, 0.0)
     if c * _TS_X[0] == 0.0:
         # below c ~ 1e-307 the tanh-sinh nodes underflow to 0, where log s
         # is -inf, and (0, c) carries nothing
         return _ES_X, _ES_W, _ES_X - m
-    # here c = m
     return (np.concatenate([a + (c - a) * _TS_X, c + _ES_X]),
             np.concatenate([(c - a) * _TS_W, _ES_W]),
-            np.concatenate([-(c - a) * _TS_1MX, _ES_X]))
+            np.concatenate([c_m - (c - a) * _TS_1MX, c_m + _ES_X]))
 
 
-def _normal_positive_part_moment(mean: float, sd: float, beta: float) -> float:
-    # E[(X^+)^beta] for X ~ N(mean, sd^2), in units of sd; the integrand
-    # exp(beta log(sd s) - (s - m)^2 / 2) is formed in log space
-    s, w, e = _normal_rule(mean / sd)
-    f = np.exp(beta * (math.log(sd) + np.log(s)) - 0.5 * e ** 2)
-    return float(np.dot(w, f)) / math.sqrt(2.0 * math.pi)
+def _normal_part(mean: float, sd: float,
+                 beta: float) -> tuple[float, float, float]:
+    """_part of X^+ for X ~ N(mean, sd^2), in units of sd: a log-sum-exp
+    over the nodes of the integrand exp(beta log(sd s) - (s - m)^2 / 2),
+    m = mean / sd, and the slope as the mean of log(sd s) under the same
+    terms. At beta = 0, w is P(X > 0) from erfc."""
+    s, w, e = _normal_rule(mean / sd, beta)
+    log_x = math.log(sd) + np.log(s)
+    terms = beta * log_x - 0.5 * e ** 2
+    top = float(terms.max())
+    f = w * np.exp(terms - top)
+    total = float(f.sum())
+    slope = float(np.dot(f, log_x)) / total
+    if beta == 0.0:
+        return 0.5 * math.erfc(-mean / (sd * math.sqrt(2.0))), 0.0, slope
+    return 1.0, top + math.log(total / math.sqrt(2.0 * math.pi)), slope
 
 
-def _uniform_abs_antideriv(x: float, beta: float) -> float:
-    # antiderivative of |t|^beta: sgn(t) |t|^{beta+1} / (beta+1)
-    return math.copysign(abs(x) ** (beta + 1.0) / (beta + 1.0), x)
+def _part(spec: Dist, beta: float, plus: bool) -> tuple[float, float, float]:
+    """(w, l, slope) with E[(X^+)^beta] = w exp(l) (X^- when not plus) and
+    slope = d/dbeta log E[(X^+)^beta]: the one moment formula of each
+    family, in log space, so l stays finite where the moment leaves float
+    range. w is a factor kept out of the exponent, so the probabilities
+    at beta = 0 are exact. A side with no mass is _NO_PART.
+
+    Raises MomentDiverges when beta reaches the Pareto index on a side
+    with positive weight.
+    """
+    if isinstance(spec, Constant):
+        c = spec.c if plus else -spec.c
+        return (1.0, beta * math.log(c), math.log(c)) if c > 0 else _NO_PART
+    if isinstance(spec, Normal):
+        return _normal_part(spec.mean if plus else -spec.mean, spec.sd, beta)
+    if isinstance(spec, (Lognormal, SignedLognormal, TwoSidedPareto)):
+        # a sign independent of |X|, + w.p. p_pos (always for a Lognormal)
+        p = getattr(spec, "p_pos", 1.0)
+        w = p if plus else 1.0 - p
+        if w == 0.0:
+            return _NO_PART
+        if isinstance(spec, TwoSidedPareto):
+            a, log_scale = spec.alpha, math.log(spec.scale)
+            if beta >= a:
+                raise MomentDiverges(
+                    f"E[(X^{'+' if plus else '-'})^{beta}] infinite for "
+                    f"Pareto index {a}")
+            return (w, math.log(a / (a - beta)) + beta * log_scale,
+                    1.0 / (a - beta) + log_scale)
+        return (w, spec.mu * beta + 0.5 * (spec.sigma * beta) ** 2,
+                spec.mu + spec.sigma ** 2 * beta)
+    if isinstance(spec, Uniform):
+        a, b = (spec.a, spec.b) if plus else (-spec.b, -spec.a)
+        lo, hi = max(a, 0.0), max(b, 0.0)
+        if hi <= lo:
+            return _NO_PART
+        # (hi^k - lo^k) / (k (b - a)) with k = beta + 1 is
+        # P(X^+ > 0) hi^beta (1 - q^k) / (k (1 - q)) with q = lo / hi
+        k, q = beta + 1.0, lo / hi
+        r = q ** k
+        return ((hi - lo) / (spec.b - spec.a),
+                beta * math.log(hi) + math.log1p(-r) - math.log1p(-q)
+                - math.log(k),
+                math.log(hi) - 1.0 / k
+                - (r * math.log(q) / (1.0 - r) if r > 0.0 else 0.0))
+    if isinstance(spec, Scaled):
+        if spec.factor == 0.0:
+            return _NO_PART
+        w, l, slope = _part(spec.inner, beta, plus == (spec.factor > 0))
+        log_f = math.log(abs(spec.factor))
+        return w, l + beta * log_f, slope + log_f
+    raise TypeError(f"unknown spec {spec!r}")  # pragma: no cover
+
+
+def _log_parts(spec: Dist, beta: float) -> list[tuple[float, float]]:
+    """(log E[(X^+)^beta], slope) and (log E[(X^-)^beta], slope)."""
+    parts = _part(spec, beta, True), _part(spec, beta, False)
+    return [(math.log(w) + l if w > 0.0 else -math.inf, slope)
+            for w, l, slope in parts]
 
 
 def signed_moment(spec: Dist, beta: float, sign: str) -> float:
-    """E[(X^+)^beta] or E[(X^-)^beta], exact where the family allows,
-    quadrature otherwise: the one per-family moment formula. At beta = 0
-    it is P(X > 0) or P(X < 0).
+    """E[(X^+)^beta] or E[(X^-)^beta], w exp(l) from _part, and inf where
+    it passes float range. At beta = 0 it is P(X > 0) or P(X < 0).
 
     Raises MomentDiverges when beta reaches the Pareto index on a side
     with positive weight.
@@ -253,119 +325,60 @@ def signed_moment(spec: Dist, beta: float, sign: str) -> float:
         raise ValueError("sign must be 'plus' or 'minus'")
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    plus = sign == "plus"
-    if isinstance(spec, Constant):
-        c = spec.c if plus else -spec.c
-        if c > 0:
-            return c ** beta
-        return 0.0
-    if isinstance(spec, Normal):
-        mean = spec.mean if plus else -spec.mean
-        if beta == 0.0:
-            return 0.5 * math.erfc(-mean / (spec.sd * math.sqrt(2.0)))
-        if mean == 0.0:
-            # half the half-normal moment, so the two parts sum exactly
-            return 0.5 * spec.sd ** beta * _half_normal_moment(beta)
-        return _normal_positive_part_moment(mean, spec.sd, beta)
-    if isinstance(spec, Lognormal):
-        if not plus:
-            return 0.0
-        return math.exp(spec.mu * beta + 0.5 * (spec.sigma * beta) ** 2)
-    if isinstance(spec, SignedLognormal):
-        w = spec.p_pos if plus else 1.0 - spec.p_pos
-        return w * math.exp(spec.mu * beta + 0.5 * (spec.sigma * beta) ** 2)
-    if isinstance(spec, TwoSidedPareto):
-        w = spec.p_pos if plus else 1.0 - spec.p_pos
-        if beta >= spec.alpha:
-            if w == 0.0:
-                return 0.0
-            raise MomentDiverges(
-                f"E[(X^{'+' if plus else '-'})^{beta}] infinite for Pareto "
-                f"index {spec.alpha}")
-        return w * (spec.alpha * spec.scale ** beta / (spec.alpha - beta))
-    if isinstance(spec, Uniform):
-        a, b = (spec.a, spec.b) if plus else (-spec.b, -spec.a)
-        lo, hi = max(a, 0.0), max(b, 0.0)
-        if hi <= lo:
-            return 0.0
-        num = _uniform_abs_antideriv(hi, beta) - _uniform_abs_antideriv(lo, beta)
-        return num / (spec.b - spec.a)
-    if isinstance(spec, Scaled):
-        if spec.factor == 0.0:
-            return 0.0
-        inner_sign = sign if spec.factor > 0 else ("minus" if plus else "plus")
-        return abs(spec.factor) ** beta * signed_moment(spec.inner, beta, inner_sign)
-    raise TypeError(f"unknown spec {spec!r}")  # pragma: no cover
+    w, l, _ = _part(spec, beta, sign == "plus")
+    return w * _exp(l)
 
 
 def abs_moment(spec: Dist, beta: float) -> float:
-    """E|X|^beta = E[(X^+)^beta] + E[(X^-)^beta], and E|X|^0 = 1."""
+    """E|X|^beta = E[(X^+)^beta] + E[(X^-)^beta], and E|X|^0 = 1. Past
+    float range it is inf, with no warning or error; log_moment stays
+    finite there."""
     if beta == 0.0:
         return 1.0
     return signed_moment(spec, beta, "plus") + signed_moment(spec, beta, "minus")
 
 
 def sign_moment(spec: Dist, beta: float) -> float:
-    """E[sgn(X)|X|^beta] = E[(X^+)^beta] - E[(X^-)^beta]: for beta > 0
-    exactly abs_moment(spec, beta) when X >= 0, whose negative part is 0.0."""
-    return signed_moment(spec, beta, "plus") - signed_moment(spec, beta, "minus")
+    """E[sgn(X)|X|^beta] = E[(X^+)^beta] - E[(X^-)^beta], formed as the
+    larger part times 1 - smaller / larger in log space, so it is +-inf
+    only where the difference passes float range. For beta > 0 it is
+    exactly abs_moment(spec, beta) when X >= 0, whose negative part is 0."""
+    (lp, _), (lm, _) = _log_parts(spec, beta)
+    if lp == lm:  # equal parts, or none
+        return 0.0
+    top = max(lp, lm)
+    return math.copysign(_exp(top + math.log(-math.expm1(min(lp, lm) - top))),
+                         lp - lm)
 
 
-def log_abs_moment(spec: Dist) -> float:
-    """E log|X|; raises LogMomentUndefined for laws with an atom at 0."""
-    if isinstance(spec, Constant):
-        if spec.c == 0.0:
-            raise LogMomentUndefined("log|X| undefined for the point mass at 0")
-        return math.log(abs(spec.c))
-    if isinstance(spec, Normal):
-        # log sd + E log|S| with S ~ N(|mean| / sd, 1), folded onto (0, inf)
-        m = abs(spec.mean) / spec.sd
-        s, w, e = _normal_rule(m)
-        dens = np.exp(-0.5 * e ** 2) + np.exp(-0.5 * (s + m) ** 2)
-        return (math.log(spec.sd)
-                + float(np.dot(w, np.log(s) * dens)) / math.sqrt(2.0 * math.pi))
-    if isinstance(spec, (Lognormal, SignedLognormal)):
-        return spec.mu
-    if isinstance(spec, TwoSidedPareto):
-        return math.log(spec.scale) + 1.0 / spec.alpha
-    if isinstance(spec, Uniform):
-        def antideriv(x):
-            return 0.0 if x == 0.0 else x * math.log(abs(x)) - x
-
-        return (antideriv(spec.b) - antideriv(spec.a)) / (spec.b - spec.a)
-    if isinstance(spec, Scaled):
-        if spec.factor == 0.0:
-            raise LogMomentUndefined("log|X| undefined for the point mass at 0")
-        return math.log(abs(spec.factor)) + log_abs_moment(spec.inner)
-    raise TypeError(f"unknown spec {spec!r}")  # pragma: no cover
+def log_moment(spec: Dist, beta: float) -> tuple[float, float]:
+    """log E|X|^beta and its slope in beta, E|X|^beta log|X| / E|X|^beta:
+    a log-sum-exp of the two parts of _log_parts, finite wherever the
+    moment is, in float range or not. For the point mass at 0 and
+    beta > 0 they are -inf and nan. Raises as signed_moment does.
+    """
+    (top, s_top), (low, s_low) = sorted(_log_parts(spec, beta), reverse=True)
+    if top == -math.inf:
+        return -math.inf, math.nan
+    share = math.exp(low - top)  # the smaller part over the larger
+    return (top + math.log1p(share),
+            s_top + (s_low - s_top) * share / (1.0 + share))
 
 
 def abs_moment_derivative(spec: Dist, beta: float) -> float:
-    """d/dbeta E|X|^beta = E|X|^beta log|X|.
+    """d/dbeta E|X|^beta = E|X|^beta log|X|: abs_moment times the slope
+    of log_moment, and inf where the moment passes float range. Raises
+    LogMomentUndefined for the point mass at 0, the menu's only zero atom."""
+    log_m, slope = log_moment(spec, beta)
+    if log_m == -math.inf:
+        raise LogMomentUndefined("log|X| undefined for the point mass at 0")
+    return abs_moment(spec, beta) * slope
 
-    Closed form where the menu provides one, central finite differences
-    (step 1e-5) on the exact moment function otherwise.
-    """
-    if isinstance(spec, (Lognormal, SignedLognormal)):
-        return (spec.mu + spec.sigma ** 2 * beta) * abs_moment(spec, beta)
-    if isinstance(spec, Constant):
-        if spec.c == 0.0:
-            raise LogMomentUndefined("derivative undefined at the zero point mass")
-        return abs(spec.c) ** beta * math.log(abs(spec.c))
-    if isinstance(spec, TwoSidedPareto):
-        if beta >= spec.alpha:
-            raise MomentDiverges("moment infinite at or beyond the Pareto index")
-        a, s = spec.alpha, spec.scale
-        return a * s ** beta * (math.log(s) * (a - beta) + 1.0) / (a - beta) ** 2
-    if isinstance(spec, Scaled):
-        if spec.factor == 0.0:
-            raise LogMomentUndefined("derivative undefined at the zero point mass")
-        f = abs(spec.factor)
-        return f ** beta * (math.log(f) * abs_moment(spec.inner, beta)
-                            + abs_moment_derivative(spec.inner, beta))
-    h = _FD_STEP
-    lo = max(beta - h, 0.0)
-    return (abs_moment(spec, beta + h) - abs_moment(spec, lo)) / (beta + h - lo)
+
+def log_abs_moment(spec: Dist) -> float:
+    """E log|X|, the derivative of E|X|^beta at 0, where E|X|^0 = 1;
+    raises LogMomentUndefined for laws with an atom at 0."""
+    return abs_moment_derivative(spec, 0.0)
 
 
 def mean(spec: Dist) -> float:

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, field
 from . import distributions as dist
 from . import model as mod
 from .distributions import Dist
-from .errors import LogMomentUndefined, MomentDiverges, NoRoot, NotContractive
+from .errors import (LogMomentUndefined, MomentDiverges, NoRoot,
+                     NotContractive, WeightDegenerate)
 from .estimates import EstimateWithError
 from .model import EqualDiagonal, TriangularSRE
 from .rng import RngStream
@@ -26,12 +27,13 @@ _ALPHA_MATCH = 1e-7
 
 
 def solve_tail_index(spec: Dist) -> float:
-    """The unique alpha > 0 with E|A|^alpha = 1.
+    """The unique alpha > 0 with E|A|^alpha = 1: the root of g(beta) =
+    log E|A|^beta, from distributions.log_moment, finite wherever the
+    moment is, in float range or not.
 
-    beta -> log E|A|^beta is convex, vanishes at 0 and has negative slope
-    there whenever E log|A| < 0, so a root exists iff the moment function
-    climbs back above 1 before diverging. A moment that underflows to 0
-    reads as below 1, and a root below the search's start 1e-6 as none.
+    g is convex, vanishes at 0 and has negative slope there whenever
+    E log|A| < 0, so a root exists iff g climbs back above 0 before the
+    moment diverges. A root below the search's start 1e-6 reads as none.
     """
     try:
         drift = dist.log_abs_moment(spec)
@@ -43,11 +45,7 @@ def solve_tail_index(spec: Dist) -> float:
     sup = dist.moment_sup(spec)
 
     def g(beta: float) -> float:
-        try:
-            moment = dist.abs_moment(spec, beta)
-        except OverflowError:
-            return math.inf
-        return math.log(moment) if moment > 0.0 else -math.inf
+        return dist.log_moment(spec, beta)[0]
 
     # expanding scan for a sign change of the convex log-moment function;
     # for a finite moment range, approach the divergence point from below
@@ -189,49 +187,34 @@ class RegimeReport:
                 "offdiag_drift": None if drift is None else drift.to_json()}
 
 
-def _rho(a_law: Dist, alpha: float) -> float | None:
-    """E|A|^alpha log|A|; None at a zero atom, where log|A| is undefined,
-    and where the float computation overflows."""
-    try:
-        return dist.abs_moment_derivative(a_law, alpha)
-    except (LogMomentUndefined, OverflowError):
-        return None
-
-
 def _coordinate_regime(a_law: Dist, b_law: Dist
                        ) -> tuple[str | None, float | None, float | None, str]:
     """Decide per-coordinate regime, index and rho = E|A|^alpha log|A|;
     returns (regime, alpha, rho, why)."""
-    kg_alpha = None
-    kg_err = ""
     try:
         kg_alpha = solve_tail_index(a_law)
     except (NoRoot, NotContractive) as exc:
-        kg_err = str(exc)
-    rv_alpha = b_law.alpha if isinstance(b_law, dist.TwoSidedPareto) else None
-
-    if kg_alpha is not None and dist.moment_sup(b_law) <= kg_alpha:
+        why = str(exc)
+    else:
+        if dist.moment_sup(b_law) > kg_alpha:
+            # E|A|^beta crosses 1 upwards at the index, so 0 < rho < inf
+            return ("kesten_goldie", kg_alpha,
+                    dist.abs_moment_derivative(a_law, kg_alpha),
+                    "E|A|^alpha = 1 solvable")
         # additive tail is at least as heavy as the multiplicative one
         # (a Pareto B's moments end at its index)
-        kg_alpha = None
-        kg_err = "E|B|^alpha infinite at the multiplicative index"
-
-    if kg_alpha is not None:
-        # E|A|^beta crosses 1 upwards at the index, so 0 < rho < inf there;
-        # otherwise an underflow or overflow misled the search
-        rho = _rho(a_law, kg_alpha)
-        if rho is not None and 0.0 < rho < math.inf:
-            return "kesten_goldie", kg_alpha, rho, "E|A|^alpha = 1 solvable"
-        kg_err = (f"E|A|^alpha log|A| = {rho} at alpha = {kg_alpha:.6g}, "
-                  "not in (0, inf): the index is out of float range")
-    if rv_alpha is not None:
+        why = "E|B|^alpha infinite at the multiplicative index"
+    if isinstance(b_law, dist.TwoSidedPareto):
         # an infinite E|A|^alpha is not below 1
-        if (rv_alpha < dist.moment_sup(a_law)
-                and dist.abs_moment(a_law, rv_alpha) < 1.0):
-            return ("grey", rv_alpha, _rho(a_law, rv_alpha),
+        if (b_law.alpha < dist.moment_sup(a_law)
+                and dist.log_moment(a_law, b_law.alpha)[0] < 0.0):
+            # rho is None at a zero diagonal, where log|A| is undefined
+            rho = (None if dist.is_zero_pointmass(a_law)
+                   else dist.abs_moment_derivative(a_law, b_law.alpha))
+            return ("grey", b_law.alpha, rho,
                     "B regularly varying, E|A|^alpha < 1")
         return None, None, None, "B regularly varying but E|A|^alpha >= 1"
-    return None, None, None, kg_err or "no tail index available"
+    return None, None, None, why
 
 
 def _eta_margin(model: TriangularSRE, alpha: float) -> float:
@@ -371,7 +354,7 @@ def classify(model: TriangularSRE, rng: RngStream | None = None) -> RegimeReport
         try:
             drift, _ = tilted_offdiag_moments(model, alpha_common,
                                               rng=rng.substream(0xD61F7))
-        except MomentDiverges as exc:
+        except (MomentDiverges, WeightDegenerate) as exc:
             checks.append(CheckResult("offdiag_drift", "fail", str(exc)))
 
     # Only conditions that can fail: past stationarity no diagonal has a

@@ -49,8 +49,8 @@ def _check_ess(weights: RunningMoments) -> None:
     ess = weights.ess()
     if not ess >= _MIN_ESS:
         raise WeightDegenerate(
-            f"effective sample size {ess:.1f} < {_MIN_ESS:.0f}; shorten the "
-            "horizon or use a tiltable diagonal law")
+            f"effective sample size {ess:.1f} < {_MIN_ESS:.0f}: too few draws "
+            "carry the weighted measure")
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +660,10 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
     """Reweighted mean and second moment of a12/a11 for equal diagonals.
 
     Exact when a12 is proportional to the diagonal with an independent
-    factor; weighted Monte Carlo otherwise. These are the drift and
-    dispersion of the random walk behind the equal-diagonal limit laws."""
+    factor; weighted Monte Carlo otherwise, which raises WeightDegenerate
+    when its weights |a11|^alpha have an effective sample size below
+    _MIN_ESS. These are the drift and dispersion of the random walk behind
+    the equal-diagonal limit laws."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not isinstance(model, EqualDiagonal):
@@ -680,9 +682,11 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
         d = dist.sample(model.d, sub, m)
         r = dist.sample(model.a12_mode.a12, sub, m) / d
         w = np.abs(d) ** alpha
-        return RunningMoments(w * r), RunningMoments(w * r * r)
+        return (RunningMoments(w * r), RunningMoments(w * r * r),
+                RunningMoments(w))
 
-    m1, m2 = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
+    m1, m2, weights = merge_chunks(map_chunks(N, CHUNK, chunk, rng))
+    _check_ess(weights)
     return m1.estimate(rng.describe()), m2.estimate(rng.describe())
 
 

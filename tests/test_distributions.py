@@ -4,6 +4,7 @@ Frozen reference values were computed with 40-digit mpmath quadrature,
 independent of the double-exponential rule under test.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,48 @@ def test_abs_moment_pareto_and_divergence():
         t.abs_moment(spec, 2.0)
     with pytest.raises(MomentDiverges):
         t.abs_moment(spec, 2.5)
+
+
+# (law, beta, log E|X|^beta, sign of E[sgn(X)|X|^beta]) for one law of
+# each family where E|X|^beta passes float range
+_PAST_FLOAT_RANGE = [
+    (Constant(-10.0), 400.0, 400.0 * math.log(10.0), -1),
+    (Normal(0.0, 1.0), 400.0, 200.0 * math.log(2.0) + math.lgamma(200.5)
+     - 0.5 * math.log(math.pi), 0),
+    (Lognormal(0.0, 1.0), 40.0, 800.0, 1),
+    (SignedLognormal(0.0, 1.0, 0.3), 40.0, 800.0, -1),
+    (TwoSidedPareto(100.0, 1e10, 0.5), 50.0,
+     math.log(2.0) + 50.0 * math.log(1e10), 0),
+    (Uniform(-3.0, 2.0), 800.0, 801.0 * math.log(3.0)
+     + math.log1p((2.0 / 3.0) ** 801) - math.log(801.0 * 5.0), -1),
+    (Scaled(Lognormal(0.0, 1.0), -10.0), 40.0, 40.0 * math.log(10.0) + 800.0,
+     -1),
+]
+
+
+@pytest.mark.parametrize("spec, beta, log_value, sign", _PAST_FLOAT_RANGE,
+                         ids=[type(case[0]).__name__
+                              for case in _PAST_FLOAT_RANGE])
+def test_moment_past_float_range_is_inf_and_its_log_finite(spec, beta,
+                                                           log_value, sign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert t.abs_moment(spec, beta) == math.inf
+        assert t.abs_moment_derivative(spec, beta) == math.inf
+        assert t.sign_moment(spec, beta) == (sign * math.inf if sign
+                                             else 0.0)
+        log_m, slope = t.log_moment(spec, beta)
+    assert log_m == pytest.approx(log_value, rel=1e-12)
+    assert 0.0 < slope < math.inf
+
+
+def test_scaled_moment_past_the_inner_float_range():
+    # f^beta underflows to 0 and E X^beta overflows, which raised
+    # OverflowError; their product is exp(-85)
+    spec = Scaled(Lognormal(0.0, 0.3), 1e-3)
+    beta = 140.0
+    assert t.abs_moment(spec, beta) == pytest.approx(
+        math.exp(beta * math.log(1e-3) + 0.045 * beta ** 2), rel=1e-12)
 
 
 def test_signed_moments_examples():

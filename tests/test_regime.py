@@ -1,4 +1,5 @@
 """Tail-index solving and regime classification."""
+import json
 import math
 import typing
 
@@ -355,16 +356,76 @@ def test_equal_diagonal_drift_needs_the_ratio_moments():
     assert drift.status == "fail" and "Pareto index 1" in drift.detail
 
 
-def test_kesten_goldie_index_out_of_float_range_is_no_regime():
+def test_equal_diagonal_drift_needs_weights_that_reach_the_tilt():
+    # at the index 190.3 the weights |d|^alpha of 1M draws of d carry
+    # none of the tilted measure (the largest |d| is near 0.76, and
+    # 0.76^190 ~ 1e-23), so a Monte Carlo drift near 0 +- 0 is no evidence
+    # of a zero drift
+    m = EqualDiagonal(t.Scaled(Normal(1.3, 0.5), 0.2),
+                      IndependentOffDiagonal(Uniform(-1.0, 2.5)),
+                      Constant(1.0), Constant(1.0))
+    report = t.classify(m)
+    assert report.alpha1 == pytest.approx(190.29950721482754, rel=1e-12)
+    assert report.offdiag_drift is None
+    assert report.theorem_case == CASE_UNSUPPORTED
+    drift = report.check("offdiag_drift")
+    assert drift.status == "fail" and "effective sample size" in drift.detail
+
+
+def test_kesten_goldie_index_past_float_range_is_found():
     # |f|^beta underflows and the inner moment overflows near beta = 126,
-    # so the search stops there with rho = nan, short of the index 127.1
+    # which once stopped the search there; log E|A|^beta =
+    # beta (mu + log|f|) + sigma^2 beta^2 / 2 has its root at 127.05
     d = t.Scaled(Lognormal(-0.0033, 0.3), -0.0033)
     m = EqualDiagonal(d, ProportionalToDiagonal(Lognormal(0.0, 0.3)),
                       Constant(0.0), Constant(-0.95))
     report = t.classify(m)
-    assert report.regime1 is None and report.rho1 is None
-    assert "out of float range" in report.check("grey_coord1").detail
-    assert report.theorem_case == CASE_UNSUPPORTED
+    k = 0.0033 - math.log(0.0033)  # -(mu + log|f|)
+    assert report.regime1 == "kesten_goldie"
+    assert report.alpha1 == pytest.approx(2.0 * k / 0.09, rel=1e-9)
+    # rho = E|A|^alpha log|A| is the log moment's slope there, k
+    assert 0.0 < report.rho1 < math.inf
+    assert report.rho1 == pytest.approx(k, rel=1e-9)
+    assert report.theorem_case == CASE_EQUAL_DIAG_NONZERO_DRIFT
+
+
+@pytest.mark.parametrize("sigma, factor", [(0.3, 1e-3), (0.5, 1e-6)])
+def test_solve_tail_index_of_a_scaled_law_whose_inner_moment_overflows(
+        sigma, factor):
+    # log E|A|^beta = beta log f + sigma^2 beta^2 / 2; at the root the
+    # inner moment E X^beta = f^-beta is far past float range
+    alpha = t.solve_tail_index(t.Scaled(Lognormal(0.0, sigma), factor))
+    exact = 2.0 * abs(math.log(factor)) / sigma ** 2
+    assert abs(alpha / exact - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("spec, index", [
+    (Normal(0.1, 0.08), 374.70370898122245),
+    (t.Scaled(Normal(1.3, 0.5), 0.2), 190.29950721482754)])
+def test_solve_tail_index_of_a_normal_with_a_large_index(spec, index):
+    # 40-digit mpmath roots; where the Normal rule split its nodes at the
+    # density's mode, they were too coarse for the peak of |x|^beta times
+    # the density, and the roots were off by 3e-5 and 1.4e-5 (relative)
+    assert t.solve_tail_index(spec) == pytest.approx(index, rel=1e-12)
+
+
+@pytest.mark.parametrize("a22, regime2", [
+    (Uniform(-5.0, 5.0), None), (Normal(0.0, 5.0), None),
+    (Lognormal(1.0, 1.0), None),
+    (t.Scaled(Lognormal(0.0, 0.3), 1e-3), "kesten_goldie")],
+    ids=["uniform", "normal", "lognormal", "scaled"])
+def test_classify_reports_on_a_pareto_noise_past_float_range(a22, regime2):
+    # E|a22|^500, the grey condition's moment, passes float range, which
+    # raised OverflowError; the condition now reads its log
+    m = IndependentEntries(a11=Lognormal(-1, 1), a12=Constant(1.0), a22=a22,
+                           b1=Constant(1.0),
+                           b2=TwoSidedPareto(500.0, 1.0, 0.5))
+    report = t.classify(m)
+    json.dumps(report.to_dict(), allow_nan=False)
+    assert report.regime2 == regime2
+    if regime2 is None:
+        assert report.check("grey_coord2").detail == (
+            "B regularly varying but E|A|^alpha >= 1")
 
 
 def test_sign_summary_holds_plain_bools_for_numpy_parameters():
