@@ -24,6 +24,11 @@ _INDEX_TOL = 1e-10
 _INDEX_RTOL = 8.9e-16  # 4 machine epsilons, the smallest relative tolerance
 _BRENT_MAXITER = 100
 _ALPHA_MATCH = 1e-7
+# solve_tail_index's grid for a law with every moment finite ends at
+# 2^_INDEX_GRID_LOG2 = 8192, inside beta <= 1e4, where log_moment's
+# Normal rule is checked against the closed form; a larger index reads as
+# no root.
+_INDEX_GRID_LOG2 = 13
 
 
 def solve_tail_index(spec: Dist) -> float:
@@ -33,7 +38,8 @@ def solve_tail_index(spec: Dist) -> float:
 
     g is convex, vanishes at 0 and has negative slope there whenever
     E log|A| < 0, so a root exists iff g climbs back above 0 before the
-    moment diverges. A root below the search's start 1e-6 reads as none.
+    moment diverges. A root below the search's start 1e-6, or above the
+    grid's end 2^_INDEX_GRID_LOG2, reads as none.
     """
     try:
         drift = dist.log_abs_moment(spec)
@@ -50,7 +56,7 @@ def solve_tail_index(spec: Dist) -> float:
     # expanding scan for a sign change of the convex log-moment function;
     # for a finite moment range, approach the divergence point from below
     if math.isinf(sup):
-        grid = [2.0 ** k for k in range(-2, 10)]
+        grid = [2.0 ** k for k in range(-2, _INDEX_GRID_LOG2 + 1)]
     else:  # the last points can round up to sup, where the moment diverges
         grid = [b for k in range(1, 55) if (b := sup * (1.0 - 2.0 ** (-k))) < sup]
     lo = 1e-6

@@ -49,6 +49,13 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class ScenarioConfig:
+    """A model and the sizes of its run: n_samples stationary values, and
+    constant_samples paths for each constant estimator. mn_horizon is
+    twice the length of the coupling rate's window
+    (distinct_diag_equal_index): its scan runs a burn-in sized by the
+    window's bias bound, then mn_horizon // 2 steps. weight_horizon is
+    the coupling weight's horizon (coord2_dominant_kg)."""
+
     name: str
     model: TriangularSRE
     n_samples: int = 100_000
@@ -78,7 +85,7 @@ class ScenarioConfig:
             raise ValueError("tol must lie in (0, 1)")
         if self.mn_horizon < 2 or self.weight_horizon <= 0:
             raise ValueError("horizons must be positive, with mn_horizon "
-                             ">= 2 for the late-window rate")
+                             ">= 2 for a rate window of one step or more")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string or null, not "
                              f"{type(self.out_dir).__name__}")

@@ -89,8 +89,10 @@ class PartialSumStudy:
 
     def rate(self, scale: float) -> SnapshotMoments:
         """Per-step growth over the window between the last two horizons,
-        divided by scale: the late-window rate, which sheds the early
-        transient of the full average. Its k is the last horizon."""
+        divided by scale: the window rate, which sheds the early
+        transient of the full average. Its k is the last horizon. The
+        Kesten-Goldie scan's window is (n/2, n]; the coupling rate's is
+        (b, b + n // 2], after a burn-in b sized by its bias bound."""
         if self.window is None:
             raise ValueError("a rate needs a study at two horizons or more")
         prev, last = self.snapshots[-2:]
@@ -503,7 +505,9 @@ def estimate_coupling_weight(model: TriangularSRE, alpha2: float, n: int,
 def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
                            rng: RngStream) -> SnapshotMoments:
     """The rate lim (alpha k)^{-1} E|M_k|^alpha (and signed versions): the
-    per-step growth over the window (n/2, n], divided by alpha.
+    per-step growth over the window (b, b + n // 2], divided by alpha.
+    The burn-in b, from _rate_burn_in, sheds the start-up transient; k is
+    the scan's horizon b + n // 2.
 
     Valid when the diagonals share the critical index but differ as
     random variables; the telescoped estimator keeps the estimate unbiased
@@ -518,7 +522,10 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
     if isinstance(model, EqualDiagonal):
         raise RegimeMismatch("distinct diagonals required; the equal-diagonal "
                              "case has its own limit laws")
-    return coupling_sum_moments(model, alpha, [n // 2, n], N, rng).rate(alpha)
+    width = n // 2
+    b = _rate_burn_in(model, alpha, width)
+    return coupling_sum_moments(model, alpha, [b, b + width], N,
+                                rng).rate(alpha)
 
 
 # Most terms of the weight series; estimate_weight_series raises when the
@@ -559,32 +566,44 @@ def estimate_weight_series(model: TriangularSRE, alpha2: float, N: int,
     return SnapshotMoments(K, total("absolute"), total("plus"), total("minus"))
 
 
+# Relative bias bound of the window growth of a critical-index scan: the
+# Kesten-Goldie horizon (_goldie_horizon) and the coupling rate's burn-in
+# (_rate_burn_in) are the shortest whose _window_bias is below it.
+_WINDOW_BIAS = 1e-3
 # Horizon n of the perpetuity scan behind every Kesten-Goldie constant:
-# the smallest even n >= _GOLDIE_HORIZON whose late-window bias
-# bound is below _GOLDIE_BIAS (see _goldie_horizon), at most
-# _GOLDIE_MAX_HORIZON; the scan's cost grows linearly in n. The floor is
-# the horizon of every built-in scenario: for A = LN(-1, 1), B = 1 the
-# bias is -0.13% at n = 20, -0.04% at n = 24 and -0.007% at n = 30,
-# against a Monte Carlo SE of about 0.3% at 200k samples.
+# the smallest even n >= _GOLDIE_HORIZON whose late-window bias bound is
+# below _WINDOW_BIAS, at most _GOLDIE_MAX_HORIZON; the scan's cost grows
+# linearly in n. The floor is the horizon of every built-in scenario: for
+# A = LN(-1, 1), B = 1 the bias is -0.13% at n = 20, -0.04% at n = 24 and
+# -0.007% at n = 30, against a Monte Carlo SE of about 0.3% at 200k
+# samples.
 _GOLDIE_HORIZON = 24
-_GOLDIE_BIAS = 1e-3
 _GOLDIE_MAX_HORIZON = 1000
+# Most burn-in steps of the coupling-rate scan (_rate_burn_in).
+_RATE_MAX_BURN_IN = 1000
 
 
-def _window_bias(r: float, n: int, r_feed: float = 0.0) -> float:
-    """Relative bias of the late-window growth over (n/2, n] when the
-    per-step growth d_k approaches its limit like the gap
-    e_k = r e_{k-1} + r_feed^k, e_0 = 1. At alpha = 2 the exact moment
-    recursion gives d_k - d = -2 E[B]^2 E[A]^k / (1 - E[A]), so with
-    r = E[A] and no feed (e_k = r^k) this is the bias for constant B and
-    a bound for any other B independent of the path."""
-    h = n // 2
+def _window_bias(r: float, start: int, width: int,
+                 r_feed: float = 0.0) -> float:
+    """Relative bias bound of the growth averaged over the window
+    (start, start + width] when the per-step growth d_k approaches its
+    limit like the gap e_k = r e_{k-1} + r_feed^k, e_0 = 1: the window
+    mean of 2 e_k / (1 + r). At alpha = 2 the exact moment recursion of
+    the perpetuity X = A X' + B gives d_k - d = -2 E[B]^2 E[A]^k /
+    (1 - E[A]), so with r = E[A] and no feed (e_k = r^k) this is the bias
+    for constant B and a bound for any other B independent of the path."""
     gap, total = 1.0, 0.0
-    for k in range(1, n + 1):
+    for k in range(1, start + width + 1):
         gap = r * gap + r_feed ** k
-        if k > h:
+        if k > start:
             total += gap
-    return 2.0 * total / ((1.0 + r) * (n - h))
+    return 2.0 * total / ((1.0 + r) * width)
+
+
+def _tail_exponents(alpha: float) -> tuple[float, ...]:
+    """Exponents s whose moments E|A|^s bound the coupling rate of a scan
+    at the critical index alpha (see _goldie_horizon)."""
+    return (alpha / 2.0,) if alpha <= 2.0 else (1.0, alpha - 1.0)
 
 
 def _goldie_horizon(a_law: Dist, alpha: float,
@@ -608,19 +627,59 @@ def _goldie_horizon(a_law: Dist, alpha: float,
     The exact alpha = 2 window bias stays inside this envelope: -0.053%
     against 0.063% for coord1_dominant_kg at n = 24; -0.063% against
     0.098% at n = 72 for a22 = LN(-0.2, 0.2), -11.7% at n = 24."""
-    exps = (alpha / 2.0,) if alpha <= 2.0 else (1.0, alpha - 1.0)
+    exps = _tail_exponents(alpha)
     r = max(dist.abs_moment(a_law, s) for s in exps)
     r_feed = (0.0 if feed_law is None else
               max(dist.abs_moment(feed_law, s) for s in exps + (alpha,)))
     rate, n = max(r, r_feed), _GOLDIE_HORIZON
-    while rate >= 1.0 or _window_bias(r, n, r_feed) > _GOLDIE_BIAS:
+    # n is even: the window is (n/2, n]
+    while (rate >= 1.0
+           or _window_bias(r, n // 2, n // 2, r_feed) > _WINDOW_BIAS):
         if rate >= 1.0 or n >= _GOLDIE_MAX_HORIZON:
             raise RegimeMismatch(
                 f"the perpetuity scan contracts at {rate:.6g} per step: a "
-                f"late-window bias below {_GOLDIE_BIAS:g} needs a horizon "
+                f"late-window bias below {_WINDOW_BIAS:g} needs a horizon "
                 f"beyond {_GOLDIE_MAX_HORIZON}")
         n += 2
     return n
+
+
+def _rate_burn_in(model: TriangularSRE, alpha: float, width: int) -> int:
+    """Burn-in b of the coupling-rate scan: the smallest b >= 1 whose
+    window (b, b + width] has a bias bound _window_bias(r, b - 1, width)
+    of at most _WINDOW_BIAS, where r is the largest E_t|V|^s =
+    E|a11|^s E|a22|^(alpha - s) / E|a22|^alpha over _goldie_horizon's
+    exponents s (E_t, the alpha-tilt of a22).
+
+    The scan runs the ratio recursion X_k = V_k X_{k-1} + U_k from zero
+    under the tilt, and its per-step growth d_k = E_t|X_k|^alpha -
+    E_t|X_{k-1}|^alpha reaches its limit d as fast as X_{k-1} couples
+    with the stationary X, at the rate r (the argument of
+    _goldie_horizon). At alpha = 2 this is exact: with E_t V^2 = 1,
+    E_t X_k = r E_t X_{k-1} + E_t U, r = E_t V, and
+    E_t X_k^2 = E_t X_{k-1}^2 + 2 E_t[VU] E_t X_{k-1} + E_t U^2, so
+    E_t X_{k-1} = E_t X (1 - r^(k-1)) and
+    d_k - d = -2 E_t[VU] E_t[X] r^(k-1), where d = E_t U^2 +
+    2 E_t[VU] E_t[X]. For positive entries 0 <= 2 E_t[VU] E_t[X] <= d,
+    so the relative gap is at most r^(k-1) = e_(k-1), and its mean over
+    (b, b + width] is at most _window_bias(r, b - 1, width), whose
+    factor 2 / (1 + r) is at least 1. That is where the bound is proven;
+    at other alpha, or with signed entries, it is the envelope
+    _goldie_horizon also relies on. For distinct_diag_equal_index
+    (r = E_t V = e^-1.5 = 0.223) b is 2 at n // 2 = 200 and 3 at 100."""
+    d1, d2 = mod.diag_laws(model)
+    lam22 = dist.abs_moment(d2, alpha)
+    r = max(dist.abs_moment(d1, s) * dist.abs_moment(d2, alpha - s) / lam22
+            for s in _tail_exponents(alpha))
+    b = 1
+    while r >= 1.0 or _window_bias(r, b - 1, width) > _WINDOW_BIAS:
+        if r >= 1.0 or b >= _RATE_MAX_BURN_IN:
+            raise RegimeMismatch(
+                f"the ratio recursion couples at {r:.6g} per step: a "
+                f"window bias below {_WINDOW_BIAS:g} needs a burn-in "
+                f"beyond {_RATE_MAX_BURN_IN}")
+        b += 1
+    return b
 
 
 def goldie_constant_perpetuity(a_law: Dist, steps: StepSource, alpha: float,
@@ -643,7 +702,8 @@ def goldie_constant_perpetuity(a_law: Dist, steps: StepSource, alpha: float,
     through per-step increments (exactly unbiased); below it they are
     contracted by E|A|^alpha, because |X_n|^alpha itself can have infinite
     variance. The constants are the late-window growth over (n/2, n],
-    which drops the O(1/n) transient of the full average."""
+    which drops the O(1/n) transient of the full average; the horizon n
+    keeps the window's bias bound below _WINDOW_BIAS."""
     if rho <= 0:
         raise ArgumentOutOfRange("rho must be > 0")
     n = _goldie_horizon(a_law, alpha, feed_law)
@@ -660,10 +720,13 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
     """Reweighted mean and second moment of a12/a11 for equal diagonals.
 
     Exact when a12 is proportional to the diagonal with an independent
-    factor; weighted Monte Carlo otherwise, which raises WeightDegenerate
-    when its weights |a11|^alpha have an effective sample size below
-    _MIN_ESS. These are the drift and dispersion of the random walk behind
-    the equal-diagonal limit laws."""
+    factor. Otherwise Monte Carlo: when the diagonal's law is closed
+    under the alpha-tilt, d is drawn from the tilted law and every draw
+    carries the constant weight E|d|^alpha; else d is drawn untilted with
+    the weight |d|^alpha. WeightDegenerate is raised when the weights
+    have an effective sample size below _MIN_ESS. These are the
+    drift and dispersion of the random walk behind the equal-diagonal
+    limit laws."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not isinstance(model, EqualDiagonal):
@@ -676,12 +739,13 @@ def tilted_offdiag_moments(model: TriangularSRE, alpha: float,
                 EstimateWithError(dist.abs_moment(xi, 2.0) * lam))
     if rng is None:
         rng = RngStream(0x0FFD1A6)
+    d_tilted = _tilted_a22(model, alpha)
 
     def chunk(paths, sub):
         m = paths.stop - paths.start
-        d = dist.sample(model.d, sub, m)
+        d = dist.sample(model.d if d_tilted is None else d_tilted, sub, m)
         r = dist.sample(model.a12_mode.a12, sub, m) / d
-        w = np.abs(d) ** alpha
+        w = np.abs(d) ** alpha if d_tilted is None else np.full(m, lam)
         return (RunningMoments(w * r), RunningMoments(w * r * r),
                 RunningMoments(w))
 

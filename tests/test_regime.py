@@ -409,6 +409,20 @@ def test_solve_tail_index_of_a_normal_with_a_large_index(spec, index):
     assert t.solve_tail_index(spec) == pytest.approx(index, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [Lognormal(-1.0, 0.05),
+                                  Lognormal(-0.01, 0.005)])
+def test_solve_tail_index_above_512(spec):
+    # index 2 |mu| / sigma^2 = 800, past the grid's old end at 2^9 = 512
+    exact = 2.0 * abs(spec.mu) / spec.sigma ** 2
+    assert abs(t.solve_tail_index(spec) - exact) <= 1e-9
+
+
+def test_solve_tail_index_ends_its_grid_at_8192():
+    # index 2 / 1e-4 = 20000, past the grid's end: no root, as documented
+    with pytest.raises(NoRoot, match="stays below 1"):
+        t.solve_tail_index(Lognormal(-1.0, 0.01))
+
+
 @pytest.mark.parametrize("a22, regime2", [
     (Uniform(-5.0, 5.0), None), (Normal(0.0, 5.0), None),
     (Lognormal(1.0, 1.0), None),

@@ -343,8 +343,9 @@ def test_predict_coord2_grey_builtin_matches_closed_form_at_three_seeds():
 def test_predict_distinct_diag_builtin_matches_closed_form_at_three_seeds():
     # (alpha / rho1) c2 r = 2 x 0.540988 x 0.161476, W2's Goldie constant
     # times the coupling rate of the tilted ratio perpetuity. The estimate
-    # is right-skewed; the z read 0.93, 0.93 and -1.49 at these seeds. The
-    # positive entries make the negative part exactly 0
+    # is right-skewed, so a seed's SE often understates the spread; the z
+    # read -0.47, -0.21 and -2.76 at these seeds. The positive entries
+    # make the negative part exactly 0
     config = next(c for c in builtin_scenarios()
                   if c.name == "distinct_diag_equal_index")
     exact = distinct_diag_constant(config.model)

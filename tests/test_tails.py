@@ -463,12 +463,12 @@ def test_goldie_perpetuity_at_predict_horizon_matches_exact_constant(a_law):
 def test_goldie_horizon_bounds_the_late_window_bias():
     # alpha = 2, B = 1: the exact window bias is -2 E[A]^k / (1 + E[A])
     # averaged over k in (n/2, n]; the built-in a22 laws keep the floor
-    assert _window_bias(math.exp(-0.5), 20) == pytest.approx(1.284e-3,
-                                                             rel=1e-3)
-    assert _window_bias(math.exp(-0.5), 24) == pytest.approx(3.954e-4,
-                                                             rel=1e-3)
-    assert _window_bias(math.exp(-0.125), 24) == pytest.approx(0.1153,
-                                                               rel=1e-3)
+    assert _window_bias(math.exp(-0.5), 10, 10) == pytest.approx(
+        1.284e-3, rel=1e-3)
+    assert _window_bias(math.exp(-0.5), 12, 12) == pytest.approx(
+        3.954e-4, rel=1e-3)
+    assert _window_bias(math.exp(-0.125), 12, 12) == pytest.approx(
+        0.1153, rel=1e-3)
     for a_law in (Lognormal(-1, 1), Lognormal(-2, math.sqrt(2.0))):
         assert _goldie_horizon(a_law, 2.0) == _GOLDIE_HORIZON
     assert _goldie_horizon(Lognormal(-0.49, 0.7), 2.0) == 44
@@ -496,7 +496,8 @@ def test_goldie_horizon_grows_with_a_slow_second_coordinate(m, horizon,
     assert coord1_window_bias(m, 24) == pytest.approx(bias_at_24, rel=1e-3)
     # the exact bias at the horizon stays inside the envelope it is sized by
     r_feed = max(t.mean(m.a22), t.abs_moment(m.a22, 2.0))
-    envelope = _window_bias(t.mean(m.a11), horizon, r_feed)
+    envelope = _window_bias(t.mean(m.a11), horizon // 2, horizon // 2,
+                            r_feed)
     assert abs(coord1_window_bias(m, horizon)) <= envelope <= 1e-3
     # a second coordinate near its own critical index is refused
     with pytest.raises(RegimeMismatch):

@@ -18,8 +18,9 @@ from trisre.errors import (RegimeMismatch, RequiresEqualDiagonal,
                            WeightDegenerate)
 from trisre.estimates import EstimateWithError
 from trisre.rng import CHUNK
-from trisre.tilting import (StepSource, _scan_factors, _study_from_pairs,
-                            _vu_steps)
+from trisre.tilting import (_WINDOW_BIAS, StepSource, _rate_burn_in,
+                            _scan_factors, _study_from_pairs, _vu_steps,
+                            _window_bias)
 
 from oracles import (combined_se, coord2_grey_weight_sum,
                      lognormal_ratio_log_drift, per_step_law_steps,
@@ -240,6 +241,25 @@ def test_offdiag_moments_independent_mode_mc_factorizes():
     assert abs(s2.value - 1.0) <= 4 * s2.se
 
 
+def test_offdiag_drift_draws_a_tiltable_diagonal_from_its_tilt():
+    # at the index 7.97 the raw weights |d|^alpha of 1M draws have an
+    # effective sample size of 26.6; drawn from the tilted law, every
+    # draw carries the same weight E|d|^alpha and the sample is whole
+    d = Lognormal(-1.34, 0.58)
+    m = EqualDiagonal(d=d, a12_mode=IndependentOffDiagonal(Normal(-0.481, 0.279)),
+                      b1=Constant(1.0), b2=Constant(1.0))
+    alpha = t.solve_tail_index(d)
+    mu, s2 = t.tilted_offdiag_moments(m, alpha, rng=t.RngStream(16))
+    # E[|d|^alpha a12 / d] = E[a12] E[d^(alpha - 1)] for d > 0
+    exact = -0.481 * t.abs_moment(d, alpha - 1.0)
+    assert exact == pytest.approx(-0.149018, abs=1e-6)
+    assert abs(mu.value - exact) <= 4 * mu.se
+    # E[a12^2] E[d^(alpha - 2)]
+    exact2 = (0.481 ** 2 + 0.279 ** 2) * t.abs_moment(d, alpha - 2.0)
+    assert abs(s2.value - exact2) <= 4 * s2.se
+    assert mu.n_samples == s2.n_samples == 1_000_000
+
+
 def test_offdiag_moments_requires_equal_diagonal():
     with pytest.raises(RequiresEqualDiagonal):
         t.tilted_offdiag_moments(tilt_benchmark(), 2.0)
@@ -370,21 +390,37 @@ def test_coupling_rate_guards():
 
 
 def test_coupling_rate_converges_between_horizons():
-    # the full averages (alpha k)^{-1} E|M_k|^alpha at k = n/2 and n, from
-    # the study behind the windowed rate
+    # the rate is the growth over the window (b, b + n/2] of one study at
+    # the burn-in b and the horizon b + n/2; the full average
+    # (alpha k)^{-1} E|M_k|^alpha at that horizon still carries the
+    # start-up transient, about 0.4% here, and agrees with it
     alpha, n = 2.0, 200
-    study = t.coupling_sum_moments(rate_benchmark(), alpha, [n // 2, n],
+    b = _rate_burn_in(rate_benchmark(), alpha, n // 2)
+    assert b == 3
+    study = t.coupling_sum_moments(rate_benchmark(), alpha, [b, b + n // 2],
                                    50_000, t.RngStream(21))
-    a_h, a_n = (s.scaled(1.0 / (alpha * s.k)).absolute
-                for s in study.snapshots)
-    slack = 4 * combined_se(a_n, a_h) + 0.05 * abs(a_n.value)
-    assert abs(a_n.value - a_h.value) <= slack
     rate = t.estimate_coupling_rate(rate_benchmark(), alpha, n, 50_000,
                                     t.RngStream(21))
     assert rate == study.rate(alpha)
-    assert rate.k == n
+    assert rate.k == b + n // 2
+    a_n = study.final().scaled(1.0 / (alpha * rate.k)).absolute
+    slack = 4 * combined_se(a_n, rate.absolute) + 0.05 * abs(a_n.value)
+    assert abs(a_n.value - rate.absolute.value) <= slack
     # all-positive entries: negative side vanishes
     assert rate.minus.value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, horizon", [(400, 202), (200, 103)],
+                         ids=["full", "quick"])
+def test_coupling_rate_burns_in_as_long_as_its_bias_bound_needs(n, horizon):
+    # the built-in mn_horizon at full and quick size: the window keeps its
+    # n/2 steps, after a burn-in of 2 and 3 steps
+    config = next(c for c in t.builtin_scenarios(quick=n == 200)
+                  if c.name == "distinct_diag_equal_index")
+    assert config.mn_horizon == n
+    rate = t.estimate_coupling_rate(config.model, 2.0, n, 100,
+                                    t.RngStream(54))
+    assert rate.k == horizon
 
 
 def test_rate_needs_two_horizons():
@@ -427,6 +463,20 @@ def scan_second_moment(ev, ev2, eu, eu2, evu, n: int) -> float:
     return m2
 
 
+def tilted_ratio_moments(model) -> dict:
+    """Moments of the ratio pair (V, U) = (a11/a22, a12/a22) under the
+    2-tilt of a22 for lognormal entries, as scan_second_moment takes them."""
+    a22 = t.tilted(model.a22, 2.0)
+
+    def e(law, k):
+        return lognormal_moment(law, k)
+
+    return dict(
+        ev=e(model.a11, 1) * e(a22, -1), ev2=e(model.a11, 2) * e(a22, -2),
+        eu=e(model.a12, 1) * e(a22, -1), eu2=e(model.a12, 2) * e(a22, -2),
+        evu=e(model.a11, 1) * e(model.a12, 1) * e(a22, -2))
+
+
 def test_strict_coupling_scan_matches_closed_form_at_alpha_two():
     # coord2_dominant_kg: the tilted ratio V = LN(-3, sqrt 2) has
     # E V^3 = 1, so |X|^2 has tail index 1.5 and a per-path mean of
@@ -434,16 +484,8 @@ def test_strict_coupling_scan_matches_closed_form_at_alpha_two():
     model = next(c.model for c in t.builtin_scenarios(quick=True)
                  if c.name == "coord2_dominant_kg")
     alpha, n = 2.0, 30
-    a22 = t.tilted(model.a22, alpha)
     assert t.abs_moment(model.a22, alpha) == pytest.approx(1.0, rel=1e-12)
-
-    def e(law, k):
-        return lognormal_moment(law, k)
-
-    exact = scan_second_moment(
-        ev=e(model.a11, 1) * e(a22, -1), ev2=e(model.a11, 2) * e(a22, -2),
-        eu=e(model.a12, 1) * e(a22, -1), eu2=e(model.a12, 2) * e(a22, -2),
-        evu=e(model.a11, 1) * e(model.a12, 1) * e(a22, -2), n=n)
+    exact = scan_second_moment(n=n, **tilted_ratio_moments(model))
     study = t.coupling_sum_moments(model, alpha, [n], 200_000, t.RngStream(32))
     assert study.mode == "plain"
     snap = study.final().absolute
@@ -664,33 +706,82 @@ def test_paired_scan_rounds_an_odd_path_count_up_to_whole_pairs():
     assert study.final().absolute.n_samples == CHUNK + 1
 
 
+def exact_window_rate(model, start: int, width: int) -> float:
+    """The alpha = 2 coupling rate over the window (start, start + width]:
+    the growth of E_t X_k^2 there, halved."""
+    moments = tilted_ratio_moments(model)
+    growth = (scan_second_moment(n=start + width, **moments)
+              - scan_second_moment(n=start, **moments)) / width
+    return growth / 2.0
+
+
+def limit_rate(model) -> float:
+    """lim (2k)^-1 E_t X_k^2 = (E_t U^2 + 2 E_t[VU] E_t X) / 2, with
+    E_t X = E_t U / (1 - E_t V)."""
+    m = tilted_ratio_moments(model)
+    return (m["eu2"] + 2.0 * m["evu"] * m["eu"] / (1.0 - m["ev"])) / 2.0
+
+
+def slow_rate_model():
+    # a11 and a22 share the law LN(-0.105, sqrt 0.105), so E a^2 = 1, and
+    # the tilted ratio couples at E_t V = e^-0.105 = 0.900 per step
+    a = Lognormal(-0.105, math.sqrt(0.105))
+    return IndependentEntries(a11=a, a12=Lognormal(-1, 0.5), a22=a,
+                              b1=Constant(1.0), b2=Constant(1.0))
+
+
+@pytest.mark.parametrize("model, r, burn_in", [
+    (builtin_model("distinct_diag_equal_index"), math.exp(-1.5), 2),
+    (slow_rate_model(), math.exp(-0.105), 38)], ids=["builtin", "slow_ratio"])
+def test_rate_burn_in_bounds_the_exact_window_bias(model, r, burn_in):
+    # at alpha = 2 the window bias of the ratio recursion is exact from its
+    # moment recursion; it stays inside the envelope the burn-in is sized
+    # by at every burn-in (down to 1e-9, above the recursion's rounding),
+    # and the chosen one is the first within 1e-3
+    assert t.classify(model).theorem_case == "distinct_diag_equal_index"
+    assert tilted_ratio_moments(model)["ev"] == pytest.approx(r, rel=1e-12)
+    limit = limit_rate(model)
+    for width in (10, 100, 200):
+        b = 1
+        while (envelope := _window_bias(r, b - 1, width)) > 1e-9:
+            bias = exact_window_rate(model, b, width) / limit - 1.0
+            assert -envelope <= bias < 0.0, (width, b)
+            b += 1
+        b = _rate_burn_in(model, 2.0, width)
+        assert _window_bias(r, b - 1, width) <= _WINDOW_BIAS
+        assert b == 1 or _window_bias(r, b - 2, width) > _WINDOW_BIAS
+    assert _rate_burn_in(model, 2.0, 200) == burn_in
+    if burn_in == 2:
+        # the full-size window (2, 202] reads 1.0e-4 low
+        bias = exact_window_rate(model, 2, 200) / limit - 1.0
+        assert bias == pytest.approx(-1.0e-4, abs=1e-5)
+
+
+def test_rate_burn_in_refuses_past_its_cap():
+    # E_t V = e^-0.001: a bias below 1e-3 would need thousands of steps
+    a = Lognormal(-0.001, math.sqrt(0.001))
+    m = IndependentEntries(a11=a, a12=Lognormal(-1, 0.5), a22=a,
+                           b1=Constant(1.0), b2=Constant(1.0))
+    with pytest.raises(RegimeMismatch, match="burn-in beyond 1000"):
+        t.estimate_coupling_rate(m, 2.0, 400, 100, t.RngStream(55))
+
+
 def test_coupling_rate_matches_the_exact_window_rate_at_a_short_horizon():
-    # distinct_diag_equal_index at alpha = 2: the window rate over
-    # (n/2, n] of E_t X_k^2, X_k = V_k X_{k-1} + U_k under the tilt of a22,
-    # is exact from the moment recursion; the antithetic scan's pair SE
-    # must cover it
+    # distinct_diag_equal_index at alpha = 2: the rate over the window that
+    # runs, (b, b + n/2], of E_t X_k^2, X_k = V_k X_{k-1} + U_k under the
+    # tilt of a22, is exact from the moment recursion; the antithetic
+    # scan's pair SE must cover it
     model = builtin_model("distinct_diag_equal_index")
-    a22 = t.tilted(model.a22, 2.0)
-
-    def e(law, k):
-        return lognormal_moment(law, k)
-
-    def window_rate(n):
-        moments = dict(
-            ev=e(model.a11, 1) * e(a22, -1), ev2=e(model.a11, 2) * e(a22, -2),
-            eu=e(model.a12, 1) * e(a22, -1), eu2=e(model.a12, 2) * e(a22, -2),
-            evu=e(model.a11, 1) * e(model.a12, 1) * e(a22, -2))
-        h = n // 2
-        growth = (scan_second_moment(n=n, **moments)
-                  - scan_second_moment(n=h, **moments)) / (n - h)
-        return growth / 2.0
-
-    assert window_rate(400) == pytest.approx(0.161476, abs=5e-7)
+    assert limit_rate(model) == pytest.approx(0.161476, abs=5e-7)
+    assert exact_window_rate(model, 2, 200) == pytest.approx(0.161460,
+                                                             abs=5e-7)
     n = 40
-    exact = window_rate(n)
+    b = _rate_burn_in(model, 2.0, n // 2)
+    exact = exact_window_rate(model, b, n // 2)
     for seed in (51, 52, 53):
         rate = t.estimate_coupling_rate(model, 2.0, n, 200_000,
                                         t.RngStream(seed))
+        assert rate.k == b + n // 2
         assert rate.absolute.n_samples == 100_000
         assert abs(rate.absolute.value - exact) <= 4 * rate.absolute.se, seed
 
