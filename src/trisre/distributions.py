@@ -48,6 +48,26 @@ def _double_exponential_nodes():
 
 _TS_X, _TS_1MX, _TS_W, _ES_X, _ES_W = _double_exponential_nodes()
 
+# Nodes of the Gauss-Hermite rule behind log_rule, and the relative error
+# within which a rule must reproduce its end moments
+_HERMITE_NODES = 16
+_RULE_TOL = 1e-10
+
+
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights w of the n-point Gauss-Hermite rule for the
+    standard normal, sum(w f(z)) ~ E f(Z), exact for polynomials of degree
+    below 2n. Golub-Welsch: the nodes are the eigenvalues of the Jacobi
+    matrix of the monic probabilists' Hermite polynomials, 0 on the
+    diagonal and sqrt(1), ..., sqrt(n - 1) beside it, and each weight is
+    the squared first component of its node's unit eigenvector."""
+    off = np.sqrt(np.arange(1.0, n))
+    z, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return z, vectors[0] ** 2
+
+
+_HERMITE_Z, _HERMITE_W = _hermite_rule(_HERMITE_NODES)
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -407,6 +427,42 @@ def tilted(spec: Dist, alpha: float) -> Dist:
     raise TiltUnsupported(
         f"{type(spec).__name__} is not closed under the |x|^alpha tilt; "
         "use weighted Monte Carlo instead")
+
+
+# ---------------------------------------------------------------------------
+# Quadrature
+# ---------------------------------------------------------------------------
+
+def log_rule(spec: Dist, lo: float,
+             hi: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Logs y and weights w of a quadrature rule for a positive law, with
+    sum(w f(exp(y))) ~ E f(X) for an f that grows like x^p, p between lo
+    and hi; None when the family has no rule, or when the rule misses
+    E X^lo or E X^hi by more than _RULE_TOL relative.
+
+    A positive Constant is its one node, and exact. A Lognormal(mu, sigma)
+    takes the Gauss-Hermite rule on its log, moved to the mode of x^p
+    times the law's density at the middle exponent p = (lo + hi) / 2: with
+    c = p sigma, y = mu + sigma (z + c), and the weights w exp(-c z -
+    c^2 / 2) undo the shift. Its error on E X^q is least at q = p and
+    grows with |q - p| sigma, so the ends lo and hi are where it is worst.
+    Other laws, and a Constant <= 0, have no rule."""
+    if isinstance(spec, Constant):
+        return ((np.array([math.log(spec.c)]), np.ones(1)) if spec.c > 0
+                else None)
+    if not isinstance(spec, Lognormal):
+        return None
+    c = 0.5 * (lo + hi) * spec.sigma
+    y = spec.mu + spec.sigma * (_HERMITE_Z + c)
+    w = _HERMITE_W * np.exp(-c * _HERMITE_Z - 0.5 * c * c)
+    for p in (lo, hi):
+        # the rule's E X^p over the exact one; an overflow reads as a miss
+        with np.errstate(over="ignore"):
+            ratio = float(w @ np.exp(p * y - p * spec.mu
+                                     - 0.5 * (p * spec.sigma) ** 2))
+        if not abs(ratio - 1.0) <= _RULE_TOL:
+            return None
+    return y, w
 
 
 # ---------------------------------------------------------------------------

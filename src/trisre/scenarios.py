@@ -50,7 +50,13 @@ SCHEMA_VERSION = 1
 @dataclass
 class ScenarioConfig:
     """A model and the sizes of its run: n_samples stationary values, and
-    constant_samples paths for each constant estimator. mn_horizon is
+    constant_samples paths for each constant estimator. A conditioned
+    ratio scan (the coupling rate, the coupling weight and the grey
+    weight series, with lognormal or constant a11 and a12) reads
+    constant_samples as the precision of that many plain paths: its
+    pilot of constant_samples / 16 paths sizes a main run of as few as
+    that precision needs, between the pilot's size and constant_samples
+    (tilting._study_from_pairs). mn_horizon is
     twice the length of the coupling rate's window
     (distinct_diag_equal_index): its scan runs a burn-in sized by the
     window's bias bound, then mn_horizon // 2 steps. weight_horizon is

@@ -11,7 +11,12 @@ reweighted pair exactly; otherwise it draws untilted entries and yields
 the step weight |a22|^alpha, which the scan folds into its increments
 behind a degeneracy guard. With all three entries lognormal the ratio
 source draws antithetic pairs of paths from one normal per path-step,
-and the scan takes its SEs from the pair means.
+and the scan takes its SEs from the pair means. An unsigned exact-tilt
+ratio source whose a11 and a12 have quadrature rules also carries an
+IncrementTable, the mean of each step's increment given the path; the
+scan then adds that mean in place of the increment (conditional Monte
+Carlo), in two stages: a pilot that measures the variance it saves, and
+a main run of only the paths that keep the plain scan's precision.
 
 At the critical index the alpha-moment of the partial sum grows linearly
 but a naive sample mean misses the exponentially rare paths that carry
@@ -36,8 +41,7 @@ from .distributions import Dist
 from .errors import (ArgumentOutOfRange, RegimeMismatch, RequiresEqualDiagonal,
                      RequiresExactTilt, RequiresMuZero, TiltUnsupported,
                      WeightDegenerate)
-from .estimates import (EstimateWithError, RunningMoments, merge_chunks,
-                        sum_of_products)
+from .estimates import EstimateWithError, RunningMoments, merge_chunks
 from .model import EqualDiagonal, ProportionalToDiagonal, TriangularSRE
 from .rng import CHUNK, RngStream, map_chunks
 
@@ -78,11 +82,16 @@ class PartialSumStudy:
     """Moment estimates of the partial sums at requested horizons, plus
     the growth between the last two of them (used for limit extraction
     at the critical index, where the per-step growth converges); None
-    when there is one horizon."""
+    when there is one horizon. total is the sum of every snapshot, taken
+    path by path, so its SE counts the paths the snapshots share; its k
+    is the last horizon. conditioned says whether the scan added each
+    step's conditional mean increment (IncrementTable)."""
 
     snapshots: list[SnapshotMoments]
     window: SnapshotMoments | None
     mode: str
+    total: SnapshotMoments
+    conditioned: bool = False
 
     def final(self) -> SnapshotMoments:
         return self.snapshots[-1]
@@ -106,6 +115,70 @@ def _snapshot_list(ks: list[int], accs: list[RunningMoments],
             for j, k in enumerate(ks)]
 
 
+@dataclass(frozen=True, eq=False)
+class IncrementTable:
+    """g(x) = E[z_k | X_{k-1} = x], the mean of an unsigned ratio scan's
+    increment z_k = (V_k x + U_k)^alpha - (V_k x)^alpha given the path,
+    for (V, U) = (a11/a22, a12/a22) under the alpha-tilt of a22, with
+    a22 independent of (a11, a12). The tilt's weight cancels a22, so
+
+        g(x) = (E(a11 x + a12)^alpha - E a11^alpha x^alpha) / E|a22|^alpha,
+
+    one function of x over the two laws: E(a11 x + a12)^alpha / E|a22|^alpha
+    - m x^alpha, with m = E_t V^alpha the step moment. Where the scan's
+    contraction c differs from m (only in the critical band, where c = 1
+    and |m - 1| <= _CRITICAL_BAND), g is still the mean of the increment
+    the plain scan adds, so a path may take either.
+
+    log g is tabulated at t = log x on the nodes start + (j - 1) step,
+    j = 0..rows + 2, and read on [start, start + rows step) by the cubic
+    through the four nodes around t: column r of coef holds its
+    coefficients of 1, s, s^2 and s^3, with s = (t - start) / step - r.
+    The error of that cubic in log g, a relative error in g, is at most
+    (3/128) step^4 max|d^4 log g / dt^4| over the four nodes. At
+    alpha = 2, g(x) = (2 E a11 E a12 x + E a12^2) / E|a22|^2 and log g is
+    a shifted softplus in t, whose fourth derivative is at most 1/8, so
+    the bound is 3/1024 step^4: 7.2e-7 at step 1/8.
+    at_zero is g(0) = E a12^alpha / E|a22|^alpha, the first step's mean
+    from X_0 = 0."""
+
+    alpha: float
+    at_zero: float
+    start: float
+    step: float
+    coef: np.ndarray
+
+    def fill(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = g(x) for the paths whose x > 0 lies on the grid. Returns
+        the indices of the others, whose out is not g and must be
+        overwritten."""
+        rows = self.coef.shape[1]
+        with np.errstate(divide="ignore"):
+            pos = np.log(x)
+        pos -= self.start
+        pos *= 1.0 / self.step
+        off = np.empty(0, dtype=np.intp)
+        if not (pos.min() >= 0.0 and pos.max() < rows):
+            grid = np.clip(pos, 0.0, np.nextafter(rows, 0.0))
+            off = np.flatnonzero(grid != pos)
+            pos = grid
+        row = pos.astype(np.intp)
+        pos -= row
+        # Horner's rule, one coefficient gathered at a time; row is in
+        # range, and a take into out is buffered unless it may clip
+        c0, c1, c2, c3 = self.coef
+        np.take(c3, row, out=out, mode="clip")
+        term = np.take(c2, row, mode="clip")
+        for c in (c1, c0):
+            out *= pos
+            out += term
+            np.take(c, row, out=term, mode="clip")
+        out *= pos
+        out += term
+        np.exp(out, out=out)
+        return off
+
+
 @dataclass(frozen=True)
 class StepSource:
     """A step source and its declared properties. source(m, rng) calls
@@ -119,11 +192,15 @@ class StepSource:
     paired is True when m must be even and path i + m/2 is the antithetic
     partner of path i at every step, so the two halves of a chunk are
     dependent and only their pair means are independent; only
-    _lognormal_vu_steps declares it."""
+    _lognormal_vu_steps declares it. table, the mean increment of an
+    unsigned ratio source at its alpha, is set only by _vu_steps, when
+    a22 has an exact tilt and a11 and a12 have quadrature rules
+    (_increment_table); a scan of such a source is conditioned."""
 
     draw: Callable[[int, RngStream], Iterator[tuple[np.ndarray, ...]]]
     signed: bool
     paired: bool = False
+    table: IncrementTable | None = None
 
     def __call__(self, m: int, rng: RngStream):
         return self.draw(m, rng)
@@ -180,12 +257,29 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
     while the per-path |X_k|^alpha has infinite variance once
     E|V|^{2 alpha} > 1 and, at the critical index (c = 1, mode
     "telescoped"), a mean carried by rare paths. step_moment rescales
-    snapshot k by step_moment^k.
+    snapshot k by step_moment^k. Besides the snapshots and the window
+    the scan returns their per-path total (PartialSumStudy.total).
 
     A StepSource that is not signed keeps X_k >= 0, so z_k^- = 0 and,
     with gamma = c, d_k = s_k: the scan then keeps s_k alone, and the
     positive part is s_k and the negative part exactly 0, the same bits
     the split gives.
+
+    Such a source may carry an IncrementTable of g(x) = E[z_k | X_{k-1} =
+    x] (the scan is then conditioned). Adding g(X_{k-1}) in place of z_k
+    keeps every snapshot's mean, by the tower property, and drops the
+    fresh step's noise; the first step adds g(0), a constant, and a path
+    whose X_{k-1} lies off the table's grid adds its plain z_k. The scan
+    then runs in two stages, each chunked through map_chunks, so that N
+    keeps meaning the precision of N plain paths:
+    - the pilot runs ceil(N / _PILOT_SHARE) paths on rng's substream
+      _PILOT_TAG, adding both z_k and g(X_{k-1}) on the same paths;
+    - the main run, on rng itself, takes clip(ceil(N r), ceil(N /
+      _PILOT_SHARE), N) paths, where r is the largest ratio of the
+      conditioned to the plain per-path variance over the snapshots, the
+      window and the total of the pilot.
+    Only the main run enters the estimates, so the choice of its size
+    adds no bias; it depends on no worker count, as every result does not.
 
     A source may yield a third array, the step's raw weight w (mode
     "weighted_mc"). Each increment is then scaled by the running product
@@ -197,11 +291,11 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
 
     A paired source (antithetic partners in the two halves of a chunk)
     runs ceil(N / 2) pairs, so an odd N rounds up to N + 1 paths, in
-    chunks of at most CHUNK paths. Every snapshot and the window are
-    folded into the pair means 0.5 (val[:h] + val[h:]) before they are
-    accumulated, since partners are dependent and pairs are not: se and
-    n_samples then refer to pairs. The weights' effective sample size
-    still counts paths.
+    chunks of at most CHUNK paths. Every snapshot, the window and the
+    total are folded into the pair means 0.5 (val[:h] + val[h:]) before
+    they are accumulated, since partners are dependent and pairs are not:
+    se and n_samples then refer to pairs. The weights' effective sample
+    size still counts paths.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -209,8 +303,14 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
     snap_set = {int(s) for s in snapshots}
     by_sign = steps.signed or gamma != contraction
     paired = steps.paired
+    table = None if by_sign else steps.table
+    if table is not None and table.alpha != alpha:
+        raise ValueError(f"the source's table is for alpha = {table.alpha}, "
+                         f"not {alpha}")
 
-    def chunk(units, sub):
+    def chunk(units, sub, forms):
+        """The accumulators of each form on one chunk's paths: the plain
+        scan for form False, the conditioned one for True."""
         h = units.stop - units.start
         m = 2 * h if paired else h
 
@@ -225,79 +325,138 @@ def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
         # the chunk's own buffers, written in place at every step; weight
         # only for a source that yields weights
         x = np.zeros(m)
-        s_acc = np.zeros(m)
-        weight = None
         vx = np.empty(m)
         z = np.empty(m)
+        plain, cond = False in forms, True in forms
+        if cond:
+            gz = np.empty(m)
+        incs = [gz if form else z for form in forms]
+        sums = [np.zeros(m) for _ in forms]
+        weight = None
         if by_sign:
             d_acc = np.zeros(m)
             dz = np.empty(m)
             t = np.empty(m)
-        snaps, weights, prev, vals = [], [], None, None
+        snaps = [[] for _ in forms]
+        prev, vals, totals = ([None] * len(forms) for _ in range(3))
+        weights = []
         for k, (v, u, *w) in enumerate(islice(steps(m, sub), n), 1):
+            if cond:
+                # g(X_{k-1}), from X_0 = 0 at the first step
+                if k == 1:
+                    gz.fill(table.at_zero)
+                    off = ()
+                else:
+                    off = table.fill(x, gz)
             np.multiply(v, x, out=vx)
             np.add(vx, u, out=x)
-            if by_sign:
-                # z = z^+ + z^- and dz = z^+ - z^- for the increment split
-                # by sign, z^+ = (x^+)^a - (vx^+)^a and
-                # z^- = (x^-)^a - (vx^-)^a, from t = |vx|^a
-                np.abs(x, out=z)
-                z **= alpha
-                np.copysign(z, x, out=dz)
-                np.abs(vx, out=t)
-                t **= alpha
-                z -= t
-                np.copysign(t, vx, out=t)
-                dz -= t
-            else:
-                # x, vx >= 0: z = x^a - vx^a
-                np.power(x, alpha, out=z)
-                vx **= alpha
-                z -= vx
-            if w:
-                if weight is None:
-                    weight = np.ones(m)
-                weight *= w[0]
-                z *= weight
+            if plain:
                 if by_sign:
-                    dz *= weight
-            if contraction != 1.0:
-                s_acc *= contraction
-            s_acc += z
+                    # z = z^+ + z^- and dz = z^+ - z^- for the increment
+                    # split by sign, z^+ = (x^+)^a - (vx^+)^a and
+                    # z^- = (x^-)^a - (vx^-)^a, from t = |vx|^a
+                    np.abs(x, out=z)
+                    z **= alpha
+                    np.copysign(z, x, out=dz)
+                    np.abs(vx, out=t)
+                    t **= alpha
+                    z -= t
+                    np.copysign(t, vx, out=t)
+                    dz -= t
+                else:
+                    # x, vx >= 0: z = x^a - vx^a
+                    np.power(x, alpha, out=z)
+                    vx **= alpha
+                    z -= vx
+                if w:
+                    if weight is None:
+                        weight = np.ones(m)
+                    weight *= w[0]
+                    z *= weight
+                    if by_sign:
+                        dz *= weight
+            if cond and len(off):
+                # the paths off the table's grid take the plain increment
+                gz[off] = (z[off] if plain
+                           else x[off] ** alpha - vx[off] ** alpha)
+            for s_acc, inc in zip(sums, incs):
+                if contraction != 1.0:
+                    s_acc *= contraction
+                s_acc += inc
             if by_sign:
                 if gamma != 1.0:
                     d_acc *= gamma
                 d_acc += dz
             if k in snap_set:
                 scale = step_moment ** k
-                if by_sign:
-                    up = 0.5 * (s_acc + d_acc) * scale
-                    um = 0.5 * (s_acc - d_acc) * scale
-                    prev, vals = vals, (up + um, up, um)
-                else:
-                    prev, vals = vals, (s_acc * scale,)
-                snaps += moments(vals)
+                for j, s_acc in enumerate(sums):
+                    if by_sign:
+                        up = 0.5 * (s_acc + d_acc) * scale
+                        um = 0.5 * (s_acc - d_acc) * scale
+                        prev[j], vals[j] = vals[j], (up + um, up, um)
+                    else:
+                        prev[j], vals[j] = vals[j], (s_acc * scale,)
+                    totals[j] = (vals[j] if totals[j] is None else
+                                 [a + b for a, b in zip(totals[j], vals[j])])
+                    snaps[j] += moments(vals[j])
                 if w:
                     weights.append(RunningMoments(weight))
-        if prev is not None:
-            snaps += moments([b - a for a, b in zip(prev, vals)])
+        for j in range(len(forms)):
+            if prev[j] is not None:
+                snaps[j] += moments([b - a for a, b in zip(prev[j], vals[j])])
+            snaps[j] += moments(totals[j])
         return snaps, weights
 
-    parts = (map_chunks((N + 1) // 2, CHUNK // 2, chunk, rng) if paired
-             else map_chunks(N, CHUNK, chunk, rng))
-    weights = merge_chunks([w for _, w in parts])
-    for acc in weights:
-        _check_ess(acc)
-    accs = merge_chunks([s for s, _ in parts])
+    def run(count, stream, forms):
+        """The merged accumulators of each form over count paths, and
+        whether the source yielded weights."""
+        def fn(units, sub):
+            return chunk(units, sub, forms)
+
+        parts = (map_chunks((count + 1) // 2, CHUNK // 2, fn, stream)
+                 if paired else map_chunks(count, CHUNK, fn, stream))
+        weights = merge_chunks([w for _, w in parts])
+        for acc in weights:
+            _check_ess(acc)
+        return ([merge_chunks([s[j] for s, _ in parts])
+                 for j in range(len(forms))], bool(weights))
+
+    if table is None:
+        (accs,), weighted = run(N, rng, (False,))
+    else:
+        pilot = -(-N // _PILOT_SHARE)
+        (plain_accs, cond_accs), _ = run(pilot, rng.substream(_PILOT_TAG),
+                                         (False, True))
+        ratio = max(_variance_ratio(p, c)
+                    for p, c in zip(plain_accs, cond_accs))
+        (accs,), weighted = run(min(max(math.ceil(N * ratio), pilot), N),
+                                rng, (True,))
     seed = rng.describe()
     split = 3 * len(snapshots)
-    window = (_snapshot_list([n], accs[split:], seed)[0]
+    window = (_snapshot_list([n], accs[split:split + 3], seed)[0]
               if len(snapshots) > 1 else None)
-    mode = ("weighted_mc" if weights
+    mode = ("weighted_mc" if weighted
             else "telescoped" if contraction == 1.0 else "plain")
     return PartialSumStudy(
         snapshots=_snapshot_list(snapshots, accs[:split], seed),
-        window=window, mode=mode)
+        window=window, mode=mode,
+        total=_snapshot_list([n], accs[-3:], seed)[0],
+        conditioned=table is not None)
+
+
+# A conditioned scan's pilot runs ceil(N / _PILOT_SHARE) of the N paths a
+# plain scan would, on the substream _PILOT_TAG of the scan's stream; its
+# main run takes at least as many
+_PILOT_SHARE = 16
+_PILOT_TAG = 0x50494C54
+
+
+def _variance_ratio(plain: RunningMoments, cond: RunningMoments) -> float:
+    """The conditioned over the plain per-path variance of one estimate on
+    the same paths; 0 when both vanish, 1 when only the plain one does."""
+    if plain.m2 > 0.0:
+        return cond.m2 / plain.m2
+    return float(cond.m2 > 0.0)
 
 
 def _tilted_a22(model: TriangularSRE, alpha: float) -> Dist | None:
@@ -320,7 +479,12 @@ def _vu_steps(model: TriangularSRE, alpha: float) -> StepSource:
     three entries lognormal the pair comes from two correlated normals.
     Without one the entries are drawn untilted and the source also
     yields the step weight |a22|^alpha; callers refuse that route for
-    equal diagonals, whose ratio V = 1 sits at the critical index."""
+    equal diagonals, whose ratio V = 1 sits at the critical index.
+
+    An unsigned source with an exact tilt carries the IncrementTable of
+    its a11 and a12 (_increment_table), unless a law lacks a quadrature
+    rule or the source draws nothing; the equal-diagonal, signed and
+    raw-weight sources carry none, and their scans stay plain."""
     a22_tilted = _tilted_a22(model, alpha)
     if isinstance(model, EqualDiagonal):
         mode = model.a12_mode
@@ -343,8 +507,14 @@ def _vu_steps(model: TriangularSRE, alpha: float) -> StepSource:
         return StepSource(steps, signed)
     a11_law, a12_law = model.a11, model.a12
     a22_law = model.a22 if a22_tilted is None else a22_tilted
+    signed = dist.any_negative(a11_law, a12_law, model.a22)
+    # a source that draws nothing has no noise to integrate out
+    table = (None if a22_tilted is None or signed or all(
+        isinstance(d, dist.Constant) for d in (a11_law, a12_law, a22_law))
+        else _increment_table(a11_law, a12_law,
+                              dist.abs_moment(model.a22, alpha), alpha))
     if all(isinstance(d, dist.Lognormal) for d in (a11_law, a12_law, a22_tilted)):
-        return _lognormal_vu_steps(a11_law, a12_law, a22_tilted)
+        return _lognormal_vu_steps(a11_law, a12_law, a22_tilted, table)
 
     def steps(m: int, rng: RngStream):
         rows = dist.step_block(m)
@@ -357,11 +527,70 @@ def _vu_steps(model: TriangularSRE, alpha: float) -> StepSource:
                 pair.append(np.abs(a22) ** alpha)
             yield from zip(*(np.broadcast_to(e, (rows, m)) for e in pair))
 
-    return StepSource(steps, dist.any_negative(a11_law, a12_law, model.a22))
+    return StepSource(steps, signed, table=table)
+
+
+# The grid of an IncrementTable (_increment_table): log x in steps of
+# _TABLE_STEP, _TABLE_HALF_WIDTH to either side of the point where a11 x
+# and a12 are alike in size
+_TABLE_STEP = 0.125
+_TABLE_HALF_WIDTH = 24.0
+
+
+def _increment_table(a11: Dist, a12: Dist, lam22: float,
+                     alpha: float) -> IncrementTable | None:
+    """The IncrementTable of the unsigned ratio pair (a11/a22, a12/a22)
+    under the alpha-tilt of an independent a22 with lam22 = E|a22|^alpha;
+    None when a11 or a12 has no quadrature rule (distributions.log_rule)
+    or g leaves float range on the grid.
+
+    In g(x) lam22 = E[(a11 x + a12)^alpha - (a11 x)^alpha], a11 enters
+    like a11^p with p from 0 (small x) to alpha - 1 (large x), and a12
+    like a12^p with p from alpha down to 1; each law's rule is centred
+    for its range. The product rule sums the integrand over every pair of
+    nodes, each row of the grid scaled by its largest (a x + b)^alpha, so
+    no term cancels or overflows. The grid is centred at E log a12 -
+    E log a11 and spans _TABLE_HALF_WIDTH either side. One table of two
+    lognormal laws (387 grid nodes times 16 x 16 rule nodes) costs about
+    3 ms."""
+    rule_a = dist.log_rule(a11, min(0.0, alpha - 1.0), max(0.0, alpha - 1.0))
+    rule_b = dist.log_rule(a12, min(1.0, alpha), max(1.0, alpha))
+    if rule_a is None or rule_b is None:
+        return None
+    (ya, wa), (yb, wb) = rule_a, rule_b
+    half = round(_TABLE_HALF_WIDTH / _TABLE_STEP)
+    t = float(wb @ yb - wa @ ya) + _TABLE_STEP * np.arange(-half - 1, half + 2)
+    # sum (a x + b)^alpha (1 - (a x / (a x + b))^alpha) over the pairs of
+    # nodes, one node of a12 at a time, from sp = log(1 + b / (a x)); each
+    # row is scaled by its largest (a x + b)^alpha, at the largest nodes,
+    # and a pair whose b / (a x) underflows adds 0
+    la = t[:, None] + ya
+    top = alpha * np.logaddexp(t + ya.max(), yb.max())
+    total = np.zeros(t.size)
+    for lb, w in zip(yb, wb):
+        sp = np.logaddexp(0.0, lb - la)
+        term = alpha * (la + sp)
+        term -= top[:, None]
+        np.exp(term, out=term)
+        sp *= -alpha
+        term *= np.expm1(sp, out=sp)
+        total -= term @ (w * wa)
+    with np.errstate(divide="ignore"):
+        log_g = top + np.log(total) - math.log(lam22)
+    if not np.isfinite(log_g).all():
+        return None
+    # column r: the cubic through nodes r..r + 3, in s = (t - t[r + 1]) / step
+    f0, f1, f2, f3 = log_g[:-3], log_g[1:-2], log_g[2:-1], log_g[3:]
+    coef = np.stack([f1, f2 - f0 / 3.0 - f1 / 2.0 - f3 / 6.0,
+                     (f0 + f2) / 2.0 - f1,
+                     (f3 - f0) / 6.0 + (f1 - f2) / 2.0])
+    return IncrementTable(alpha, dist.abs_moment(a12, alpha) / lam22,
+                          float(t[1]), _TABLE_STEP, coef)
 
 
 def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
-                        a22: dist.Lognormal) -> StepSource:
+                        a22: dist.Lognormal,
+                        table: IncrementTable | None = None) -> StepSource:
     """(V, U) = (a11/a22, a12/a22) for lognormal entries, in antithetic
     pairs of paths, from one normal per path-step.
 
@@ -377,7 +606,8 @@ def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
     three-draw ratio, then one exp runs over the (B, 2, m) block.
     Partners mirror each other at every step, so whole paths are partners
     and the source is paired; the h paths of either half are independent
-    of each other. The pair is positive."""
+    of each other. The pair is positive; table, when given, is the
+    pair's IncrementTable (_vu_steps builds it)."""
     shift = np.array([[a12.mu - a22.mu], [a11.mu - a22.mu]])
     c22 = a22.sigma ** 2
     l11 = math.sqrt(a12.sigma ** 2 + c22)
@@ -404,7 +634,7 @@ def _lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,
             for u, v in z:
                 yield v, u
 
-    return StepSource(steps, False, paired=True)
+    return StepSource(steps, False, paired=True, table=table)
 
 
 def _ratio_moments(model: TriangularSRE, alpha: float) -> tuple[float, float]:
@@ -458,7 +688,15 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
     concentrates).
     A second diagonal without an exact tilt takes raw step weights
     |a22|^alpha in the contractive case (mode "weighted_mc"; short
-    horizons only, WeightDegenerate guards)."""
+    horizons only, WeightDegenerate guards).
+
+    With an exact tilt, positive entries, and quadrature rules for a11
+    and a12 (lognormal or constant laws), the study is conditioned
+    (_vu_steps, _study_from_pairs): each step adds its mean increment
+    given the path, and a pilot sizes the main run to the precision of N
+    plain paths, so the estimates' n_samples is the main run's, from
+    ceil(N / _PILOT_SHARE) up to N paths (pairs for the lognormal
+    source). Other studies run N plain paths."""
     horizons = sorted(set(int(h) for h in horizons))
     if horizons[0] < 1:
         raise ValueError("horizons must be >= 1")
@@ -488,7 +726,9 @@ def coupling_sum_moments(model: TriangularSRE, alpha: float,
 def estimate_coupling_weight(model: TriangularSRE, alpha2: float, n: int,
                              N: int, rng: RngStream) -> SnapshotMoments:
     """Cross-sum moments E|M_n|^{alpha2} and signed parts. The study also
-    takes the half-horizon snapshot, as a convergence gauge.
+    takes the half-horizon snapshot, as a convergence gauge. N is the
+    precision of N plain paths: a conditioned study (coupling_sum_moments)
+    runs fewer, as its pilot finds them enough.
 
     Requires E|a11|^{alpha2} < 1, the condition under which the moments
     converge to a positive limit when the second coordinate sits at its
@@ -511,7 +751,10 @@ def estimate_coupling_rate(model: TriangularSRE, alpha: float, n: int, N: int,
 
     Valid when the diagonals share the critical index but differ as
     random variables; the telescoped estimator keeps the estimate unbiased
-    where the naive mean collapses."""
+    where the naive mean collapses. N is the precision of N plain paths:
+    a conditioned study (coupling_sum_moments) runs fewer, as its pilot
+    finds them enough; the pilot sizes the run by the window's variance
+    as well as each snapshot's."""
     if n < 2:
         raise ValueError("n must be >= 2")
     m_ratio = _ratio_moments(model, alpha)[0]
@@ -537,14 +780,17 @@ _WEIGHT_SERIES_TOL = 1e-4
 def estimate_weight_series(model: TriangularSRE, alpha2: float, N: int,
                            rng: RngStream) -> SnapshotMoments:
     """The weight series sum_{k=1..K} E|(A_1...A_k)_12|^alpha2 and its
-    signed parts, summed from one coupling_sum_moments study at horizons
+    signed parts: the total of one coupling_sum_moments study at horizons
     1..K; k is K.
 
     Term k is at most C k q^{k-1}, with C = E|a12|^alpha2 the first term
     and q = max(E|a11|^alpha2, E|a22|^alpha2), so the horizon K, the first
     k with k q^{k-1} < _WEIGHT_SERIES_TOL, cuts the series where a term
-    is below that share of the first. The snapshots share their paths,
-    but their SEs add in quadrature here, as if independent."""
+    is below that share of the first. The snapshots share their paths, so
+    the SE is that of the per-path sum of the K snapshots (the study's
+    total), conditioned or plain as the study runs. N is the precision of
+    N plain paths: a conditioned study (coupling_sum_moments) runs fewer,
+    as its pilot finds them enough."""
     d1, d2 = mod.diag_laws(model)
     q = max(dist.abs_moment(d1, alpha2), dist.abs_moment(d2, alpha2))
     K = 1
@@ -556,14 +802,8 @@ def estimate_weight_series(model: TriangularSRE, alpha2: float, N: int,
                 f"{_WEIGHT_SERIES_TOL:g} E|a12|^alpha2: the diagonals "
                 f"contract at {q:.6g} per step")
         K += 1
-    study = coupling_sum_moments(model, alpha2, list(range(1, K + 1)), N, rng)
-    one = EstimateWithError(1.0)
-
-    def total(part: str) -> EstimateWithError:
-        return sum_of_products([(getattr(s, part), one)
-                                for s in study.snapshots])
-
-    return SnapshotMoments(K, total("absolute"), total("plus"), total("minus"))
+    return coupling_sum_moments(model, alpha2, list(range(1, K + 1)), N,
+                                rng).total
 
 
 # Relative bias bound of the window growth of a critical-index scan: the

@@ -428,3 +428,35 @@ def test_invalid_parameters_rejected():
         TwoSidedPareto(0.0, 1, 0.5)
     with pytest.raises(ValueError):
         Uniform(2, 2)
+
+
+def test_hermite_rule_is_exact_on_polynomials_below_twice_its_nodes():
+    # E Z^(2k) = (2k - 1)!! for the standard normal, odd moments 0; the
+    # rounding is relative to the sum of the terms' magnitudes
+    z, w = t.distributions._HERMITE_Z, t.distributions._HERMITE_W
+    n = z.size
+    assert w.sum() == pytest.approx(1.0, rel=1e-14)
+    for k in range(2 * n):
+        exact = 0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2)))
+        scale = float(w @ np.abs(z) ** k)
+        assert abs(float(w @ z ** k) - exact) <= 1e-13 * scale, k
+
+
+def test_log_rule_reproduces_moments_across_its_exponent_range():
+    law = Lognormal(-1.0, 1.0)
+    y, w = t.distributions.log_rule(law, 0.0, 2.0)
+    for p in np.linspace(-0.5, 2.5, 13):
+        exact = math.exp(p * law.mu + 0.5 * (p * law.sigma) ** 2)
+        assert float(w @ np.exp(p * y)) == pytest.approx(exact, rel=1e-12), p
+    y, w = t.distributions.log_rule(Constant(2.0), 0.0, 2.0)
+    assert (y.tolist(), w.tolist()) == ([math.log(2.0)], [1.0])
+
+
+@pytest.mark.parametrize("law", [
+    Constant(0.0), Constant(-1.0), Normal(1.0, 0.5), Uniform(0.5, 1.5),
+    SignedLognormal(-1.0, 1.0, 0.7), TwoSidedPareto(3.0, 1.0, 1.0),
+    Scaled(Lognormal(-1.0, 1.0), 2.0),
+    # a rule too wide for 16 nodes: it misses E X^8 at sigma = 3
+    Lognormal(0.0, 3.0)])
+def test_log_rule_is_none_for_laws_without_an_accurate_rule(law):
+    assert t.distributions.log_rule(law, 0.0, 8.0) is None

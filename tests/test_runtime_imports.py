@@ -1,5 +1,7 @@
 """What a trisre process loads: numpy and the standard library only, all of
-it at `import trisre`, so no run pays for an import midway."""
+it at `import trisre`, so no run pays for an import midway. The quadrature
+rules come from numpy.linalg, which numpy loads anyway, not from
+numpy.polynomial, which it does not."""
 import json
 import os
 import subprocess
@@ -18,15 +20,18 @@ for config in builtin_scenarios(quick=True):
                                      constant_samples=2000, mn_horizon=20),
                  workers=2)
 print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "polynomial": sorted(m for m in sys.modules
+                                       if m.startswith("numpy.polynomial")),
                   "late": sorted(set(sys.modules) - before)}))
 """
 
 
 def test_runs_import_no_scipy_and_nothing_after_import_trisre():
+    # nor numpy.polynomial, at import or later
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
                          capture_output=True, text=True, check=True, timeout=300)
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == {"scipy": [], "late": []}
+    assert loaded == {"scipy": [], "polynomial": [], "late": []}

@@ -344,8 +344,9 @@ def test_predict_distinct_diag_builtin_matches_closed_form_at_three_seeds():
     # (alpha / rho1) c2 r = 2 x 0.540988 x 0.161476, W2's Goldie constant
     # times the coupling rate of the tilted ratio perpetuity. The estimate
     # is right-skewed, so a seed's SE often understates the spread; the z
-    # read -0.47, -0.21 and -2.76 at these seeds. The positive entries
-    # make the negative part exactly 0
+    # read -0.42, -0.59 and -2.28 at these seeds, where W2's Goldie scan
+    # now carries most of the SE: the conditioned rate scan's is 0.1%.
+    # The positive entries make the negative part exactly 0
     config = next(c for c in builtin_scenarios()
                   if c.name == "distinct_diag_equal_index")
     exact = distinct_diag_constant(config.model)

@@ -151,12 +151,15 @@ def test_coupling_weight_constant_entries_deterministic():
 
 
 def test_coupling_weight_at_horizon_one_matches_offdiag_moment():
+    # the conditioned scan's first step adds g(0) = E_t U^alpha2 on every
+    # path, so at horizon one it reads the moment itself, with no spread
     m = tilt_benchmark()
     alpha2 = 2.0
     snap = t.estimate_coupling_weight(m, alpha2, 1, 200_000, t.RngStream(9))
     assert snap.k == 1
     target = t.abs_moment(Lognormal(-1, 0.5), alpha2)
-    assert abs(snap.absolute.value - target) <= 4 * snap.absolute.se
+    assert snap.absolute.value == pytest.approx(target, rel=1e-14)
+    assert snap.absolute.se <= 1e-14 * target
 
 
 def test_coupling_weight_requires_subcritical_first_diagonal():
@@ -315,7 +318,9 @@ def test_weight_series_sums_the_builtin_grey_terms_to_its_horizon():
     # alpha2 = 2, the index of b2; q = max(E a11^2, E a22^2) = e^-1.02 =
     # 0.3606, and 13 is the first k with k q^(k-1) < 1e-4. The entries
     # are positive, so the negative part is exactly 0. The lognormal
-    # ratio source is paired, so 200k paths are 100k samples
+    # ratio source is paired, and its scan is conditioned: the main run
+    # takes from the pilot's 12.5k paths (6250 pairs) up to the 200k
+    # (100k pairs) of a plain scan
     config = next(c for c in t.builtin_scenarios()
                   if c.name == "coord2_dominant_grey")
     exact = coord2_grey_weight_sum(config.model)
@@ -323,7 +328,9 @@ def test_weight_series_sums_the_builtin_grey_terms_to_its_horizon():
         w = t.estimate_weight_series(config.model, 2.0, 200_000,
                                      t.RngStream(seed))
         assert w.k == 13
-        assert w.minus == EstimateWithError(0.0, 0.0, 100_000, w.minus.seed)
+        pairs = w.absolute.n_samples
+        assert 6250 <= pairs < 100_000
+        assert w.minus == EstimateWithError(0.0, 0.0, pairs, w.minus.seed)
         assert abs(w.absolute.value - exact) <= 4 * w.absolute.se, seed
 
 
@@ -659,9 +666,12 @@ def test_single_accumulator_scan_matches_the_sign_split(name, contraction,
                                                         step_moment):
     # a nonnegative source scans one accumulator; the same steps through
     # a source that declares itself signed take the sign split, and every
-    # snapshot and the window agree bit for bit, over two chunks
+    # snapshot and the window agree bit for bit, over two chunks. The
+    # split is plain, so a ratio source's table is dropped: with it the
+    # unsigned scan would be conditioned
     source, alpha = _nonnegative_sources()[name]
     assert not source.signed
+    source = dataclasses.replace(source, table=None)
     split = dataclasses.replace(source, signed=True)
     runs = [_study_from_pairs(s, alpha, [3, 8], 20_000, t.RngStream(43),
                               contraction, step_moment, contraction)
@@ -700,7 +710,10 @@ def test_paired_scan_takes_its_se_from_pair_means():
 
 
 def test_paired_scan_rounds_an_odd_path_count_up_to_whole_pairs():
-    source = _vu_steps(builtin_model("distinct_diag_equal_index"), 2.0)
+    # the plain scan of the paired source, without its table
+    source = dataclasses.replace(
+        _vu_steps(builtin_model("distinct_diag_equal_index"), 2.0),
+        table=None)
     study = _study_from_pairs(source, 2.0, [4], 2 * CHUNK + 1,
                               t.RngStream(47), 1.0, 1.0, 1.0)
     assert study.final().absolute.n_samples == CHUNK + 1
@@ -770,7 +783,8 @@ def test_coupling_rate_matches_the_exact_window_rate_at_a_short_horizon():
     # distinct_diag_equal_index at alpha = 2: the rate over the window that
     # runs, (b, b + n/2], of E_t X_k^2, X_k = V_k X_{k-1} + U_k under the
     # tilt of a22, is exact from the moment recursion; the antithetic
-    # scan's pair SE must cover it
+    # conditioned scan's pair SE must cover it. Its main run takes from
+    # the pilot's 12.5k paths (6250 pairs) up to the plain scan's 200k
     model = builtin_model("distinct_diag_equal_index")
     assert limit_rate(model) == pytest.approx(0.161476, abs=5e-7)
     assert exact_window_rate(model, 2, 200) == pytest.approx(0.161460,
@@ -782,7 +796,7 @@ def test_coupling_rate_matches_the_exact_window_rate_at_a_short_horizon():
         rate = t.estimate_coupling_rate(model, 2.0, n, 200_000,
                                         t.RngStream(seed))
         assert rate.k == b + n // 2
-        assert rate.absolute.n_samples == 100_000
+        assert 6250 <= rate.absolute.n_samples < 100_000
         assert abs(rate.absolute.value - exact) <= 4 * rate.absolute.se, seed
 
 
@@ -806,3 +820,182 @@ def test_step_sources_flag_every_law_that_can_go_negative():
         assert not source.signed
         for arrays in islice(source(1000, t.RngStream(44)), 100):
             assert all(np.all(a >= 0) for a in arrays), name
+
+
+# ---------------------------------------------------------------------------
+# Conditioned scans: the increment table and the two-stage run
+# ---------------------------------------------------------------------------
+
+def _table_at(table, offset: float) -> np.ndarray:
+    """x at every node of the table's grid (offset 0), or at the given
+    share of the way to the next node."""
+    rows = table.coef.shape[1]
+    return np.exp(table.start + (np.arange(rows) + offset) * table.step)
+
+
+def _read(table, x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    assert table.fill(x, out).size == 0
+    return out
+
+
+def _exact_mean_increment(model, alpha: float, x: np.ndarray) -> np.ndarray:
+    """g(x) at alpha = 1 or 2 for positive entries: E(a11 x + a12)^alpha /
+    E a22^alpha - m x^alpha, with m = E a11^alpha / E a22^alpha expanded
+    out, so only the cross terms remain."""
+    lam22 = t.abs_moment(model.a22, alpha)
+    if alpha == 1.0:
+        return np.full_like(x, t.mean(model.a12) / lam22)
+    return (2 * t.mean(model.a11) * t.mean(model.a12) * x
+            + t.abs_moment(model.a12, 2.0)) / lam22
+
+
+@pytest.mark.parametrize("name", ["distinct_diag_equal_index",
+                                  "coord2_dominant_kg"])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_increment_table_matches_the_exact_mean_increment(name, alpha):
+    # the table holds g(x) = E[z_k | X_{k-1} = x] with the step moment m;
+    # the scan's contraction c is m off the critical band, where the form
+    # E(a11 x + a12)^a / E a22^a - c x^a is the same function. At
+    # alpha = 1 log g is constant and the cubic reads it exactly anywhere;
+    # at alpha = 2 it is exact at the nodes, and between them within the
+    # stated bound 3/1024 step^4 (the softplus shape of log g)
+    model = builtin_model(name)
+    table = _vu_steps(model, alpha).table
+    assert table.alpha == alpha
+    assert table.at_zero == pytest.approx(
+        t.abs_moment(model.a12, alpha) / t.abs_moment(model.a22, alpha),
+        rel=1e-15)
+    x = _table_at(table, 0.0)
+    np.testing.assert_allclose(_read(table, x),
+                               _exact_mean_increment(model, alpha, x),
+                               rtol=1e-10, atol=0)
+    x = _table_at(table, 0.5)
+    err = np.abs(_read(table, x) / _exact_mean_increment(model, alpha, x)
+                 - 1.0).max()
+    if alpha == 1.0:
+        assert err <= 1e-10
+    else:
+        assert 1e-8 < err <= 3 / 1024 * table.step ** 4
+
+
+def test_increment_table_interpolation_error_falls_with_the_fourth_power(
+        monkeypatch):
+    # halving the grid step cuts the cubic's error 16-fold, and each
+    # error stays within its bound 3/1024 step^4 at alpha = 2
+    model = builtin_model("distinct_diag_equal_index")
+    errors = []
+    for step in (0.125, 0.0625):
+        monkeypatch.setattr(tilting, "_TABLE_STEP", step)
+        table = _vu_steps(model, 2.0).table
+        assert table.step == step
+        x = _table_at(table, 0.5)
+        err = np.abs(_read(table, x) / _exact_mean_increment(model, 2.0, x)
+                     - 1.0).max()
+        assert err <= 3 / 1024 * step ** 4
+        errors.append(err)
+    assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+
+def test_increment_table_matches_a_plain_mean_at_alpha_one_and_a_half():
+    # off the integer indices g has no closed form: at a fixed x it is the
+    # mean of the plain increment over one step's draws. The three-draw
+    # source (a22 scaled by 1) keeps the draws independent across paths
+    model = builtin_model("distinct_diag_equal_index")
+    generic = dataclasses.replace(model, a22=Scaled(model.a22, 1.0))
+    alpha = 1.5
+    source = _vu_steps(generic, alpha)
+    assert not source.paired and source.table is not None
+    v, u = next(source(1_000_000, t.RngStream(60)))
+    for log_x in (-3.0, 0.0, 3.0):
+        x = math.exp(log_x)
+        z = (v * x + u) ** alpha - (v * x) ** alpha
+        g = _read(source.table, np.array([x]))[0]
+        se = z.std() / math.sqrt(z.size)
+        assert abs(g - z.mean()) <= 4 * se, log_x
+
+
+def test_paths_off_a_narrow_grid_take_the_plain_increment(monkeypatch):
+    # a grid one unit of log x either side of its centre: fill reports
+    # every x outside [start, start + rows step), and the scan adds those
+    # paths' plain increments; the conditioned E X_8^2 stays unbiased
+    monkeypatch.setattr(tilting, "_TABLE_HALF_WIDTH", 1.0)
+    model = builtin_model("distinct_diag_equal_index")
+    source = _vu_steps(model, 2.0)
+    table = source.table
+    rows = table.coef.shape[1]
+    assert rows == 16
+    x = np.exp(table.start + table.step * np.array([-1.0, 0.0, 8.5, 15.9,
+                                                    16.0, 30.0]))
+    out = np.empty_like(x)
+    assert table.fill(x, out).tolist() == [0, 4, 5]
+    exact = scan_second_moment(n=8, **tilted_ratio_moments(model))
+    study = t.coupling_sum_moments(model, 2.0, [8], 200_000, t.RngStream(61))
+    assert study.conditioned
+    snap = study.final().absolute
+    assert abs(snap.value - exact) <= 4 * snap.se
+
+
+def test_a_grid_no_path_reaches_gives_the_plain_scan_bit_for_bit():
+    # every step after the first is off the grid, and the first step's
+    # g(0) = 1 is the plain increment of u = 1 from X_0 = 0: the pilot
+    # reads a variance ratio of 1, so the main run takes all N paths on
+    # the plain scan's stream, and every estimate is the plain one
+    base = t.law_steps(Lognormal(-1.5, 1.0), Constant(1.0))
+    unreachable = tilting.IncrementTable(2.0, 1.0, 700.0, 1.0,
+                                         np.zeros((4, 1)))
+    lam = t.abs_moment(Lognormal(-1.5, 1.0), 2.0)
+    runs = [_study_from_pairs(s, 2.0, [3, 9], 40_000, t.RngStream(62), lam,
+                              1.0, lam)
+            for s in (base, dataclasses.replace(base, table=unreachable))]
+    assert [r.conditioned for r in runs] == [False, True]
+    for a, b in zip(runs[0].snapshots + [runs[0].window, runs[0].total],
+                    runs[1].snapshots + [runs[1].window, runs[1].total]):
+        assert a == b
+        assert a.absolute.n_samples == 40_000
+
+
+def test_a_source_without_a_rule_runs_the_plain_scan_on_every_path():
+    # a Uniform a12 has no quadrature rule: no table, and the scan is the
+    # plain one on all N paths, as before conditioning existed
+    m = IndependentEntries(a11=Lognormal(-2, 1), a12=Uniform(0.2, 1.0),
+                           a22=Lognormal(-1, 1), b1=Constant(1.0),
+                           b2=Constant(1.0))
+    assert _vu_steps(m, 2.0).table is None
+    study = t.coupling_sum_moments(m, 2.0, [5, 10], 30_001, t.RngStream(63))
+    assert not study.conditioned and study.mode == "plain"
+    for snap in study.snapshots + [study.window, study.total]:
+        assert snap.absolute.n_samples == 30_001
+
+
+def test_conditioned_main_run_is_the_same_at_any_worker_count(monkeypatch):
+    # 640k paths: the pilot's 40k paths are 20k pairs in three chunks, and
+    # the main run at least as many; its size and every estimate are the
+    # same at one and two workers
+    model = builtin_model("distinct_diag_equal_index")
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TRISRE_WORKERS", workers)
+        study = t.coupling_sum_moments(model, 2.0, [2, 30], 640_000,
+                                       t.RngStream(64))
+        assert study.conditioned
+        runs.append([s.to_dict() for s in
+                     study.snapshots + [study.window, study.total]])
+    assert runs[0] == runs[1]
+    assert 20_000 <= runs[0][0]["absolute"]["n_samples"] < 320_000
+
+
+def test_weight_series_se_is_that_of_the_per_path_total():
+    # the series is the study's total, whose SE counts the shared paths;
+    # the snapshots' SEs in quadrature understate it, since every snapshot
+    # of a path grows from the same draws
+    config = next(c for c in t.builtin_scenarios(quick=True)
+                  if c.name == "coord2_dominant_grey")
+    w = t.estimate_weight_series(config.model, 2.0, 20_000, t.RngStream(65))
+    study = t.coupling_sum_moments(config.model, 2.0, list(range(1, 14)),
+                                   20_000, t.RngStream(65))
+    assert w == study.total
+    assert w.absolute.value == pytest.approx(
+        sum(s.absolute.value for s in study.snapshots), rel=1e-12)
+    quadrature = math.sqrt(sum(s.absolute.se ** 2 for s in study.snapshots))
+    assert w.absolute.se > quadrature
