@@ -5,9 +5,9 @@ top order statistics each reads (so a stream of samples can be folded
 into just those, chunk by chunk, in a TailSelection of float64 values
 and int32 chain ids), their SEs, clustered by the chains that the
 samples are drawn in (one sample a chain unless told otherwise), the
-regression that extracts a log-power slowly varying factor, the closed
-grey-case constants, and the implicit-renewal (one-step difference)
-formula for the tail constant of a recursion X = A X' + B. That formula
+regression that extracts a log-power slowly varying factor, and the
+implicit-renewal (one-step difference) formula for the tail constant of
+a recursion X = A X' + B. That formula
 takes a stationary sampler, has finite variance only for alpha < 2 and
 serves as the reference that the perpetuity scan of every Kesten-Goldie
 constant (tilting.goldie_constant_perpetuity) is checked against.

@@ -1,7 +1,8 @@
-"""Test oracles: slow or brute-force references and test-only samplers
-that the library does not use."""
+"""Test oracles: slow or brute-force references, the exact moment engine
+and test-only samplers that the library does not use."""
+import dataclasses
 import math
-from itertools import islice
+from itertools import islice, product
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,8 @@ from trisre import regime
 from trisre.distributions import abs_moment
 from trisre.errors import ArgumentOutOfRange, RequiresExactTilt
 from trisre.estimates import EstimateWithError
-from trisre.model import (IndependentEntries, InnovationBatch, TriangularSRE,
+from trisre.model import (EqualDiagonal, IndependentEntries, InnovationBatch,
+                          ProportionalToDiagonal, TriangularSRE, diag_laws,
                           draw_innovations)
 from trisre.rng import CHUNK, RngStream, map_chunks
 from trisre.stationary import (_first_depth, contraction_exponent,
@@ -271,87 +273,144 @@ def goldie_constant_direct_for_laws(a_law: dist.Dist, b_law: dist.Dist,
                                   a_signed=dist.prob_negative(a_law) > 0)
 
 
+# The exact moment engine. A step maps the integer moments of order <= p
+# of the chain, E[x1^i x2^j], or of X' = V X + U, E X^r, linearly. From
+# that map T come moments from zero, stationary moments and Goldie's
+# increment E[(AX + B)^p - (AX)^p]: p rho (c+ + c-) at an even index p,
+# p rho c+ for positive A and B (Goldie 1991; Buraczewski, Damek &
+# Mikosch 2016, Stochastic Models with Power-Law Tails). Moment vectors
+# run from the constant 1 to the top moment, infinite at the index p.
+
+def _power(law: dist.Dist, r: int, beta: float | None = None) -> float:
+    """E[sgn(X)^r |X|^beta]; by default beta = r, so E[X^r]."""
+    beta = r if beta is None else beta
+    if beta == 0 and r % 2 == 0:
+        return 1.0
+    return (dist.signed_moment(law, beta, "plus")
+            + (-1) ** r * dist.signed_moment(law, beta, "minus"))
+
+
+def _entries(model: TriangularSRE, i: int, j: int, l: int) -> float:
+    """E[a11^i a12^j a22^l] of one step, under the model's coupling."""
+    if isinstance(model, IndependentEntries):
+        return (_power(model.a11, i) * _power(model.a12, j)
+                * _power(model.a22, l))
+    if isinstance(model.a12_mode, ProportionalToDiagonal):
+        return (_power(model.d, i + j + l)
+                * _power(model.a12_mode.factor_law, j))
+    return _power(model.d, i + l) * _power(model.a12_mode.a12, j)
+
+
+def _orders(p: int) -> list[tuple[int, int]]:
+    """The (i, j) of E[x1^i x2^j], i + j <= p: (0, 0) first, (p, 0) last."""
+    return [(i, n - i) for n in range(p + 1) for i in range(n + 1)]
+
+
+def chain_map(model: TriangularSRE, p: int) -> np.ndarray:
+    """T on the chain's moments in the order of _orders(p): the term
+    a11^k1 a12^k2 b1^(i-k1-k2) a22^l b2^(j-l) of
+    (a11 x1 + a12 x2 + b1)^i (a22 x2 + b2)^j carries E[x1^k1 x2^(k2+l)]."""
+    orders = _orders(p)
+    T = np.zeros((len(orders), len(orders)))
+    for row, (i, j) in enumerate(orders):
+        for k1, k2, l in product(range(i + 1), range(i + 1), range(j + 1)):
+            if k1 + k2 <= i:
+                T[row, orders.index((k1, k2 + l))] += (
+                    math.comb(i, k1) * math.comb(i - k1, k2) * math.comb(j, l)
+                    * _entries(model, k1, k2, l)
+                    * _power(model.b1, i - k1 - k2) * _power(model.b2, j - l))
+    return T
+
+
+def scalar_map(pair, p: int) -> np.ndarray:
+    """T on the E X^r, r <= p, of X' = V X + U: T[i, r] is
+    C(i, r) E[V^r U^(i-r)], with pair(r, s) = E[V^r U^s]."""
+    return np.array([[math.comb(i, r) * pair(r, i - r) if r <= i else 0.0
+                      for r in range(p + 1)] for i in range(p + 1)])
+
+
+def law_pair(a_law: dist.Dist, b_law: dist.Dist):
+    """scalar_map's pair for independent V = A and U = B."""
+    return lambda r, s: _power(a_law, r) * _power(b_law, s)
+
+
+def tilted_ratio_pair(model: IndependentEntries, alpha: float):
+    """scalar_map's pair for (V, U) = (a11, a12) / a22 under the alpha-tilt
+    E_t[f] = E[|a22|^alpha f] / E|a22|^alpha, for r + s <= alpha:
+    E[a11^r] E[a12^s] E[sgn(a22)^(r+s) |a22|^(alpha-r-s)] / E|a22|^alpha."""
+    lam = dist.abs_moment(model.a22, alpha)
+    return lambda r, s: (_power(model.a11, r) * _power(model.a12, s)
+                         * _power(model.a22, r + s, alpha - r - s) / lam)
+
+
+def moments(T: np.ndarray, n: int, start=None) -> np.ndarray:
+    """The moment vectors at depths 0, ..., n, one a row, from start (by
+    default zero: the constant 1 alone)."""
+    rows = [np.eye(len(T))[0] if start is None else start]
+    for _ in range(n):
+        rows.append(T @ rows[-1])
+    return np.array(rows)
+
+
+def stationary(T: np.ndarray) -> np.ndarray:
+    """The stationary moments but the top, m = T m with m[0] = 1, by one
+    solve without the top's row and column, which no other row reads."""
+    inner = np.eye(len(T) - 2) - T[1:-1, 1:-1]
+    return np.concatenate(([1.0], np.linalg.solve(inner, T[1:-1, 0])))
+
+
+def goldie_increment(T: np.ndarray, m: np.ndarray) -> float:
+    """E[(A x + B)^p - (A x)^p] over moments m without the top, one column
+    for each x: T's top row without its own term. Below the index it is
+    1 - T[-1, -1] times the stationary top moment."""
+    return T[-1, :-1] @ m
+
+
+def window_bias(T: np.ndarray, start: int, stop: int) -> float:
+    """Exact relative bias of the top moment's mean growth over (start,
+    stop] from zero, at the index, against Goldie's increment; each step's
+    growth is formed apart, so no difference of large moments rounds it."""
+    m = moments(T, stop - 1)[start:]
+    growth = goldie_increment(T, m[:, :-1].T) + (T[-1, -1] - 1) * m[:, -1]
+    return growth.mean() / goldie_increment(T, stationary(T)) - 1
+
+
 def coord1_goldie_sum(model: TriangularSRE) -> float:
-    """c+ + c- of the first coordinate at alpha = 2 and rho = 1 for
-    independent entries: Goldie's one-step expectation
-    (2 E[a11] E[W1 B] + E[B^2]) / 2 with B = b1 + a12 W2', from the
-    stationary first and second moments of W, which solve the one-step
-    stationarity equations. E[a11] is the signed mean."""
-    e = dist.mean
-
-    def e2(law):
-        return abs_moment(law, 2.0)
-
-    m = model
-    ew2 = e(m.b2) / (1 - e(m.a22))
-    ew2sq = (e2(m.b2) + 2 * e(m.a22) * e(m.b2) * ew2) / (1 - e2(m.a22))
-    ew1 = (e(m.a12) * ew2 + e(m.b1)) / (1 - e(m.a11))
-    ew1w2 = (e(m.a11) * e(m.b2) * ew1 + e(m.a12) * e(m.a22) * ew2sq
-             + e(m.a12) * e(m.b2) * ew2 + e(m.b1) * e(m.a22) * ew2
-             + e(m.b1) * e(m.b2)) / (1 - e(m.a11) * e(m.a22))
-    ew1b = e(m.b1) * ew1 + e(m.a12) * ew1w2
-    eb2 = e2(m.b1) + 2 * e(m.b1) * e(m.a12) * ew2 + e2(m.a12) * ew2sq
-    return (2 * e(m.a11) * ew1b + eb2) / 2
+    """c+ + c- of the first coordinate at alpha = 2 and rho = 1: Goldie's
+    one-step expectation E[(a11 W1 + B)^2 - (a11 W1)^2] / 2 =
+    (2 E[a11] E[W1 B] + E[B^2]) / 2 with B = b1 + a12 W2', over the
+    stationary moments of W. E[a11] is the signed mean."""
+    T = chain_map(model, 2)
+    return goldie_increment(T, stationary(T)) / 2
 
 
 def coord1_window_bias(model: TriangularSRE, n: int) -> float:
     """Exact relative bias at alpha = 2 and rho = 1 of the late-window
-    growth of E[x1_k^2] over (n/2, n], the chain run from zero with
-    independent entries: (E x1, E x2, E x1^2, E x2^2, E x1 x2) evolve by
-    a linear recursion in the entry moments."""
-    e, m = dist.mean, model
-
-    def e2(law):
-        return abs_moment(law, 2.0)
-
-    x1 = x2 = x11 = x22 = x12 = 0.0
-    second = [0.0]
-    for _ in range(n):
-        x1, x2, x11, x22, x12 = (
-            e(m.a11) * x1 + e(m.a12) * x2 + e(m.b1),
-            e(m.a22) * x2 + e(m.b2),
-            e2(m.a11) * x11 + e2(m.a12) * x22 + e2(m.b1)
-            + 2 * e(m.a11) * (e(m.a12) * x12 + e(m.b1) * x1)
-            + 2 * e(m.a12) * e(m.b1) * x2,
-            e2(m.a22) * x22 + 2 * e(m.a22) * e(m.b2) * x2 + e2(m.b2),
-            e(m.a11) * (e(m.a22) * x12 + e(m.b2) * x1)
-            + e(m.a12) * (e(m.a22) * x22 + e(m.b2) * x2)
-            + e(m.b1) * (e(m.a22) * x2 + e(m.b2)))
-        second.append(x11)
-    h = n // 2
-    growth = (second[n] - second[h]) / (n - h)
-    return growth / (2 * coord1_goldie_sum(model)) - 1
+    growth of E[x1_k^2] over (n/2, n], the chain run from zero."""
+    return window_bias(chain_map(model, 2), n // 2, n)
 
 
 def w2_goldie_constant(model: TriangularSRE) -> float:
-    """W2's Goldie constant at alpha2 = 2 for E a22^2 = 1 and independent
-    entries: E[(a22 W2 + b2)^2 - (a22 W2)^2] / (2 rho2) =
+    """W2's Goldie constant at alpha2 = 2 for E a22^2 = 1 (a22 is d for
+    equal diagonals): E[(a22 W2 + b2)^2 - (a22 W2)^2] / (2 rho2) =
     (2 E[a22] E[b2] E[W2] + E[b2^2]) / (2 rho2), with
-    E[W2] = E[b2] / (1 - E[a22]) and rho2 = E[a22^2 log a22]."""
-    e, m = dist.mean, model
-    ew2 = e(m.b2) / (1 - e(m.a22))
-    return ((2 * e(m.a22) * e(m.b2) * ew2 + abs_moment(m.b2, 2.0))
-            / (2 * dist.abs_moment_derivative(m.a22, 2.0)))
+    rho2 = E[a22^2 log a22]."""
+    a22 = diag_laws(model)[1]
+    T = scalar_map(law_pair(a22, model.b2), 2)
+    return (goldie_increment(T, stationary(T))
+            / (2 * dist.abs_moment_derivative(a22, 2.0)))
 
 
 def coord2_kg_constant(model: TriangularSRE) -> float:
     """c+ of the first coordinate at alpha2 = 2 when the second dominates
     (E a22^2 = 1), for positive independent entries and b2 >= 0; c- is 0.
 
-    W1 inherits W2's tail through the cross sum, so c+ = c2 E_t[X^2]:
-    - c2 is W2's Goldie constant, w2_goldie_constant.
-    - X = V X' + U is the ratio perpetuity, V = a11/a22 and U = a12/a22,
-      under the tilt E_t[f] = E[a22^2 f] (E a22^2 = 1). The tilt cancels
-      a22 from the moments: E_t V = E a11 E a22, E_t V^2 = E a11^2,
-      E_t U = E a12 E a22, E_t U^2 = E a12^2 and E_t UV = E a11 E a12.
-    - X' is independent of (V, U), so E_t X = E_t U / (1 - E_t V) and
-      E_t X^2 = (E_t U^2 + 2 E_t[UV] E_t X) / (1 - E_t V^2).
-    """
-    e, m = dist.mean, model
-    ex = e(m.a12) * e(m.a22) / (1 - e(m.a11) * e(m.a22))
-    ex2 = (abs_moment(m.a12, 2.0) + 2 * e(m.a11) * e(m.a12) * ex) \
-        / (1 - abs_moment(m.a11, 2.0))
-    return w2_goldie_constant(m) * ex2
+    W1 inherits W2's tail through the cross sum: c+ = c2 E_t[X^2], c2 from
+    w2_goldie_constant, X = V X' + U the ratio perpetuity under the tilt
+    E_t[f] = E[a22^2 f]; E_t X^2 is Goldie's increment over 1 - E_t V^2."""
+    T = scalar_map(tilted_ratio_pair(model, 2.0), 2)
+    return (w2_goldie_constant(model) * goldie_increment(T, stationary(T))
+            / (1 - T[-1, -1]))
 
 
 def distinct_diag_constant(model: TriangularSRE) -> float:
@@ -359,53 +418,51 @@ def distinct_diag_constant(model: TriangularSRE) -> float:
     share the index (E a11^2 = E a22^2 = 1), for positive independent
     entries and b2 >= 0; c- is 0.
 
-    c+ = (alpha / rho1) c2 r, with rho1 = E[a11^2 log a11]:
-    - c2 is W2's Goldie constant, w2_goldie_constant.
-    - r = lim (alpha k)^-1 E[M_k^2] is the coupling rate. Under the tilt
-      E_t[f] = E[a22^2 f] the cross sum's second moment is E_t[X_k^2] of
-      the ratio recursion X_k = V_k X_{k-1} + U_k from zero, and with
-      E_t V^2 = E a11^2 = 1 its per-step growth
-      E_t U^2 + 2 E_t[UV] E_t X_{k-1} tends to
-      E_t U^2 + 2 E_t[UV] E_t X, E_t X = E_t U / (1 - E_t V). The tilted
-      moments are those of coord2_kg_constant, so
-      r = (E_t U^2 + 2 E_t[UV] E_t X) / 2.
-    """
-    e, m = dist.mean, model
-    ex = e(m.a12) * e(m.a22) / (1 - e(m.a11) * e(m.a22))
-    rate = (abs_moment(m.a12, 2.0) + 2 * e(m.a11) * e(m.a12) * ex) / 2
-    return 2 / dist.abs_moment_derivative(m.a11, 2.0) * w2_goldie_constant(m) * rate
+    c+ = (alpha / rho1) c2 r, rho1 = E[a11^2 log a11], c2 from
+    w2_goldie_constant. The coupling rate r = lim (alpha k)^-1 E[M_k^2]
+    is Goldie's increment of the ratio pair over alpha: under the tilt
+    E_t[f] = E[a22^2 f], E[M_k^2] = E_t[X_k^2] for X_k = V_k X_{k-1} + U_k
+    from zero, whose growth tends to it, as E_t V^2 = 1."""
+    T = scalar_map(tilted_ratio_pair(model, 2.0), 2)
+    rate = goldie_increment(T, stationary(T)) / 2
+    return (2 / dist.abs_moment_derivative(model.a11, 2.0)
+            * w2_goldie_constant(model) * rate)
+
+
+def equal_diag_constant(model: EqualDiagonal) -> float:
+    """c+ of the first coordinate at alpha = 2 for equal diagonals
+    (E d^2 = 1), positive d and b2 >= 0. With zero drift it is
+    c2 sigma^alpha rho1^(-alpha/2) E|N|^alpha / 2 = c2 sigma^2 / (2 rho1),
+    and c- = c+; with a drift mu > 0 it is |mu|^alpha rho1^-alpha c2, and
+    c- = 0. c2 is w2_goldie_constant, rho1 = E[d^2 log d], and under the
+    tilt E_t[f] = E[d^2 f] the drift mu = E_t[a12/d] = E[d a12] and the
+    dispersion sigma^2 = E_t[(a12/d)^2] = E[a12^2]."""
+    c2 = w2_goldie_constant(model)
+    rho1 = dist.abs_moment_derivative(model.d, 2.0)
+    mu = _entries(model, 1, 1, 0)
+    if mu == 0.0:
+        return c2 * _entries(model, 0, 2, 0) / (2 * rho1)
+    return c2 * (max(mu, 0.0) / rho1) ** 2
+
+
+def cross_sum_second_moments(model: TriangularSRE, n: int) -> np.ndarray:
+    """E[M_k^2], k = 0, ..., n, of M_k = (A_1...A_k)_12: the steps are
+    i.i.d., so M_k has the law of the first coordinate of A_k...A_1 (0, 1),
+    the chain without b1 and b2 from x = (0, 1)."""
+    bare = dataclasses.replace(model, b1=dist.Constant(0.0),
+                               b2=dist.Constant(0.0))
+    start = np.array([float(i == 0) for i, _ in _orders(2)])
+    return moments(chain_map(bare, 2), n, start)[:, -1]
 
 
 def coord2_grey_weight_sum(model: TriangularSRE) -> float:
     """sum_{k >= 1} E[(A_1...A_k)_12^2] for independent entries: the
     alpha2 = 2 weight series of the second-grey case. With positive
     entries and b2 two-sided Pareto with weights (p, q), W1's constants
-    are c+ = p times this sum and c- = q times it.
-
-    For P_k = P_{k-1} A_k, (P_k)_11 = (P_{k-1})_11 a11 and (P_k)_12 =
-    (P_{k-1})_11 a12 + (P_{k-1})_12 a22, with A_k independent of P_{k-1}.
-    So x = E[P11^2], y = E[P11 P12] and z = E[P12^2] follow the linear
-    recursion
-        x' = E[a11^2] x,
-        y' = E[a11] E[a12] x + E[a11] E[a22] y,
-        z' = E[a12^2] x + 2 E[a12] E[a22] y + E[a22^2] z,
-    from P_0 = I (x = 1, y = z = 0). The terms contract at
+    are c+ = p times this sum and c- = q times it. The terms contract at
     max(E a11^2, E a22^2) per step, 0.36 for the built-in model, so 400
     terms reach double precision with a wide margin."""
-    e, m = dist.mean, model
-
-    def e2(law):
-        return abs_moment(law, 2.0)
-
-    x, y, z = 1.0, 0.0, 0.0
-    total = 0.0
-    for _ in range(400):
-        x, y, z = (e2(m.a11) * x,
-                   e(m.a11) * e(m.a12) * x + e(m.a11) * e(m.a22) * y,
-                   e2(m.a12) * x + 2 * e(m.a12) * e(m.a22) * y
-                   + e2(m.a22) * z)
-        total += z
-    return total
+    return float(cross_sum_second_moments(model, 400)[1:].sum())
 
 
 def cross_sum_brute(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ from trisre.stationary import (CHAIN_LENGTH, CHAINS_PER_CHUNK,
                                _series_error_bound, contraction_exponent)
 from trisre.tails import CONVENTIONS, TailSelection
 
-from oracles import (cross_sum_brute, cross_sum_scan, iterate_forward,
-                     sample_cross_sum_batch, sample_pair_perpetuity_batch,
-                     sample_perpetuity_batch, stationary_parts, step_batch,
+from oracles import (cross_sum_brute, cross_sum_scan, goldie_increment,
+                     iterate_forward, sample_cross_sum_batch,
+                     sample_pair_perpetuity_batch, sample_perpetuity_batch,
+                     scalar_map, stationary, stationary_parts, step_batch,
                      univariate_model)
 
 
@@ -446,8 +447,9 @@ def test_stationary_tails_request_is_checked_up_front():
 
 def test_pair_perpetuity_batch_matches_closed_form_moments():
     # dependent pair B = 1 + A/2 with E A^4 = e^-4 < 1, so X^2 has a
-    # finite variance; X = A X' + B gives E X = E B / (1 - E A) and
-    # E X^2 = (E B^2 + 2 E[AB] E X) / (1 - E A^2)
+    # finite variance; the engine's map of X = A X' + B, from
+    # E[A^r B^s] = sum_k C(s, k) 2^-k E A^(r+k), gives E X by its
+    # stationary solve and E X^2 as Goldie's increment over 1 - E A^2
     a_law = Lognormal(-1.5, 0.5)
 
     def steps(k, rng):
@@ -455,11 +457,11 @@ def test_pair_perpetuity_batch_matches_closed_form_moments():
             a = t.sample(a_law, rng, k)
             yield a, 1.0 + 0.5 * a
 
-    ea = math.exp(-1.5 + 0.125)
-    ea2 = math.exp(-3.0 + 0.5)
-    eb, eb2, eab = 1.0 + 0.5 * ea, 1.0 + ea + 0.25 * ea2, ea + 0.5 * ea2
-    ex = eb / (1.0 - ea)
-    ex2 = (eb2 + 2.0 * eab * ex) / (1.0 - ea2)
+    T = scalar_map(lambda r, s: sum(
+        math.comb(s, k) * 0.5 ** k * t.abs_moment(a_law, r + k)
+        for k in range(s + 1)), 2)
+    m = stationary(T)
+    ex, ex2 = m[1], goldie_increment(T, m) / (1.0 - T[-1, -1])
     x = sample_pair_perpetuity_batch(steps, a_law, 1e-8, 200_000,
                                      t.RngStream(7))
     for vals, exact in ((x, ex), (x * x, ex2)):

@@ -28,7 +28,7 @@ from trisre.tails import CONVENTIONS, EmpiricalTail, hill_depth
 
 from oracles import (coord1_goldie_sum, coord2_grey_weight_sum,
                      coord2_kg_constant, distinct_diag_constant,
-                     goldie_constant_direct_for_laws,
+                     equal_diag_constant, goldie_constant_direct_for_laws,
                      grey_constants)
 
 
@@ -263,16 +263,20 @@ def test_predict_sign_dispatch_consistency():
         4 * math.hypot(cp.se, c2p.se * w_abs.value, w_abs.se * c2p.value)
 
 
-@pytest.mark.parametrize("d, exact", [(Lognormal(-1, 1), 0.510374),
-                                      (Lognormal(-0.25, 0.5), 128.168)])
-def test_predict_equal_diag_drift_constant_matches_closed_form(d, exact):
+@pytest.mark.parametrize("d, pinned", [(Lognormal(-1, 1), 0.510374),
+                                       (Lognormal(-0.25, 0.5), 128.1666)])
+def test_predict_equal_diag_drift_constant_matches_closed_form(d, pinned):
     # c+ = |mu|^alpha rho1^{-alpha} c2+ with mu = 0.5 and the alpha = 2
     # Goldie constant of W2 = d W2' + 1: 2.041494 * 0.5^2 for
     # equal_diag_nonzero_drift's d = LN(-1, 1) (rho1 = 1), and
-    # 32.0420 * 0.5^2 * 16 for LN(-0.25, 0.5) (rho1 = 1/4), whose
-    # E[d] = 0.8825 leaves the scan 11.5% low at the floor horizon 24
+    # 32.04166 * 0.5^2 * 16 for LN(-0.25, 0.5) (rho1 = 1/4). That d has
+    # E[d] = 0.8825, so _goldie_horizon stretches W2's scan to 84 steps,
+    # where its late-window bias is -0.099%; at the floor horizon 24 the
+    # bias would be -11.5%
     m = EqualDiagonal(d=d, a12_mode=ProportionalToDiagonal(Constant(0.5)),
                       b1=Constant(1.0), b2=Constant(1.0))
+    exact = equal_diag_constant(m)
+    assert exact == pytest.approx(pinned, rel=1e-6)
     pred = predict(m, rng=t.RngStream(14))
     assert pred.source == "equal_diag_nonzero_drift"
     assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se
@@ -355,6 +359,21 @@ def test_predict_distinct_diag_builtin_matches_closed_form_at_three_seeds():
         pred = scenario_prediction(dataclasses.replace(config, seed=seed))
         assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se, seed
         assert pred.c_minus.value == 0.0
+
+
+def test_predict_zero_drift_builtin_matches_closed_form_at_three_seeds():
+    # c+ = c- = c2 sigma^2 / (2 rho1) = 2.041494 x 1 / 2 at alpha = 2:
+    # W2's Goldie constant times the dispersion E[a12^2] = 1, with
+    # rho1 = 1. The z read 0.35, -0.19 and 0.67 at these seeds; c+ and
+    # c- are one estimate
+    config = next(c for c in builtin_scenarios()
+                  if c.name == "equal_diag_zero_drift")
+    exact = equal_diag_constant(config.model)
+    assert exact == pytest.approx(1.020747, abs=1e-6)
+    for seed in (config.seed, 1, 2):
+        pred = scenario_prediction(dataclasses.replace(config, seed=seed))
+        assert abs(pred.c_plus.value - exact) <= 4 * pred.c_plus.se, seed
+        assert pred.c_minus == pred.c_plus
 
 
 def test_predict_coord1_signed_a11_halves_the_absolute_constant():

@@ -12,15 +12,17 @@ from trisre.errors import (ArgumentOutOfRange, DegenerateTail,
                            InsufficientSupport, NonPositiveOrderStat)
 from trisre.errors import RegimeMismatch
 from trisre.estimates import EstimateWithError
+from trisre.model import diag_laws
 from trisre.scenarios import AsymptoticPrediction, _tail_constant_fit
 from trisre.tails import (EmpiricalTail, TailSelection, add_candidates, ccdf,
                           ccdf_se, default_log_grid, hill, hill_depth,
                           log_factor_regression, log_grid_depth)
-from trisre.tilting import (_GOLDIE_HORIZON, _goldie_horizon, _scan_factors,
-                            _study_from_pairs, _window_bias)
+from trisre.tilting import (_GOLDIE_HORIZON, _WINDOW_BIAS, _goldie_horizon,
+                            _scan_factors, _study_from_pairs, _window_bias)
 
 from oracles import (combined_se, coord1_window_bias,
-                     goldie_constant_direct_for_laws, grey_constants)
+                     goldie_constant_direct_for_laws, grey_constants,
+                     law_pair, scalar_map, window_bias)
 
 
 def test_ccdf_examples():
@@ -448,7 +450,7 @@ def test_goldie_perpetuity_at_predict_horizon_matches_exact_constant(a_law):
     # the route predict takes for the second coordinate's constant; with
     # B = 1 and alpha = 2, c+ = (E[A] E[X] + 1/2) / rho as in the direct
     # test above: 2.041494 for LN(-1, 1) (rho = 1), 0.540988 for
-    # LN(-2, sqrt 2) (rho = 2) and 32.0420 for LN(-0.25, 0.5) (rho = 1/4),
+    # LN(-2, sqrt 2) (rho = 2) and 32.0417 for LN(-0.25, 0.5) (rho = 1/4),
     # whose E[A] = 0.8825 would leave the scan 11.5% low at n = 24
     rho = t.abs_moment_derivative(a_law, 2.0)
     ea = t.mean(a_law)
@@ -502,6 +504,27 @@ def test_goldie_horizon_grows_with_a_slow_second_coordinate(m, horizon,
     # a second coordinate near its own critical index is refused
     with pytest.raises(RegimeMismatch):
         _goldie_horizon(m.a11, 2.0, Lognormal(-0.005, 0.05))
+
+
+@pytest.mark.parametrize("name", [
+    "coord2_dominant_kg", "distinct_diag_equal_index",
+    "equal_diag_zero_drift", "equal_diag_nonzero_drift"])
+def test_builtin_w2_goldie_horizon_bounds_its_exact_window_bias(name):
+    # W2's perpetuity scan in every built-in that runs one, at alpha = 2
+    # (the first coordinate's scan of coord1_dominant_kg is checked
+    # above): the engine's exact bias of the late window (n/2, n] at the
+    # horizon _goldie_horizon picks lies inside the envelope that sized
+    # it, which lies below _WINDOW_BIAS. With b2 = 1 the bias is the
+    # envelope itself, so the bound holds to rounding: E a22^2 = 1 only
+    # to rounding, which moves the bias by about 1e-14
+    model = next(c.model for c in t.builtin_scenarios() if c.name == name)
+    a22 = diag_laws(model)[1]
+    n = _goldie_horizon(a22, 2.0)
+    bias = window_bias(scalar_map(law_pair(a22, model.b2), 2), n // 2, n)
+    envelope = _window_bias(t.mean(a22), n // 2, n // 2)
+    assert bias < 0.0
+    assert abs(bias) <= envelope + 1e-12
+    assert envelope <= _WINDOW_BIAS
 
 
 def test_goldie_perpetuity_sizes_its_horizon_with_the_feed():

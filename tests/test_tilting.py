@@ -23,9 +23,11 @@ from trisre.tilting import (_WINDOW_BIAS, StepSource, _rate_burn_in,
                             _window_bias)
 
 from oracles import (combined_se, coord2_grey_weight_sum,
-                     lognormal_ratio_log_drift, per_step_law_steps,
+                     cross_sum_second_moments, goldie_increment, law_pair,
+                     lognormal_ratio_log_drift, moments, per_step_law_steps,
                      per_step_lognormal_vu_steps, perpetuity_sample_batch,
-                     sample_cross_sum_batch)
+                     sample_cross_sum_batch, scalar_map, stationary,
+                     tilted_ratio_pair, window_bias)
 
 
 def tilt_benchmark():
@@ -181,31 +183,13 @@ def test_coupling_weight_monotone_for_nonnegative_entries():
         - 4 * combined_se(final.absolute, half.absolute)
 
 
-def exact_cross_sum_second_moment(m, n: int) -> float:
-    """Closed-form E M_n^2 for independent positive entries: expand the
-    double sum over term pairs; every factor is a menu moment."""
-    a11, a12, a22 = m.a11, m.a12, m.a22
-    lam11 = t.abs_moment(a11, 2.0)
-    lam22 = t.abs_moment(a22, 2.0)
-    e11, e22, e12 = t.mean(a11), t.mean(a22), t.mean(a12)
-    e12_2 = t.abs_moment(a12, 2.0)
-    total = 0.0
-    for i in range(1, n + 1):
-        total += lam11 ** (i - 1) * e12_2 * lam22 ** (n - i)
-        for j in range(i + 1, n + 1):
-            total += (2 * lam11 ** (i - 1) * (e12 * e11)
-                      * (e22 * e11) ** (j - i - 1) * (e22 * e12)
-                      * lam22 ** (n - j))
-    return total
-
-
 def test_tilted_moments_match_direct_cross_sum_mc():
     # the whole point of the reweighting: at small n the plain estimator
     # is still usable and the two routes must agree (and match the exact
     # closed-form second moment)
     m = mild_benchmark()
     alpha2, n = 2.0, 5
-    exact = exact_cross_sum_second_moment(m, n)
+    exact = cross_sum_second_moments(m, n)[n]
     tilted_est = t.estimate_coupling_weight(m, alpha2, n, 400_000,
                                             t.RngStream(12)).absolute
     direct = sample_cross_sum_batch(m, n, 1_000_000, t.RngStream(13))
@@ -455,44 +439,20 @@ def test_coupling_rate_matches_tail_of_ratio_perpetuity():
     assert 0.5 <= ratio <= 2.0
 
 
-def lognormal_moment(law, k: float) -> float:
-    """E X^k for X = Lognormal(mu, sigma), any real k."""
-    return math.exp(k * law.mu + 0.5 * (k * law.sigma) ** 2)
-
-
-def scan_second_moment(ev, ev2, eu, eu2, evu, n: int) -> float:
-    """E X_n^2 for X_k = V_k X_{k-1} + U_k from X_0 = 0, with (V_k, U_k)
-    i.i.d.: E X_k = E V E X_{k-1} + E U and
-    E X_k^2 = E V^2 E X_{k-1}^2 + 2 E[VU] E X_{k-1} + E U^2."""
-    m1 = m2 = 0.0
-    for _ in range(n):
-        m1, m2 = ev * m1 + eu, ev2 * m2 + 2.0 * evu * m1 + eu2
-    return m2
-
-
-def tilted_ratio_moments(model) -> dict:
-    """Moments of the ratio pair (V, U) = (a11/a22, a12/a22) under the
-    2-tilt of a22 for lognormal entries, as scan_second_moment takes them."""
-    a22 = t.tilted(model.a22, 2.0)
-
-    def e(law, k):
-        return lognormal_moment(law, k)
-
-    return dict(
-        ev=e(model.a11, 1) * e(a22, -1), ev2=e(model.a11, 2) * e(a22, -2),
-        eu=e(model.a12, 1) * e(a22, -1), eu2=e(model.a12, 2) * e(a22, -2),
-        evu=e(model.a11, 1) * e(model.a12, 1) * e(a22, -2))
+def ratio_map(model):
+    """The exact alpha = 2 moment map of the ratio recursion
+    X_k = V_k X_{k-1} + U_k under the tilt of a22."""
+    return scalar_map(tilted_ratio_pair(model, 2.0), 2)
 
 
 def test_strict_coupling_scan_matches_closed_form_at_alpha_two():
     # coord2_dominant_kg: the tilted ratio V = LN(-3, sqrt 2) has
     # E V^3 = 1, so |X|^2 has tail index 1.5 and a per-path mean of
     # |X_n|^2 would have infinite variance; the contracted scan does not
-    model = next(c.model for c in t.builtin_scenarios(quick=True)
-                 if c.name == "coord2_dominant_kg")
+    model = builtin_model("coord2_dominant_kg")
     alpha, n = 2.0, 30
     assert t.abs_moment(model.a22, alpha) == pytest.approx(1.0, rel=1e-12)
-    exact = scan_second_moment(n=n, **tilted_ratio_moments(model))
+    exact = moments(ratio_map(model), n)[n, -1]
     study = t.coupling_sum_moments(model, alpha, [n], 200_000, t.RngStream(32))
     assert study.mode == "plain"
     snap = study.final().absolute
@@ -502,15 +462,9 @@ def test_strict_coupling_scan_matches_closed_form_at_alpha_two():
 
 def test_perpetuity_sample_mean_matches_closed_form():
     # coord2_dominant_kg's tilted ratio pair: E X_k = E V E X_{k-1} + E U
-    model = next(c.model for c in t.builtin_scenarios(quick=True)
-                 if c.name == "coord2_dominant_kg")
+    model = builtin_model("coord2_dominant_kg")
     alpha, n = 2.0, 30
-    a22 = t.tilted(model.a22, alpha)
-    ev = lognormal_moment(model.a11, 1) * lognormal_moment(a22, -1)
-    eu = lognormal_moment(model.a12, 1) * lognormal_moment(a22, -1)
-    exact = 0.0
-    for _ in range(n):
-        exact = ev * exact + eu
+    exact = moments(ratio_map(model), n)[n, 1]
     x = perpetuity_sample_batch(model, alpha, n, 200_000, t.RngStream(34))
     assert abs(x.mean() - exact) <= 4 * x.std() / math.sqrt(x.size)
 
@@ -520,9 +474,7 @@ def test_strict_perpetuity_scan_matches_closed_form_at_alpha_two():
     # alpha = 2, with infinite-variance |X_n|^2
     a_law, b_law = Lognormal(-1.5, 1.0), Lognormal(0.0, 0.5)
     alpha, n = 2.0, 30
-    ea, ea2 = lognormal_moment(a_law, 1), lognormal_moment(a_law, 2)
-    eb, eb2 = lognormal_moment(b_law, 1), lognormal_moment(b_law, 2)
-    exact = scan_second_moment(ea, ea2, eb, eb2, ea * eb, n)
+    exact = moments(scalar_map(law_pair(a_law, b_law), 2), n)[n, -1]
     # the scan behind goldie_constant_perpetuity at an explicit horizon
     lam, gamma = _scan_factors(t.abs_moment(a_law, alpha),
                                t.sign_moment(a_law, alpha), "E|A|^alpha")
@@ -721,18 +673,10 @@ def test_paired_scan_rounds_an_odd_path_count_up_to_whole_pairs():
 
 def exact_window_rate(model, start: int, width: int) -> float:
     """The alpha = 2 coupling rate over the window (start, start + width]:
-    the growth of E_t X_k^2 there, halved."""
-    moments = tilted_ratio_moments(model)
-    growth = (scan_second_moment(n=start + width, **moments)
-              - scan_second_moment(n=start, **moments)) / width
-    return growth / 2.0
-
-
-def limit_rate(model) -> float:
-    """lim (2k)^-1 E_t X_k^2 = (E_t U^2 + 2 E_t[VU] E_t X) / 2, with
-    E_t X = E_t U / (1 - E_t V)."""
-    m = tilted_ratio_moments(model)
-    return (m["eu2"] + 2.0 * m["evu"] * m["eu"] / (1.0 - m["ev"])) / 2.0
+    half the growth of E_t X_k^2 there, whose limit is Goldie's increment."""
+    T = ratio_map(model)
+    limit = goldie_increment(T, stationary(T)) / 2.0
+    return limit * (1.0 + window_bias(T, start, start + width))
 
 
 def slow_rate_model():
@@ -752,12 +696,12 @@ def test_rate_burn_in_bounds_the_exact_window_bias(model, r, burn_in):
     # by at every burn-in (down to 1e-9, above the recursion's rounding),
     # and the chosen one is the first within 1e-3
     assert t.classify(model).theorem_case == "distinct_diag_equal_index"
-    assert tilted_ratio_moments(model)["ev"] == pytest.approx(r, rel=1e-12)
-    limit = limit_rate(model)
+    T = ratio_map(model)
+    assert T[1, 1] == pytest.approx(r, rel=1e-12)  # E_t V
     for width in (10, 100, 200):
         b = 1
         while (envelope := _window_bias(r, b - 1, width)) > 1e-9:
-            bias = exact_window_rate(model, b, width) / limit - 1.0
+            bias = window_bias(T, b, b + width)
             assert -envelope <= bias < 0.0, (width, b)
             b += 1
         b = _rate_burn_in(model, 2.0, width)
@@ -766,8 +710,7 @@ def test_rate_burn_in_bounds_the_exact_window_bias(model, r, burn_in):
     assert _rate_burn_in(model, 2.0, 200) == burn_in
     if burn_in == 2:
         # the full-size window (2, 202] reads 1.0e-4 low
-        bias = exact_window_rate(model, 2, 200) / limit - 1.0
-        assert bias == pytest.approx(-1.0e-4, abs=1e-5)
+        assert window_bias(T, 2, 202) == pytest.approx(-1.0e-4, abs=1e-5)
 
 
 def test_rate_burn_in_refuses_past_its_cap():
@@ -786,7 +729,9 @@ def test_coupling_rate_matches_the_exact_window_rate_at_a_short_horizon():
     # conditioned scan's pair SE must cover it. Its main run takes from
     # the pilot's 12.5k paths (6250 pairs) up to the plain scan's 200k
     model = builtin_model("distinct_diag_equal_index")
-    assert limit_rate(model) == pytest.approx(0.161476, abs=5e-7)
+    T = ratio_map(model)
+    assert goldie_increment(T, stationary(T)) / 2 == pytest.approx(0.161476,
+                                                                  abs=5e-7)
     assert exact_window_rate(model, 2, 200) == pytest.approx(0.161460,
                                                              abs=5e-7)
     n = 40
@@ -841,13 +786,10 @@ def _read(table, x: np.ndarray) -> np.ndarray:
 
 def _exact_mean_increment(model, alpha: float, x: np.ndarray) -> np.ndarray:
     """g(x) at alpha = 1 or 2 for positive entries: E(a11 x + a12)^alpha /
-    E a22^alpha - m x^alpha, with m = E a11^alpha / E a22^alpha expanded
-    out, so only the cross terms remain."""
-    lam22 = t.abs_moment(model.a22, alpha)
-    if alpha == 1.0:
-        return np.full_like(x, t.mean(model.a12) / lam22)
-    return (2 * t.mean(model.a11) * t.mean(model.a12) * x
-            + t.abs_moment(model.a12, 2.0)) / lam22
+    E a22^alpha - m x^alpha with m = E a11^alpha / E a22^alpha."""
+    p = int(alpha)
+    return goldie_increment(scalar_map(tilted_ratio_pair(model, alpha), p),
+                            np.vander(x, p, increasing=True).T)
 
 
 @pytest.mark.parametrize("name", ["distinct_diag_equal_index",
@@ -929,7 +871,7 @@ def test_paths_off_a_narrow_grid_take_the_plain_increment(monkeypatch):
                                                     16.0, 30.0]))
     out = np.empty_like(x)
     assert table.fill(x, out).tolist() == [0, 4, 5]
-    exact = scan_second_moment(n=8, **tilted_ratio_moments(model))
+    exact = moments(ratio_map(model), 8)[8, -1]
     study = t.coupling_sum_moments(model, 2.0, [8], 200_000, t.RngStream(61))
     assert study.conditioned
     snap = study.final().absolute
