@@ -70,10 +70,13 @@ def worker_count(text: str, what: str = "workers") -> int:
 
 
 def default_workers() -> int:
-    """TRISRE_WORKERS when set, else the core count, at most 8."""
+    """TRISRE_WORKERS when set, else the number of CPUs this process may
+    run on (its affinity mask where the platform has one), at most 8."""
     env = os.environ.get("TRISRE_WORKERS")
     if env:
         return worker_count(env, "TRISRE_WORKERS")
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 

@@ -373,7 +373,7 @@ def scenario_prediction(config: ScenarioConfig,
 
 
 def run_scenario(config: ScenarioConfig, workers: int | None = None) -> ScenarioReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = RngStream(config.seed)
     notes: list[str] = []
     regime = scenario_regime(config)
@@ -473,7 +473,7 @@ def run_scenario(config: ScenarioConfig, workers: int | None = None) -> Scenario
         name=config.name, config=config.to_dict(), regime=regime.to_dict(),
         prediction=prediction.to_dict() if prediction else None,
         prediction_error=prediction_error, empirical=empirical,
-        verdicts=verdicts, runtime_seconds=time.time() - t0,
+        verdicts=verdicts, runtime_seconds=time.perf_counter() - t0,
         seed_provenance=f"seed={config.seed}", notes=notes)
     return report
 

@@ -855,8 +855,12 @@ def _goldie_horizon(a_law: Dist, alpha: float,
     reaches its limit as fast as X_{k-1} couples with X: at the rate
     r = E|A|^s when g is s-Hoelder. For alpha <= 2 any s in [alpha - 1, 1]
     will do and s = alpha / 2 lies there (s = 1, the exact rate E[A], at
-    alpha = 2); for alpha > 2 the bound mixes the exponents 1 and
-    alpha - 1. Both rates are below 1 strictly inside (0, alpha).
+    alpha = 2). The envelope is proven only at alpha <= 2. For alpha > 2
+    the rule mixes the exponents 1 and alpha - 1, a heuristic that can
+    fail: for A = LN(-3 s^2 / 2, s), s = 0.5, B = 1 (alpha = 3) it picks
+    n = 42, where the exact late-window bias is -0.712% against an
+    envelope of 0.098%, as the gap decays like k r^k, not r^k. All these
+    rates are below 1 strictly inside (0, alpha).
 
     When B = b1 + a12 Y' is fed by Y = C Y' + b2 (C of law feed_law), run
     from zero alongside X, Y's gap to its stationary copy on the same
@@ -905,7 +909,10 @@ def _rate_burn_in(model: TriangularSRE, alpha: float, width: int) -> int:
     (b, b + width] is at most _window_bias(r, b - 1, width), whose
     factor 2 / (1 + r) is at least 1. That is where the bound is proven;
     at other alpha, or with signed entries, it is the envelope
-    _goldie_horizon also relies on. For distinct_diag_equal_index
+    _goldie_horizon also relies on, proven only at alpha <= 2: above 2
+    its exponent mix is a heuristic, which in the Goldie scan of
+    A = LN(-0.375, 0.5), B = 1 (alpha = 3, n = 42) leaves a bias of
+    -0.712% against an envelope of 0.098%. For distinct_diag_equal_index
     (r = E_t V = e^-1.5 = 0.223) b is 2 at n // 2 = 200 and 3 at 100."""
     d1, d2 = mod.diag_laws(model)
     lam22 = dist.abs_moment(d2, alpha)

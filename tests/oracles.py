@@ -3,15 +3,14 @@ and test-only samplers that the library does not use."""
 import dataclasses
 import math
 from itertools import islice, product
-from unittest import mock
 
 import numpy as np
 from scipy.optimize import brentq
 
 from trisre import distributions as dist
-from trisre import regime
 from trisre.distributions import abs_moment
-from trisre.errors import ArgumentOutOfRange, RequiresExactTilt
+from trisre.errors import (ArgumentOutOfRange, NoRoot, NotContractive,
+                           RequiresExactTilt)
 from trisre.estimates import EstimateWithError
 from trisre.model import (EqualDiagonal, IndependentEntries, InnovationBatch,
                           ProportionalToDiagonal, TriangularSRE, diag_laws,
@@ -25,14 +24,28 @@ from trisre.tilting import StepSource, _tilted_a22, _vu_steps
 _EPS_PROBE = 1 << 16  # pairs drawn to bound E|B|^eps for a jointly sampled (A, B)
 
 
-def scipy_tail_index(spec: dist.Dist) -> float:
-    """solve_tail_index with scipy's brentq in place of the library's
-    Brent port: the same function, bracket and tolerances."""
-    def scipy_brent(f, xa, xb, xtol, rtol):
-        return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+def reference_tail_index(spec: dist.Dist) -> float:
+    """The root of g(beta) = log E|A|^beta by scipy's brentq run to full
+    precision, on a bracket [1e-6, hi] found here: hi is the first point
+    with g(hi) > 0 of doublings from 1e-6 up to 2^13 or, for a finite
+    moment range, of steps halving the gap to its end. Raises as
+    solve_tail_index does: NotContractive unless E log|A| < 0, NoRoot
+    when g is not negative at 1e-6 or no such hi exists."""
+    def g(beta: float) -> float:
+        return dist.log_moment(spec, beta)[0]
 
-    with mock.patch.object(regime, "_brentq", scipy_brent):
-        return regime.solve_tail_index(spec)
+    if not dist.log_moment(spec, 0.0)[1] < 0.0:
+        raise NotContractive("E log|A| >= 0")
+    sup = dist.moment_sup(spec)
+    if math.isinf(sup):
+        betas = [min(1e-6 * 2.0 ** k, 2.0 ** 13) for k in range(1, 34)]
+    else:
+        betas = [b for k in range(1, 60) if (b := sup - sup * 2.0 ** -k) < sup]
+    hi = next((b for b in betas if g(b) > 0.0), None)
+    if not g(1e-6) < 0.0 or hi is None:
+        raise NoRoot("no sign change of log E|A|^beta")
+    # rtol: 4 machine epsilons, the least that brentq accepts
+    return brentq(g, 1e-6, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
 
 
 def combined_se(a: EstimateWithError, b: EstimateWithError) -> float:

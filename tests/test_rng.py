@@ -2,6 +2,7 @@
 invariance."""
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -112,3 +113,26 @@ def test_default_workers_reads_a_positive_integer(monkeypatch):
         monkeypatch.setenv("TRISRE_WORKERS", bad)
         with pytest.raises(ValueError, match="positive integer"):
             default_workers()
+
+
+def test_default_workers_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("TRISRE_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
+                        raising=False)
+    assert default_workers() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    assert default_workers() == 8
+    monkeypatch.setenv("TRISRE_WORKERS", "5")
+    assert default_workers() == 5
+
+
+def test_default_workers_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delenv("TRISRE_WORKERS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert default_workers() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 12)
+    assert default_workers() == 8

@@ -551,6 +551,15 @@ def test_config_numbers_follow_the_wire_format():
     assert ScenarioConfig.from_dict(config.to_dict()) == config
 
 
+def test_runtime_survives_a_backwards_wall_clock_step(monkeypatch):
+    """runtime_seconds is a monotonic duration: a wall clock that steps
+    back an hour at every reading leaves it non-negative."""
+    wall = iter(range(2_000_000_000, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+    report = run_scenario(quick_config(), workers=1)
+    assert 0.0 <= report.runtime_seconds < 3600.0
+
+
 def test_emit_report_round_trip(tmp_path):
     report = run_scenario(quick_config(), workers=1)
     paths = emit_report(report, tmp_path)
