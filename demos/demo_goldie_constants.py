@@ -6,6 +6,12 @@ Route 2 (perpetuity limit): c_+ = lim (a rho n)^{-1} E[(X_n^+)^a] for the
 partial sums X_n of the perpetuity series, scanned over a step source of
 (A, B) (here t.law_steps for independent laws).
 
+Route 2 pairs its paths: law_steps, like coord1_steps, runs antithetic
+pairs, path i + m/2 mirroring the normals behind path i's lognormal draws,
+and the scan takes its SE from the pair means. Route 1 does not: its SE
+treats the m stationary draws as independent, so its sampler draws each
+step's laws independently with t.sample.
+
 The naive sample mean of the alpha-moment in route 2 misses the
 exponentially rare paths that carry it, so the estimator accumulates
 per-step moment increments instead, and reads the growth over the late
@@ -16,8 +22,6 @@ why predict uses route 2 for every Kesten-Goldie constant: the second
 coordinate's over law_steps, the first coordinate's over coord1_steps,
 which runs the bivariate chain. Route 1 stays as the reference.
 """
-from itertools import islice
-
 import numpy as np
 
 import trisre as t
@@ -34,10 +38,12 @@ depth, _ = t.truncation_depth(
 
 
 def sampler(m, r):
-    # x stationary (truncated series), (a, b) one fresh independent step
+    # x stationary (truncated series) from independent draws, not the
+    # paired law_steps; (a, b) one fresh independent step
     x = np.zeros(m)
-    for a, b in islice(t.law_steps(a_law, b_law)(m, r.substream(0)), depth):
-        x = a * x + b
+    series = r.substream(0)
+    for _ in range(depth):
+        x = t.sample(a_law, series, m) * x + t.sample(b_law, series, m)
     step = r.substream(1)
     return t.sample(a_law, step, m), t.sample(b_law, step, m), x
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -200,10 +201,63 @@ def sample_steps(spec: Dist, rng: RngStream, rows: int,
     of shape (rows, m), so step k is row k. A law that makes one draw per
     value (Normal, Lognormal, Uniform and their Scaled forms) consumes
     rng as rows calls sample(spec, rng, m) would. A Constant draws
-    nothing and is its value, a float."""
+    nothing and is its value, a float. step_blocks draws such blocks one
+    after another, in antithetic pairs of paths if asked."""
     if isinstance(spec, Constant):
         return float(spec.c)
     return sample(spec, rng, rows * m).reshape(rows, m)
+
+
+def _mirrored(spec: Dist) -> tuple[float, float, bool, float] | None:
+    """(mean, sd, exp, factor) of a law of one normal draw per value,
+    factor times mean + sd Z, or its exp: a Normal, a Lognormal, or a
+    Scaled of either; None for any other law."""
+    factor = 1.0
+    while isinstance(spec, Scaled):
+        factor *= spec.factor
+        spec = spec.inner
+    if isinstance(spec, Normal):
+        return spec.mean, spec.sd, False, factor
+    if isinstance(spec, Lognormal):
+        return spec.mu, spec.sigma, True, factor
+    return None
+
+
+def step_blocks(spec: Dist, rng: RngStream, rows: int, m: int,
+                paired: bool = False) -> Iterator[np.ndarray | float]:
+    """Blocks of rows steps of the law for m paths, one per next():
+    sample_steps(spec, rng, rows, m), drawn as each block is asked for.
+
+    With paired, m = 2h must be even (ValueError otherwise, at the first
+    block) and path i + h is the antithetic partner of path i. A law of
+    one normal per value (Normal, Lognormal, and a Scaled of either)
+    draws a (rows, h) block of standard normals z in one call, the
+    stream order of rows calls of (h,); path i takes mean + sd z and path
+    i + h the mirror mean - sd z, then the same exp and factor. So a
+    paired block costs half the normals. Every other law fills both
+    halves with independent draws, the unpaired block. A paired block of
+    a mirrored law is a buffer the generator reuses: it holds one block,
+    and the caller must not write into it."""
+    if paired and m % 2:
+        raise ValueError("a paired source needs an even number of paths")
+    mirror = _mirrored(spec) if paired else None
+    if mirror is None:
+        while True:
+            yield sample_steps(spec, rng, rows, m)
+    mean, sd, take_exp, factor = mirror
+    z = np.empty((rows, m // 2))
+    pair = np.empty((rows, 2, m // 2))
+    out = pair.reshape(rows, m)
+    while True:
+        rng.gen.standard_normal(out=z)
+        z *= sd
+        np.add(mean, z, out=pair[:, 0])
+        np.subtract(mean, z, out=pair[:, 1])
+        if take_exp:
+            np.exp(out, out=out)
+        if factor != 1.0:
+            out *= factor
+        yield out
 
 
 # ---------------------------------------------------------------------------

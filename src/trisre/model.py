@@ -125,29 +125,37 @@ def chain_signed(model: TriangularSRE) -> bool:
             or dist.any_negative(*diag_laws(model), model.b1, model.b2))
 
 
-def _innovations(model: TriangularSRE, draw) -> InnovationBatch:
-    """The five entries of the coupling, each law drawn by draw(law) in a
-    fixed order: a11, a12, a22, b1, b2, or d, the a12 factor, b1, b2."""
+def _entry_laws(model: TriangularSRE) -> tuple[Dist, ...]:
+    """The laws of the coupling in draw order: a11, a12, a22, b1, b2, or
+    d, the a12 factor (or the independent a12), b1, b2."""
     if isinstance(model, IndependentEntries):
-        return InnovationBatch(a11=draw(model.a11), a12=draw(model.a12),
-                               a22=draw(model.a22), b1=draw(model.b1),
-                               b2=draw(model.b2))
-    d = draw(model.d)
+        return model.a11, model.a12, model.a22, model.b1, model.b2
+    mode = model.a12_mode
+    a12 = (mode.factor_law if isinstance(mode, ProportionalToDiagonal)
+           else mode.a12)
+    return model.d, a12, model.b1, model.b2
+
+
+def _innovations(model: TriangularSRE, drawn) -> InnovationBatch:
+    """The five entries of the coupling from the draws of its laws, in
+    _entry_laws' order."""
+    if isinstance(model, IndependentEntries):
+        return InnovationBatch(*drawn)
+    d, a12, b1, b2 = drawn
     if isinstance(model.a12_mode, ProportionalToDiagonal):
-        a12 = draw(model.a12_mode.factor_law) * d
-    else:
-        a12 = draw(model.a12_mode.a12)
-    return InnovationBatch(a11=d, a12=a12, a22=d, b1=draw(model.b1),
-                           b2=draw(model.b2))
+        a12 = a12 * d
+    return InnovationBatch(a11=d, a12=a12, a22=d, b1=b1, b2=b2)
 
 
 def draw_innovations(model: TriangularSRE, m: int,
                      rng: RngStream) -> InnovationBatch:
     """One joint step for m paths, honouring the coupling."""
-    return _innovations(model, lambda law: dist.sample(law, rng, m))
+    return _innovations(model, [dist.sample(law, rng, m)
+                                for law in _entry_laws(model)])
 
 
-def chain_steps(model: TriangularSRE, m: int, rng: RngStream):
+def chain_steps(model: TriangularSRE, m: int, rng: RngStream,
+                paired: bool = False):
     """The forward bivariate chain from zero for m paths: yields each
     step's arrays (a11, u, x2) with u = b1 + a12 x2' and x2 = a22 x2' + b2,
     so the first coordinate steps as x1 = a11 x1' + u. u and x2 are
@@ -156,19 +164,29 @@ def chain_steps(model: TriangularSRE, m: int, rng: RngStream):
 
     The innovations come in blocks of B = distributions.step_block(m)
     steps: each law of the coupling is drawn for the whole block in one
-    generator call (distributions.sample_steps), law after law in
+    generator call (distributions.step_blocks), law after law in
     draw_innovations' order, and the steps then read the block's rows
     (a11 is a read-only row). So step k takes other draws than the k-th
     call of draw_innovations would, and a caller that reads n steps has
     consumed the draws of ceil(n / B) * B steps, at most one block past
     its last step. A Constant entry draws nothing: its value is broadcast
-    over the block, with no array filled per step."""
+    over the block, with no array filled per step.
+
+    With paired, m must be even and path i + m/2 is the antithetic
+    partner of path i: every law of one normal per value mirrors its
+    normals between the halves (distributions.step_blocks), so whole
+    paths are partners. coord1_steps asks for it: its Kesten-Goldie scan
+    takes the SEs from pair means. The stationary sampler does not: its
+    m chains stay independent, as its chain-clustered SEs assume."""
     x2 = np.zeros(m)
     u = np.empty(m)
     rows = dist.step_block(m)
+    laws = [dist.step_blocks(law, rng, rows, m, paired)
+            for law in _entry_laws(model)]
     while True:
-        block = _innovations(
-            model, lambda law: dist.sample_steps(law, rng, rows, m))
+        # a list, not a zip of the generators: a zip's result tuple would
+        # keep the block before the last alive while the next is drawn
+        block = _innovations(model, [next(law) for law in laws])
         for a11, a12, a22, b1, b2 in zip(*(
                 np.broadcast_to(e, (rows, m)) for e in (
                     block.a11, block.a12, block.a22, block.b1, block.b2))):

@@ -50,7 +50,10 @@ SCHEMA_VERSION = 1
 @dataclass
 class ScenarioConfig:
     """A model and the sizes of its run: n_samples stationary values, and
-    constant_samples paths for each constant estimator. A conditioned
+    constant_samples paths for each constant estimator. The
+    Kesten-Goldie scans (over tilting.law_steps and coord1_steps) and
+    the lognormal ratio scans run them as ceil(constant_samples / 2)
+    antithetic pairs of paths, so their n_samples counts pairs. A conditioned
     ratio scan (the coupling rate, the coupling weight and the grey
     weight series, with lognormal or constant a11 and a12) reads
     constant_samples as the precision of that many plain paths: its

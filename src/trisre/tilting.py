@@ -10,9 +10,11 @@ When the law of a22 is closed under the tilt that source draws the
 reweighted pair exactly; otherwise it draws untilted entries and yields
 the step weight |a22|^alpha, which the scan folds into its increments
 behind a degeneracy guard. With all three entries lognormal the ratio
-source draws antithetic pairs of paths from one normal per path-step,
-and the scan takes its SEs from the pair means. An unsigned exact-tilt
-ratio source whose a11 and a12 have quadrature rules also carries an
+source draws antithetic pairs of paths from one normal per path-step;
+law_steps and coord1_steps draw antithetic pairs too, mirroring the
+normal behind each normal or lognormal law. The scan takes the SEs of a
+paired source from the pair means. An unsigned exact-tilt ratio source
+whose a11 and a12 have quadrature rules also carries an
 IncrementTable, the mean of each step's increment given the path; the
 scan then adds that mean in place of the increment (conditional Monte
 Carlo), in two stages: a pilot that measures the variance it saves, and
@@ -191,11 +193,11 @@ class StepSource:
     factory decides from the laws with distributions.prob_negative.
     paired is True when m must be even and path i + m/2 is the antithetic
     partner of path i at every step, so the two halves of a chunk are
-    dependent and only their pair means are independent; only
-    _lognormal_vu_steps declares it. table, the mean increment of an
-    unsigned ratio source at its alpha, is set only by _vu_steps, when
-    a22 has an exact tilt and a11 and a12 have quadrature rules
-    (_increment_table); a scan of such a source is conditioned."""
+    dependent and only their pair means are independent; law_steps,
+    coord1_steps and _lognormal_vu_steps declare it. table, the mean
+    increment of an unsigned ratio source at its alpha, is set only by
+    _vu_steps, when a22 has an exact tilt and a11 and a12 have quadrature
+    rules (_increment_table); a scan of such a source is conditioned."""
 
     draw: Callable[[int, RngStream], Iterator[tuple[np.ndarray, ...]]]
     signed: bool
@@ -208,32 +210,37 @@ class StepSource:
 
 def law_steps(a_law: Dist, b_law: Dist) -> StepSource:
     """Step source of x = a x + b with independent (A, B): steps(m, rng)
-    yields one step's arrays (a, b) of shape (m,) at a time. Each block
-    of distributions.step_block(m) steps draws A for the block, then B; a
-    Constant law draws nothing and its value is broadcast. So with a
-    Constant b, and an A of one draw per value, the source consumes rng
-    as one call of distributions.sample per step would. The source is
+    yields one step's arrays (a, b) of shape (m,) at a time. It is paired:
+    m must be even, and path i + m/2 is the antithetic partner of path i.
+    Each block of distributions.step_block(m) steps draws A for the block,
+    then B, through distributions.step_blocks: a law of one normal per
+    value (Normal, Lognormal, a Scaled of either) draws m/2 normals per
+    step and mirrors them, any other law draws both halves independently,
+    and a Constant draws nothing and its value is broadcast. The source is
     signed when A or B can be negative."""
     def steps(m: int, rng: RngStream):
         rows = dist.step_block(m)
+        a_blocks = dist.step_blocks(a_law, rng, rows, m, paired=True)
+        b_blocks = dist.step_blocks(b_law, rng, rows, m, paired=True)
         while True:
-            a = dist.sample_steps(a_law, rng, rows, m)
-            b = dist.sample_steps(b_law, rng, rows, m)
+            a, b = next(a_blocks), next(b_blocks)
             yield from zip(np.broadcast_to(a, (rows, m)),
                            np.broadcast_to(b, (rows, m)))
 
-    return StepSource(steps, dist.any_negative(a_law, b_law))
+    return StepSource(steps, dist.any_negative(a_law, b_law), paired=True)
 
 
 def coord1_steps(model: TriangularSRE) -> StepSource:
     """Step source of x1 = a11 x1' + (b1 + a12 x2') along the forward
-    bivariate chain from zero, model.chain_steps with x2 dropped. It is
-    signed when model.chain_signed says W1 can go negative."""
+    bivariate chain from zero, model.chain_steps with x2 dropped, run in
+    antithetic pairs of paths (paired=True): m must be even, and path
+    i + m/2 mirrors path i. It is signed when model.chain_signed says W1
+    can go negative."""
     def steps(m: int, rng: RngStream):
-        for a11, u, _ in mod.chain_steps(model, m, rng):
+        for a11, u, _ in mod.chain_steps(model, m, rng, paired=True):
             yield a11, u
 
-    return StepSource(steps, mod.chain_signed(model))
+    return StepSource(steps, mod.chain_signed(model), paired=True)
 
 
 def _study_from_pairs(steps: StepSource, alpha: float, snapshots: list[int],
@@ -943,6 +950,9 @@ def goldie_constant_perpetuity(a_law: Dist, steps: StepSource, alpha: float,
     a triangular model, whose B = b1 + a12 W2' rides along the path with
     W2' fed by a22 (pass its law as feed_law). a_law, the law of A, sets
     the scan's factors, and with feed_law the horizon, _goldie_horizon.
+    Both sources are paired, so the scan runs ceil(N / 2) antithetic
+    pairs of paths and the estimates' se and n_samples refer to pairs:
+    N = 200000 reports n_samples 100000.
 
     At the critical index the naive sample mean of the alpha-moment is
     dominated by unobservably rare paths, so the moments are accumulated

@@ -151,10 +151,10 @@ def univariate_model(a_law: dist.Dist, b_law: dist.Dist) -> TriangularSRE:
 
 
 def per_step_law_steps(a_law: dist.Dist, b_law: dist.Dist) -> StepSource:
-    """tilting.law_steps drawn one step at a time: a, then b, one
-    distributions.sample call each per step; a Constant b is drawn once
-    per chunk. With a Constant b and an a of one draw per value, the
-    library's blocked source yields the same arrays."""
+    """The step source of x = a x + b on independent paths, one step at a
+    time: a, then b, one distributions.sample call each per step; a
+    Constant b is drawn once per chunk. tilting.law_steps runs antithetic
+    pairs of paths instead (per_step_paired_law_steps replays it)."""
     def steps(m: int, rng: RngStream):
         b = (dist.sample(b_law, rng, m) if isinstance(b_law, dist.Constant)
              else None)
@@ -163,6 +163,45 @@ def per_step_law_steps(a_law: dist.Dist, b_law: dist.Dist) -> StepSource:
             yield a, dist.sample(b_law, rng, m) if b is None else b
 
     return StepSource(steps, dist.any_negative(a_law, b_law))
+
+
+def paired_block(law: dist.Dist, rng: RngStream, rows: int,
+                 m: int) -> np.ndarray:
+    """rows steps of the law for m = 2h paths in antithetic pairs, an
+    array of shape (rows, m), as distributions.step_blocks draws them with
+    paired: a Normal, a Lognormal or a Scaled of either draws a (rows, h)
+    block of standard normals z, path i takes mean + sd z and path i + h
+    mean - sd z, then the exp of a Lognormal and the product of the
+    Scaled factors; every other law draws rows * m values independently."""
+    factor, inner = 1.0, law
+    while isinstance(inner, dist.Scaled):
+        factor *= inner.factor
+        inner = inner.inner
+    if isinstance(inner, dist.Normal):
+        mean, sd = inner.mean, inner.sd
+    elif isinstance(inner, dist.Lognormal):
+        mean, sd = inner.mu, inner.sigma
+    else:
+        return dist.sample(law, rng, rows * m).reshape(rows, m)
+    shift = sd * rng.gen.standard_normal((rows, m // 2))
+    out = np.concatenate([mean + shift, mean - shift], axis=1)
+    if isinstance(inner, dist.Lognormal):
+        out = np.exp(out)
+    return out * factor if factor != 1.0 else out
+
+
+def per_step_paired_law_steps(a_law: dist.Dist,
+                              b_law: dist.Dist) -> StepSource:
+    """tilting.law_steps drawn one step at a time: a, then b, each one
+    paired_block of a single step. A law of one normal per value draws
+    its block's normals in one call, so the library's blocked source
+    yields the same arrays."""
+    def steps(m: int, rng: RngStream):
+        while True:
+            yield (paired_block(a_law, rng, 1, m)[0],
+                   paired_block(b_law, rng, 1, m)[0])
+
+    return StepSource(steps, dist.any_negative(a_law, b_law), paired=True)
 
 
 def per_step_lognormal_vu_steps(a11: dist.Lognormal, a12: dist.Lognormal,

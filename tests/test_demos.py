@@ -1,4 +1,7 @@
-"""Every script in demos/ runs to completion from a clean directory."""
+"""Every script in demos/ runs to completion from a clean directory. A
+DeprecationWarning or RuntimeWarning fails it, as it fails the tests:
+pyproject's filterwarnings does not reach a subprocess, so the run sets
+PYTHONWARNINGS."""
 import os
 import subprocess
 import sys
@@ -12,7 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONWARNINGS=(
+        "error::DeprecationWarning,error::RuntimeWarning"))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

@@ -13,6 +13,7 @@ from scipy import integrate
 import trisre as t
 from trisre import (Constant, Lognormal, Normal, Scaled, SignedLognormal,
                     TwoSidedPareto, Uniform)
+from trisre import distributions as dist
 from trisre.errors import LogMomentUndefined, MomentDiverges, TiltUnsupported
 
 
@@ -460,3 +461,55 @@ def test_log_rule_reproduces_moments_across_its_exponent_range():
     Lognormal(0.0, 3.0)])
 def test_log_rule_is_none_for_laws_without_an_accurate_rule(law):
     assert t.distributions.log_rule(law, 0.0, 8.0) is None
+
+
+@pytest.mark.parametrize("law, mean, sd, log, factor", [
+    (Normal(0.5, 2.0), 0.5, 2.0, False, 1.0),
+    (Lognormal(-1.0, 0.7), -1.0, 0.7, True, 1.0),
+    (Scaled(Lognormal(-2.0, 1.0), -1.5), -2.0, 1.0, True, -1.5),
+    (Scaled(Scaled(Normal(1.0, 0.5), 2.0), 0.5), 1.0, 0.5, False, 1.0),
+])
+def test_paired_blocks_mirror_each_normal_between_the_halves(law, mean, sd,
+                                                            log, factor):
+    # m = 2h paths: each block draws one (rows, h) block of standard
+    # normals z, path i takes mean + sd z and path i + h mean - sd z (then
+    # the exp and the factor), bit for bit; the next block continues the
+    # stream
+    rows, m = 4, 10
+    blocks = dist.step_blocks(law, t.RngStream(7), rows, m, paired=True)
+    ref = t.RngStream(7)
+    for _ in range(2):
+        shift = sd * ref.gen.standard_normal((rows, m // 2))
+        halves = [mean + shift, mean - shift]
+        if log:
+            halves = [np.exp(x) for x in halves]
+        if factor != 1.0:
+            halves = [x * factor for x in halves]
+        got = next(blocks)
+        assert got.shape == (rows, m)
+        np.testing.assert_array_equal(got[:, :m // 2], halves[0])
+        np.testing.assert_array_equal(got[:, m // 2:], halves[1])
+
+
+@pytest.mark.parametrize("law", [Uniform(-1.0, 2.0),
+                                 TwoSidedPareto(2.0, 1.0, 0.7),
+                                 SignedLognormal(-1.0, 1.0, 0.3),
+                                 Scaled(Uniform(0.0, 1.0), 3.0)])
+def test_paired_blocks_draw_other_laws_independently_in_both_halves(law):
+    # a law not driven by one normal fills both halves with independent
+    # draws: the paired blocks are the unpaired ones, draw for draw
+    rows, m = 4, 10
+    paired = dist.step_blocks(law, t.RngStream(8), rows, m, paired=True)
+    ref = t.RngStream(8)
+    for _ in range(2):
+        np.testing.assert_array_equal(next(paired),
+                                      dist.sample_steps(law, ref, rows, m))
+    # a Constant draws nothing, paired or not
+    assert next(dist.step_blocks(Constant(2.5), ref, rows, m,
+                                 paired=True)) == 2.5
+
+
+def test_paired_blocks_need_an_even_number_of_paths():
+    for law in (Lognormal(-1.0, 1.0), Uniform(0.0, 1.0), Constant(1.0)):
+        with pytest.raises(ValueError, match="even number of paths"):
+            next(dist.step_blocks(law, t.RngStream(9), 4, 9, paired=True))

@@ -24,10 +24,10 @@ from trisre.tilting import (_WINDOW_BIAS, StepSource, _rate_burn_in,
 
 from oracles import (combined_se, coord2_grey_weight_sum,
                      cross_sum_second_moments, goldie_increment, law_pair,
-                     lognormal_ratio_log_drift, moments, per_step_law_steps,
-                     per_step_lognormal_vu_steps, perpetuity_sample_batch,
-                     sample_cross_sum_batch, scalar_map, stationary,
-                     tilted_ratio_pair, window_bias)
+                     lognormal_ratio_log_drift, moments,
+                     per_step_lognormal_vu_steps, per_step_paired_law_steps,
+                     perpetuity_sample_batch, sample_cross_sum_batch,
+                     scalar_map, stationary, tilted_ratio_pair, window_bias)
 
 
 def tilt_benchmark():
@@ -541,14 +541,17 @@ def test_lognormal_ratio_pair_draws_one_normal_per_path_step():
 @pytest.mark.parametrize("m", [1000, 5000])
 def test_blocked_step_sources_yield_their_per_step_arrays(m):
     # a law of one draw per value, drawn for a block of steps in one call,
-    # consumes its stream as one call per step would: three whole blocks
+    # consumes its stream as one call per step would, and so does a
+    # mirrored law's block of normals for the pairs: three whole blocks
     # and one step of a fourth are bit-identical to the per-step sources
     model = builtin_model("distinct_diag_equal_index")
     tilted = dist.tilted(model.a22, 2.0)
-    pairs = [(t.law_steps(a, b), per_step_law_steps(a, b)) for a, b in (
-        (Lognormal(-1, 1), Constant(1.0)),
-        (Normal(0.5, 1), Constant(-2.0)),
-        (Scaled(Uniform(0, 1), 2.0), Constant(0.5)))]
+    pairs = [(t.law_steps(a, b), per_step_paired_law_steps(a, b))
+             for a, b in ((Lognormal(-1, 1), Constant(1.0)),
+                          (Normal(0.5, 1), Constant(-2.0)),
+                          (Scaled(Uniform(0, 1), 2.0), Constant(0.5)),
+                          (Scaled(Lognormal(-1, 0.5), -1.5),
+                           Constant(1.0)))]
     pairs.append((_vu_steps(model, 2.0),
                   per_step_lognormal_vu_steps(model.a11, model.a12, tilted)))
     n = 3 * dist.step_block(m) + 1
@@ -564,6 +567,18 @@ def test_blocked_step_sources_yield_their_per_step_arrays(m):
                 np.testing.assert_array_equal(a, b)
             steps += 1
         assert steps == n
+
+
+def test_goldie_step_sources_are_paired_and_need_an_even_path_count():
+    # law_steps and coord1_steps run antithetic pairs, whatever the laws:
+    # an odd m is refused at the first step, as for the lognormal ratio
+    kg = builtin_model("coord1_dominant_kg")
+    for source in (t.law_steps(Lognormal(-1, 1), Constant(1.0)),
+                   t.law_steps(Uniform(0, 1), Normal(1, 1)),
+                   t.coord1_steps(kg)):
+        assert source.paired
+        with pytest.raises(ValueError, match="even number of paths"):
+            next(source(999, t.RngStream(48)))
 
 
 def test_lognormal_fast_path_matches_generic_ratio_draws(monkeypatch):
@@ -882,8 +897,10 @@ def test_a_grid_no_path_reaches_gives_the_plain_scan_bit_for_bit():
     # every step after the first is off the grid, and the first step's
     # g(0) = 1 is the plain increment of u = 1 from X_0 = 0: the pilot
     # reads a variance ratio of 1, so the main run takes all N paths on
-    # the plain scan's stream, and every estimate is the plain one
+    # the plain scan's stream, and every estimate is the plain one. The
+    # base is paired, so N paths are N / 2 pairs in either scan
     base = t.law_steps(Lognormal(-1.5, 1.0), Constant(1.0))
+    assert base.paired
     unreachable = tilting.IncrementTable(2.0, 1.0, 700.0, 1.0,
                                          np.zeros((4, 1)))
     lam = t.abs_moment(Lognormal(-1.5, 1.0), 2.0)
@@ -894,7 +911,7 @@ def test_a_grid_no_path_reaches_gives_the_plain_scan_bit_for_bit():
     for a, b in zip(runs[0].snapshots + [runs[0].window, runs[0].total],
                     runs[1].snapshots + [runs[1].window, runs[1].total]):
         assert a == b
-        assert a.absolute.n_samples == 40_000
+        assert a.absolute.n_samples == 20_000
 
 
 def test_a_source_without_a_rule_runs_the_plain_scan_on_every_path():
